@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common.hh"
 #include "core/assoc_memory.hh"
 #include "core/packed_rows.hh"
@@ -54,15 +56,39 @@ BENCHMARK(BM_Bind)->Arg(10000);
 void
 BM_BundlerAdd(benchmark::State &state)
 {
+    // Cycle through distinct random inputs so the counters see a
+    // varying carry pattern, as real bundling does.
     const auto dim = static_cast<std::size_t>(state.range(0));
     Rng rng(3);
-    const Hypervector hv = Hypervector::random(dim, rng);
+    std::vector<Hypervector> pool;
+    for (int i = 0; i < 64; ++i)
+        pool.push_back(Hypervector::random(dim, rng));
     Bundler bundler(dim);
-    for (auto _ : state)
-        bundler.add(hv);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        bundler.add(pool[next]);
+        next = (next + 1) % pool.size();
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() * dim);
 }
 BENCHMARK(BM_BundlerAdd)->Arg(10000);
+
+void
+BM_Majority(benchmark::State &state)
+{
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    Rng rng(8);
+    Bundler bundler(dim);
+    for (int i = 0; i < 100; ++i)
+        bundler.add(Hypervector::random(dim, rng));
+    for (auto _ : state) {
+        Hypervector hv = bundler.majority(rng);
+        benchmark::DoNotOptimize(hv);
+    }
+    state.SetItemsProcessed(state.iterations() * dim);
+}
+BENCHMARK(BM_Majority)->Arg(10000);
 
 void
 BM_SoftwareSearch(benchmark::State &state)

@@ -7,10 +7,17 @@
  * ops::bundle would be prohibitively slow and large, so Bundler keeps
  * per-component ones-counts and finalizes with a single majority pass.
  *
- * The hot path packs four 16-bit lane counters per 64-bit word and adds
- * byte-expanded hypervector bits via a 256-entry lookup table; lanes are
- * flushed into 32-bit counters before they can saturate, so any number
- * of inputs up to 2^32 - 1 is exact.
+ * The counts are bit-sliced: plane p holds bit p of every component's
+ * ones-count, packed 64 components per word like a hypervector, so
+ * one word operation advances 64 counters. Inputs are counted a block
+ * of up to kBlock vectors at a time: a carry-save adder tree sums the
+ * block word by word into register planes, and that sum is carried
+ * into the wide planes once per block. A block vector is given as the
+ * word rows whose XOR it is, so the encoder's n-gram
+ * rho^2(A) ^ rho(B) ^ C is formed in registers and never stored.
+ * Single add() calls are copied into a pending block that the same
+ * kernel counts when it fills or before a read. Planes are added as
+ * the count grows, so any number of inputs up to 2^32 - 1 is exact.
  */
 
 #ifndef HDHAM_CORE_BUNDLER_HH
@@ -32,6 +39,9 @@ namespace hdham
 class Bundler
 {
   public:
+    /** Vectors the counting kernel sums in registers per pass. */
+    static constexpr std::size_t kBlock = 16;
+
     /** Create an accumulator for dimension @p dim. */
     explicit Bundler(std::size_t dim);
 
@@ -39,13 +49,25 @@ class Bundler
     std::size_t dim() const { return numBits; }
 
     /** Number of hypervectors accumulated so far. */
-    std::uint64_t count() const { return added; }
+    std::uint64_t count() const { return counted + pendingCount; }
 
     /**
      * Accumulate one hypervector.
      * @pre hv.dim() == dim().
      */
     void add(const Hypervector &hv);
+
+    /**
+     * Accumulate @p count bound vectors without materializing them:
+     * vector j is the XOR of the @p arity word rows
+     * factors[j * arity] .. factors[j * arity + arity - 1], each laid
+     * out like Hypervector::data() for dim() components (clean tail).
+     * The result equals add() of every such XOR.
+     *
+     * @pre arity > 0 when count > 0.
+     */
+    void addBound(const std::uint64_t *const *factors, std::size_t arity,
+                  std::size_t count);
 
     /**
      * Ones-count of component @p i over everything added so far.
@@ -57,7 +79,7 @@ class Bundler
      * Finalize: component-wise majority of all added hypervectors.
      * Components with an exact tie (possible only for an even count)
      * are broken by a fair coin from @p rng, as the paper's augmented
-     * majority requires.
+     * majority requires. Ties draw in ascending component order.
      *
      * The accumulator remains valid and can keep accepting inputs.
      *
@@ -69,21 +91,39 @@ class Bundler
     void clear();
 
   private:
-    /** Drain the 16-bit lane counters into the 32-bit counters. */
-    void flush() const;
+    /** Add planes until @p m more inputs cannot carry out of them. */
+    void growPlanes(std::size_t m) const;
 
-    static constexpr std::uint64_t lanesPerWord = 4;
-    /** Flush before a lane can reach 2^16. */
-    static constexpr std::uint64_t flushThreshold = 65535;
+    /**
+     * The counting kernel: add @p m <= kBlock bound vectors (see
+     * addBound) to the planes, which growPlanes(m) has made room in.
+     */
+    void accumulate(const std::uint64_t *const *factors,
+                    std::size_t arity, std::size_t m) const;
+
+    /** Count the pending single adds into the planes. */
+    void foldPending() const;
+
+    /** First word of count plane @p p. */
+    std::uint64_t *
+    plane(std::size_t p) const
+    {
+        return storage.data() + (kBlock + p) * numWords;
+    }
 
     std::size_t numBits;
-    std::uint64_t added = 0;
-    /** Adds since the last flush (bounded by flushThreshold). */
-    mutable std::uint64_t pendingAdds = 0;
-    /** Four 16-bit lane counters per word; numBits/4 words (padded). */
-    mutable std::vector<std::uint64_t> lanes;
-    /** Full-precision per-component counters. */
-    mutable std::vector<std::uint32_t> totals;
+    std::size_t numWords;
+    /** Inputs counted into the planes. */
+    mutable std::uint64_t counted = 0;
+    /** Number of count planes. */
+    mutable std::size_t planeCount;
+    /** Single adds copied into the pending block, not yet counted. */
+    mutable std::size_t pendingCount = 0;
+    /**
+     * The pending block, kBlock rows of numWords words, followed by
+     * the planeCount count planes of numWords words each.
+     */
+    mutable std::vector<std::uint64_t> storage;
 };
 
 } // namespace hdham

@@ -1,6 +1,8 @@
 #include "core/encoder.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 namespace hdham
@@ -34,24 +36,28 @@ Encoder::encodeNgram(const std::vector<std::size_t> &symbols) const
 std::size_t
 Encoder::encodeInto(const std::string &text, Bundler &bundler) const
 {
+    assert(bundler.dim() == dimension);
     if (text.size() < n)
         return 0;
     std::vector<std::size_t> ids(text.size());
     for (std::size_t i = 0; i < text.size(); ++i)
         ids[i] = TextAlphabet::symbolOf(text[i]);
 
-    Hypervector gram(dimension);
-    std::size_t count = 0;
-    for (std::size_t i = 0; i + n <= ids.size(); ++i) {
-        // Rebuild each n-gram from the precomputed rotations; for the
-        // paper's n = 3 this is two XOR passes per position.
-        gram = rotatedSeeds[n - 1][ids[i]];
-        for (std::size_t k = 1; k < n; ++k)
-            gram ^= rotatedSeeds[n - 1 - k][ids[i + k]];
-        bundler.add(gram);
-        ++count;
+    // Hand the bundler each n-gram as its n rotated seed rows, oldest
+    // symbol (most rotation) first, one kernel block at a time; the
+    // bundler XORs them in registers.
+    const std::size_t grams = ids.size() - n + 1;
+    std::vector<const std::uint64_t *> factors(Bundler::kBlock * n);
+    for (std::size_t start = 0; start < grams; start += Bundler::kBlock) {
+        const std::size_t m = std::min(Bundler::kBlock, grams - start);
+        for (std::size_t j = 0; j < m; ++j) {
+            for (std::size_t k = 0; k < n; ++k)
+                factors[j * n + k] =
+                    rotatedSeeds[n - 1 - k][ids[start + j + k]].data();
+        }
+        bundler.addBound(factors.data(), n, m);
     }
-    return count;
+    return grams;
 }
 
 Hypervector

@@ -9,7 +9,10 @@
  *
  * where A, B, C are the seed hypervectors of the letters and rho is the
  * cyclic permutation. Rotation of a seed by a fixed amount is
- * precomputed per (symbol, position) so the hot loop is pure XOR.
+ * precomputed per (symbol, position). encodeInto() passes each n-gram
+ * to the Bundler as pointers to its n rotated rows, and the bundler's
+ * counting kernel XORs them word by word in registers, so no n-gram
+ * hypervector is ever stored.
  */
 
 #ifndef HDHAM_CORE_ENCODER_HH
@@ -60,6 +63,8 @@ class Encoder
      *
      * Used directly for training, where one Bundler accumulates
      * n-grams across many samples of the same class.
+     *
+     * @pre bundler.dim() == dim().
      */
     std::size_t
     encodeInto(const std::string &text, Bundler &bundler) const;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/bundler.hh"
 #include "core/hypervector.hh"
 #include "core/random.hh"
@@ -15,6 +19,106 @@ namespace
 using hdham::Bundler;
 using hdham::Hypervector;
 using hdham::Rng;
+
+/**
+ * The reference the bit-sliced counters are checked against: one
+ * uint32 ones-count per component and the majority rule as the paper
+ * states it, ties drawn from the Rng in ascending component order.
+ */
+class Oracle
+{
+  public:
+    explicit Oracle(std::size_t dim) : ones(dim, 0) {}
+
+    std::uint64_t count() const { return added; }
+
+    void
+    add(const Hypervector &hv)
+    {
+        for (std::size_t i = 0; i < ones.size(); ++i)
+            ones[i] += hv.get(i);
+        ++added;
+    }
+
+    std::uint32_t onesCount(std::size_t i) const { return ones[i]; }
+
+    Hypervector
+    majority(Rng &rng) const
+    {
+        Hypervector result(ones.size());
+        for (std::size_t i = 0; i < ones.size(); ++i) {
+            const std::uint64_t twice = 2ULL * ones[i];
+            if (twice > added)
+                result.set(i, true);
+            else if (twice == added)
+                result.set(i, rng.nextBool());
+        }
+        return result;
+    }
+
+    void
+    clear()
+    {
+        std::fill(ones.begin(), ones.end(), 0);
+        added = 0;
+    }
+
+  private:
+    std::vector<std::uint32_t> ones;
+    std::uint64_t added = 0;
+};
+
+/**
+ * Every count, the majority, and the number of tie draws it took
+ * (the Rng must be left in the oracle's state) agree.
+ */
+void
+expectMatchesOracle(const Bundler &b, const Oracle &oracle,
+                    std::uint64_t seed)
+{
+    ASSERT_EQ(b.count(), oracle.count());
+    for (std::size_t i = 0; i < b.dim(); ++i)
+        ASSERT_EQ(b.onesCount(i), oracle.onesCount(i))
+            << "component " << i << " after " << oracle.count();
+    if (oracle.count() == 0)
+        return;
+    Rng viaBundler(seed), viaOracle(seed);
+    ASSERT_EQ(b.majority(viaBundler), oracle.majority(viaOracle))
+        << "after " << oracle.count();
+    EXPECT_EQ(viaBundler.next(), viaOracle.next())
+        << "tie draws differ after " << oracle.count();
+}
+
+/**
+ * addBound() @p count vectors, each the XOR of @p arity rows drawn
+ * from @p pool, and add the same XORs to the oracle.
+ */
+void
+addBoundFromPool(Bundler &b, Oracle &oracle,
+                 const std::vector<Hypervector> &pool, std::size_t arity,
+                 std::size_t count, Rng &rng)
+{
+    std::vector<const std::uint64_t *> factors;
+    for (std::size_t j = 0; j < count; ++j) {
+        Hypervector product(b.dim());
+        for (std::size_t k = 0; k < arity; ++k) {
+            const Hypervector &row = pool[rng.nextBelow(pool.size())];
+            factors.push_back(row.data());
+            product ^= row;
+        }
+        oracle.add(product);
+    }
+    b.addBound(factors.data(), arity, count);
+}
+
+std::vector<Hypervector>
+randomPool(std::size_t dim, std::size_t size, Rng &rng)
+{
+    std::vector<Hypervector> pool;
+    for (std::size_t i = 0; i < size; ++i)
+        pool.push_back(Hypervector::random(dim, rng));
+    return pool;
+}
 
 TEST(BundlerTest, EmptyThrows)
 {
@@ -142,10 +246,10 @@ TEST(BundlerTest, MajorityIsOrderInvariant)
     EXPECT_EQ(fwd.majority(tieA), rev.majority(tieB));
 }
 
-TEST(BundlerTest, SurvivesLaneCounterFlush)
+TEST(BundlerTest, CarriesIntoHighPlanes)
 {
-    // More adds than the 16-bit lane capacity: totals must stay
-    // exact across the internal flush boundary.
+    // More adds than a 16-bit count holds: the carry must reach the
+    // seventeenth plane and the counts stay exact.
     const std::size_t dim = 96;
     Bundler b(dim);
     Hypervector ones = Hypervector::fromString(std::string(dim, '1'));
@@ -163,7 +267,8 @@ TEST(BundlerTest, SurvivesLaneCounterFlush)
 
 TEST(BundlerTest, MixedReadsAndWrites)
 {
-    // onesCount (which flushes) interleaved with adds stays exact.
+    // onesCount (which counts the pending single adds) interleaved
+    // with adds stays exact.
     Rng rng(12);
     const std::size_t dim = 64;
     Bundler b(dim);
@@ -186,6 +291,93 @@ TEST(BundlerTest, BundleOfManyRandomStaysBalanced)
         b.add(Hypervector::random(dim, rng));
     const Hypervector maj = b.majority(rng);
     EXPECT_NEAR(maj.popcount(), dim / 2.0, 250.0);
+}
+
+TEST(BundlerTest, MatchesOracleAtRaggedDimensions)
+{
+    // Single adds and block adds of every size 1..kBlock and arity
+    // 1..5, read between adds, then again after clear(); at word-
+    // aligned and ragged D, including D = 10,000.
+    for (const std::size_t dim : {1u, 63u, 64u, 65u, 130u, 10000u}) {
+        SCOPED_TRACE(dim);
+        Rng rng(dim);
+        const std::vector<Hypervector> pool = randomPool(dim, 24, rng);
+        Bundler b(dim);
+        Oracle oracle(dim);
+        for (int pass = 0; pass < 2; ++pass) {
+            // All ones then all zeros: every component ties.
+            const Hypervector ones =
+                Hypervector::fromString(std::string(dim, '1'));
+            b.add(ones);
+            oracle.add(ones);
+            b.add(Hypervector(dim));
+            oracle.add(Hypervector(dim));
+            expectMatchesOracle(b, oracle, 100 + pass);
+            for (std::size_t size = 1; size <= Bundler::kBlock; ++size) {
+                const std::size_t arity = 1 + size % 5;
+                addBoundFromPool(b, oracle, pool, arity, size, rng);
+                for (std::size_t i = 0; i < size % 3; ++i) {
+                    const Hypervector &hv =
+                        pool[rng.nextBelow(pool.size())];
+                    b.add(hv);
+                    oracle.add(hv);
+                }
+                expectMatchesOracle(b, oracle, size);
+            }
+            // One call spanning several kernel blocks.
+            addBoundFromPool(b, oracle, pool, 3,
+                             2 * Bundler::kBlock + 5, rng);
+            expectMatchesOracle(b, oracle, 200 + pass);
+            b.clear();
+            oracle.clear();
+            expectMatchesOracle(b, oracle, 300 + pass);
+            EXPECT_THROW(b.majority(rng), std::logic_error);
+        }
+    }
+}
+
+TEST(BundlerTest, ExactOnBothSidesOfEveryPlaneBoundary)
+{
+    // Stop at n = 2^k - 1, 2^k and 2^k + 1 for every k up to 17, so
+    // the count of component 0 (set in every input) and the majority
+    // threshold floor(n/2) sit on both sides of each plane boundary.
+    // Odd-arity products keep component 0 set and component 1 clear.
+    const std::size_t dim = 130;
+    Rng rng(21);
+    std::vector<Hypervector> pool = randomPool(dim, 32, rng);
+    for (Hypervector &hv : pool) {
+        hv.set(0, true);
+        hv.set(1, false);
+    }
+    std::vector<std::uint64_t> stops;
+    for (unsigned k = 1; k <= 17; ++k) {
+        for (const std::uint64_t n :
+             {(1ULL << k) - 1, 1ULL << k, (1ULL << k) + 1}) {
+            if (stops.empty() || stops.back() < n)
+                stops.push_back(n);
+        }
+    }
+    Bundler b(dim);
+    Oracle oracle(dim);
+    for (const std::uint64_t stop : stops) {
+        while (b.count() < stop) {
+            const std::size_t size = static_cast<std::size_t>(
+                std::min<std::uint64_t>(stop - b.count(),
+                                        1 + rng.nextBelow(Bundler::kBlock)));
+            if (rng.nextBool()) {
+                addBoundFromPool(b, oracle, pool, 3, size, rng);
+            } else {
+                for (std::size_t i = 0; i < size; ++i) {
+                    const Hypervector &hv =
+                        pool[rng.nextBelow(pool.size())];
+                    b.add(hv);
+                    oracle.add(hv);
+                }
+            }
+        }
+        ASSERT_EQ(b.onesCount(0), stop);
+        expectMatchesOracle(b, oracle, stop);
+    }
 }
 
 } // namespace

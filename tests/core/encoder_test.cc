@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/bundler.hh"
 #include "core/encoder.hh"
 #include "core/item_memory.hh"
@@ -68,19 +71,40 @@ TEST_F(EncoderTest, EncodeIntoCountsNgrams)
 
 TEST_F(EncoderTest, EncodeIntoMatchesManualBundling)
 {
-    const std::string text = "the cat";
-    Bundler viaEncoder(2048);
-    encoder.encodeInto(text, viaEncoder);
+    // encodeInto hands n-grams to the bundler a kernel block at a
+    // time without forming them. For n = 1..5 at a ragged D, every
+    // n-gram count from 0 to 2 * kBlock + 1 (so every partial last
+    // block) must bundle exactly like encodeNgram + add, down to the
+    // tie draws the majority takes.
+    const std::size_t dim = 1000;
+    const std::string source =
+        "the quick brown fox jumps over the lazy dog";
+    for (std::size_t n = 1; n <= 5; ++n) {
+        const ItemMemory seeds(TextAlphabet::size, dim, 40 + n);
+        const Encoder enc(seeds, n);
+        std::vector<std::size_t> symbols(n);
+        for (std::size_t len = 0; len <= 2 * Bundler::kBlock + n; ++len) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " len=" + std::to_string(len));
+            const std::string text = source.substr(0, len);
+            Bundler viaEncoder(dim);
+            const std::size_t grams = enc.encodeInto(text, viaEncoder);
 
-    Bundler manual(2048);
-    for (std::size_t i = 0; i + 3 <= text.size(); ++i) {
-        manual.add(encoder.encodeNgram(
-            {TextAlphabet::symbolOf(text[i]),
-             TextAlphabet::symbolOf(text[i + 1]),
-             TextAlphabet::symbolOf(text[i + 2])}));
+            Bundler manual(dim);
+            for (std::size_t i = 0; i + n <= text.size(); ++i) {
+                for (std::size_t k = 0; k < n; ++k)
+                    symbols[k] = TextAlphabet::symbolOf(text[i + k]);
+                manual.add(enc.encodeNgram(symbols));
+            }
+            ASSERT_EQ(grams, manual.count());
+            ASSERT_EQ(viaEncoder.count(), manual.count());
+            if (grams == 0)
+                continue;
+            Rng a(len), b(len);
+            EXPECT_EQ(viaEncoder.majority(a), manual.majority(b));
+            EXPECT_EQ(a.next(), b.next());
+        }
     }
-    Rng a(1), b(1);
-    EXPECT_EQ(viaEncoder.majority(a), manual.majority(b));
 }
 
 TEST_F(EncoderTest, EncodeRejectsShortText)

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -136,10 +139,29 @@ serializedModel(const StoreLayout &layout, bool withItems = true)
     return out.str();
 }
 
+/** Paths tempFile() wrote, removed when the test process exits. */
+struct TempFiles
+{
+    std::set<std::string> paths;
+    ~TempFiles()
+    {
+        for (const std::string &path : paths)
+            std::remove(path.c_str());
+    }
+};
+
+/**
+ * Write @p bytes to a temp file named after @p name and this process,
+ * so concurrent ctest entries running the same test never map a file
+ * another one is rewriting.
+ */
 std::string
 tempFile(const std::string &name, const std::string &bytes)
 {
-    const std::string path = ::testing::TempDir() + name;
+    static TempFiles written;
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "_" + name;
+    written.paths.insert(path);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));

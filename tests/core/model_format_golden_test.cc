@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -144,7 +146,8 @@ TEST(ModelFormatGoldenTest, LegacyConversionAgreesWithGolden)
         const AssociativeMemory model =
             testfix::buildFixtureMemory(spec);
         const std::string legacyFile =
-            ::testing::TempDir() + "golden_legacy_" + spec.file;
+            ::testing::TempDir() + std::to_string(::getpid()) +
+            "_golden_legacy_" + spec.file;
         serialize::saveMemory(legacyFile, model);
         const AssociativeMemory legacy =
             serialize::loadMemory(legacyFile);

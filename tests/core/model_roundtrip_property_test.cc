@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -99,7 +101,8 @@ buildModel(std::size_t dim, std::size_t classes, Rng &rng,
 std::string
 savedTo(const std::string &name, const AssociativeMemory &am)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "_" + name;
     modelfile::save(path, am);
     return path;
 }
@@ -244,7 +247,8 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
     modelfile::SaveOptions opts;
     opts.items = &items;
     opts.levels = &levels;
-    const std::string path = ::testing::TempDir() + "rt_items.hdc";
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "_rt_items.hdc";
     modelfile::save(path, am, opts);
     modelfile::ModelView view(path);
     ASSERT_TRUE(view.hasItemMemory());

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -213,7 +215,8 @@ TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
 TEST(SnapshotEquivalenceTest, MappedModelMatchesDirectEngine)
 {
     const std::string path =
-        ::testing::TempDir() + "snapshot_equiv_model.hdc";
+        ::testing::TempDir() + std::to_string(::getpid()) +
+        "_snapshot_equiv_model.hdc";
     const AssociativeMemory original = testMemory();
     hdham::modelfile::save(path, original);
 

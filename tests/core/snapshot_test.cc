@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -56,7 +58,8 @@ randomMemory(std::size_t classes, std::uint64_t seed)
 struct TempFile
 {
     explicit TempFile(const std::string &name)
-        : path(::testing::TempDir() + name)
+        : path(::testing::TempDir() + std::to_string(::getpid()) + "_" +
+               name)
     {
     }
     ~TempFile() { std::remove(path.c_str()); }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crc32c.hh"
 #include "core/hypervector.hh"
 #include "core/item_memory.hh"
 #include "core/random.hh"
@@ -25,6 +26,19 @@ namespace
 using hdham::Hypervector;
 using hdham::ItemMemory;
 using hdham::Rng;
+
+/** Extend @p crc over @p hv's words, each as 8 little-endian bytes. */
+std::uint32_t
+crcOf(std::uint32_t crc, const Hypervector &hv)
+{
+    for (std::size_t w = 0; w < hv.words(); ++w) {
+        unsigned char bytes[8];
+        for (std::size_t b = 0; b < sizeof bytes; ++b)
+            bytes[b] = static_cast<unsigned char>(hv.word(w) >> (8 * b));
+        crc = hdham::crc32c::update(crc, bytes, sizeof bytes);
+    }
+    return crc;
+}
 
 TEST(GoldenTest, RngStreamIsPinned)
 {
@@ -90,6 +104,33 @@ TEST(GoldenTest, BenchmarkWorkloadAccuracyIsPinned)
     EXPECT_EQ(eval.total, 1050u);
     // Exact correct-count, not a tolerance band.
     EXPECT_EQ(eval.correct, 994u);
+}
+
+TEST(GoldenTest, TrainedModelBytesArePinned)
+{
+    // The bytes of a bundled model at the paper's D = 10,000, which
+    // is not a multiple of 64: every class row the pipeline trains and
+    // every held-out query it encodes. Unlike the correct-count above,
+    // any change to n-gram binding, the bundling counts, the majority
+    // threshold or the order of tie-break draws moves these. Each
+    // class bundles an even number of trigrams, so ties do occur.
+    hdham::lang::CorpusConfig corpusCfg;
+    corpusCfg.trainChars = 12000;
+    corpusCfg.testSentences = 10;
+    const hdham::lang::SyntheticCorpus corpus(corpusCfg);
+    const hdham::lang::RecognitionPipeline pipeline(corpus);
+    ASSERT_EQ(pipeline.config().dim, 10000u);
+    ASSERT_EQ(pipeline.memory().size(), 21u);
+    ASSERT_EQ(pipeline.queryVectors().size(), 210u);
+
+    std::uint32_t rows = 0;
+    for (std::size_t id = 0; id < pipeline.memory().size(); ++id)
+        rows = crcOf(rows, pipeline.memory().vectorOf(id));
+    std::uint32_t queries = 0;
+    for (const Hypervector &query : pipeline.queryVectors())
+        queries = crcOf(queries, query);
+    EXPECT_EQ(rows, 0x5eb981e0u);
+    EXPECT_EQ(queries, 0x4f372a5du);
 }
 
 } // namespace

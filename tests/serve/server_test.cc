@@ -70,7 +70,8 @@ fixtureMemory()
 std::string
 writeFixtureModel(const std::string &name)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "_" + name;
     const AssociativeMemory am = fixtureMemory();
     const ItemMemory items(TextAlphabet::size, kDim, kItemSeed);
     hdham::modelfile::SaveOptions opts;
