@@ -16,7 +16,7 @@
  * numbers measure the metrics-disabled path.
  *
  * --kernel NAME pins the Hamming distance kernel (any registered
- * backend name -- scalar, unrolled, sse2, neon, avx2, avx512 -- or
+ * backend name -- scalar, sse2, neon, avx2, avx512 -- or
  * auto) before any benchmark runs; the kernel actually used plus the
  * full compiled/available backend lists are reported in the stats
  * snapshot's "info" object either way, so a baseline records which
@@ -400,11 +400,10 @@ classScaleBenchmark(benchmark::State &state, RowLayout layout)
     ScanPolicy policy;
     policy.prune = PruneMode::Auto;
     policy.cascadePrefix = kScalePrefix;
-    std::vector<std::size_t> scratch;
     for (auto _ : state) {
         for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(fx.rows.nearest(
-                query, kScaleDim, policy, nullptr, &scratch));
+            benchmark::DoNotOptimize(
+                fx.rows.nearest(query, kScaleDim, policy));
         }
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);
@@ -433,7 +432,7 @@ BENCHMARK(BM_ClassScaleSliced)
     ->UseRealTime();
 
 /**
- * The sharded entry point on the sliced 100k store: per-shard
+ * The sharded sliced 100k store with nearest()'s per-shard
  * bound-pruned scans fanned over all hardware threads, merged by the
  * bound-aware reduce. Bit-identical to BM_ClassScaleSliced/100000's
  * answers; the throughput delta is the shard fan-out.
@@ -449,8 +448,8 @@ BM_ClassScaleSharded(benchmark::State &state)
     policy.cascadePrefix = kScalePrefix;
     for (auto _ : state) {
         for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(fx.rows.nearestSharded(
-                query, kScaleDim, policy, 0, nullptr));
+            benchmark::DoNotOptimize(fx.rows.nearest(
+                query, kScaleDim, policy, nullptr, nullptr, 0));
         }
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);

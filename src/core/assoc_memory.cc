@@ -92,17 +92,10 @@ AssociativeMemory::searchSampled(const Hypervector &query,
     TRACE_SPAN("am.search");
     SearchResult result;
     ScanStats stats;
-    result.classId =
-        rows.nearest(query, prefix, policy,
-                     sink ? &stats : nullptr, nullptr,
-                     &result.bestDistance);
-    if (sink) {
-        sink->queries.add(1);
-        sink->rowsScanned.add(rows.rows());
-        sink->rowsPruned.add(stats.rowsPruned);
-        sink->wordsSkipped.add(stats.wordsSkipped);
-        sink->cascadeSurvivors.add(stats.cascadeSurvivors);
-    }
+    result.classId = rows.nearest(query, prefix, policy,
+                                  sink ? &stats : nullptr,
+                                  &result.bestDistance);
+    recordScans(1, stats);
     return result;
 }
 
@@ -135,55 +128,35 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
     batch::requireStored(rows.rows(), "AssociativeMemory");
     const std::size_t prefix = rows.dim();
 
-    /** Per-chunk state: pruning tallies plus the cascade's reusable
-     *  prefix-distance scratch. */
-    struct Chunk
-    {
-        ScanStats stats;
-        std::vector<std::size_t> scratch;
-    };
-    const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
-                                std::size_t end) {
-        sink->queries.add(end - begin);
-        sink->rowsScanned.add((end - begin) * rows.rows());
-        sink->rowsPruned.add(chunk.stats.rowsPruned);
-        sink->wordsSkipped.add(chunk.stats.wordsSkipped);
-        sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
-    };
-
     // A sharded store with a batch smaller than the worker budget
     // flips the parallel axis: queries run one at a time and each
     // query's shard scans fan out across the workers instead. Both
     // shapes are bit-identical (each shard scan seeds its own bound),
     // so routing is purely a throughput choice.
-    if (rows.shardCount() > 1 &&
-        queries.size() < resolveThreads(threads)) {
+    const bool perQuery = rows.shardCount() > 1 &&
+                          queries.size() < resolveThreads(threads);
+    const std::size_t scanThreads = perQuery ? threads : 1;
+    const auto kernel = [&](std::size_t q, ScanStats &stats) {
+        SearchResult result;
+        result.classId = rows.nearest(queries[q], prefix, policy,
+                                      sink ? &stats : nullptr,
+                                      &result.bestDistance,
+                                      scanThreads);
+        return result;
+    };
+    const auto newTally = [] { return ScanStats{}; };
+    const auto merge = [&](const ScanStats &stats, std::size_t begin,
+                           std::size_t end) {
+        recordScans(end - begin, stats);
+    };
+    if (perQuery) {
         return batch::runPerQuery<SearchResult>(
-            {"am.batch", "am.chunk"}, queries.size(), sink,
-            [] { return Chunk{}; },
-            [&](std::size_t q, Chunk &chunk) {
-                SearchResult result;
-                result.classId = rows.nearestSharded(
-                    queries[q], prefix, policy, threads,
-                    sink ? &chunk.stats : nullptr,
-                    &result.bestDistance);
-                return result;
-            },
-            mergeChunk);
+            {"am.batch", "am.chunk"}, queries.size(), sink, newTally,
+            kernel, merge);
     }
-
-    return batch::run<SearchResult>(
-        {"am.batch", "am.chunk"}, queries.size(), threads, sink,
-        [] { return Chunk{}; },
-        [&](std::size_t q, Chunk &chunk) {
-            SearchResult result;
-            result.classId = rows.nearest(
-                queries[q], prefix, policy,
-                sink ? &chunk.stats : nullptr, &chunk.scratch,
-                &result.bestDistance);
-            return result;
-        },
-        mergeChunk);
+    return batch::run<SearchResult>({"am.batch", "am.chunk"},
+                                    queries.size(), threads, sink,
+                                    newTally, kernel, merge);
 }
 
 std::vector<RankedMatch>
@@ -193,12 +166,28 @@ AssociativeMemory::searchTopK(const Hypervector &query,
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
     std::vector<RowMatch> matches;
-    rows.topK(query, rows.dim(), k, policy, nullptr, matches);
+    ScanStats stats;
+    rows.topK(query, rows.dim(), k, policy, sink ? &stats : nullptr,
+              matches);
+    recordScans(1, stats);
     std::vector<RankedMatch> ranked;
     ranked.reserve(matches.size());
     for (const RowMatch &m : matches)
         ranked.push_back({m.index, m.distance});
     return ranked;
+}
+
+void
+AssociativeMemory::recordScans(std::size_t queries,
+                               const ScanStats &stats) const
+{
+    if (!sink)
+        return;
+    sink->queries.add(queries);
+    sink->rowsScanned.add(queries * rows.rows());
+    sink->rowsPruned.add(stats.rowsPruned);
+    sink->wordsSkipped.add(stats.wordsSkipped);
+    sink->cascadeSurvivors.add(stats.cascadeSurvivors);
 }
 
 std::size_t

@@ -191,7 +191,7 @@ class AssociativeMemory
      * the batch with @p threads workers (0 = all hardware threads).
      * On a sharded store with a batch smaller than the worker
      * budget, parallelism flips inside each query instead (per-shard
-     * scans; see PackedRows::nearestSharded). Bit-identical to
+     * scans; see PackedRows::nearest). Bit-identical to
      * calling search() per query in order, for every thread count,
      * batch split, layout and shard count.
      * @pre size() > 0 and every query.dim() == dim().
@@ -203,6 +203,7 @@ class AssociativeMemory
     /**
      * The @p k nearest classes, sorted by ascending distance (ties
      * by ascending class id). Returns fewer when fewer are stored.
+     * Counted in the attached sink like one search() query.
      * @pre size() > 0.
      */
     std::vector<RankedMatch> searchTopK(const Hypervector &query,
@@ -217,6 +218,12 @@ class AssociativeMemory
     std::size_t minPairwiseDistance() const;
 
   private:
+    /**
+     * Add @p queries full scans, and the work @p stats says they
+     * avoided, to the attached sink (no-op when detached).
+     */
+    void recordScans(std::size_t queries, const ScanStats &stats) const;
+
     /** Dense row-major class store (the CAM array analogue). */
     PackedRows rows;
     /** How the nearest/top-k scans may skip row words. */

@@ -12,8 +12,6 @@
  *
  *  - scalar:   one std::popcount per 64-bit word; the bit-exactness
  *              reference every other kernel must match.
- *  - unrolled: four independent popcount accumulators per iteration,
- *              breaking the loop-carried dependency chain.
  *  - sse2:     128-bit SWAR byte popcount folded by PSADBW, two
  *              words per vector step -- baseline x86-64, so every
  *              x86 host gets a SIMD kernel.
@@ -156,7 +154,7 @@ const KernelEntry *findKernel(std::string_view name);
 
 /**
  * Diagnostic list of every selection name plus "auto", for error
- * messages: "scalar, unrolled, sse2, neon, avx2, avx512 or auto".
+ * messages: "scalar, sse2, neon, avx2, avx512 or auto".
  */
 std::string kernelNameList();
 

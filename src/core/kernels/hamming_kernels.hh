@@ -60,7 +60,6 @@ totalWords(std::size_t bits)
 /** One entry per backend translation unit, in kernel_registry.cc
  *  order (narrowest first). */
 const KernelEntry &scalarKernel();
-const KernelEntry &unrolledKernel();
 const KernelEntry &sse2Kernel();
 const KernelEntry &neonKernel();
 const KernelEntry &avx2Kernel();

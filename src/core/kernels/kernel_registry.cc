@@ -20,10 +20,10 @@ namespace hdham::distance
 std::span<const KernelEntry>
 kernels()
 {
-    static const std::array<KernelEntry, 6> table = {
-        detail::scalarKernel(), detail::unrolledKernel(),
-        detail::sse2Kernel(),   detail::neonKernel(),
-        detail::avx2Kernel(),   detail::avx512Kernel(),
+    static const std::array<KernelEntry, 5> table = {
+        detail::scalarKernel(), detail::sse2Kernel(),
+        detail::neonKernel(),   detail::avx2Kernel(),
+        detail::avx512Kernel(),
     };
     return {table.data(), table.size()};
 }

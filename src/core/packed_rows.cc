@@ -41,15 +41,22 @@ autoCutoff(std::size_t prefix)
 }
 
 /**
- * Bounds at or below this use the bounded kernel; larger bounds use
- * the exact kernel. PruneMode::On forces the bounded kernel for any
- * attainable distance. @pre policy.prune != PruneMode::Off.
+ * Bounds strictly below this run the bounded kernel; larger bounds
+ * run the exact kernel. PruneMode::On admits every attainable bound
+ * (all are <= prefix + 1), PruneMode::Off none.
  */
 inline std::size_t
-cutoffFor(const ScanPolicy &policy, std::size_t prefix)
+pruneLimit(const ScanPolicy &policy, std::size_t prefix)
 {
-    return policy.prune == PruneMode::On ? prefix + 1
-                                         : autoCutoff(prefix);
+    switch (policy.prune) {
+    case PruneMode::On:
+        return prefix + 2;
+    case PruneMode::Off:
+        return 0;
+    case PruneMode::Auto:
+        break;
+    }
+    return autoCutoff(prefix) + 1;
 }
 
 /** Word pointer to local row @p r's head stride. */
@@ -126,171 +133,6 @@ shardDistances(const ShardView &v, const std::uint64_t *q,
         out[r] = rowDist(v, r, q, prefix, fn);
 }
 
-/**
- * One shard's scan result: the shard's exact minimum distance and
- * the lowest local row index attaining it.
- */
-struct ShardBest
-{
-    std::size_t local = 0;
-    std::size_t distance = std::numeric_limits<std::size_t>::max();
-};
-
-/** Exhaustive (PruneMode::Off) per-shard argmin. */
-ShardBest
-shardNearestExhaustive(const ShardView &v, const std::uint64_t *q,
-                       std::size_t prefix, distance::HammingFn fn)
-{
-    ShardBest best;
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        const std::size_t d = rowDist(v, row, q, prefix, fn);
-        if (d < best.distance) {
-            best.distance = d;
-            best.local = row;
-        }
-    }
-    return best;
-}
-
-/** Early-abandon per-shard argmin (no cascade). */
-ShardBest
-shardNearestPruned(const ShardView &v, const std::uint64_t *q,
-                   std::size_t prefix, const ScanPolicy &policy,
-                   ScanStats *stats, distance::HammingFn fn,
-                   distance::BoundedHammingFn bfn)
-{
-    const std::size_t rowSpan = wordsFor(prefix);
-    const std::size_t cutoff = cutoffFor(policy, prefix);
-    // One past any attainable distance, so the first row always
-    // produces an exact count and the strict-< update keeps the
-    // lowest-index tie rule of the exhaustive scan.
-    std::size_t best = prefix + 1;
-    std::size_t winner = 0;
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        if (best <= cutoff) {
-            std::size_t wordsRead = 0;
-            const std::size_t d = rowDistBounded(v, row, q, prefix,
-                                                 best, &wordsRead,
-                                                 bfn);
-            if (d == distance::kAbandoned) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - wordsRead;
-                }
-                continue;
-            }
-            best = d;
-            winner = row;
-        } else {
-            const std::size_t d = rowDist(v, row, q, prefix, fn);
-            if (d < best) {
-                best = d;
-                winner = row;
-            }
-        }
-    }
-    return {winner, best};
-}
-
-/** Sampled-prefix cascade per-shard argmin. @pre v.rows > 1. */
-ShardBest
-shardNearestCascade(const ShardView &v, const std::uint64_t *q,
-                    std::size_t prefix, const ScanPolicy &policy,
-                    ScanStats *stats,
-                    std::vector<std::size_t> &prefixDist,
-                    distance::HammingFn fn,
-                    distance::BoundedHammingFn bfn)
-{
-    const std::size_t rowSpan = wordsFor(prefix);
-    const std::size_t cascadeWords = wordsFor(policy.cascadePrefix);
-    const std::size_t cutoff = cutoffFor(policy, prefix);
-
-    prefixDist.resize(v.rows);
-    std::size_t best;
-    std::size_t winner;
-    {
-        TRACE_SPAN("packed_rows.cascade");
-        shardDistances(v, q, policy.cascadePrefix, fn,
-                       prefixDist.data());
-        std::size_t cascadeWinner = 0;
-        std::size_t cascadeBest = prefixDist[0];
-        for (std::size_t row = 1; row < v.rows; ++row) {
-            if (prefixDist[row] < cascadeBest) {
-                cascadeBest = prefixDist[row];
-                cascadeWinner = row;
-            }
-        }
-        // Seed one past the cascade winner's exact full distance B.
-        // B >= the shard's true minimum, so the refine scan below
-        // still updates on the first row in index order attaining
-        // the final minimum -- the exhaustive argmin's tie rule. A
-        // row filtered on its prefix distance (a lower bound on its
-        // full distance) could at best tie a row already accepted
-        // earlier in index order, which it would lose anyway.
-        best = rowDist(v, cascadeWinner, q, prefix, fn) + 1;
-        winner = cascadeWinner;
-    }
-
-    TRACE_SPAN("packed_rows.refine");
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        if (prefixDist[row] >= best) {
-            if (stats != nullptr) {
-                ++stats->rowsPruned;
-                stats->wordsSkipped += rowSpan - cascadeWords;
-            }
-            continue;
-        }
-        if (stats != nullptr)
-            ++stats->cascadeSurvivors;
-        if (best <= cutoff) {
-            std::size_t wordsRead = 0;
-            const std::size_t d = rowDistBounded(v, row, q, prefix,
-                                                 best, &wordsRead,
-                                                 bfn);
-            if (d == distance::kAbandoned) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - wordsRead;
-                }
-                continue;
-            }
-            best = d;
-            winner = row;
-        } else {
-            const std::size_t d = rowDist(v, row, q, prefix, fn);
-            if (d < best) {
-                best = d;
-                winner = row;
-            }
-        }
-    }
-    return {winner, best};
-}
-
-/**
- * The bound-pruned nearest scan over one shard -- exactly the
- * unsharded PR-5 scan restricted to the shard's row range, so it
- * returns the shard's exhaustive-exact (minimum, lowest local
- * index). Each shard seeds its own bound, so its work (and its
- * ScanStats contributions) never depend on other shards or on which
- * worker runs it.
- */
-ShardBest
-scanShard(const ShardView &v, const std::uint64_t *q,
-          std::size_t prefix, const ScanPolicy &policy,
-          ScanStats *stats, std::vector<std::size_t> &cascadeScratch,
-          distance::HammingFn fn, distance::BoundedHammingFn bfn)
-{
-    if (policy.prune == PruneMode::Off)
-        return shardNearestExhaustive(v, q, prefix, fn);
-    if (policy.cascadePrefix > 0 && policy.cascadePrefix < prefix &&
-        v.rows > 1) {
-        return shardNearestCascade(v, q, prefix, policy, stats,
-                                   cascadeScratch, fn, bfn);
-    }
-    return shardNearestPruned(v, q, prefix, policy, stats, fn, bfn);
-}
-
 /** Worse-first (distance, index) ordering: heap top = k-th best. */
 inline bool
 worseMatch(const RowMatch &a, const RowMatch &b)
@@ -299,89 +141,122 @@ worseMatch(const RowMatch &a, const RowMatch &b)
                                     : a.index < b.index;
 }
 
-/**
- * The bound-pruned topK scan over one shard, local indices, results
- * sorted ascending by (distance, index). k is clamped to the shard's
- * row count, so the list always contains the shard's exact top
- * min(k, v.rows) rows -- a superset of the shard's contribution to
- * any global top-k.
- */
-void
-shardTopK(const ShardView &v, const std::uint64_t *q,
-          std::size_t prefix, std::size_t k, const ScanPolicy &policy,
-          ScanStats *stats, std::vector<std::size_t> &prefixDist,
-          std::vector<RowMatch> &out, distance::HammingFn fn,
-          distance::BoundedHammingFn bfn)
+/** nearest()'s keeper: the single best row so far, no heap. */
+struct BestRow
 {
-    out.clear();
-    const std::size_t kk = std::min(k, v.rows);
-    if (kk == 0)
-        return;
-    const std::size_t rowSpan = wordsFor(prefix);
-    const bool prune = policy.prune != PruneMode::Off;
-    const std::size_t cutoff = prune ? cutoffFor(policy, prefix) : 0;
+    RowMatch best{0, std::numeric_limits<std::size_t>::max()};
 
-    // Worse-first heap by (distance, index): the heap top is the
-    // running k-th best, i.e. the pruning bound once the heap fills.
-    // Rows are scanned in ascending index order, so a later row ties
-    // into the heap only with a strictly smaller distance -- the
-    // same lowest-index tie rule as nearest().
+    std::size_t capacity() const { return 1; }
+    /** A row enters only with a distance strictly below this. */
+    std::size_t cut() const { return best.distance; }
+    /** @pre d < cut(). */
+    void add(std::size_t index, std::size_t d) { best = {index, d}; }
+    BestRow fresh() const { return {}; }
+    template <typename Visit>
+    void visit(Visit visitRow) const
+    {
+        visitRow(best);
+    }
+    /** Fold a later shard's keeper (local indices from firstRow). */
+    void fold(const BestRow &shard, std::size_t firstRow)
+    {
+        if (shard.best.distance < best.distance)
+            best = {firstRow + shard.best.index, shard.best.distance};
+    }
+};
 
-    // Optional cascade: the exact full distances of the k best
-    // prefix-stage rows bound the final k-th best distance by their
-    // maximum B, so any row whose prefix (hence full) distance
-    // exceeds B is provably outside the top k. The ceiling B + 1
-    // keeps distance-B rows eligible, preserving ties exactly.
-    std::size_t ceiling = prefix + 1;
-    const bool cascade = prune && policy.cascadePrefix > 0 &&
-                         policy.cascadePrefix < prefix &&
-                         kk < v.rows;
-    const std::size_t cascadeWords =
-        cascade ? wordsFor(policy.cascadePrefix) : 0;
-    if (cascade) {
-        TRACE_SPAN("packed_rows.cascade");
-        prefixDist.resize(v.rows);
-        shardDistances(v, q, policy.cascadePrefix, fn,
-                       prefixDist.data());
-        std::vector<RowMatch> seeds;
-        seeds.reserve(kk);
-        for (std::size_t row = 0; row < v.rows; ++row) {
-            if (seeds.size() < kk) {
-                seeds.push_back({row, prefixDist[row]});
-                std::push_heap(seeds.begin(), seeds.end(),
-                               worseMatch);
-            } else if (prefixDist[row] < seeds.front().distance) {
-                std::pop_heap(seeds.begin(), seeds.end(), worseMatch);
-                seeds.back() = {row, prefixDist[row]};
-                std::push_heap(seeds.begin(), seeds.end(),
-                               worseMatch);
-            }
+/**
+ * topK()'s keeper: a worse-first heap of the k best rows so far.
+ * Rows arrive in ascending index order and replace the heap top only
+ * with a strictly smaller distance -- nearest()'s tie rule.
+ */
+struct BestRows
+{
+    explicit BestRows(std::size_t k) : k(k) { heap.reserve(k); }
+
+    std::size_t capacity() const { return k; }
+    std::size_t cut() const
+    {
+        return heap.size() < k ? std::numeric_limits<std::size_t>::max()
+                               : heap.front().distance;
+    }
+    void add(std::size_t index, std::size_t d)
+    {
+        if (heap.size() == k) {
+            std::pop_heap(heap.begin(), heap.end(), worseMatch);
+            heap.back() = {index, d};
+        } else {
+            heap.push_back({index, d});
         }
-        std::size_t maxSeed = 0;
-        for (const RowMatch &seed : seeds) {
-            maxSeed = std::max(
-                maxSeed, rowDist(v, seed.index, q, prefix, fn));
+        std::push_heap(heap.begin(), heap.end(), worseMatch);
+    }
+    BestRows fresh() const { return BestRows(k); }
+    template <typename Visit>
+    void visit(Visit visitRow) const
+    {
+        for (const RowMatch &m : heap)
+            visitRow(m);
+    }
+    /**
+     * Fold a later shard's keeper in ascending (distance, index)
+     * order, so equal distances arrive in ascending global index
+     * order and the strict cut keeps the earlier row. The break is
+     * sound because the rest of the shard's list only grows while
+     * the cut only shrinks.
+     */
+    void fold(BestRows &shard, std::size_t firstRow)
+    {
+        std::sort_heap(shard.heap.begin(), shard.heap.end(),
+                       worseMatch);
+        for (const RowMatch &m : shard.heap) {
+            if (m.distance >= cut())
+                break;
+            add(firstRow + m.index, m.distance);
         }
-        ceiling = maxSeed + 1;
     }
 
-    const auto scan = [&] {
+    std::size_t k;
+    std::vector<RowMatch> heap;
+};
+
+/**
+ * The scan: every row of one shard, in index order, offered to
+ * @p keep (local indices). A row must come in strictly below
+ * min(ceiling, keep.cut()); the ceiling is prefix + 1 or, with the
+ * cascade, one past the largest exact distance among the keeper-size
+ * best prefix rows. See PackedRows::nearest for the exactness
+ * argument.
+ */
+template <typename Keeper>
+void
+scanShard(const ShardView &v, const std::uint64_t *q,
+          std::size_t prefix, const ScanPolicy &policy,
+          ScanStats *stats, distance::HammingFn fn,
+          distance::BoundedHammingFn bfn, Keeper &keep)
+{
+    const std::size_t rowSpan = wordsFor(prefix);
+    const std::size_t pruneBelow = pruneLimit(policy, prefix);
+    std::size_t ceiling = prefix + 1;
+    // prefixDist is null without the cascade. Inlined at both calls
+    // so the cascade-free scan compiles without the prefix checks.
+    const auto scanRows = [&](const std::size_t *prefixDist)
+                              __attribute__((always_inline)) {
+        std::size_t bound = std::min(ceiling, keep.cut());
         for (std::size_t row = 0; row < v.rows; ++row) {
-            const std::size_t bound =
-                out.size() < kk
-                    ? ceiling
-                    : std::min(ceiling, out.front().distance);
-            if (cascade && prefixDist[row] >= bound) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - cascadeWords;
+            if (prefixDist != nullptr) {
+                if (prefixDist[row] >= bound) {
+                    if (stats != nullptr) {
+                        ++stats->rowsPruned;
+                        stats->wordsSkipped +=
+                            rowSpan - wordsFor(policy.cascadePrefix);
+                    }
+                    continue;
                 }
-                continue;
+                if (stats != nullptr)
+                    ++stats->cascadeSurvivors;
             }
-            if (cascade && stats != nullptr)
-                ++stats->cascadeSurvivors;
             std::size_t d;
-            if (prune && bound <= cutoff) {
+            if (bound < pruneBelow) {
                 std::size_t wordsRead = 0;
                 d = rowDistBounded(v, row, q, prefix, bound,
                                    &wordsRead, bfn);
@@ -397,58 +272,83 @@ shardTopK(const ShardView &v, const std::uint64_t *q,
                 if (d >= bound)
                     continue;
             }
-            if (out.size() < kk) {
-                out.push_back({row, d});
-                std::push_heap(out.begin(), out.end(), worseMatch);
-            } else {
-                std::pop_heap(out.begin(), out.end(), worseMatch);
-                out.back() = {row, d};
-                std::push_heap(out.begin(), out.end(), worseMatch);
-            }
+            keep.add(row, d);
+            bound = std::min(ceiling, keep.cut());
         }
     };
-    if (cascade) {
-        TRACE_SPAN("packed_rows.refine");
-        scan();
-    } else {
-        scan();
+    if (policy.prune == PruneMode::Off || policy.cascadePrefix == 0 ||
+        policy.cascadePrefix >= prefix || keep.capacity() >= v.rows) {
+        scanRows(nullptr);
+        return;
     }
-    std::sort_heap(out.begin(), out.end(), worseMatch);
+
+    // Reused across calls on this thread; declared inside the cascade
+    // path so the other scans never pay its init guard.
+    thread_local std::vector<std::size_t> cascadeDist;
+    {
+        TRACE_SPAN("packed_rows.cascade");
+        cascadeDist.resize(v.rows);
+        shardDistances(v, q, policy.cascadePrefix, fn,
+                       cascadeDist.data());
+        Keeper seeds = keep.fresh();
+        for (std::size_t row = 0; row < v.rows; ++row)
+            if (cascadeDist[row] < seeds.cut())
+                seeds.add(row, cascadeDist[row]);
+        std::size_t maxSeed = 0;
+        seeds.visit([&](const RowMatch &m) {
+            maxSeed =
+                std::max(maxSeed, rowDist(v, m.index, q, prefix, fn));
+        });
+        ceiling = maxSeed + 1;
+    }
+    TRACE_SPAN("packed_rows.refine");
+    scanRows(cascadeDist.data());
 }
 
 /**
- * Bound-aware fold of one shard's sorted top-k list (local indices,
- * first global row @p firstRow) into the global worse-first heap
- * @p merged of capacity @p kk. The heap top is the global running
- * k-th best distance -- the reduce's cut: once the heap is full, a
- * candidate enters only with a strictly smaller distance.
- *
- * Exactness: shards fold in ascending shard order and each shard's
- * list is ascending by (distance, local index), so candidates arrive
- * in ascending global-index order for every distance value -- on an
- * equal-distance tie the incumbent heap entry always has the lower
- * global index, and the strict < keeps it, which is precisely the
- * unsharded scan's tie rule. The early break is sound because the
- * shard list is ascending and the heap top's distance never
- * increases: every remaining candidate in this shard is >= the cut
- * now and forever.
+ * Scan every shard of @p store into @p keep (global indices). Each
+ * shard scans into its own fresh keeper -- so its bound, and what
+ * it adds to @p stats, never depends on another shard -- and the
+ * shard keepers fold into @p keep in ascending shard order. With
+ * one resolved thread the shards run in order on the caller; with
+ * more they fan out over parallelForShards.
  */
+template <typename Keeper>
 void
-foldShardTopK(std::vector<RowMatch> &merged,
-              const std::vector<RowMatch> &shardOut,
-              std::size_t firstRow, std::size_t kk)
+scanShards(const RowStore &store, const Hypervector &query,
+           std::size_t prefix, const ScanPolicy &policy,
+           ScanStats *stats, std::size_t threads, Keeper &keep)
 {
-    for (const RowMatch &m : shardOut) {
-        if (merged.size() < kk) {
-            merged.push_back({firstRow + m.index, m.distance});
-            std::push_heap(merged.begin(), merged.end(), worseMatch);
-        } else if (m.distance < merged.front().distance) {
-            std::pop_heap(merged.begin(), merged.end(), worseMatch);
-            merged.back() = {firstRow + m.index, m.distance};
-            std::push_heap(merged.begin(), merged.end(), worseMatch);
-        } else {
-            break;
+    const std::uint64_t *q = query.data();
+    const distance::HammingFn fn = distance::active();
+    const distance::BoundedHammingFn bfn = distance::activeBounded();
+    const std::size_t n = store.shardCount();
+    if (n == 1) {
+        scanShard(store.view(0), q, prefix, policy, stats, fn, bfn,
+                  keep);
+        return;
+    }
+    if (resolveThreads(threads) <= 1) {
+        for (std::size_t s = 0; s < n; ++s) {
+            const ShardView v = store.view(s);
+            Keeper shard = keep.fresh();
+            scanShard(v, q, prefix, policy, stats, fn, bfn, shard);
+            keep.fold(shard, v.firstRow);
         }
+        return;
+    }
+    std::vector<Keeper> shards(n, keep.fresh());
+    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
+    parallelForShards(n, threads, [&](std::size_t s) {
+        TRACE_SPAN("packed_rows.shard_scan");
+        scanShard(store.view(s), q, prefix, policy,
+                  stats != nullptr ? &shardStats[s] : nullptr, fn,
+                  bfn, shards[s]);
+    });
+    for (std::size_t s = 0; s < n; ++s) {
+        keep.fold(shards[s], store.view(s).firstRow);
+        if (stats != nullptr)
+            *stats += shardStats[s];
     }
 }
 
@@ -602,134 +502,26 @@ PackedRows::stagePrefixDistances(
 
 std::size_t
 PackedRows::nearest(const Hypervector &query, std::size_t prefix,
-                    std::size_t *bestDistance) const
-{
-    return nearest(query, prefix, ScanPolicy{}, nullptr, nullptr,
-                   bestDistance);
-}
-
-std::size_t
-PackedRows::nearest(const Hypervector &query, std::size_t prefix,
                     const ScanPolicy &policy, ScanStats *stats,
-                    std::vector<std::size_t> *cascadeScratch,
-                    std::size_t *bestDistance) const
+                    std::size_t *bestDistance,
+                    std::size_t threads) const
 {
     if (rows() == 0)
         throw std::logic_error("PackedRows::nearest: empty store");
     assert(query.dim() == dim());
     assert(prefix <= dim());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    std::vector<std::size_t> local;
-    std::vector<std::size_t> &scratch =
-        cascadeScratch != nullptr ? *cascadeScratch : local;
-
-    // Bound-aware reduce over shards in ascending row order: each
-    // shard reports its exhaustive-exact (minimum, lowest local
-    // index), and the strict < keeps the earliest shard -- hence the
-    // globally lowest index -- on a distance tie.
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    std::size_t winner = 0;
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            continue;
-        const ShardBest sb = scanShard(v, q, prefix, policy, stats,
-                                       scratch, fn, bfn);
-        if (sb.distance < best) {
-            best = sb.distance;
-            winner = v.firstRow + sb.local;
-        }
-    }
+    BestRow keep;
+    scanShards(store, query, prefix, policy, stats, threads, keep);
     if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
-}
-
-std::size_t
-PackedRows::nearestSharded(const Hypervector &query,
-                           std::size_t prefix,
-                           const ScanPolicy &policy,
-                           std::size_t threads, ScanStats *stats,
-                           std::size_t *bestDistance) const
-{
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::nearestSharded: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    const std::size_t n = store.shardCount();
-    std::vector<ShardBest> results(n);
-    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
-    parallelForShards(n, threads, [&](std::size_t s) {
-        TRACE_SPAN("packed_rows.shard_scan");
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            return;
-        std::vector<std::size_t> scratch;
-        results[s] =
-            scanShard(v, q, prefix, policy,
-                      stats != nullptr ? &shardStats[s] : nullptr,
-                      scratch, fn, bfn);
-    });
-    // Reduce and merge stats in ascending shard order on the caller:
-    // results and counters are independent of the worker assignment.
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    std::size_t winner = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (results[s].distance < best) {
-            best = results[s].distance;
-            winner = store.view(s).firstRow + results[s].local;
-        }
-    }
-    if (stats != nullptr) {
-        for (const ScanStats &shard : shardStats)
-            *stats += shard;
-    }
-    if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
-}
-
-std::size_t
-PackedRows::nearestTraced(const Hypervector &query,
-                          std::size_t prefix,
-                          std::vector<std::size_t> &scratch,
-                          const char *popcountSpan,
-                          const char *compareSpan,
-                          std::size_t *bestDistance) const
-{
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::nearestTraced: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    {
-        TRACE_SPAN(popcountSpan);
-        distances(query, prefix, scratch);
-    }
-    TRACE_SPAN(compareSpan);
-    std::size_t winner = 0;
-    std::size_t best = scratch[0];
-    for (std::size_t id = 1; id < scratch.size(); ++id) {
-        if (scratch[id] < best) {
-            best = scratch[id];
-            winner = id;
-        }
-    }
-    if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
+        *bestDistance = keep.best.distance;
+    return keep.best.index;
 }
 
 void
 PackedRows::topK(const Hypervector &query, std::size_t prefix,
                  std::size_t k, const ScanPolicy &policy,
-                 ScanStats *stats, std::vector<RowMatch> &out) const
+                 ScanStats *stats, std::vector<RowMatch> &out,
+                 std::size_t threads) const
 {
     out.clear();
     if (rows() == 0)
@@ -738,79 +530,10 @@ PackedRows::topK(const Hypervector &query, std::size_t prefix,
     assert(prefix <= dim());
     if (k == 0)
         return;
-    const std::size_t kk = std::min(k, rows());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    std::vector<std::size_t> prefixDist;
-    const std::size_t n = store.shardCount();
-    if (n == 1) {
-        // Single shard: local indices are global; shardTopK already
-        // sorts ascending by (distance, index).
-        shardTopK(store.view(0), q, prefix, kk, policy, stats,
-                  prefixDist, out, fn, bfn);
-        return;
-    }
-    std::vector<RowMatch> shardOut;
-    std::vector<RowMatch> merged;
-    merged.reserve(kk);
-    for (std::size_t s = 0; s < n; ++s) {
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            continue;
-        shardTopK(v, q, prefix, kk, policy, stats, prefixDist,
-                  shardOut, fn, bfn);
-        foldShardTopK(merged, shardOut, v.firstRow, kk);
-    }
-    std::sort_heap(merged.begin(), merged.end(), worseMatch);
-    out = std::move(merged);
-}
-
-void
-PackedRows::topKSharded(const Hypervector &query, std::size_t prefix,
-                        std::size_t k, const ScanPolicy &policy,
-                        std::size_t threads, ScanStats *stats,
-                        std::vector<RowMatch> &out) const
-{
-    out.clear();
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::topKSharded: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    if (k == 0)
-        return;
-    const std::size_t kk = std::min(k, rows());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    const std::size_t n = store.shardCount();
-    std::vector<std::vector<RowMatch>> shardOuts(n);
-    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
-    parallelForShards(n, threads, [&](std::size_t s) {
-        TRACE_SPAN("packed_rows.shard_scan");
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            return;
-        std::vector<std::size_t> prefixDist;
-        shardTopK(v, q, prefix, kk, policy,
-                  stats != nullptr ? &shardStats[s] : nullptr,
-                  prefixDist, shardOuts[s], fn, bfn);
-    });
-    // Fold shard lists and stats in ascending shard order on the
-    // caller: results and counters are independent of the worker
-    // assignment.
-    std::vector<RowMatch> merged;
-    merged.reserve(kk);
-    for (std::size_t s = 0; s < n; ++s)
-        foldShardTopK(merged, shardOuts[s], store.view(s).firstRow,
-                      kk);
-    if (stats != nullptr) {
-        for (const ScanStats &shard : shardStats)
-            *stats += shard;
-    }
-    std::sort_heap(merged.begin(), merged.end(), worseMatch);
-    out = std::move(merged);
+    BestRows keep(std::min(k, rows()));
+    scanShards(store, query, prefix, policy, stats, threads, keep);
+    std::sort_heap(keep.heap.begin(), keep.heap.end(), worseMatch);
+    out = std::move(keep.heap);
 }
 
 } // namespace hdham

@@ -1,13 +1,12 @@
 /**
  * @file
- * Dense multi-row Hamming-scan engine over a sharded, layout-aware
- * row store.
+ * The exact nearest-row search over a sharded, layout-aware row
+ * store: the software form of the D-HAM array (an XOR per cell, a
+ * popcount per row, a comparator tree that takes the lowest index on
+ * ties).
  *
- * An associative search touches every stored row once per query.
- * PackedRows owns the scan algorithms -- prefix distances for
- * structured sampling, lowest-index tie-breaking like the comparator
- * tree, bound-pruned nearest/topK -- on top of a RowStore
- * (core/row_store.hh) that owns the physical words in one of two
+ * PackedRows owns one scan algorithm on top of a RowStore
+ * (core/row_store.hh), which owns the physical words in one of two
  * layouts:
  *
  *  - row-major (the default): each row is one contiguous record, the
@@ -17,40 +16,26 @@
  *    sequential memory instead of striding row-sized records -- the
  *    layout that keeps the cascade fast at C >= 100k rows.
  *
- * Rows may additionally be partitioned into contiguous shards. Every
- * scan runs the same bound-pruned algorithm independently per shard
- * (each shard seeds its own bound, so per-shard work is independent
- * of execution order) and merges shard winners with a bound-aware
- * reduce in ascending shard order. Because shard s always covers
- * lower row indices than shard s + 1 and the reduce only replaces on
- * a strictly smaller distance, the merged result preserves the
- * global lowest-index tie rule -- nearest() and topK() are provably
- * bit-identical to the unsharded exhaustive scan for every layout,
- * shard count and (for the *Sharded entry points) thread count.
+ * The scan is one per-shard loop that keeps the k best rows seen so
+ * far (a single slot for nearest(), a worse-first heap for topK()).
+ * A row enters only with a distance strictly below both the
+ * keeper's cut and a ceiling, so the ScanPolicy can reject rows
+ * without reading all of their words:
  *
- * Bound-pruned scans: nearest() and topK() accept a ScanPolicy that
- * lets the scan reject rows without reading all of their words.
- * Two mechanisms compose, both exact:
+ *  - Early abandonment: the row's distance runs through the bounded
+ *    kernel (distance::hammingBounded), which stops as soon as the
+ *    running popcount reaches the bound. PruneMode picks when; Off
+ *    never does.
+ *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): the
+ *    shard is first scored on its leading cascadePrefix components,
+ *    and the ceiling drops to one past the largest exact distance
+ *    among the keeper-size best prefix rows. A row whose prefix
+ *    distance already reaches the bound is skipped.
  *
- *  - Early abandonment: once a best-so-far (or k-th best) bound
- *    exists, each row's distance runs through the bounded kernel
- *    (distance::hammingBounded), which stops as soon as the running
- *    popcount reaches the bound. Hamming counts only grow along the
- *    row, so an abandoned row provably cannot beat the bound.
- *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): first
- *    score every row on its leading cascadePrefix components -- the
- *    paper's structured-sampling prefix -- then seed the bound from
- *    the cascade winner's exact full distance and refine only the
- *    rows whose prefix distance beats the running bound. A prefix
- *    distance lower-bounds the full distance, so a filtered row
- *    provably cannot win.
- *
- * Both paths preserve the exhaustive scan's result bit for bit:
- * winner index, winner distance, and the lowest-index tie rule (see
- * the notes on nearest() below for the tie argument). Pruning only
- * changes how much work the scan does, which the ScanStats counters
- * expose (rows_pruned / words_skipped / cascade_survivors in the
- * hdham.metrics.v1 snapshot).
+ * Every shard seeds its own bound, so what a shard computes (and
+ * every ScanStats counter it adds) is independent of which thread
+ * runs it; shard keepers are folded in ascending shard order. The
+ * exactness argument is on nearest() and topK().
  */
 
 #ifndef HDHAM_CORE_PACKED_ROWS_HH
@@ -80,7 +65,10 @@ enum class PruneMode
     Auto,
     /** Always use the bounded kernel once a bound exists. */
     On,
-    /** Exhaustive scan through the exact kernel (pre-prune path). */
+    /**
+     * The same scan with the bounded kernel switched off: every row
+     * runs through the exact kernel, as the hardware's full pass.
+     */
     Off,
 };
 
@@ -259,108 +247,52 @@ class PackedRows
     /**
      * Index of the row with the minimum distance to @p query over
      * the first @p prefix components; ties resolve to the lowest
-     * index. Scans under the default ScanPolicy (Auto pruning, no
-     * cascade). @pre rows() > 0.
-     */
-    std::size_t nearest(const Hypervector &query,
-                        std::size_t prefix,
-                        std::size_t *bestDistance = nullptr) const;
-
-    /**
-     * nearest() under an explicit ScanPolicy, accumulating pruning
-     * counters into @p stats (may be null). Runs the bound-pruned
-     * scan independently over every shard (in ascending shard order
-     * on the calling thread) and merges shard winners.
+     * index. Scans under @p policy, adds the work it avoided to
+     * @p stats and writes the winner's distance to @p bestDistance
+     * (both may be null). @p threads > 1 (0 = all hardware threads)
+     * fans the shards out over workers under
+     * "packed_rows.shard_scan" spans; otherwise they run in order on
+     * the caller, which allocates nothing.
      *
-     * Exactness: the winner, its distance and the lowest-index tie
-     * rule match the exhaustive scan bit for bit. The early-abandon
-     * path preserves them because the bounded kernel is bound-exact
-     * (it returns the true distance whenever it is strictly below
-     * the bound) and the bound is only ever a previously seen exact
-     * distance, so the scan still selects the first row in index
-     * order that attains the final minimum. The cascade preserves
-     * them because the bound is seeded at B + 1 (B = the cascade
-     * winner's exact full distance >= the true minimum): a row is
-     * filtered only when its prefix distance -- a lower bound on its
-     * full distance -- already reaches the running bound, which
-     * means it could at best tie a row that appears earlier in index
-     * order and would lose that tie anyway. The shard merge
-     * preserves them because every shard reports its exhaustive-
-     * exact (minimum, lowest index) and shards are folded in
-     * ascending index order with a strictly-smaller-distance update.
-     *
-     * @p cascadeScratch, when non-null, is reused for the cascade's
-     * per-row prefix distances so batched callers avoid a per-query
-     * allocation (ignored when the cascade is disabled).
-     */
-    std::size_t nearest(const Hypervector &query, std::size_t prefix,
-                        const ScanPolicy &policy, ScanStats *stats,
-                        std::vector<std::size_t> *cascadeScratch,
-                        std::size_t *bestDistance = nullptr) const;
-
-    /**
-     * nearest() with the per-shard scans parallelized over
-     * @p threads workers (0 = all hardware threads) via the
-     * sharded-range mode of core/parallel_for; each shard scan runs
-     * under a "packed_rows.shard_scan" trace span. Because every
-     * shard seeds its own bound, per-shard work (and therefore every
-     * ScanStats counter) is independent of the worker assignment:
-     * results AND merged counters are bit-identical to the
-     * single-threaded scan at any thread count. @pre rows() > 0.
-     */
-    std::size_t nearestSharded(const Hypervector &query,
-                               std::size_t prefix,
-                               const ScanPolicy &policy,
-                               std::size_t threads,
-                               ScanStats *stats,
-                               std::size_t *bestDistance =
-                                   nullptr) const;
-
-    /**
-     * Traced equivalent of nearest(), split into the two phases the
-     * digital hardware pipelines separately -- the XOR+popcount pass
-     * over every row (span @p popcountSpan), then the comparator-tree
-     * argmin (span @p compareSpan). The split pass is exhaustive by
-     * design: its spans measure the full array scan the hardware
-     * performs, so it never prunes; results remain bit-identical to
-     * every other path. @p scratch avoids a per-query allocation.
+     * Exactness: winner, distance and counters are bit-identical
+     * for every policy, kernel, layout, shard count and thread
+     * count, and the winner and distance match an exhaustive scan.
+     * A row is rejected only when its distance reaches the bound:
+     * either the keeper's cut, a distance a row earlier in index
+     * order attains (the rejected row could at best tie it and would
+     * lose the lowest-index tie), or the ceiling, one past a
+     * distance some row attains (the rejected row is strictly
+     * worse). The bounded kernel is bound-exact -- it returns the
+     * true distance whenever that is below the bound -- and a
+     * prefix distance lower-bounds the full distance, so neither
+     * abandonment nor the cascade rejects a row the bound admits.
+     * Shards cover ascending row ranges and fold in that order,
+     * entering only with a strictly smaller distance, which keeps
+     * the tie rule across shard seams.
      * @pre rows() > 0.
      */
-    std::size_t nearestTraced(const Hypervector &query,
-                              std::size_t prefix,
-                              std::vector<std::size_t> &scratch,
-                              const char *popcountSpan,
-                              const char *compareSpan,
-                              std::size_t *bestDistance = nullptr) const;
+    std::size_t nearest(const Hypervector &query, std::size_t prefix,
+                        const ScanPolicy &policy = {},
+                        ScanStats *stats = nullptr,
+                        std::size_t *bestDistance = nullptr,
+                        std::size_t threads = 1) const;
 
     /**
      * The @p k rows nearest to @p query over the first @p prefix
      * components, written to @p out sorted by ascending (distance,
      * index) -- the same tie rule as nearest(). Returns all rows
-     * when k >= rows(). Each shard maintains its own k-th-best
-     * distance as the pruning bound (with a cascade, pre-seeded from
-     * the exact distances of the shard's k best prefix-stage rows,
-     * which can only be >= the shard's final k-th best, so no true
-     * top-k row is ever filtered); shard result lists are then
-     * folded in ascending shard order through a bound-aware reduce
-     * that keeps the global k-th-best distance as its cut -- any
-     * global top-k row is in its shard's top-k, so the fold is
-     * exact. @pre rows() > 0.
+     * when k >= rows(). The same scan as nearest() with a k-slot
+     * keeper, so the same argument holds with k rows in place of
+     * one: a row rejected at the cut trails k earlier rows that are
+     * no farther, and one rejected at the cascade's ceiling (one
+     * past the largest exact distance among k seed rows) trails
+     * those k rows. @p stats and @p threads as for nearest().
+     * @pre rows() > 0.
      */
     void topK(const Hypervector &query, std::size_t prefix,
               std::size_t k, const ScanPolicy &policy,
-              ScanStats *stats, std::vector<RowMatch> &out) const;
-
-    /**
-     * topK() with the per-shard scans parallelized over @p threads
-     * workers (0 = all hardware threads); same bit-identical
-     * results-and-counters contract as nearestSharded().
-     * @pre rows() > 0.
-     */
-    void topKSharded(const Hypervector &query, std::size_t prefix,
-                     std::size_t k, const ScanPolicy &policy,
-                     std::size_t threads, ScanStats *stats,
-                     std::vector<RowMatch> &out) const;
+              ScanStats *stats, std::vector<RowMatch> &out,
+              std::size_t threads = 1) const;
 
   private:
     /** Sharded, layout-aware owner of the packed words. */

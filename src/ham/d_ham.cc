@@ -1,7 +1,6 @@
 #include "ham/d_ham.hh"
 
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 #include "core/batch_executor.hh"
@@ -40,25 +39,10 @@ DHam::search(const Hypervector &query)
     TRACE_SPAN("d_ham.search");
     HamResult result;
     ScanStats stats;
-    if (trace::enabled()) {
-        std::vector<std::size_t> scratch;
-        result.classId = rows.nearestTraced(
-            query, cfg.effectiveDim(), scratch, "d_ham.popcount",
-            "d_ham.compare", &result.reportedDistance);
-    } else {
-        result.classId =
-            rows.nearest(query, cfg.effectiveDim(), policy,
-                         sink ? &stats : nullptr, nullptr,
-                         &result.reportedDistance);
-    }
-    if (sink) {
-        sink->queries.add(1);
-        sink->rowsScanned.add(rows.rows());
-        sink->bitsSampled.add(cfg.effectiveDim());
-        sink->rowsPruned.add(stats.rowsPruned);
-        sink->wordsSkipped.add(stats.wordsSkipped);
-        sink->cascadeSurvivors.add(stats.cascadeSurvivors);
-    }
+    result.classId =
+        rows.nearest(query, cfg.effectiveDim(), policy,
+                     sink ? &stats : nullptr, &result.reportedDistance);
+    recordScans(1, stats);
     return result;
 }
 
@@ -69,68 +53,47 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
     batch::requireStored(rows.rows(), "DHam");
     const std::size_t prefix = cfg.effectiveDim();
 
-    /** Per-chunk state: the traced path reuses one scratch vector
-     *  for its split popcount/compare phases; the fused path reuses
-     *  it for the cascade's prefix distances and tallies pruning. */
-    struct Chunk
-    {
-        bool traced;
-        ScanStats stats;
-        std::vector<std::size_t> scratch;
-    };
-    const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
-                                std::size_t end) {
-        const std::size_t n = end - begin;
-        sink->queries.add(n);
-        sink->rowsScanned.add(n * rows.rows());
-        sink->bitsSampled.add(n * prefix);
-        sink->rowsPruned.add(chunk.stats.rowsPruned);
-        sink->wordsSkipped.add(chunk.stats.wordsSkipped);
-        sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
-    };
-
     // A sharded store with a batch smaller than the worker budget
     // serves queries one at a time and fans each query's shard scans
     // out across the workers instead -- bit-identical either way.
-    // The traced path stays on the query-chunked executor: its spans
-    // measure the exhaustive split scan.
-    if (rows.shardCount() > 1 && !trace::enabled() &&
-        queries.size() < resolveThreads(threads)) {
+    const bool perQuery = rows.shardCount() > 1 &&
+                          queries.size() < resolveThreads(threads);
+    const std::size_t scanThreads = perQuery ? threads : 1;
+    const auto kernel = [&](std::size_t q, ScanStats &stats) {
+        assert(queries[q].dim() == cfg.dim);
+        HamResult result;
+        result.classId = rows.nearest(queries[q], prefix, policy,
+                                      sink ? &stats : nullptr,
+                                      &result.reportedDistance,
+                                      scanThreads);
+        return result;
+    };
+    const auto newTally = [] { return ScanStats{}; };
+    const auto merge = [&](const ScanStats &stats, std::size_t begin,
+                           std::size_t end) {
+        recordScans(end - begin, stats);
+    };
+    if (perQuery) {
         return batch::runPerQuery<HamResult>(
             {"d_ham.batch", "d_ham.chunk"}, queries.size(), sink,
-            [] { return Chunk{false, {}, {}}; },
-            [&](std::size_t q, Chunk &chunk) {
-                assert(queries[q].dim() == cfg.dim);
-                HamResult result;
-                result.classId = rows.nearestSharded(
-                    queries[q], prefix, policy, threads,
-                    sink ? &chunk.stats : nullptr,
-                    &result.reportedDistance);
-                return result;
-            },
-            mergeChunk);
+            newTally, kernel, merge);
     }
+    return batch::run<HamResult>({"d_ham.batch", "d_ham.chunk"},
+                                 queries.size(), threads, sink,
+                                 newTally, kernel, merge);
+}
 
-    return batch::run<HamResult>(
-        {"d_ham.batch", "d_ham.chunk"}, queries.size(), threads,
-        sink, [] { return Chunk{trace::enabled(), {}, {}}; },
-        [&](std::size_t q, Chunk &chunk) {
-            assert(queries[q].dim() == cfg.dim);
-            HamResult result;
-            if (chunk.traced) {
-                result.classId = rows.nearestTraced(
-                    queries[q], prefix, chunk.scratch,
-                    "d_ham.popcount", "d_ham.compare",
-                    &result.reportedDistance);
-            } else {
-                result.classId = rows.nearest(
-                    queries[q], prefix, policy,
-                    sink ? &chunk.stats : nullptr, &chunk.scratch,
-                    &result.reportedDistance);
-            }
-            return result;
-        },
-        mergeChunk);
+void
+DHam::recordScans(std::size_t queries, const ScanStats &stats) const
+{
+    if (!sink)
+        return;
+    sink->queries.add(queries);
+    sink->rowsScanned.add(queries * rows.rows());
+    sink->bitsSampled.add(queries * cfg.effectiveDim());
+    sink->rowsPruned.add(stats.rowsPruned);
+    sink->wordsSkipped.add(stats.wordsSkipped);
+    sink->cascadeSurvivors.add(stats.cascadeSurvivors);
 }
 
 } // namespace hdham::ham

@@ -73,9 +73,8 @@ class DHam : public Ham
     /**
      * Set the scan policy (bound pruning / sampled-prefix cascade;
      * see PackedRows). Results stay bit-identical under every
-     * policy; only the amount of scan work changes. The traced
-     * search path always runs the exhaustive split scan -- its spans
-     * measure the full array pass the hardware performs.
+     * policy; only the amount of scan work changes, traced or not.
+     * PruneMode::Off is the full array pass the hardware performs.
      */
     void setScanPolicy(const ScanPolicy &p) override { policy = p; }
 
@@ -102,10 +101,16 @@ class DHam : public Ham
     }
 
   private:
+    /**
+     * Add @p queries full scans, and the work @p stats says they
+     * avoided, to the attached sink (no-op when detached).
+     */
+    void recordScans(std::size_t queries, const ScanStats &stats) const;
+
     DHamConfig cfg;
     /** Dense row store: the software analogue of the CAM array. */
     PackedRows rows;
-    /** How the fused (untraced) scan may skip row words. */
+    /** How the scan may skip row words. */
     ScanPolicy policy;
 };
 

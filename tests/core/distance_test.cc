@@ -306,10 +306,6 @@ TEST(DistanceDispatchTest, ScalarKernelsAlwaysRegisteredAndUsable)
     EXPECT_TRUE(scalar->usable());
     EXPECT_EQ(scalar->fn, &distance::scalarHamming);
     EXPECT_EQ(scalar->bounded, &distance::scalarHammingBounded);
-    const distance::KernelEntry *unrolled =
-        distance::findKernel("unrolled");
-    ASSERT_NE(unrolled, nullptr);
-    EXPECT_TRUE(unrolled->usable());
 }
 
 TEST(DistanceDispatchTest, CompiledAndAvailableListsAreConsistent)

@@ -101,7 +101,8 @@ TEST(PackedRowsTest, NearestAgreesWithAssociativeMemory)
     for (int q = 0; q < 50; ++q) {
         const Hypervector query = Hypervector::random(dim, rng);
         std::size_t best = 0;
-        const std::size_t winner = rows.nearest(query, dim, &best);
+        const std::size_t winner =
+            rows.nearest(query, dim, {}, nullptr, &best);
         const auto expect = oracle.search(query);
         EXPECT_EQ(winner, expect.classId);
         EXPECT_EQ(best, expect.bestDistance);

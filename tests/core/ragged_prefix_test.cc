@@ -85,7 +85,7 @@ TEST(RaggedPrefixTest, PackedScanRaggedPrefixMatchesOracle)
             }
         }
         std::size_t got = 0;
-        EXPECT_EQ(rows.nearest(query, prefix, &got), bestIdx)
+        EXPECT_EQ(rows.nearest(query, prefix, {}, nullptr, &got), bestIdx)
             << "prefix " << prefix;
         EXPECT_EQ(got, bestDist) << "prefix " << prefix;
     }

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the ranked (top-k) search, decision margins, the
- * evaluation metrics (precision/recall/F1) and the D-HAM cycle
- * model.
+ * Tests for the ranked (top-k) search and its metrics counts,
+ * decision margins, the evaluation metrics (precision/recall/F1)
+ * and the D-HAM cycle model.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/assoc_memory.hh"
+#include "core/metrics.hh"
 #include "core/random.hh"
 #include "ham/digital_blocks.hh"
 #include "lang/pipeline.hh"
@@ -17,7 +18,10 @@ namespace
 
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
+using hdham::PruneMode;
 using hdham::Rng;
+using hdham::ScanPolicy;
+using hdham::metrics::QueryMetrics;
 using hdham::ham::DhamCycleModel;
 using hdham::lang::Evaluation;
 
@@ -68,6 +72,37 @@ TEST(TopKTest, TopOneMatchesSearch)
         EXPECT_EQ(ranked[0].classId, hit.classId);
         EXPECT_EQ(ranked[0].distance, hit.bestDistance);
     }
+}
+
+TEST(TopKTest, CountsInTheMetricsSinkLikeSearch)
+{
+    // A top-k search is a scan like search(): the attached sink must
+    // count it, and at k = 1 exactly as search() counts the query.
+    AssociativeMemory am(1024);
+    Rng rng(3);
+    for (int c = 0; c < 12; ++c)
+        am.store(Hypervector::random(1024, rng));
+    am.setScanPolicy(ScanPolicy{PruneMode::On, 128});
+    Hypervector query = am.vectorOf(5);
+    query.injectErrors(50, rng);
+
+    QueryMetrics viaSearch;
+    am.attachMetrics(&viaSearch);
+    am.search(query);
+    QueryMetrics viaTopK;
+    am.attachMetrics(&viaTopK);
+    am.searchTopK(query, 1);
+    am.attachMetrics(nullptr);
+
+    EXPECT_EQ(viaTopK.queries.value(), 1u);
+    EXPECT_EQ(viaTopK.rowsScanned.value(), 12u);
+    EXPECT_GT(viaTopK.rowsPruned.value(), 0u);
+    EXPECT_GT(viaTopK.cascadeSurvivors.value(), 0u);
+    EXPECT_EQ(viaTopK.rowsPruned.value(), viaSearch.rowsPruned.value());
+    EXPECT_EQ(viaTopK.wordsSkipped.value(),
+              viaSearch.wordsSkipped.value());
+    EXPECT_EQ(viaTopK.cascadeSurvivors.value(),
+              viaSearch.cascadeSurvivors.value());
 }
 
 TEST(MarginTest, ComputesRunnerUpGap)

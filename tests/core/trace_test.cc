@@ -3,8 +3,9 @@
  * Unit tests for the span tracing subsystem (core/trace.hh):
  * disabled-path inertness, nesting and self-time accounting, batch
  * scope propagation and restoration, exact overflow drop counting,
- * per-thread buffer registration, summary aggregation, and
- * bit-identity of the traced D-HAM search path.
+ * per-thread buffer registration, summary aggregation, and that a
+ * traced D-HAM search returns the same answers and does the same
+ * scan work as an untraced one.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hh"
 #include "core/parallel_for.hh"
 #include "core/random.hh"
 #include "core/trace.hh"
@@ -255,10 +257,18 @@ TEST(TraceTest, SummaryAggregatesPerName)
 
 TEST(TraceTest, TracedDHamSearchMatchesUntraced)
 {
+    // Tracing must change neither the answers nor the scan's work:
+    // under forced pruning both runs reject exactly the same rows.
     ham::DHamConfig cfg;
     cfg.dim = 512;
     ham::DHam untracedHam(cfg);
     ham::DHam tracedHam(cfg);
+    untracedHam.setScanPolicy(ScanPolicy{PruneMode::On, 0});
+    tracedHam.setScanPolicy(ScanPolicy{PruneMode::On, 0});
+    metrics::QueryMetrics untracedMetrics;
+    metrics::QueryMetrics tracedMetrics;
+    untracedHam.attachMetrics(&untracedMetrics);
+    tracedHam.attachMetrics(&tracedMetrics);
     Rng rng(99);
     for (int c = 0; c < 16; ++c) {
         const Hypervector hv = Hypervector::random(cfg.dim, rng);
@@ -284,16 +294,16 @@ TEST(TraceTest, TracedDHamSearchMatchesUntraced)
                   expected[q].reportedDistance)
             << q;
     }
-    // The traced run recorded the split phases.
-    bool sawPopcount = false;
-    bool sawCompare = false;
-    for (const auto &[track, event] : tracer.events()) {
-        const std::string name = event.name;
-        sawPopcount |= name == "d_ham.popcount";
-        sawCompare |= name == "d_ham.compare";
-    }
-    EXPECT_TRUE(sawPopcount);
-    EXPECT_TRUE(sawCompare);
+    EXPECT_GT(untracedMetrics.rowsPruned.value(), 0u);
+    EXPECT_EQ(tracedMetrics.rowsPruned.value(),
+              untracedMetrics.rowsPruned.value());
+    EXPECT_EQ(tracedMetrics.wordsSkipped.value(),
+              untracedMetrics.wordsSkipped.value());
+    // The traced run recorded its chunk spans.
+    bool sawChunk = false;
+    for (const auto &[track, event] : tracer.events())
+        sawChunk |= std::string(event.name) == "d_ham.chunk";
+    EXPECT_TRUE(sawChunk);
 }
 
 } // namespace

@@ -168,7 +168,7 @@ usage()
         "  --batch N         queries per searchBatch() call (0 = "
         "all at once; default 0)\n"
         "  --kernel K        Hamming distance kernel: scalar, "
-        "unrolled, sse2, neon, avx2, avx512 or auto (default:\n"
+        "sse2, neon, avx2, avx512 or auto (default:\n"
         "                    HDHAM_KERNEL env, else the widest "
         "backend this CPU supports; results are\n"
         "                    bit-identical for every kernel)\n"
