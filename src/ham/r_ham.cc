@@ -1,5 +1,6 @@
 #include "ham/r_ham.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <limits>
@@ -21,6 +22,74 @@ blockConfig(std::size_t width, double vdd)
         circuit::MatchLineConfig::rhamBlock(width);
     cfg.v0 = vdd;
     return cfg;
+}
+
+/** Bit 0 of every nibble. */
+constexpr std::uint64_t kNibbleLow = 0x1111111111111111ULL;
+
+/** Sum of the sixteen 4-bit lanes of @p lanes (each at most 15). */
+std::uint32_t
+sumNibbleLanes(std::uint64_t lanes)
+{
+    const std::uint64_t bytes = (lanes & 0x0F0F0F0F0F0F0F0FULL) +
+                                ((lanes >> 4) & 0x0F0F0F0F0F0F0F0FULL);
+    return static_cast<std::uint32_t>(
+        (bytes * 0x0101010101010101ULL) >> 56);
+}
+
+/**
+ * RHam::blockHistogram for 4-bit blocks. A nibble distance d = 0..4
+ * has bits b2 b1 b0 = 000, 001, 010, 011, 100, so over the range
+ * sum(b2) = hist[4], sum(b0 & b1) = hist[3], sum(b1) = hist[2] +
+ * hist[3] and sum(b0) = hist[1] + hist[3]; hist[0] is the rest. Each
+ * plane adds at most one per lane per word, so the nibble lanes fold
+ * into totals every 15 words, before they can overflow.
+ */
+void
+nibbleHistogram(const std::uint64_t *row, const std::uint64_t *query,
+                std::size_t firstBlock, std::size_t lastBlock,
+                RHam::Histogram &hist)
+{
+    if (firstBlock >= lastBlock)
+        return;
+    const std::size_t firstWord = firstBlock / 16;
+    const std::size_t endWord = (lastBlock + 15) / 16;
+    // Only the range's nibbles count in its first and last word.
+    const std::uint64_t headMask = ~0ULL << (4 * (firstBlock % 16));
+    const std::uint64_t tailMask =
+        ~0ULL >> (4 * ((16 - lastBlock % 16) % 16));
+    std::uint32_t b0Sum = 0, b1Sum = 0, b2Sum = 0, b01Sum = 0;
+    for (std::size_t w = firstWord; w < endWord;) {
+        const std::size_t foldAt = std::min(w + 15, endWord);
+        std::uint64_t b0Lanes = 0, b1Lanes = 0, b2Lanes = 0;
+        std::uint64_t b01Lanes = 0;
+        for (; w < foldAt; ++w) {
+            std::uint64_t x = row[w] ^ query[w];
+            if (w == firstWord)
+                x &= headMask;
+            if (w + 1 == endWord)
+                x &= tailMask;
+            x -= (x >> 1) & 0x5555555555555555ULL;
+            x = (x & 0x3333333333333333ULL) +
+                ((x >> 2) & 0x3333333333333333ULL);
+            const std::uint64_t b0 = x & kNibbleLow;
+            const std::uint64_t b1 = (x >> 1) & kNibbleLow;
+            b0Lanes += b0;
+            b1Lanes += b1;
+            b2Lanes += (x >> 2) & kNibbleLow;
+            b01Lanes += b0 & b1;
+        }
+        b0Sum += sumNibbleLanes(b0Lanes);
+        b1Sum += sumNibbleLanes(b1Lanes);
+        b2Sum += sumNibbleLanes(b2Lanes);
+        b01Sum += sumNibbleLanes(b01Lanes);
+    }
+    const auto blocks = static_cast<std::uint32_t>(lastBlock - firstBlock);
+    hist[4] += b2Sum;
+    hist[3] += b01Sum;
+    hist[2] += b1Sum - b01Sum;
+    hist[1] += b0Sum - b01Sum;
+    hist[0] += blocks - (b0Sum + b1Sum - b01Sum + b2Sum);
 }
 
 } // namespace
@@ -65,11 +134,16 @@ RHam::store(const Hypervector &hv)
 }
 
 void
-RHam::histogramRange(const Hypervector &row, const Hypervector &query,
-                     std::size_t firstBlock, std::size_t lastBlock,
-                     Histogram &hist) const
+RHam::blockHistogram(const Hypervector &row, const Hypervector &query,
+                     std::size_t blockBits, std::size_t firstBlock,
+                     std::size_t lastBlock, Histogram &hist)
 {
-    const std::size_t w = cfg.blockBits;
+    if (blockBits == 4) {
+        nibbleHistogram(row.data(), query.data(), firstBlock,
+                        lastBlock, hist);
+        return;
+    }
+    const std::size_t w = blockBits;
     const std::uint64_t mask =
         w == 64 ? ~0ULL : ((1ULL << w) - 1);
     for (std::size_t b = firstBlock; b < lastBlock; ++b) {
@@ -141,12 +215,12 @@ RHam::searchIndexed(const Hypervector &query,
         Histogram histNom{};
         {
             TRACE_SPAN("r_ham.block_sense");
-            histogramRange(rows[id], query, 0, overscaledCount,
-                           histOvs);
-            histogramRange(rows[id], query, overscaledCount, deepEnd,
-                           histDeep);
-            histogramRange(rows[id], query, deepEnd, active,
-                           histNom);
+            blockHistogram(rows[id], query, cfg.blockBits, 0,
+                           overscaledCount, histOvs);
+            blockHistogram(rows[id], query, cfg.blockBits,
+                           overscaledCount, deepEnd, histDeep);
+            blockHistogram(rows[id], query, cfg.blockBits, deepEnd,
+                           active, histNom);
         }
         // Only the overscaled regions feed the error counter: the
         // nominal-supply blocks sense exactly by construction.

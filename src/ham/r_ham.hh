@@ -25,6 +25,14 @@
  * 2,500 blocks individually, which is exact in distribution and
  * orders of magnitude faster.
  *
+ * Those draws need only each row's histogram of block distances
+ * (blockHistogram). The paper's 4-bit blocks are counted the way the
+ * crossbar senses them, all at once: sixteen blocks to a word of
+ * row xor query, with in-register nibble popcounts summed per level
+ * across words; other widths count block by block. Both give the
+ * same exact histogram, and the noise draws read nothing else, so
+ * every sensed distance is the same whichever way it was counted.
+ *
  * Why R-HAM has no bound-pruned scan path: the hardware senses every
  * active block of every row concurrently -- match-line discharge is
  * a physical event, not a sequential word loop, so there is no
@@ -98,6 +106,9 @@ struct RHamConfig
 class RHam : public Ham
 {
   public:
+    /** Histogram of block distances: hist[d] = blocks at distance d. */
+    using Histogram = std::array<std::uint32_t, 65>;
+
     explicit RHam(const RHamConfig &config);
 
     std::string name() const override { return "R-HAM"; }
@@ -145,19 +156,24 @@ class RHam : public Ham
      */
     std::size_t worstCaseDistanceError() const;
 
-  private:
-    /** Histogram of block distances over a contiguous block range. */
-    using Histogram = std::array<std::uint32_t, 65>;
-
     /**
-     * Count block distances of row xor query for blocks in
-     * [firstBlock, lastBlock).
+     * Add to @p hist the distance of every block of row xor query in
+     * [firstBlock, lastBlock), @p blockBits bits to a block. 4-bit
+     * blocks are counted sixteen to a word, from in-register nibble
+     * popcounts whose bit-planes are summed across words; other
+     * widths count one block at a time. The counts are exact either
+     * way, so the noise drawn from them is the same. Exposed for
+     * validation against a per-block count.
+     * @pre blockBits divides 64, row and query have the same dim, and
+     * lastBlock <= ceil(dim / blockBits).
      */
-    void histogramRange(const Hypervector &row,
-                        const Hypervector &query,
-                        std::size_t firstBlock, std::size_t lastBlock,
-                        Histogram &hist) const;
+    static void blockHistogram(const Hypervector &row,
+                               const Hypervector &query,
+                               std::size_t blockBits,
+                               std::size_t firstBlock,
+                               std::size_t lastBlock, Histogram &hist);
 
+  private:
     /** Per-query observability tally, merged into the sink by the
      *  caller (once per query or once per worker chunk). */
     struct Tally
