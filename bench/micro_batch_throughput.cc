@@ -65,7 +65,6 @@
 #include "core/packed_rows.hh"
 #include "core/perf_counters.hh"
 #include "core/random.hh"
-#include "core/serialize.hh"
 #include "core/snapshot.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
@@ -168,30 +167,24 @@ BENCHMARK(BM_CascadeScan)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
  * Model persistence: cold-start latency (open a saved model until it
- * can serve) and steady-state serve throughput from the mapped file,
- * against the same model held in RAM. The legacy format pays a full
- * parse-and-copy per open; the hdham.model.v1 mmap view pays one
- * checksum pass (or just header validation with verification off)
- * and no per-row work, which is the point of the format.
+ * can serve) and steady-state serve throughput from the mapped file.
+ * The hdham.model.v1 mmap view pays one checksum pass (or just
+ * header validation with verification off) and no per-row work,
+ * which is the point of the format.
  */
 struct ModelBenchFixture
 {
-    ModelBenchFixture()
-        : legacyPath(bench::tempPath("bench_model_legacy.bin")),
-          v1Path(bench::tempPath("bench_model_v1.hdc"))
+    ModelBenchFixture() : v1Path(bench::tempPath("bench_model_v1.hdc"))
     {
         Rng rng(19);
         AssociativeMemory am(kDim);
-        prototypes =
+        const auto prototypes =
             bench::storeRandomClasses(am, kDim, kClasses, rng);
         queries =
             bench::makeSkewedQueries(prototypes, kBatch, 0.05, rng);
-        serialize::saveMemory(legacyPath, am);
         modelfile::save(v1Path, am);
     }
-    std::string legacyPath;
     std::string v1Path;
-    std::vector<Hypervector> prototypes;
     std::vector<Hypervector> queries;
 };
 
@@ -201,18 +194,6 @@ modelBenchFixture()
     static ModelBenchFixture fixture;
     return fixture;
 }
-
-void
-BM_ModelColdStartLegacy(benchmark::State &state)
-{
-    const auto &fx = modelBenchFixture();
-    for (auto _ : state) {
-        AssociativeMemory am =
-            serialize::loadMemory(fx.legacyPath);
-        benchmark::DoNotOptimize(am.search(fx.queries.front()));
-    }
-}
-BENCHMARK(BM_ModelColdStartLegacy);
 
 void
 BM_ModelColdStartMmap(benchmark::State &state)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Train-once / deploy-anywhere: train the 21-language classifier,
- * persist the learned hypervectors, reload them into a fresh
- * associative memory and a hardware HAM model, and verify the
- * deployed copies classify identically.
+ * persist the learned hypervectors and the item memory as an
+ * hdham.model.v1 file, map it back through the shared model loader
+ * and into a hardware HAM model, and verify the deployed copies
+ * classify identically.
  *
  * Run: ./train_and_deploy [model-path]
  */
@@ -12,8 +13,9 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/parallel_for.hh"
-#include "core/serialize.hh"
 #include "ham/r_ham.hh"
 #include "lang/corpus.hh"
 #include "lang/pipeline.hh"
@@ -25,7 +27,7 @@ main(int argc, char **argv)
     using namespace hdham::lang;
 
     const std::string path =
-        argc > 1 ? argv[1] : "/tmp/hdham_languages.bin";
+        argc > 1 ? argv[1] : "/tmp/hdham_languages.hdc";
 
     // --- training side -------------------------------------------
     CorpusConfig corpusCfg;
@@ -37,14 +39,22 @@ main(int argc, char **argv)
                 pipeline.memory().size(), pipeline.memory().dim(),
                 100.0 * pipeline.evaluateExact().accuracy());
 
-    serialize::saveMemory(path, pipeline.memory());
+    modelfile::SaveOptions saveOpts;
+    saveOpts.items = &pipeline.itemMemory();
+    modelfile::save(path, pipeline.memory(), saveOpts);
     std::printf("saved model to %s\n", path.c_str());
 
     // --- deployment side ------------------------------------------
-    const AssociativeMemory deployed = serialize::loadMemory(path);
-    std::printf("reloaded %zu classes ('%s' ... '%s')\n",
+    // The rows are served in place from the mapping; the embedded
+    // item memory is what an encoder on this side would be built on.
+    const auto model = modelload::LoadedModel::open(path);
+    const AssociativeMemory &deployed = model.memory();
+    std::printf("mapped %zu classes ('%s' ... '%s'), item memory "
+                "%s\n",
                 deployed.size(), deployed.labelOf(0).c_str(),
-                deployed.labelOf(deployed.size() - 1).c_str());
+                deployed.labelOf(deployed.size() - 1).c_str(),
+                model.modelView()->hasItemMemory() ? "embedded"
+                                                   : "absent");
 
     // Batch the agreement check through both memories at once.
     const std::size_t threads = resolveThreads(0);

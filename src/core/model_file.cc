@@ -487,18 +487,6 @@ save(const std::string &path, const AssociativeMemory &am,
     }
 }
 
-bool
-sniff(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    char head[sizeof(magic)];
-    in.read(head, sizeof(head));
-    return in.gcount() == sizeof(head) &&
-           std::memcmp(head, magic, sizeof(magic)) == 0;
-}
-
 ModelView::ModelView(const std::string &path)
     : ModelView(path, Options{})
 {

@@ -41,8 +41,9 @@
  * reserved are written as zero and ignored on read, so v1 readers
  * tolerate future flag bits only via a version bump.
  *
- * The legacy stream format (core/serialize.hh) remains readable as a
- * conversion fallback; `hdham save` converts either format to v1.
+ * This is the only model format: ModelView rejects any other file
+ * with "bad magic", and core/model_loader.hh opens every model
+ * through it.
  */
 
 #ifndef HDHAM_CORE_MODEL_FILE_HH
@@ -132,14 +133,6 @@ class ModelWriter
  */
 void save(const std::string &path, const AssociativeMemory &am,
           const SaveOptions &opts = {});
-
-/**
- * True when the file at @p path starts with the hdham.model magic --
- * the cheap format sniff the CLI uses to route a --model argument to
- * this loader or to the legacy stream reader (core/serialize.hh).
- * Missing/short files return false.
- */
-bool sniff(const std::string &path);
 
 /**
  * Read-only zero-copy view of an hdham.model.v1 file.

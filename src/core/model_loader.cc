@@ -4,47 +4,26 @@
 #include <utility>
 
 #include "core/perf_counters.hh"
-#include "core/serialize.hh"
 
 namespace hdham::modelload
 {
 
 LoadedModel
-LoadedModel::open(const std::string &path, const OpenOptions &opts)
+LoadedModel::open(const std::string &path,
+                  const modelfile::ModelView::Options &opts)
 {
-    LoadedModel model;
-    model.filePath = path;
-    if (modelfile::sniff(path)) {
-        modelfile::ModelView::Options vopts;
-        vopts.verifyChecksums = opts.verifyChecksums;
-        model.view.emplace(path, vopts);
-    } else {
-        model.owned.emplace(serialize::loadMemory(path));
-    }
-    return model;
+    return LoadedModel(modelfile::ModelView(path, opts));
 }
 
 void
 LoadedModel::recordInfo(metrics::Registry &registry) const
 {
-    registry.setInfo("model.path", filePath);
-    registry.setInfo("model.format",
-                     mapped() ? "hdham.model.v1" : "legacy");
-    if (mapped()) {
-        registry.setInfo("model.version",
-                         std::to_string(view->version()));
-        char checksum[16];
-        std::snprintf(checksum, sizeof(checksum), "%08x",
-                      view->checksum());
-        registry.setInfo("model.checksum", checksum);
-    }
-}
-
-void
-LoadedModel::recordResidency(metrics::Registry &registry) const
-{
-    if (mapped())
-        modelload::recordResidency(registry, *view);
+    registry.setInfo("model.path", view.path());
+    registry.setInfo("model.format", "hdham.model.v1");
+    registry.setInfo("model.version", std::to_string(view.version()));
+    char checksum[16];
+    std::snprintf(checksum, sizeof(checksum), "%08x", view.checksum());
+    registry.setInfo("model.checksum", checksum);
 }
 
 void
@@ -63,22 +42,7 @@ std::unique_ptr<snapshot::MemorySnapshot>
 LoadedModel::intoSnapshot(
     const snapshot::MemorySnapshot::Options &opts) &&
 {
-    if (view.has_value()) {
-        return snapshot::MemorySnapshot::fromView(std::move(*view),
-                                                  opts);
-    }
-    return snapshot::MemorySnapshot::fromMemory(std::move(*owned),
-                                                opts);
-}
-
-AssociativeMemory
-materialize(const AssociativeMemory &src)
-{
-    AssociativeMemory out(src.dim());
-    out.reserve(src.size());
-    for (std::size_t id = 0; id < src.size(); ++id)
-        out.store(src.vectorOf(id), src.labelOf(id));
-    return out;
+    return snapshot::MemorySnapshot::fromView(std::move(view), opts);
 }
 
 } // namespace hdham::modelload

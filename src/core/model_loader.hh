@@ -2,27 +2,25 @@
  * @file
  * The one model-open path every consumer shares.
  *
- * `hdham classify/info/load`, `hdham save` and the resident
- * hdham_server all need the same sequence: sniff the file format,
- * mmap + validate an hdham.model.v1 file (or parse a legacy stream
- * model into RAM), and report provenance and mapping residency into
- * a metrics registry. This module owns that sequence so the CLI and
- * the server cannot drift apart -- the duplicated open/verify code
- * that used to live in hdham_cli.cc is gone.
+ * `hdham classify/info/load/save` and the resident hdham_server all
+ * need the same sequence: mmap + validate an hdham.model.v1 file and
+ * report provenance and mapping residency into a metrics registry.
+ * This module owns that sequence so the CLI and the server cannot
+ * drift apart.
  *
  * A LoadedModel is the mutable-configuration stage of a model's
- * life: callers may set scan policy and metrics, or re-lay a
- * materialized copy. Serving freezes it: intoSnapshot() moves the
- * opened model into an immutable snapshot::MemorySnapshot without
- * reopening or copying the class store.
+ * life: callers may set scan policy and metrics on the mapped store.
+ * Serving freezes it: intoSnapshot() moves the opened view into an
+ * immutable snapshot::MemorySnapshot without reopening or copying
+ * the class store.
  */
 
 #ifndef HDHAM_CORE_MODEL_LOADER_HH
 #define HDHAM_CORE_MODEL_LOADER_HH
 
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "core/assoc_memory.hh"
 #include "core/metrics.hh"
@@ -32,97 +30,59 @@
 namespace hdham::modelload
 {
 
-/** Knobs of the shared open path. */
-struct OpenOptions
-{
-    /**
-     * Verify the per-section CRC32C checksums of an hdham.model.v1
-     * file (one streaming pass; ignored for legacy models).
-     */
-    bool verifyChecksums = true;
-};
-
 /**
- * A model opened from disk in whichever format the file carries:
- * hdham.model.v1 is mmap'ed (view engaged, memory served zero-copy
- * in place), the legacy stream format is parsed into RAM (owned
- * store engaged). memory() is mutable so callers can set scan policy
- * and metrics; a mapped store still rejects mutation of the rows.
+ * An hdham.model.v1 file, mmap'ed and validated, whose class store
+ * is served zero-copy in place. memory() is mutable so callers can
+ * set scan policy and metrics; the mapped store still rejects
+ * mutation of the rows.
  */
 class LoadedModel
 {
   public:
     /**
-     * Open @p path, routing by the 8-byte magic sniff.
+     * Map and validate @p path (ModelView's checks; @p opts can skip
+     * the checksum pass).
      * @throws std::runtime_error on malformed input.
      */
-    static LoadedModel open(const std::string &path,
-                            const OpenOptions &opts = {});
+    static LoadedModel
+    open(const std::string &path,
+         const modelfile::ModelView::Options &opts = {});
 
-    /** Path the model was opened from. */
-    const std::string &path() const { return filePath; }
+    /** The mapped memory, queried zero-copy in place. */
+    AssociativeMemory &memory() { return view.memory(); }
+    const AssociativeMemory &memory() const { return view.memory(); }
 
-    /** True when the class store is served from an mmap'ed file. */
-    bool mapped() const { return view.has_value(); }
-
-    /** The opened memory (zero-copy in place when mapped). */
-    AssociativeMemory &memory()
-    {
-        return view.has_value() ? view->memory() : *owned;
-    }
-    const AssociativeMemory &memory() const
-    {
-        return view.has_value() ? view->memory() : *owned;
-    }
-
-    /** The mapped view, or nullptr for a legacy model. */
-    const modelfile::ModelView *modelView() const
-    {
-        return view.has_value() ? &*view : nullptr;
-    }
+    /** The mapped view (never null). */
+    const modelfile::ModelView *modelView() const { return &view; }
 
     /**
      * Record model provenance in the metrics "info" map: model.path,
-     * model.format, and for v1 files model.version / model.checksum.
+     * model.format, model.version and model.checksum.
      */
     void recordInfo(metrics::Registry &registry) const;
 
     /**
-     * Record the mmap residency gauges (model.mapped_bytes /
-     * model.resident_bytes -- how much of the file the queries so
-     * far actually pulled into memory). No-op for legacy models.
-     */
-    void recordResidency(metrics::Registry &registry) const;
-
-    /**
      * Freeze the opened model into an immutable MemorySnapshot,
-     * consuming this object: a mapped model moves its view (the
-     * store stays zero-copy), a legacy model moves its in-RAM store.
-     * This is how the server turns the shared open path into its
-     * first published snapshot.
+     * consuming this object: the view moves in and the store stays
+     * zero-copy. This is how the server turns the shared open path
+     * into its first published snapshot.
      */
     std::unique_ptr<snapshot::MemorySnapshot>
     intoSnapshot(const snapshot::MemorySnapshot::Options &opts = {}) &&;
 
   private:
-    LoadedModel() = default;
+    explicit LoadedModel(modelfile::ModelView &&mapped)
+        : view(std::move(mapped))
+    {
+    }
 
-    std::string filePath;
-    std::optional<modelfile::ModelView> view;
-    std::optional<AssociativeMemory> owned;
+    modelfile::ModelView view;
 };
 
 /**
- * Deep-copy a model into a fresh owned memory (the only way to
- * re-lay or mutate a mapped one).
- */
-AssociativeMemory materialize(const AssociativeMemory &src);
-
-/**
- * Record the mmap residency gauges of @p view
- * (model.mapped_bytes / model.resident_bytes) into @p registry.
- * Shared by LoadedModel::recordResidency and the server's stats
- * path, which holds the view inside a pinned snapshot.
+ * Record the mmap residency gauges of @p view (model.mapped_bytes /
+ * model.resident_bytes -- how much of the file the queries so far
+ * actually pulled into memory) into @p registry.
  */
 void recordResidency(metrics::Registry &registry,
                      const modelfile::ModelView &view);

@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/serialize.hh"
-
 namespace hdham::snapshot
 {
 
@@ -131,7 +129,7 @@ MemorySnapshot::MemorySnapshot(AssociativeMemory &&ownedMem,
 
 MemorySnapshot::MemorySnapshot(modelfile::ModelView &&mapped,
                                const Options &opts)
-    : path(mapped.path()), view(std::move(mapped))
+    : view(std::move(mapped))
 {
     view->memory().setScanPolicy(opts.policy);
     view->memory().attachMetrics(opts.sink);
@@ -161,24 +159,6 @@ MemorySnapshot::fromView(modelfile::ModelView &&view,
 {
     return std::unique_ptr<MemorySnapshot>(
         new MemorySnapshot(std::move(view), opts));
-}
-
-std::unique_ptr<MemorySnapshot>
-MemorySnapshot::fromFile(const std::string &path, const Options &opts,
-                         bool verifyChecksums)
-{
-    if (modelfile::sniff(path)) {
-        modelfile::ModelView::Options vopts;
-        vopts.verifyChecksums = verifyChecksums;
-        return fromView(modelfile::ModelView(path, vopts), opts);
-    }
-    // Legacy stream format: parse into RAM (no side memories in
-    // that format).
-    AssociativeMemory am = serialize::loadMemory(path);
-    auto snap = std::unique_ptr<MemorySnapshot>(new MemorySnapshot(
-        std::move(am), opts, std::nullopt, std::nullopt));
-    snap->path = path;
-    return snap;
 }
 
 // ---------------------------------------------------------------------------
@@ -344,6 +324,20 @@ SnapshotBuilder::addSample(std::size_t id, const Hypervector &hv)
     trainable.addSample(id, hv);
 }
 
+std::size_t
+SnapshotBuilder::addLabeledSample(const std::string &label,
+                                  const Hypervector &hv)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    std::size_t id = 0;
+    while (id < trainable.classes() && trainable.labelOf(id) != label)
+        ++id;
+    if (id == trainable.classes())
+        id = trainable.addClass(label);
+    trainable.addSample(id, hv);
+    return id;
+}
+
 std::uint64_t
 SnapshotBuilder::sampleCount(std::size_t id) const
 {
@@ -380,20 +374,6 @@ SnapshotBuilder::attachMetrics(metrics::QueryMetrics *m)
 {
     std::lock_guard<std::mutex> lock(mu);
     sink = m;
-}
-
-void
-SnapshotBuilder::setItemMemory(ItemMemory m)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    items = std::move(m);
-}
-
-void
-SnapshotBuilder::setLevelMemory(LevelItemMemory m)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    levels = std::move(m);
 }
 
 std::uint64_t

@@ -130,10 +130,9 @@ class MemorySnapshot
     using Options = SnapshotOptions;
 
     /**
-     * Freeze an in-RAM memory (typically a SnapshotBuilder product
-     * or a legacy-format load) into a snapshot. The memory is moved
-     * in; @p items / @p levels are optional side memories carried
-     * along for encoder rebuilds.
+     * Freeze an in-RAM memory (typically a SnapshotBuilder product)
+     * into a snapshot. The memory is moved in; @p items / @p levels
+     * are optional side memories carried along for encoder rebuilds.
      */
     static std::unique_ptr<MemorySnapshot>
     fromMemory(AssociativeMemory &&am, const Options &opts = {},
@@ -144,21 +143,11 @@ class MemorySnapshot
      * Freeze an already-opened hdham.model.v1 view as a snapshot --
      * the path the shared model-open helper (core/model_loader.hh)
      * uses so the server never reopens or copies the class store.
+     * Row words are served straight from the mapping; side memories
+     * are materialized so the encoder survives swaps.
      */
     static std::unique_ptr<MemorySnapshot>
     fromView(modelfile::ModelView &&view, const Options &opts = {});
-
-    /**
-     * Map an hdham.model.v1 file and freeze the zero-copy view as a
-     * snapshot (row words served straight from the mapping; side
-     * memories materialized so the encoder survives swaps). Legacy
-     * stream files are parsed into RAM instead. Either way the
-     * resulting snapshot serves bit-identically to the saved store.
-     * @throws std::runtime_error on malformed input.
-     */
-    static std::unique_ptr<MemorySnapshot>
-    fromFile(const std::string &path, const Options &opts = {},
-             bool verifyChecksums = true);
 
     MemorySnapshot(const MemorySnapshot &) = delete;
     MemorySnapshot &operator=(const MemorySnapshot &) = delete;
@@ -182,7 +171,7 @@ class MemorySnapshot
     bool mapped() const { return view.has_value(); }
 
     /** Model file path ("" when built from RAM). */
-    const std::string &modelPath() const { return path; }
+    std::string modelPath() const { return view ? view->path() : ""; }
 
     /** Whether the snapshot carries an item memory. */
     bool hasItemMemory() const { return items.has_value(); }
@@ -213,11 +202,10 @@ class MemorySnapshot
 
     /** Stamped by SnapshotSource::publish before the swap. */
     std::uint64_t seq = 0;
-    std::string path;
     /** Engaged when the store is served from a mapped model file;
      *  the served memory then lives inside the view. */
     std::optional<modelfile::ModelView> view;
-    /** Owned store (RAM and legacy-format snapshots). */
+    /** Owned store (builder products and other in-RAM memories). */
     std::optional<AssociativeMemory> owned;
     /** The served memory: &view->memory() or &*owned. */
     const AssociativeMemory *mem = nullptr;
@@ -371,8 +359,9 @@ class SnapshotSource
  * serving path, and it is never visible to a reader.
  *
  * Owns the per-class majority counters (a TrainableMemory) plus the
- * serving configuration (store layout, scan policy, metrics sink,
- * side memories) every published snapshot is frozen with. All
+ * serving configuration (store layout, scan policy, metrics sink, and
+ * the side memories of the seed snapshot) every published snapshot
+ * is frozen with. All
  * mutations -- new classes, training samples, reconsolidation-style
  * assimilation -- accumulate out-of-line; nothing is observable
  * until publish() thresholds the counters into a fresh
@@ -436,6 +425,16 @@ class SnapshotBuilder
      */
     void addSample(std::size_t id, const Hypervector &hv);
 
+    /**
+     * Accumulate @p hv into the first class labeled @p label,
+     * creating the class on first sight. The lookup, the creation
+     * and the add happen under one lock, so concurrent callers that
+     * add the same new label create exactly one class. Returns the
+     * class updated or created.
+     */
+    std::size_t addLabeledSample(const std::string &label,
+                                 const Hypervector &hv);
+
     /** Samples accumulated into class @p id so far. */
     std::uint64_t sampleCount(std::size_t id) const;
 
@@ -464,12 +463,6 @@ class SnapshotBuilder
      * published snapshots; nullptr detaches).
      */
     void attachMetrics(metrics::QueryMetrics *m);
-
-    /** Item memory carried into every published snapshot. */
-    void setItemMemory(ItemMemory m);
-
-    /** Level memory carried into every published snapshot. */
-    void setLevelMemory(LevelItemMemory m);
 
     /**
      * Build a snapshot from the current counters and publish it to

@@ -211,6 +211,9 @@ class Reader
     std::vector<std::uint64_t> words()
     {
         const std::uint32_t n = u32();
+        // The count is untrusted: check that its bytes are present
+        // before allocating for them.
+        need(8 * static_cast<std::size_t>(n));
         std::vector<std::uint64_t> w(n);
         for (std::uint32_t i = 0; i < n; ++i)
             w[i] = u64();

@@ -43,6 +43,59 @@ bytesOf(const std::string &s)
     return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+/** Parse `u32 n, n x hv`, checking each query's word count. */
+std::vector<Hypervector>
+readQueries(Reader &req, std::size_t dim)
+{
+    const std::uint32_t count = req.u32();
+    const std::size_t need =
+        (dim + Hypervector::bitsPerWord - 1) /
+        Hypervector::bitsPerWord;
+    std::vector<Hypervector> queries;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::vector<std::uint64_t> w = req.words();
+        if (w.size() != need)
+            throw std::runtime_error(
+                "serve: query has " + std::to_string(w.size()) +
+                " words, model dimension " + std::to_string(dim) +
+                " needs " + std::to_string(need));
+        queries.push_back(Hypervector::fromWords(dim, w.data()));
+    }
+    return queries;
+}
+
+/** The Classify/Search reply: @p queries' nearest classes on @p snap. */
+std::vector<std::uint8_t>
+nearestReply(const snapshot::MemorySnapshot &snap,
+             const std::vector<Hypervector> &queries,
+             std::size_t threads)
+{
+    const AssociativeMemory &memory = snap.memory();
+    Writer out;
+    out.u64(snap.sequence());
+    out.u32(static_cast<std::uint32_t>(queries.size()));
+    if (!queries.empty()) {
+        for (const SearchResult &r :
+             memory.searchBatch(queries, threads)) {
+            out.u64(r.classId);
+            out.u64(r.bestDistance);
+            out.str(memory.labelOf(r.classId));
+        }
+    }
+    return out.take();
+}
+
+/** The item memory text requests encode with on @p snap. */
+const ItemMemory &
+itemsOf(const snapshot::MemorySnapshot &snap)
+{
+    if (!snap.hasItemMemory())
+        throw std::runtime_error(
+            "serve: model embeds no item memory, which text "
+            "requests need to encode");
+    return snap.itemMemory();
+}
+
 } // namespace
 
 Server::Server(ServerConfig config) : cfg(std::move(config))
@@ -64,10 +117,10 @@ Server::~Server()
 void
 Server::loadModel(const std::string &path)
 {
-    modelload::OpenOptions oopts;
-    oopts.verifyChecksums = cfg.verifyChecksums;
+    modelfile::ModelView::Options vopts;
+    vopts.verifyChecksums = cfg.verifyChecksums;
     modelload::LoadedModel model =
-        modelload::LoadedModel::open(path, oopts);
+        modelload::LoadedModel::open(path, vopts);
     {
         std::lock_guard<std::mutex> lock(registryMu);
         model.recordInfo(registry);
@@ -76,42 +129,18 @@ Server::loadModel(const std::string &path)
     snapshot::MemorySnapshot::Options sopts;
     sopts.policy = cfg.policy;
     sopts.sink = &queryMetrics;
-
-    std::unique_ptr<snapshot::MemorySnapshot> snap;
+    std::unique_ptr<snapshot::MemorySnapshot> snap =
+        std::move(model).intoSnapshot(sopts);
+    updateBuilder = std::make_unique<snapshot::SnapshotBuilder>(*snap);
     if (cfg.layout.has_value()) {
-        // An explicit re-lay materializes the store (a mapped model
-        // cannot be re-laid in place); side memories are carried.
-        std::optional<ItemMemory> items;
-        std::optional<LevelItemMemory> levels;
-        if (const modelfile::ModelView *view = model.modelView()) {
-            if (view->hasItemMemory())
-                items.emplace(view->itemMemory());
-            if (view->hasLevelMemory())
-                levels.emplace(view->levelMemory());
-        }
-        AssociativeMemory relaid =
-            modelload::materialize(model.memory());
-        relaid.setStoreLayout(*cfg.layout);
-        snap = snapshot::MemorySnapshot::fromMemory(
-            std::move(relaid), sopts, std::move(items),
-            std::move(levels));
-    } else {
-        snap = std::move(model).intoSnapshot(sopts);
+        // A mapped store cannot be re-laid in place, so serve the
+        // builder's product instead: one class per row, each the
+        // majority of its one sample (the row itself), with the side
+        // memories carried over.
+        updateBuilder->setStoreLayout(*cfg.layout);
+        snap = updateBuilder->build();
     }
     source.publish(std::move(snap));
-
-    const snapshot::SnapshotRef pin = source.acquire();
-    updateBuilder =
-        std::make_unique<snapshot::SnapshotBuilder>(*pin);
-    if (!pin->hasItemMemory()) {
-        // Legacy models carry no encoder seeds; regenerate the
-        // library defaults once and freeze them into every future
-        // snapshot via the builder.
-        const lang::PipelineConfig defaults;
-        fallbackItems.emplace(TextAlphabet::size, pin->dim(),
-                              defaults.seed);
-        updateBuilder->setItemMemory(*fallbackItems);
-    }
 }
 
 void
@@ -288,31 +317,6 @@ Server::pinOrThrow() const
     return pin;
 }
 
-const ItemMemory &
-Server::itemsFor(const snapshot::MemorySnapshot &snap) const
-{
-    if (snap.hasItemMemory())
-        return snap.itemMemory();
-    if (fallbackItems.has_value())
-        return *fallbackItems;
-    throw std::runtime_error("serve: model has no item memory");
-}
-
-Hypervector
-Server::readQueryVector(Reader &req, std::size_t dim) const
-{
-    const std::vector<std::uint64_t> w = req.words();
-    const std::size_t need =
-        (dim + Hypervector::bitsPerWord - 1) /
-        Hypervector::bitsPerWord;
-    if (w.size() != need)
-        throw std::runtime_error(
-            "serve: query has " + std::to_string(w.size()) +
-            " words, model dimension " + std::to_string(dim) +
-            " needs " + std::to_string(need));
-    return Hypervector::fromWords(dim, w.data());
-}
-
 std::vector<std::uint8_t>
 Server::doPing()
 {
@@ -330,16 +334,14 @@ Server::doClassify(Reader &req)
 {
     const std::uint32_t count = req.u32();
     std::vector<std::string> texts;
-    texts.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i)
         texts.push_back(req.str());
 
     // One pin serves the whole request: encode and scan against
     // exactly one published snapshot.
     const snapshot::SnapshotRef pin = pinOrThrow();
-    const AssociativeMemory &memory = pin->memory();
     const lang::PipelineConfig defaults;
-    const Encoder encoder(itemsFor(*pin), defaults.ngram);
+    const Encoder encoder(itemsOf(*pin), defaults.ngram);
     Rng rng(classifySeed());
 
     std::vector<Hypervector> queries;
@@ -351,63 +353,29 @@ Server::doClassify(Reader &req)
                 std::to_string(encoder.ngramSize()) + ")");
         queries.push_back(encoder.encode(text, rng));
     }
-
-    Writer out;
-    out.u64(pin->sequence());
-    out.u32(count);
-    if (count > 0) {
-        for (const SearchResult &r :
-             memory.searchBatch(queries, cfg.threads)) {
-            out.u64(r.classId);
-            out.u64(r.bestDistance);
-            out.str(memory.labelOf(r.classId));
-        }
-    }
-    return out.take();
+    return nearestReply(*pin, queries, cfg.threads);
 }
 
 std::vector<std::uint8_t>
 Server::doSearch(Reader &req)
 {
-    const std::uint32_t count = req.u32();
     const snapshot::SnapshotRef pin = pinOrThrow();
-    const AssociativeMemory &memory = pin->memory();
-
-    std::vector<Hypervector> queries;
-    queries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        queries.push_back(readQueryVector(req, memory.dim()));
-
-    Writer out;
-    out.u64(pin->sequence());
-    out.u32(count);
-    if (count > 0) {
-        for (const SearchResult &r :
-             memory.searchBatch(queries, cfg.threads)) {
-            out.u64(r.classId);
-            out.u64(r.bestDistance);
-            out.str(memory.labelOf(r.classId));
-        }
-    }
-    return out.take();
+    return nearestReply(*pin, readQueries(req, pin->dim()),
+                        cfg.threads);
 }
 
 std::vector<std::uint8_t>
 Server::doTopK(Reader &req)
 {
     const std::uint32_t k = req.u32();
-    const std::uint32_t count = req.u32();
     const snapshot::SnapshotRef pin = pinOrThrow();
     const AssociativeMemory &memory = pin->memory();
-
-    std::vector<Hypervector> queries;
-    queries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        queries.push_back(readQueryVector(req, memory.dim()));
+    const std::vector<Hypervector> queries =
+        readQueries(req, memory.dim());
 
     Writer out;
     out.u64(pin->sequence());
-    out.u32(count);
+    out.u32(static_cast<std::uint32_t>(queries.size()));
     for (const Hypervector &query : queries) {
         const std::vector<RankedMatch> ranked =
             memory.searchTopK(query, k);
@@ -431,7 +399,7 @@ Server::doUpdate(Reader &req)
 
     const snapshot::SnapshotRef pin = pinOrThrow();
     const lang::PipelineConfig defaults;
-    const Encoder encoder(itemsFor(*pin), defaults.ngram);
+    const Encoder encoder(itemsOf(*pin), defaults.ngram);
     Rng rng(updateSeed());
 
     std::uint32_t applied = 0;
@@ -446,19 +414,7 @@ Server::doUpdate(Reader &req)
         if (mode == kAssimilate) {
             updateBuilder->assimilate(hv, label, threshold);
         } else if (mode == kLabeled) {
-            // Accumulate into the class with this label, creating
-            // it on first sight.
-            std::size_t id = updateBuilder->classes();
-            for (std::size_t c = 0; c < updateBuilder->classes();
-                 ++c) {
-                if (updateBuilder->labelOf(c) == label) {
-                    id = c;
-                    break;
-                }
-            }
-            if (id == updateBuilder->classes())
-                id = updateBuilder->addClass(label);
-            updateBuilder->addSample(id, hv);
+            updateBuilder->addLabeledSample(label, hv);
         } else {
             throw std::runtime_error("serve: unknown update mode " +
                                      std::to_string(mode));

@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/item_memory.hh"
 #include "core/metrics.hh"
 #include "core/packed_rows.hh"
 #include "core/row_store.hh"
@@ -62,8 +61,9 @@ struct ServerConfig
     /** Scan policy frozen into every served snapshot. */
     ScanPolicy policy;
     /**
-     * Optional store re-lay applied to the served model (materializes
-     * a mapped model; absent = serve the model's own layout).
+     * Optional store re-lay applied to the served model: the first
+     * snapshot is then the update builder's re-laid copy of the
+     * file's classes (absent = serve the mapping in its own layout).
      */
     std::optional<StoreLayout> layout;
     /** Collect trace spans and answer Trace requests. */
@@ -85,9 +85,11 @@ class Server
 
     /**
      * Open @p path via the shared model-open helper
-     * (core/model_loader.hh), publish it as snapshot 1, and seed the
-     * update builder from it. Call once, before start().
-     * @throws std::runtime_error on malformed input.
+     * (core/model_loader.hh), seed the update builder from it, and
+     * publish it (re-laid when ServerConfig::layout is set) as
+     * snapshot 1. Call once, before start().
+     * @throws std::runtime_error on malformed input; nothing is
+     * published then.
      */
     void loadModel(const std::string &path);
 
@@ -110,9 +112,6 @@ class Server
     /** The snapshot source queries pin from (tests publish here). */
     snapshot::SnapshotSource &snapshots() { return source; }
 
-    /** The update builder (valid after loadModel()). */
-    snapshot::SnapshotBuilder &builder() { return *updateBuilder; }
-
     /** The stats document a Stats request returns, as JSON. */
     std::string statsJson();
 
@@ -133,13 +132,6 @@ class Server
     /** Pin the current snapshot or throw ("no model loaded"). */
     snapshot::SnapshotRef pinOrThrow() const;
 
-    /** The item memory serving @p snap (embedded or fallback). */
-    const ItemMemory &itemsFor(const snapshot::MemorySnapshot &snap)
-        const;
-
-    /** Parse one wire hypervector, validating the word count. */
-    Hypervector readQueryVector(Reader &req, std::size_t dim) const;
-
     ServerConfig cfg;
 
     snapshot::SnapshotSource source;
@@ -154,12 +146,6 @@ class Server
     /** Span collector for Trace requests (active when cfg.trace). */
     trace::Tracer tracer;
     std::mutex traceMu;
-
-    /**
-     * Encoder seeds for models that embed no item memory, generated
-     * once from the library-default pipeline configuration.
-     */
-    std::optional<ItemMemory> fallbackItems;
 
     int listenFd = -1;
     std::uint16_t resolvedPort = 0;

@@ -551,19 +551,6 @@ TEST(ModelFileTest, MoveTransfersTheMapping)
     std::remove(path.c_str());
 }
 
-TEST(ModelFileTest, SniffRoutesFormats)
-{
-    const std::string v1 = tempFile(
-        "mf_sniff_v1.hdc", serializedModel(StoreLayout{}));
-    EXPECT_TRUE(modelfile::sniff(v1));
-    const std::string other =
-        tempFile("mf_sniff_other.bin", "HDHAM\0\0\0legacyish");
-    EXPECT_FALSE(modelfile::sniff(other));
-    EXPECT_FALSE(modelfile::sniff("/nonexistent/nope.hdc"));
-    const std::string shorty = tempFile("mf_sniff_short.bin", "HD");
-    EXPECT_FALSE(modelfile::sniff(shorty));
-}
-
 TEST(ModelFileTest, MissingFileNamed)
 {
     expectLoadError("/nonexistent/nope.hdc", "cannot open");

@@ -9,15 +9,11 @@
  *
  * The committed files double as cross-version readers' ground truth:
  * the mmap view over each golden file must answer queries
- * bit-identically to the model rebuilt from the recipe, and to the
- * legacy serializer's round trip of the same model.
+ * bit-identically to the model rebuilt from the recipe.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,7 +22,6 @@
 #include "core/item_memory.hh"
 #include "core/model_file.hh"
 #include "core/random.hh"
-#include "core/serialize.hh"
 #include "fixtures/model_fixture.hh"
 
 #ifndef HDHAM_TEST_DATA_DIR
@@ -41,7 +36,6 @@ using hdham::Hypervector;
 using hdham::ItemMemory;
 using hdham::Rng;
 namespace modelfile = hdham::modelfile;
-namespace serialize = hdham::serialize;
 namespace testfix = hdham::testfix;
 
 std::string
@@ -134,36 +128,6 @@ TEST(ModelFormatGoldenTest, EmbeddedItemMemoryMatchesRecipe)
         for (std::size_t i = 0; i < want.size(); ++i)
             EXPECT_EQ(got[i], want[i])
                 << spec.file << " symbol " << i;
-    }
-}
-
-TEST(ModelFormatGoldenTest, LegacyConversionAgreesWithGolden)
-{
-    // The legacy serializer round trip of the same recipe must agree
-    // with the v1 mmap view query for query: conversion between the
-    // formats (hdham save) may never change an answer.
-    for (const auto &spec : testfix::fixtureSpecs()) {
-        const AssociativeMemory model =
-            testfix::buildFixtureMemory(spec);
-        const std::string legacyFile =
-            ::testing::TempDir() + std::to_string(::getpid()) +
-            "_golden_legacy_" + spec.file;
-        serialize::saveMemory(legacyFile, model);
-        const AssociativeMemory legacy =
-            serialize::loadMemory(legacyFile);
-        modelfile::ModelView view(goldenPath(spec));
-        Rng rng(0x1E6ACULL);
-        for (int q = 0; q < 32; ++q) {
-            const Hypervector query =
-                Hypervector::random(spec.dim, rng);
-            const auto viaLegacy = legacy.search(query);
-            const auto viaMap = view.memory().search(query);
-            EXPECT_EQ(viaMap.classId, viaLegacy.classId)
-                << spec.file << " query " << q;
-            EXPECT_EQ(viaMap.bestDistance, viaLegacy.bestDistance)
-                << spec.file << " query " << q;
-        }
-        std::remove(legacyFile.c_str());
     }
 }
 

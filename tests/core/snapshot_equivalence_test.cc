@@ -23,6 +23,7 @@
 
 #include "core/metrics.hh"
 #include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/random.hh"
 #include "core/snapshot.hh"
 #include "ham/d_ham.hh"
@@ -223,7 +224,8 @@ TEST(SnapshotEquivalenceTest, MappedModelMatchesDirectEngine)
     MemorySnapshot::Options opts;
     opts.policy.prune = PruneMode::On;
     SnapshotSource source;
-    source.publish(MemorySnapshot::fromFile(path, opts));
+    source.publish(
+        hdham::modelload::LoadedModel::open(path).intoSnapshot(opts));
     const SnapshotRef pinned = source.acquire();
     EXPECT_TRUE(pinned->mapped());
 

@@ -136,13 +136,19 @@ TEST(SnapshotSoakTest, ReadersObserveCoherentSnapshotsAcrossSwaps)
     auto readerBody = [&](std::size_t readerIdx) {
         std::uint64_t lastSeq = 0;
         std::uint64_t seenMask = 0;
+        bool lastRound = false;
         // Run at least kReaderIters, then keep reading until the
         // final generation is observed (bounded by the failsafe so a
-        // broken publish cannot hang the suite).
+        // broken publish cannot hang the suite). A reader that sees
+        // `stop` acquires once more before it quits: the writer sets
+        // `stop` after its final publish, so that acquire pins the
+        // final generation even if this reader missed it so far.
         for (int iter = 0; iter < 1000000; ++iter) {
-            if (iter >= kReaderIters &&
-                (lastSeq == kGenerations || stop.load()))
-                break;
+            if (iter >= kReaderIters) {
+                if (lastSeq == kGenerations || lastRound)
+                    break;
+                lastRound = stop.load();
+            }
             const SnapshotRef pin = source.acquire();
             if (!pin) {
                 ++failures;

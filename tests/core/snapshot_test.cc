@@ -5,24 +5,26 @@
  * Pins the ownership contract of core/snapshot.hh: publication holds
  * one reference and each SnapshotRef one more; a retired snapshot is
  * freed exactly when its last in-flight reference drops; the builder
- * reproduces its seed store bit for bit; and fromFile serves both
- * on-disk formats identically to the in-RAM store they were saved
- * from.
+ * reproduces its seed store bit for bit; concurrent labeled adds
+ * create each new class once; and a model opened through the shared
+ * loader serves identically to the in-RAM store it was saved from.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <barrier>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/random.hh"
-#include "core/serialize.hh"
 #include "core/snapshot.hh"
 #include "core/trainable_memory.hh"
 
@@ -36,6 +38,7 @@ using hdham::PruneMode;
 using hdham::Rng;
 using hdham::ScanPolicy;
 using hdham::TrainableMemory;
+using hdham::modelload::LoadedModel;
 using hdham::snapshot::MemorySnapshot;
 using hdham::snapshot::SnapshotBuilder;
 using hdham::snapshot::SnapshotRef;
@@ -237,6 +240,51 @@ TEST(SnapshotBuilderTest, PublishRecordsStats)
     EXPECT_EQ(source.acquire()->classes(), 1u);
 }
 
+TEST(SnapshotBuilderTest, ConcurrentLabeledAddsCreateEachClassOnce)
+{
+    // Existing classes make each label lookup a long scan: the window
+    // a lookup-then-create race needs. Rounds make a race likely to
+    // show even when the writers rarely run at the same time.
+    constexpr std::size_t kExisting = 64;
+    constexpr std::size_t kLabels = 64;
+    constexpr std::size_t kWriters = 4;
+    constexpr int kRounds = 32;
+    Rng rng(101);
+    const Hypervector sample = Hypervector::random(kDim, rng);
+    for (int round = 0; round < kRounds; ++round) {
+        SnapshotBuilder builder(kDim);
+        for (std::size_t c = 0; c < kExisting; ++c) {
+            builder.addClass("old" + std::to_string(c));
+            builder.addSample(c, sample);
+        }
+        // An existing label is found, not duplicated.
+        ASSERT_EQ(builder.addLabeledSample("old3", sample), 3u);
+
+        // Every writer adds the same new label at once, label by
+        // label: the lookup and the create must be one step, or two
+        // writers both create "newN".
+        std::barrier sync(kWriters);
+        std::vector<std::thread> writers;
+        for (std::size_t w = 0; w < kWriters; ++w) {
+            writers.emplace_back([&] {
+                for (std::size_t l = 0; l < kLabels; ++l) {
+                    sync.arrive_and_wait();
+                    builder.addLabeledSample("new" + std::to_string(l),
+                                             sample);
+                }
+            });
+        }
+        for (std::thread &w : writers)
+            w.join();
+
+        ASSERT_EQ(builder.classes(), kExisting + kLabels)
+            << "round " << round;
+        EXPECT_EQ(builder.sampleCount(3), 2u);
+        for (std::size_t id = kExisting; id < kExisting + kLabels; ++id)
+            EXPECT_EQ(builder.sampleCount(id), kWriters) << "class " << id;
+    }
+}
+
 TEST(TrainableAssimilateTest, MergesWithinThresholdElseCreates)
 {
     Rng rng(51);
@@ -288,27 +336,20 @@ TEST(SnapshotFileTest, FromFileServesBothFormatsIdentically)
 {
     const AssociativeMemory original = randomMemory(8, 71);
     TempFile v1("snapshot_test_model_v1.hdc");
-    TempFile legacy("snapshot_test_model_legacy.hdc");
     hdham::modelfile::save(v1.path, original);
-    hdham::serialize::saveMemory(legacy.path, original);
 
-    const auto mappedSnap = MemorySnapshot::fromFile(v1.path);
-    const auto ownedSnap = MemorySnapshot::fromFile(legacy.path);
+    const auto mappedSnap =
+        LoadedModel::open(v1.path).intoSnapshot();
     EXPECT_TRUE(mappedSnap->mapped());
-    EXPECT_FALSE(ownedSnap->mapped());
     EXPECT_EQ(mappedSnap->modelPath(), v1.path);
-    EXPECT_EQ(ownedSnap->modelPath(), legacy.path);
 
     Rng rng(81);
     for (int q = 0; q < 16; ++q) {
         const Hypervector query = Hypervector::random(kDim, rng);
         const auto expected = original.search(query);
         const auto fromMapped = mappedSnap->memory().search(query);
-        const auto fromOwned = ownedSnap->memory().search(query);
         EXPECT_EQ(fromMapped.classId, expected.classId);
         EXPECT_EQ(fromMapped.bestDistance, expected.bestDistance);
-        EXPECT_EQ(fromOwned.classId, expected.classId);
-        EXPECT_EQ(fromOwned.bestDistance, expected.bestDistance);
     }
 }
 
@@ -320,7 +361,7 @@ TEST(SnapshotFileTest, MappedSnapshotSurvivesPublishCycle)
     hdham::modelfile::save(file.path, original);
 
     SnapshotSource source;
-    source.publish(MemorySnapshot::fromFile(file.path));
+    source.publish(LoadedModel::open(file.path).intoSnapshot());
     SnapshotRef pinned = source.acquire();
     EXPECT_TRUE(pinned->mapped());
 

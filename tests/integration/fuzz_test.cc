@@ -3,17 +3,20 @@
  * Randomized cross-module consistency checks: many random shapes
  * and seeds, asserting the invariants that tie the layers together
  * (noise-free hardware == software oracle; algebra identities at
- * arbitrary dimensionalities; serialization round-trips of
- * arbitrary contents).
+ * arbitrary dimensionalities; hdham.model.v1 save -> mmap round-trips
+ * of arbitrary contents).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 
 #include "core/assoc_memory.hh"
+#include "core/model_file.hh"
 #include "core/ops.hh"
-#include "core/serialize.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
 #include "ham/r_ham.hh"
@@ -128,10 +131,14 @@ TEST_P(FuzzTest, SerializationRoundTripsArbitraryContents)
             ch = static_cast<char>('a' + rng.nextBelow(26));
         am.store(Hypervector::random(dim, rng), label);
     }
-    std::stringstream stream;
-    hdham::serialize::writeMemory(stream, am);
-    const AssociativeMemory loaded =
-        hdham::serialize::readMemory(stream);
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "_fuzz_" +
+                             std::to_string(GetParam()) + ".hdc";
+    hdham::modelfile::save(path, am);
+    const hdham::modelfile::ModelView view(path);
+    std::remove(path.c_str()); // the mapping outlives the name
+    const AssociativeMemory &loaded = view.memory();
+    ASSERT_EQ(loaded.dim(), am.dim());
     ASSERT_EQ(loaded.size(), am.size());
     for (std::size_t c = 0; c < classes; ++c) {
         EXPECT_EQ(loaded.vectorOf(c), am.vectorOf(c));

@@ -4,12 +4,10 @@
  *
  * Subcommands:
  *   train    --out PATH [--dim N] [--train-chars N] [--sentences N]
- *            [--threads N] [--format v1|legacy] [--stats-json PATH]
- *            [--trace PATH]
+ *            [--threads N] [--stats-json PATH] [--trace PATH]
  *            train the 21-language classifier on the synthetic
- *            corpus and persist the learned hypervectors --
- *            hdham.model.v1 by default (mmap-able; embeds the item
- *            memory), or the legacy stream format
+ *            corpus and persist the learned hypervectors as
+ *            hdham.model.v1 (mmap-able; embeds the item memory)
  *   classify --model PATH [--design am|dham|rham|aham] [--threads N]
  *            [--batch N] [--prune auto|on|off]
  *            [--cascade-prefix BITS] [--layout row|sliced]
@@ -45,9 +43,9 @@
  * counts.
  *   save     --model PATH --out PATH [--layout row|sliced]
  *            [--shards N] [--cascade-prefix BITS]
- *            convert a model (either format) to hdham.model.v1,
- *            optionally re-laying the class store first so the file
- *            serves with the chosen physical layout
+ *            rewrite a model, optionally re-laying the class store
+ *            first so the file serves with the chosen physical
+ *            layout
  *   load     --model PATH [--no-verify]
  *            mmap an hdham.model.v1 file, validate it and describe
  *            what it serves (the same loader classify uses)
@@ -56,18 +54,15 @@
  *   cost     [--dim N] [--classes N]
  *            print the design-space cost table
  *
- * classify/info/load accept both model formats, routed by the
- * 8-byte magic sniff: hdham.model.v1 files are mmap'ed and -- with
- * --design am -- queried zero-copy in place; legacy stream models
- * are parsed into RAM (core/serialize.hh). Every --stats-json
- * snapshot records the model provenance (model.path, model.format,
- * and for v1 files model.version / model.checksum) in the "info"
- * map.
+ * classify/info/load/save open every model through the shared
+ * loader (core/model_loader.hh): the hdham.model.v1 file is mmap'ed
+ * and -- with --design am -- queried zero-copy in place. Every
+ * --stats-json snapshot records the model provenance (model.path,
+ * model.format, model.version, model.checksum) in the "info" map.
  *
- * The encoder configuration (item-memory seed, trigram size) is the
- * library default; v1 models trained by this tool additionally embed
- * the item memory, so classify rebuilds the exact encoder from the
- * file itself.
+ * Models trained by this tool embed the item memory, so classify
+ * rebuilds the exact encoder (library-default trigrams) from the
+ * file itself; it refuses a model that embeds none.
  */
 
 #include <unistd.h>
@@ -92,7 +87,6 @@
 #include "core/model_file.hh"
 #include "core/model_loader.hh"
 #include "core/perf_counters.hh"
-#include "core/serialize.hh"
 #include "core/trace.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
@@ -115,8 +109,7 @@ usage()
         "usage:\n"
         "  hdham train --out PATH [--dim N] [--train-chars N] "
         "[--sentences N] [--threads N] [--kernel K] "
-        "[--format v1|legacy] [--perf] [--stats-json PATH] "
-        "[--trace PATH]\n"
+        "[--perf] [--stats-json PATH] [--trace PATH]\n"
         "  hdham classify --model PATH "
         "[--design am|dham|rham|aham] "
         "[--threads N] [--batch N] [--kernel K] "
@@ -138,10 +131,6 @@ usage()
         "              [--threshold BITS] LABEL=TEXT..."
         "|swap|stats|trace|shutdown\n"
         "\n"
-        "  --format F        on-disk format train writes: v1 "
-        "(default; mmap-able hdham.model.v1, embeds the\n"
-        "                    item memory) or legacy (stream format "
-        "of core/serialize.hh)\n"
         "  --design am       serve queries from the software "
         "associative memory itself; a v1 model is then\n"
         "                    queried zero-copy straight from the "
@@ -337,14 +326,6 @@ cmdTrain(std::vector<std::string> args)
     const std::string statsPath = option(args, "--stats-json", "");
     const std::string tracePath = option(args, "--trace", "");
     const bool perfOn = boolOption(args, "--perf");
-    const std::string format = option(args, "--format", "v1");
-    if (format != "v1" && format != "legacy") {
-        std::fprintf(stderr,
-                     "train: unknown format '%s' (expected v1 or "
-                     "legacy)\n",
-                     format.c_str());
-        return 2;
-    }
     if (!kernelOption(args, "train"))
         return 2;
 
@@ -374,15 +355,11 @@ cmdTrain(std::vector<std::string> args)
     std::printf("held-out accuracy: %.1f%% (%zu/%zu)\n",
                 100.0 * eval.accuracy(), eval.correct, eval.total);
 
-    if (format == "v1") {
-        modelfile::SaveOptions saveOpts;
-        saveOpts.items = &pipeline.itemMemory();
-        modelfile::save(out, pipeline.memory(), saveOpts);
-    } else {
-        serialize::saveMemory(out, pipeline.memory());
-    }
-    std::printf("model written to %s (%s)\n", out.c_str(),
-                format == "v1" ? "hdham.model.v1" : "legacy");
+    modelfile::SaveOptions saveOpts;
+    saveOpts.items = &pipeline.itemMemory();
+    modelfile::save(out, pipeline.memory(), saveOpts);
+    std::printf("model written to %s (hdham.model.v1)\n",
+                out.c_str());
 
     if (!tracePath.empty())
         writeTrace(tracer, tracePath);
@@ -489,6 +466,10 @@ cmdClassify(std::vector<std::string> args)
     modelload::LoadedModel model =
         modelload::LoadedModel::open(path);
     AssociativeMemory &memory = model.memory();
+    const modelfile::ModelView &view = *model.modelView();
+    if (!view.hasItemMemory())
+        throw std::runtime_error(path + " embeds no item memory, which "
+                                        "classify needs to encode text");
 
     const bool relayout =
         storeLayout.layout != RowLayout::RowMajor || shards != 1;
@@ -505,10 +486,10 @@ cmdClassify(std::vector<std::string> args)
         if (relayout)
             hardware->setStoreLayout(storeLayout);
     } else {
-        // Serve from the associative memory itself: a v1 model is
+        // Serve from the associative memory itself: the model is
         // queried zero-copy straight from the mapping, whose
         // physical layout is the file's -- re-lay with `hdham save`.
-        if (model.mapped() && relayout) {
+        if (relayout) {
             std::fprintf(stderr,
                          "classify: --design am serves a mapped "
                          "model in its on-disk layout; use `hdham "
@@ -516,8 +497,6 @@ cmdClassify(std::vector<std::string> args)
                          "file\n");
             return 2;
         }
-        if (!model.mapped() && relayout)
-            memory.setStoreLayout(storeLayout);
         memory.setScanPolicy(scanPolicy);
     }
 
@@ -541,15 +520,9 @@ cmdClassify(std::vector<std::string> args)
     if (perfOn)
         workload.emplace();
 
-    // Rebuild the encoder: from the item memory embedded in a v1
-    // model when present, else the library-default configuration
-    // the model was trained with.
+    // Rebuild the encoder from the item memory the model embeds.
     const lang::PipelineConfig defaults;
-    const ItemMemory items =
-        model.mapped() && model.modelView()->hasItemMemory()
-            ? model.modelView()->itemMemory()
-            : ItemMemory(TextAlphabet::size, memory.dim(),
-                         defaults.seed);
+    const ItemMemory items = view.itemMemory();
     const Encoder encoder(items, defaults.ngram);
     Rng rng(defaults.seed ^ 0x636c6966ULL);
 
@@ -643,7 +616,7 @@ cmdClassify(std::vector<std::string> args)
         }
         // How much of the mapped model the scan actually pulled into
         // memory -- the mmap cold-start story in two gauges.
-        model.recordResidency(registry);
+        modelload::recordResidency(registry, view);
         model.recordInfo(registry);
         writeStatsJson(registry, statsPath, memory.dim(),
                        memory.size(), threads);
@@ -652,10 +625,9 @@ cmdClassify(std::vector<std::string> args)
 }
 
 /**
- * `hdham save`: convert a model (either format) to hdham.model.v1,
- * optionally re-laying the class store so the file serves with the
- * chosen physical layout. Side memories embedded in a v1 input are
- * carried over.
+ * `hdham save`: rewrite a model, optionally re-laying the class
+ * store so the file serves with the chosen physical layout. Side
+ * memories embedded in the input are carried over.
  */
 int
 cmdSave(std::vector<std::string> args)
@@ -694,21 +666,23 @@ cmdSave(std::vector<std::string> args)
         storeLayout.slicePrefix = cascadePrefix;
     }
 
-    modelload::LoadedModel model = modelload::LoadedModel::open(in);
-
-    // Carry any side memories embedded in a v1 input across the
-    // conversion.
-    std::optional<ItemMemory> items;
-    std::optional<LevelItemMemory> levels;
-    if (model.mapped()) {
-        if (model.modelView()->hasItemMemory())
-            items.emplace(model.modelView()->itemMemory());
-        if (model.modelView()->hasLevelMemory())
-            levels.emplace(model.modelView()->levelMemory());
+    // The snapshot carries the input's side memories across. A
+    // mapped store cannot be re-laid in place, so a re-lay saves the
+    // product of a builder seeded from it (one class per row, each
+    // the majority of its one sample: the row itself); otherwise the
+    // writer streams straight from the mapping.
+    std::unique_ptr<snapshot::MemorySnapshot> snap =
+        modelload::LoadedModel::open(in).intoSnapshot();
+    if (relayout) {
+        snapshot::SnapshotBuilder builder(*snap);
+        builder.setStoreLayout(storeLayout);
+        snap = builder.build();
     }
     modelfile::SaveOptions saveOpts;
-    saveOpts.items = items.has_value() ? &*items : nullptr;
-    saveOpts.levels = levels.has_value() ? &*levels : nullptr;
+    if (snap->hasItemMemory())
+        saveOpts.items = &snap->itemMemory();
+    if (snap->hasLevelMemory())
+        saveOpts.levels = &snap->levelMemory();
 
     // Stream to a sibling temp file and rename it into place once
     // the writer is done. Writing --out directly would, when it
@@ -720,17 +694,7 @@ cmdSave(std::vector<std::string> args)
     const std::string tmp =
         out + ".tmp." + std::to_string(::getpid());
     try {
-        if (relayout) {
-            AssociativeMemory relaid =
-                modelload::materialize(model.memory());
-            relaid.setStoreLayout(storeLayout);
-            modelfile::save(tmp, relaid, saveOpts);
-        } else {
-            // A mapped input streams straight from the mapping; a
-            // legacy input streams from its in-RAM store. Either way
-            // no second full-model buffer is built.
-            modelfile::save(tmp, model.memory(), saveOpts);
-        }
+        modelfile::save(tmp, snap->memory(), saveOpts);
         if (std::rename(tmp.c_str(), out.c_str()) != 0) {
             const int err = errno;
             std::remove(tmp.c_str());
@@ -764,7 +728,7 @@ cmdLoad(std::vector<std::string> args)
         std::fprintf(stderr, "load: --model is required\n");
         return 2;
     }
-    modelload::OpenOptions opts;
+    modelfile::ModelView::Options opts;
     const auto noVerify =
         std::find(args.begin(), args.end(), "--no-verify");
     if (noVerify != args.end()) {
@@ -775,13 +739,6 @@ cmdLoad(std::vector<std::string> args)
     // classify and hdham_server use.
     const modelload::LoadedModel model =
         modelload::LoadedModel::open(path, opts);
-    if (!model.mapped()) {
-        std::fprintf(stderr,
-                     "load: %s is a legacy stream model (nothing is "
-                     "mapped); convert with `hdham save`\n",
-                     path.c_str());
-        return 1;
-    }
     const modelfile::ModelView &view = *model.modelView();
     const AssociativeMemory &memory = model.memory();
     std::printf("format         : hdham.model.v%u (mmap)\n",
@@ -826,9 +783,7 @@ cmdInfo(std::vector<std::string> args)
     const modelload::LoadedModel model =
         modelload::LoadedModel::open(path);
     const AssociativeMemory &memory = model.memory();
-    std::printf("format         : %s\n",
-                model.mapped() ? "hdham.model.v1 (mmap)"
-                               : "legacy stream");
+    std::printf("format         : hdham.model.v1 (mmap)\n");
     std::printf("dimensionality : %zu\n", memory.dim());
     std::printf("classes        : %zu\n", memory.size());
     if (memory.size() >= 2) {
