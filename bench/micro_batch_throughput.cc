@@ -15,8 +15,8 @@
  * benchmarks finish. Without the flag no sink is attached, so the
  * numbers measure the metrics-disabled path.
  *
- * --kernel NAME pins the Hamming distance kernel (any registered
- * backend name -- scalar, sse2, neon, avx2, avx512 -- or
+ * --kernel NAME pins the kernel tier, Hamming and bundling (any
+ * registered tier name -- scalar, sse2, neon, avx2, avx512 -- or
  * auto) before any benchmark runs; the kernel actually used plus the
  * full compiled/available backend lists are reported in the stats
  * snapshot's "info" object either way, so a baseline records which

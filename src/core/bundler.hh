@@ -11,18 +11,25 @@
  * ones-count, packed 64 components per word like a hypervector, so
  * one word operation advances 64 counters. Inputs are counted a block
  * of up to kBlock vectors at a time: a carry-save adder tree sums the
- * block word by word into register planes, and that sum is carried
- * into the wide planes once per block. A block vector is given as the
- * word rows whose XOR it is, so the encoder's n-gram
- * rho^2(A) ^ rho(B) ^ C is formed in registers and never stored.
- * Single add() calls are copied into a pending block that the same
- * kernel counts when it fills or before a read. Planes are added as
- * the count grows, so any number of inputs up to 2^32 - 1 is exact.
+ * block into register planes, and that sum is carried into the wide
+ * planes once per block. A block vector is given as the word rows
+ * whose XOR it is, so the encoder's n-gram rho^2(A) ^ rho(B) ^ C is
+ * formed in registers and never stored. Single add() calls are copied
+ * into a pending block that the same kernel counts when it fills or
+ * before a read. Planes are added as the count grows, so any number of
+ * inputs up to 2^32 - 1 is exact.
+ *
+ * The counting kernel is the active kernel tier's (core/distance.hh),
+ * at that tier's vector width: 1, 2, 4 or 8 words per step. --kernel
+ * and HDHAM_KERNEL pick it together with the Hamming kernel. Every
+ * tier computes the same counts, so the choice never changes a count,
+ * a majority or the Rng draws.
  */
 
 #ifndef HDHAM_CORE_BUNDLER_HH
 #define HDHAM_CORE_BUNDLER_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -41,6 +48,12 @@ class Bundler
   public:
     /** Vectors the counting kernel sums in registers per pass. */
     static constexpr std::size_t kBlock = 16;
+
+    /**
+     * Planes that hold a block's 0..kBlock sum: the counting kernel
+     * writes at least this many, so a Bundler never has fewer.
+     */
+    static constexpr std::size_t kSumPlanes = std::bit_width(kBlock);
 
     /** Create an accumulator for dimension @p dim. */
     explicit Bundler(std::size_t dim);
@@ -95,8 +108,9 @@ class Bundler
     void growPlanes(std::size_t m) const;
 
     /**
-     * The counting kernel: add @p m <= kBlock bound vectors (see
-     * addBound) to the planes, which growPlanes(m) has made room in.
+     * Add @p m <= kBlock bound vectors (see addBound) to the planes,
+     * which growPlanes(m) has made room in, through the active tier's
+     * counting kernel.
      */
     void accumulate(const std::uint64_t *const *factors,
                     std::size_t arity, std::size_t m) const;

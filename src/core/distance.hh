@@ -1,14 +1,17 @@
 /**
  * @file
- * Hamming-distance kernel registry with runtime CPU dispatch.
+ * Kernel registry with runtime CPU dispatch: the Hamming distance and
+ * the bundling count.
  *
  * Every search engine in the library -- the software oracle, D-HAM's
  * sampled scan, A-HAM's staged prefix sums -- reduces to the same
  * primitive: popcount(a XOR b) over the first @p bits components of
- * two packed word arrays. This layer owns that primitive as a
- * *registry* of interchangeable backends, each compiled in its own
- * translation unit under src/core/kernels/ with per-function target
- * attributes:
+ * two packed word arrays. Training reduces to another: Bundler's
+ * bit-sliced ones-counts, advanced a block of bound vectors at a time
+ * (CountBlockFn). This layer owns both primitives as a *registry* of
+ * hardware tiers, each compiled in its own translation unit under
+ * src/core/kernels/ with per-function target attributes. The Hamming
+ * kernels:
  *
  *  - scalar:   one std::popcount per 64-bit word; the bit-exactness
  *              reference every other kernel must match.
@@ -23,16 +26,23 @@
  *  - avx512:   VPOPCNTQ on 512-bit lanes, eight words per step
  *              (x86-64 with AVX-512 VPOPCNTDQ).
  *
- * Each backend is a self-describing KernelEntry (name, availability
- * predicate, exact fn, bounded fn); the dispatcher only iterates
- * kernels(), so adding a backend never touches the dispatcher --
- * only its own translation unit and the registry table.
+ * The count kernels are one carry-save template
+ * (kernels/bundle_kernel.hh) at the tier's vector width: 1 word per
+ * step for scalar, 2 for sse2 and neon, 4 for avx2, 8 for avx512.
+ *
+ * Each tier is a self-describing KernelEntry (name, availability
+ * predicate, exact fn, bounded fn, block count); the dispatcher only
+ * iterates kernels(), so adding a tier never touches the dispatcher
+ * -- only its own translation unit and the registry table. One
+ * choice picks both kernels of a tier.
  *
  * All kernels are exact integer bit counts, so switching kernels can
- * never change a search result -- the determinism contract
- * (bit-identical output across threads, batch splits and kernels) is
- * pinned by tests/core/distance_test.cc iterating every registered
- * entry, and by the batch-equivalence suite end to end.
+ * never change a search result, a bundled count or a model byte --
+ * the determinism contract (bit-identical output across threads,
+ * batch splits and kernels) is pinned by tests/core/distance_test.cc
+ * iterating every registered entry, by the batch-equivalence suite
+ * end to end, and by the bundler's oracle suite and the golden model
+ * bytes under every tier.
  *
  * Dispatch: the active kernel is resolved once, on first use, in
  * this order: (1) the HDHAM_KERNEL environment variable when it
@@ -102,7 +112,22 @@ using BoundedHammingFn = std::size_t (*)(const std::uint64_t *a,
                                          std::size_t *wordsRead);
 
 /**
- * One registered Hamming backend. Entries live in their backend's
+ * Signature shared by every bundling count kernel: add @p m <= 16
+ * bound vectors to bit-sliced ones-counts. Vector j is the XOR of the
+ * @p arity rows factors[j * arity] .. factors[j * arity + arity - 1],
+ * each @p words words long. The counts are @p planeCount planes of
+ * @p words words each, contiguous from @p planes; plane p holds bit p
+ * of every component's count. The caller guarantees planeCount >=
+ * Bundler::kSumPlanes and that m more inputs cannot carry out of the
+ * top plane. Bundler (core/bundler.hh) is the caller.
+ */
+using CountBlockFn = void (*)(const std::uint64_t *const *factors,
+                              std::size_t arity, std::size_t m,
+                              std::uint64_t *planes, std::size_t words,
+                              std::size_t planeCount);
+
+/**
+ * One registered hardware tier. Entries live in their tier's
  * translation unit (src/core/kernels/hamming_<name>.cc) and are
  * collected by the registry table (kernel_registry.cc); everything
  * else -- dispatch, the CLI, the benches, the property tests --
@@ -127,13 +152,16 @@ struct KernelEntry
     /**
      * Runtime host probe (cpuid/hwcap). Only entries with
      * compiled && available() may be installed; on other entries
-     * fn/bounded still point at safe scalar fallbacks, never null.
+     * fn/bounded/countBlock still point at safe scalar fallbacks,
+     * never null.
      */
     bool (*available)();
     /** Exact kernel. */
     HammingFn fn;
     /** Early-abandon (bound-exact) kernel. */
     BoundedHammingFn bounded;
+    /** Bundling count kernel, at this tier's vector width. */
+    CountBlockFn countBlock;
 
     /** True when this backend can serve queries on this host. */
     bool usable() const { return compiled && available(); }

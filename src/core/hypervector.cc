@@ -146,8 +146,11 @@ Hypervector::rotated(std::size_t amount) const
         return *this;
     Hypervector result(numBits);
     // Word-level rotation when the dimension is word-aligned and the
-    // shift is word-aligned; generic bit loop otherwise. The generic
-    // path is only exercised by small test vectors.
+    // shift is word-aligned; generic bit loop otherwise. Every
+    // dimension that is not a multiple of 64 takes the bit loop, the
+    // paper's D = 10,000 included: an Encoder at that D builds its 54
+    // rotated seeds here, ~2 ms on a 4-core x86-64 VM, once per train
+    // and once per served Classify, which builds its own encoder.
     if (numBits % bitsPerWord == 0 && amount % bitsPerWord == 0) {
         const std::size_t wordShift = amount / bitsPerWord;
         const std::size_t n = storage.size();

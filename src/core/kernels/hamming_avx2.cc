@@ -1,12 +1,15 @@
 /**
  * @file
- * AVX2 Hamming kernel: 256-bit VPSHUFB nibble-lookup popcount
+ * AVX2 tier. Hamming kernel: 256-bit VPSHUFB nibble-lookup popcount
  * (Mula's method) with VPSADBW lane accumulation, four words per
- * vector step. Compiled with a per-function target attribute so the
- * rest of the binary stays baseline; the registry's availability
- * predicate (cpuid) decides whether it may be installed.
+ * vector step. Bundling count kernel: bundle_kernel.hh at four words
+ * per step. Both are compiled with a per-function target attribute
+ * so the rest of the binary stays baseline; the registry's
+ * availability predicate (cpuid) decides whether they may be
+ * installed.
  */
 
+#include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -105,6 +108,14 @@ avx2HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
     return count < bound ? count : kAbandoned;
 }
 
+__attribute__((target("avx2"))) void
+avx2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
+               std::size_t m, std::uint64_t *planes, std::size_t words,
+               std::size_t planeCount)
+{
+    detail::countBlock<4>(factors, arity, m, planes, words, planeCount);
+}
+
 bool
 avx2Available()
 {
@@ -130,6 +141,7 @@ avx2Kernel()
         &avx2Available,
         &avx2Hamming,
         &avx2HammingBounded,
+        &avx2CountBlock,
     };
 #else
     static const KernelEntry entry{
@@ -140,6 +152,7 @@ avx2Kernel()
         +[] { return false; },
         &scalarHamming,
         &scalarHammingBounded,
+        &scalarCountBlock,
     };
 #endif
     return entry;

@@ -1,10 +1,11 @@
 /**
  * @file
- * AVX-512 VPOPCNTDQ Hamming kernel: VPOPCNTQ counts all eight
- * qwords of a 512-bit XOR in one instruction, so the exact loop is
- * just xor + popcnt + add per cache line. Roughly 2x the AVX2
- * nibble-lookup kernel on hosts that have it (Ice Lake and newer,
- * Zen 4 and newer).
+ * AVX-512 tier. Hamming kernel: VPOPCNTQ counts all eight qwords of
+ * a 512-bit XOR in one instruction, so the exact loop is just xor +
+ * popcnt + add per cache line. Roughly 2x the AVX2 nibble-lookup
+ * kernel on hosts that have it (Ice Lake and newer, Zen 4 and
+ * newer). Bundling count kernel: bundle_kernel.hh at eight words per
+ * step, one 512-bit vector.
  *
  * Availability needs two cpuid bits: avx512f (the 512-bit register
  * file itself) and avx512vpopcntdq (the popcount instruction);
@@ -13,6 +14,7 @@
  * unavailable.
  */
 
+#include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -78,6 +80,14 @@ avx512HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
     return count < bound ? count : kAbandoned;
 }
 
+__attribute__((target("avx512f,avx512vpopcntdq"))) void
+avx512CountBlock(const std::uint64_t *const *factors, std::size_t arity,
+                 std::size_t m, std::uint64_t *planes, std::size_t words,
+                 std::size_t planeCount)
+{
+    detail::countBlock<8>(factors, arity, m, planes, words, planeCount);
+}
+
 bool
 avx512Available()
 {
@@ -104,6 +114,7 @@ avx512Kernel()
         &avx512Available,
         &avx512Hamming,
         &avx512HammingBounded,
+        &avx512CountBlock,
     };
 #else
     static const KernelEntry entry{
@@ -114,6 +125,7 @@ avx512Kernel()
         +[] { return false; },
         &scalarHamming,
         &scalarHammingBounded,
+        &scalarCountBlock,
     };
 #endif
     return entry;

@@ -1,18 +1,19 @@
 /**
  * @file
- * Internal glue between the Hamming backends and the registry.
+ * Internal glue between the tiers' kernels and the registry.
  *
- * Each backend translation unit (hamming_<name>.cc) implements its
- * exact and bounded kernels, wraps them in a self-describing
- * KernelEntry, and exposes that entry through the accessor declared
- * here; kernel_registry.cc collects the accessors into the ordered
- * table behind distance::kernels(). Nothing outside
+ * Each tier's translation unit (hamming_<name>.cc) implements its
+ * exact and bounded Hamming kernels and its bundling count kernel
+ * (bundle_kernel.hh at the tier's width), wraps them in a
+ * self-describing KernelEntry, and exposes that entry through the
+ * accessor declared here; kernel_registry.cc collects the accessors
+ * into the ordered table behind distance::kernels(). Nothing outside
  * src/core/kernels/ includes this header -- callers go through the
  * registry.
  *
- * The helpers below encode the two contracts every backend shares:
- * ragged-tail masking (the final partial word's padding bits never
- * count) and the strip width of the early-abandon bound check.
+ * The helpers below encode the two contracts every Hamming kernel
+ * shares: ragged-tail masking (the final partial word's padding bits
+ * never count) and the strip width of the early-abandon bound check.
  */
 
 #ifndef HDHAM_CORE_KERNELS_HAMMING_KERNELS_HH
@@ -56,6 +57,15 @@ totalWords(std::size_t bits)
 {
     return bits / 64 + (bits % 64 != 0);
 }
+
+/**
+ * The scalar tier's count kernel, one word per step: also the
+ * fallback cross-architecture registry entries point at.
+ */
+void scalarCountBlock(const std::uint64_t *const *factors,
+                      std::size_t arity, std::size_t m,
+                      std::uint64_t *planes, std::size_t words,
+                      std::size_t planeCount);
 
 /** One entry per backend translation unit, in kernel_registry.cc
  *  order (narrowest first). */

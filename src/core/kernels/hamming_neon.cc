@@ -1,10 +1,11 @@
 /**
  * @file
- * NEON Hamming kernel for AArch64: vcntq_u8 counts bits per byte of
- * a 128-bit XOR, two XOR+CNT pairs are summed byte-wise (counts
- * stay <= 16, no overflow), then one widening pairwise-add chain
- * folds the sixteen byte counts into the qword accumulator -- four
- * words per iteration.
+ * NEON tier for AArch64. Hamming kernel: vcntq_u8 counts bits per
+ * byte of a 128-bit XOR, two XOR+CNT pairs are summed byte-wise
+ * (counts stay <= 16, no overflow), then one widening pairwise-add
+ * chain folds the sixteen byte counts into the qword accumulator --
+ * four words per iteration. Bundling count kernel: bundle_kernel.hh
+ * at two words per step.
  *
  * AdvSIMD is architectural on AArch64, so availability is simply
  * "compiled for aarch64"; there is no hwcap probe to run. On other
@@ -12,6 +13,7 @@
  * scalar fallbacks so lookups and listings are uniform.
  */
 
+#include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -94,6 +96,14 @@ neonHammingBounded(const std::uint64_t *a, const std::uint64_t *b,
     return count < bound ? count : kAbandoned;
 }
 
+void
+neonCountBlock(const std::uint64_t *const *factors, std::size_t arity,
+               std::size_t m, std::uint64_t *planes, std::size_t words,
+               std::size_t planeCount)
+{
+    detail::countBlock<2>(factors, arity, m, planes, words, planeCount);
+}
+
 bool
 neonAvailable()
 {
@@ -119,6 +129,7 @@ neonKernel()
         &neonAvailable,
         &neonHamming,
         &neonHammingBounded,
+        &neonCountBlock,
     };
 #else
     static const KernelEntry entry{
@@ -129,6 +140,7 @@ neonKernel()
         +[] { return false; },
         &scalarHamming,
         &scalarHammingBounded,
+        &scalarCountBlock,
     };
 #endif
     return entry;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Reference scalar Hamming kernel: one std::popcount per 64-bit
- * word. Every other backend must match it bit for bit; its bounded
- * form is also the fallback implementation cross-architecture
- * registry entries point at.
+ * Reference scalar tier: one std::popcount per 64-bit word, and the
+ * bundling count one word per step. Every other tier must match it
+ * bit for bit; its bounded and count kernels are also the fallbacks
+ * cross-architecture registry entries point at.
  */
 
+#include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
 
 namespace hdham::distance
@@ -49,6 +50,14 @@ scalarHammingBounded(const std::uint64_t *a, const std::uint64_t *b,
 namespace detail
 {
 
+void
+scalarCountBlock(const std::uint64_t *const *factors, std::size_t arity,
+                 std::size_t m, std::uint64_t *planes, std::size_t words,
+                 std::size_t planeCount)
+{
+    countBlock<1>(factors, arity, m, planes, words, planeCount);
+}
+
 namespace
 {
 
@@ -71,6 +80,7 @@ scalarKernel()
         &always,
         &scalarHamming,
         &scalarHammingBounded,
+        &scalarCountBlock,
     };
     return entry;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * SSE2 Hamming kernel: 128-bit SWAR byte popcount (the
+ * SSE2 tier. Hamming kernel: 128-bit SWAR byte popcount (the
  * Hacker's-Delight halving sequence on sixteen bytes at once)
  * folded into per-qword sums by PSADBW, two words per vector step.
+ * Bundling count kernel: bundle_kernel.hh at two words per step.
  *
  * SSE2 is part of the x86-64 baseline, so this backend is available
  * on *every* x86-64 host -- it is the SIMD floor for machines that
@@ -15,6 +16,7 @@
  * with scalar fallbacks so lookups and listings are uniform.
  */
 
+#include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -123,6 +125,14 @@ sse2HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
     return count < bound ? count : kAbandoned;
 }
 
+__attribute__((target("sse2"))) void
+sse2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
+               std::size_t m, std::uint64_t *planes, std::size_t words,
+               std::size_t planeCount)
+{
+    detail::countBlock<2>(factors, arity, m, planes, words, planeCount);
+}
+
 bool
 sse2Available()
 {
@@ -150,6 +160,7 @@ sse2Kernel()
         &sse2Available,
         &sse2Hamming,
         &sse2HammingBounded,
+        &sse2CountBlock,
     };
 #else
     static const KernelEntry entry{
@@ -160,6 +171,7 @@ sse2Kernel()
         +[] { return false; },
         &scalarHamming,
         &scalarHammingBounded,
+        &scalarCountBlock,
     };
 #endif
     return entry;

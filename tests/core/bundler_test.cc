@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/bundler.hh"
+#include "core/distance.hh"
 #include "core/hypervector.hh"
 #include "core/random.hh"
 
@@ -19,6 +20,7 @@ namespace
 using hdham::Bundler;
 using hdham::Hypervector;
 using hdham::Rng;
+namespace distance = hdham::distance;
 
 /**
  * The reference the bit-sliced counters are checked against: one
@@ -293,45 +295,80 @@ TEST(BundlerTest, BundleOfManyRandomStaysBalanced)
     EXPECT_NEAR(maj.popcount(), dim / 2.0, 250.0);
 }
 
+/**
+ * Single adds and block adds of every size 1..kBlock and arity 1..5
+ * at dimension @p dim, read between adds, then again after clear().
+ */
+void
+expectMatchesOracleAt(std::size_t dim)
+{
+    Rng rng(dim);
+    const std::vector<Hypervector> pool = randomPool(dim, 24, rng);
+    Bundler b(dim);
+    Oracle oracle(dim);
+    for (int pass = 0; pass < 2; ++pass) {
+        // All ones then all zeros: every component ties.
+        const Hypervector ones =
+            Hypervector::fromString(std::string(dim, '1'));
+        b.add(ones);
+        oracle.add(ones);
+        b.add(Hypervector(dim));
+        oracle.add(Hypervector(dim));
+        expectMatchesOracle(b, oracle, 100 + pass);
+        for (std::size_t size = 1; size <= Bundler::kBlock; ++size) {
+            const std::size_t arity = 1 + size % 5;
+            addBoundFromPool(b, oracle, pool, arity, size, rng);
+            for (std::size_t i = 0; i < size % 3; ++i) {
+                const Hypervector &hv = pool[rng.nextBelow(pool.size())];
+                b.add(hv);
+                oracle.add(hv);
+            }
+            expectMatchesOracle(b, oracle, size);
+        }
+        // One call spanning several kernel blocks.
+        addBoundFromPool(b, oracle, pool, 3, 2 * Bundler::kBlock + 5,
+                         rng);
+        expectMatchesOracle(b, oracle, 200 + pass);
+        b.clear();
+        oracle.clear();
+        expectMatchesOracle(b, oracle, 300 + pass);
+        EXPECT_THROW(b.majority(rng), std::logic_error);
+    }
+}
+
+/** RAII: reinstate the kernel that was active at construction. */
+class KernelGuard
+{
+  public:
+    KernelGuard() : saved(distance::activeKernelName()) {}
+    KernelGuard(const KernelGuard &) = delete;
+    KernelGuard &operator=(const KernelGuard &) = delete;
+    ~KernelGuard() { distance::setKernelByName(saved); }
+
+  private:
+    const char *saved;
+};
+
 TEST(BundlerTest, MatchesOracleAtRaggedDimensions)
 {
-    // Single adds and block adds of every size 1..kBlock and arity
-    // 1..5, read between adds, then again after clear(); at word-
-    // aligned and ragged D, including D = 10,000.
-    for (const std::size_t dim : {1u, 63u, 64u, 65u, 130u, 10000u}) {
-        SCOPED_TRACE(dim);
-        Rng rng(dim);
-        const std::vector<Hypervector> pool = randomPool(dim, 24, rng);
-        Bundler b(dim);
-        Oracle oracle(dim);
-        for (int pass = 0; pass < 2; ++pass) {
-            // All ones then all zeros: every component ties.
-            const Hypervector ones =
-                Hypervector::fromString(std::string(dim, '1'));
-            b.add(ones);
-            oracle.add(ones);
-            b.add(Hypervector(dim));
-            oracle.add(Hypervector(dim));
-            expectMatchesOracle(b, oracle, 100 + pass);
-            for (std::size_t size = 1; size <= Bundler::kBlock; ++size) {
-                const std::size_t arity = 1 + size % 5;
-                addBoundFromPool(b, oracle, pool, arity, size, rng);
-                for (std::size_t i = 0; i < size % 3; ++i) {
-                    const Hypervector &hv =
-                        pool[rng.nextBelow(pool.size())];
-                    b.add(hv);
-                    oracle.add(hv);
-                }
-                expectMatchesOracle(b, oracle, size);
-            }
-            // One call spanning several kernel blocks.
-            addBoundFromPool(b, oracle, pool, 3,
-                             2 * Bundler::kBlock + 5, rng);
-            expectMatchesOracle(b, oracle, 200 + pass);
-            b.clear();
-            oracle.clear();
-            expectMatchesOracle(b, oracle, 300 + pass);
-            EXPECT_THROW(b.majority(rng), std::logic_error);
+    // Under every tier this host runs, whose count kernels step 1, 2,
+    // 4 or 8 words. Dimensions of 1..17 words, word-aligned and
+    // ragged, reach every residue of the 8-word step and each 4, 2
+    // and 1-word tail; D = 10,000 is 19 * 8 + 4 + 1 words.
+    std::vector<std::size_t> dims = {1, 10000};
+    for (std::size_t words = 1; words <= 17; ++words) {
+        dims.push_back(64 * words - 1);
+        dims.push_back(64 * words);
+    }
+    const KernelGuard guard;
+    for (const distance::KernelEntry &entry : distance::kernels()) {
+        if (!entry.usable())
+            continue;
+        SCOPED_TRACE(entry.name);
+        distance::setKernelByName(entry.name);
+        for (const std::size_t dim : dims) {
+            SCOPED_TRACE(dim);
+            expectMatchesOracleAt(dim);
         }
     }
 }

@@ -114,6 +114,16 @@ TEST(RngTest, NextBoolRespectsProbability)
     EXPECT_NEAR(hits / double(n), 0.3, 0.01);
 }
 
+TEST(RngTest, NextBoolIsTopBitOfNextClear)
+{
+    // Bundler::majority breaks ties from next() directly and relies on
+    // this identity to draw the same coins as nextBool().
+    Rng coins(19), words(19);
+    for (int i = 0; i < 200000; ++i)
+        ASSERT_EQ(coins.nextBool(), (words.next() >> 63) == 0)
+            << "draw " << i;
+}
+
 TEST(RngTest, GaussianMoments)
 {
     Rng rng(11);

@@ -156,11 +156,12 @@ usage()
         "all hardware threads; default 1)\n"
         "  --batch N         queries per searchBatch() call (0 = "
         "all at once; default 0)\n"
-        "  --kernel K        Hamming distance kernel: scalar, "
-        "sse2, neon, avx2, avx512 or auto (default:\n"
-        "                    HDHAM_KERNEL env, else the widest "
-        "backend this CPU supports; results are\n"
-        "                    bit-identical for every kernel)\n"
+        "  --kernel K        kernel tier for both the Hamming "
+        "distance and bundling: scalar, sse2, neon,\n"
+        "                    avx2, avx512 or auto (default: "
+        "HDHAM_KERNEL env, else the widest tier this\n"
+        "                    CPU supports; results and model "
+        "bytes are bit-identical for every kernel)\n"
         "  --perf            measure the workload with hardware "
         "counters (perf_event_open): the metrics snapshot\n"
         "                    gains a \"perf\" object (cycles, "
