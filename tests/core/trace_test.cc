@@ -3,13 +3,16 @@
  * Unit tests for the span tracing subsystem (core/trace.hh):
  * disabled-path inertness, nesting and self-time accounting, batch
  * scope propagation and restoration, exact overflow drop counting,
- * per-thread buffer registration, summary aggregation, and that a
- * traced D-HAM search returns the same answers and does the same
- * scan work as an untraced one.
+ * per-thread buffer registration, summary aggregation and its pinned
+ * quantiles, and that a traced D-HAM search returns the same answers
+ * and does the same scan work as an untraced one.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -253,6 +256,86 @@ TEST(TraceTest, SummaryAggregatesPerName)
         EXPECT_GE(s.p95Us, 0.0);
         EXPECT_LE(s.p50Us, s.p95Us + 1e-9);
     }
+}
+
+TEST(TraceTest, SummaryQuantilesArePinned)
+{
+    // Recorded durations in every class the summary's power-of-two
+    // buckets (2^i us, i = 0..39, plus overflow) tell apart: below
+    // the first bound, exactly on bounds, between bounds, and past
+    // the last bound. Every figure below is pinned: the summary's
+    // quantile rule must not move.
+    trace::Tracer tracer;
+    const auto add = [&tracer](const char *name, double durUs,
+                               double selfUs) {
+        trace::Event e;
+        e.name = name;
+        e.durUs = durUs;
+        e.selfUs = selfUs;
+        tracer.record(e);
+    };
+    for (const double d : {0.125, 0.25, 0.5, 0.75, 0.9375})
+        add("below_1us", d, d);
+    for (const double d : {1.0, 2.0, 2.0, 4.0, 8.0, 64.0, 1024.0,
+                           1024.0, 65536.0})
+        add("on_bound", d, d / 2.0);
+    for (int k = 1; k <= 60; ++k)
+        add("between", 0.37 * k * k, 0.1 * k);
+    const double last = std::ldexp(1.0, 39);
+    for (const double d : {10.0, 20.0, 300.0, 5000.0, 70000.0, 9e6,
+                           last, last + 1.0, 3.0 * last,
+                           std::ldexp(1.0, 41)})
+        add("past_2e39", d, 1.0);
+    add("single", 37.5, 12.25);
+    for (int i = 0; i < 20; ++i)
+        add("all_equal", 55.0, 5.5);
+
+    struct Pinned
+    {
+        const char *name;
+        std::uint64_t count;
+        double totalUs, selfUs, p50Us, p95Us;
+    };
+    const Pinned pinned[] = {
+        {"all_equal", 20, 1100.0, 110.0, 55.0, 55.0},
+        {"below_1us", 5, 2.5625, 2.5625, 0.5625, 0.9375},
+        {"between", 60, 27309.7, 183.0, 358.4, 1332.0},
+        {"on_bound", 9, 67665.0, 33832.5, 6.0, 49152.0},
+        {"past_2e39", 10, 4947811400323.0, 10.0, 12582912.0,
+         2199023255552.0},
+        {"single", 1, 37.5, 12.25, 37.5, 37.5},
+    };
+    const auto stats = tracer.summary();
+    ASSERT_EQ(stats.size(), std::size(pinned));
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        SCOPED_TRACE(pinned[i].name);
+        EXPECT_EQ(stats[i].name, pinned[i].name);
+        EXPECT_EQ(stats[i].count, pinned[i].count);
+        EXPECT_DOUBLE_EQ(stats[i].totalUs, pinned[i].totalUs);
+        EXPECT_DOUBLE_EQ(stats[i].selfUs, pinned[i].selfUs);
+        EXPECT_DOUBLE_EQ(stats[i].p50Us, pinned[i].p50Us);
+        EXPECT_DOUBLE_EQ(stats[i].p95Us, pinned[i].p95Us);
+    }
+
+    std::ostringstream printed;
+    tracer.writeSummary(printed);
+    EXPECT_EQ(printed.str(),
+              "span summary (events=105, dropped=0, threads=1)\n"
+              "  span                            count     total_us "
+              "     self_us     p50_us     p95_us\n"
+              "  past_2e39                          10 "
+              "4947811400323.0         10.0 12582912.0 "
+              "2199023255552.0\n"
+              "  on_bound                            9      67665.0 "
+              "     33832.5        6.0    49152.0\n"
+              "  between                            60      27309.7 "
+              "       183.0      358.4     1332.0\n"
+              "  all_equal                          20       1100.0 "
+              "       110.0       55.0       55.0\n"
+              "  single                              1         37.5 "
+              "        12.2       37.5       37.5\n"
+              "  below_1us                           5          2.6 "
+              "         2.6        0.6        0.9\n");
 }
 
 TEST(TraceTest, TracedDHamSearchMatchesUntraced)
