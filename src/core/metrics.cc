@@ -1,5 +1,6 @@
 #include "core/metrics.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -9,7 +10,6 @@
 
 #include "core/json.hh"
 #include "core/perf_counters.hh"
-#include "core/stats.hh"
 
 namespace hdham::metrics
 {
@@ -47,6 +47,45 @@ atomicMax(std::atomic<double> &target, double x)
            !target.compare_exchange_weak(expected, x,
                                          std::memory_order_relaxed))
         ;
+}
+
+/**
+ * Interpolated quantile @p q in (0, 1) of a summary with observations.
+ * The nearest-rank target is located by cumulative bucket count and
+ * placed linearly within its bucket -- the exact minimum stands in for
+ * the first bucket's lower edge -- then clamped to the exact
+ * [min, max]. A rank in the overflow bucket reports the exact max, the
+ * only honest value there.
+ */
+double
+bucketQuantile(const HistogramSummary &s, double q)
+{
+    std::uint64_t total = s.overflow;
+    for (const auto &bucket : s.buckets)
+        total += bucket.second;
+    // A snapshot racing the first record() can see the count before
+    // the bucket hit.
+    if (total == 0)
+        return s.max;
+    const auto rank = static_cast<std::uint64_t>(
+        q * static_cast<double>(total - 1) + 0.5);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+        const std::uint64_t hits = s.buckets[i].second;
+        if (rank >= seen + hits) {
+            seen += hits;
+            continue;
+        }
+        const double lower = i == 0 ? s.min : s.buckets[i - 1].first;
+        const double upper = s.buckets[i].first;
+        const double within =
+            hits == 1 ? 0.5
+                      : static_cast<double>(rank - seen) /
+                            static_cast<double>(hits - 1);
+        return std::clamp(lower + (upper - lower) * within, s.min,
+                          s.max);
+    }
+    return s.max;
 }
 
 // String escaping and deterministic number rendering live in
@@ -114,14 +153,10 @@ HistogramSummary
 LatencyHistogram::summary() const
 {
     HistogramSummary s;
-    std::vector<double> bounds(kBuckets);
-    std::vector<std::uint64_t> counts(kBuckets);
     s.buckets.reserve(kBuckets);
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        bounds[i] = bucketBound(i);
-        counts[i] = hits[i].load(std::memory_order_relaxed);
-        s.buckets.emplace_back(bounds[i], counts[i]);
-    }
+    for (std::size_t i = 0; i < kBuckets; ++i)
+        s.buckets.emplace_back(bucketBound(i),
+                               hits[i].load(std::memory_order_relaxed));
     s.overflow = over.load(std::memory_order_relaxed);
     s.count = n.load(std::memory_order_relaxed);
     if (s.count == 0)
@@ -129,12 +164,9 @@ LatencyHistogram::summary() const
     s.sum = total.load(std::memory_order_relaxed);
     s.min = lo.load(std::memory_order_relaxed);
     s.max = hi.load(std::memory_order_relaxed);
-    s.p50 = bucketQuantile(bounds, counts, s.overflow, s.min, s.max,
-                           0.50);
-    s.p95 = bucketQuantile(bounds, counts, s.overflow, s.min, s.max,
-                           0.95);
-    s.p99 = bucketQuantile(bounds, counts, s.overflow, s.min, s.max,
-                           0.99);
+    s.p50 = bucketQuantile(s, 0.50);
+    s.p95 = bucketQuantile(s, 0.95);
+    s.p99 = bucketQuantile(s, 0.99);
     return s;
 }
 

@@ -108,9 +108,9 @@ struct HistogramSummary
 /**
  * Thread-safe fixed-bucket latency histogram in microseconds:
  * power-of-two bucket bounds 1 us .. 2^39 us (~6 days) plus an
- * overflow bucket, exact min/max, and interpolated p50/p95/p99
- * extraction (the same bucketQuantile semantics as
- * hdham::FixedBucketHistogram).
+ * overflow bucket, exact min/max, and p50/p95/p99 interpolated within
+ * the containing bucket and clamped to [min, max]. The query-path
+ * metrics and the tracer's per-span summary both record into it.
  *
  * record() is wait-free (relaxed atomics); it is called once per
  * batch, not per query, so its cost is invisible next to the scan.

@@ -1,13 +1,11 @@
 /**
  * @file
- * Small summary-statistics accumulators used by benches, tests and
- * the metrics subsystem.
+ * Streaming summary statistics for benches and tests.
  *
  * Header-only: Welford's online algorithm for mean/variance plus
- * min/max tracking with percentile extraction over retained samples,
- * and a fixed-bucket histogram with interpolated quantiles for
- * latency-style distributions where retaining every sample is too
- * expensive.
+ * min/max tracking with percentile extraction over retained samples.
+ * Latency distributions too long to retain go to
+ * metrics::LatencyHistogram (core/metrics.hh) instead.
  */
 
 #ifndef HDHAM_CORE_STATS_HH
@@ -17,7 +15,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -123,182 +120,6 @@ class RunningStats
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
     std::vector<double> samples;
-};
-
-/**
- * Quantile over bucketed observations, shared by FixedBucketHistogram
- * and the thread-safe metrics::LatencyHistogram so the two cannot
- * disagree on semantics.
- *
- * @param bounds   strictly increasing bucket upper bounds; bucket i
- *                 holds observations x <= bounds[i] (and greater than
- *                 the previous bound)
- * @param hits     per-bucket observation counts (same size as bounds)
- * @param overflow observations above the last bound
- * @param lo,hi    exact minimum / maximum observed values
- * @param q        quantile in [0, 1]
- *
- * The target rank is located by cumulative count; the value is
- * interpolated linearly within the containing bucket and clamped to
- * [lo, hi], so q = 0 returns exactly lo, q = 1 exactly hi, and a rank
- * landing in the overflow bucket returns hi (the only honest bound).
- * @throws std::logic_error when no observations were recorded.
- * @throws std::invalid_argument when q is outside [0, 1].
- */
-inline double
-bucketQuantile(const std::vector<double> &bounds,
-               const std::vector<std::uint64_t> &hits,
-               std::uint64_t overflow, double lo, double hi, double q)
-{
-    assert(bounds.size() == hits.size());
-    if (!(q >= 0.0 && q <= 1.0))
-        throw std::invalid_argument("bucketQuantile: q outside "
-                                    "[0, 1]");
-    std::uint64_t total = overflow;
-    for (const std::uint64_t h : hits)
-        total += h;
-    if (total == 0)
-        throw std::logic_error("bucketQuantile: no observations");
-    // The extrema are tracked exactly; never interpolate them.
-    if (q == 0.0)
-        return lo;
-    if (q == 1.0)
-        return hi;
-
-    // Nearest-rank target over the cumulative bucket counts.
-    const auto rank = static_cast<std::uint64_t>(
-        q * static_cast<double>(total - 1) + 0.5);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        if (hits[i] == 0)
-            continue;
-        if (rank < seen + hits[i]) {
-            const double lower = i == 0 ? lo : bounds[i - 1];
-            const double upper = bounds[i];
-            const double within =
-                hits[i] == 1
-                    ? 0.5
-                    : static_cast<double>(rank - seen) /
-                          static_cast<double>(hits[i] - 1);
-            const double value = lower + (upper - lower) * within;
-            return std::clamp(value, lo, hi);
-        }
-        seen += hits[i];
-    }
-    return hi; // rank falls in the overflow bucket
-}
-
-/**
- * Histogram over a fixed, strictly increasing set of bucket upper
- * bounds plus an implicit overflow bucket, with interpolated quantile
- * extraction (see bucketQuantile). Bucket i counts observations
- * bounds[i-1] < x <= bounds[i]; anything above the last bound lands
- * in the overflow bucket. Exact min/max are tracked alongside so
- * quantiles at the edges stay exact.
- *
- * Not thread-safe; metrics::LatencyHistogram wraps the same layout
- * in atomics for concurrent recording.
- */
-class FixedBucketHistogram
-{
-  public:
-    /** @throws std::invalid_argument unless bounds are strictly
-     *          increasing and non-empty. */
-    explicit FixedBucketHistogram(std::vector<double> upperBounds)
-        : bounds(std::move(upperBounds)), hits(bounds.size(), 0)
-    {
-        if (bounds.empty())
-            throw std::invalid_argument("FixedBucketHistogram: no "
-                                        "buckets");
-        for (std::size_t i = 1; i < bounds.size(); ++i)
-            if (!(bounds[i] > bounds[i - 1]))
-                throw std::invalid_argument("FixedBucketHistogram: "
-                                            "bounds must increase");
-    }
-
-    /** Geometric bucket ladder: first, first*ratio, ... (n bounds). */
-    static FixedBucketHistogram
-    geometric(double first, double ratio, std::size_t n)
-    {
-        std::vector<double> bounds;
-        bounds.reserve(n);
-        double bound = first;
-        for (std::size_t i = 0; i < n; ++i, bound *= ratio)
-            bounds.push_back(bound);
-        return FixedBucketHistogram(std::move(bounds));
-    }
-
-    /** Record one observation. */
-    void
-    add(double x)
-    {
-        const auto it =
-            std::lower_bound(bounds.begin(), bounds.end(), x);
-        if (it == bounds.end())
-            ++over;
-        else
-            ++hits[static_cast<std::size_t>(it - bounds.begin())];
-        ++n;
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-        total += x;
-    }
-
-    /** Number of observations (overflow included). */
-    std::uint64_t count() const { return n; }
-
-    /** Observations above the last bucket bound. */
-    std::uint64_t overflow() const { return over; }
-
-    /** Sum of all observations. */
-    double sum() const { return total; }
-
-    /** Number of finite buckets. */
-    std::size_t buckets() const { return bounds.size(); }
-
-    /** Upper bound of bucket @p i. */
-    double bucketBound(std::size_t i) const { return bounds.at(i); }
-
-    /** Observation count of bucket @p i. */
-    std::uint64_t bucketHits(std::size_t i) const
-    {
-        return hits.at(i);
-    }
-
-    /** Minimum observation. @pre count() > 0. */
-    double
-    min() const
-    {
-        assert(n > 0);
-        return lo;
-    }
-
-    /** Maximum observation. @pre count() > 0. */
-    double
-    max() const
-    {
-        assert(n > 0);
-        return hi;
-    }
-
-    /**
-     * Interpolated quantile, q in [0, 1]; see bucketQuantile for the
-     * exact semantics and failure modes.
-     */
-    double
-    quantile(double q) const
-    {
-        return bucketQuantile(bounds, hits, over, lo, hi, q);
-    }
-
-  private:
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> hits;
-    std::uint64_t over = 0;
-    std::uint64_t n = 0;
-    double total = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
 };
 
 } // namespace hdham

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/json.hh"
-#include "core/stats.hh"
+#include "core/metrics.hh"
 
 namespace hdham::trace
 {
@@ -145,33 +145,32 @@ Tracer::events() const
 std::vector<SpanStats>
 Tracer::summary() const
 {
+    // The histogram keeps each name's count and total duration too.
+    // It is neither copyable nor movable: operator[] builds it in
+    // place in the map node.
     struct Acc
     {
-        std::uint64_t count = 0;
-        double totalUs = 0.0;
         double selfUs = 0.0;
-        FixedBucketHistogram hist =
-            FixedBucketHistogram::geometric(1.0, 2.0, 40);
+        metrics::LatencyHistogram durations;
     };
     std::map<std::string, Acc> byName;
     for (const auto &[track, e] : events()) {
         (void)track;
         Acc &acc = byName[e.name];
-        ++acc.count;
-        acc.totalUs += e.durUs;
         acc.selfUs += e.selfUs;
-        acc.hist.add(e.durUs);
+        acc.durations.record(e.durUs);
     }
     std::vector<SpanStats> out;
     out.reserve(byName.size());
     for (const auto &[name, acc] : byName) {
+        const metrics::HistogramSummary h = acc.durations.summary();
         SpanStats stats;
         stats.name = name;
-        stats.count = acc.count;
-        stats.totalUs = acc.totalUs;
+        stats.count = h.count;
+        stats.totalUs = h.sum;
         stats.selfUs = acc.selfUs;
-        stats.p50Us = acc.hist.quantile(0.50);
-        stats.p95Us = acc.hist.quantile(0.95);
+        stats.p50Us = h.p50;
+        stats.p95Us = h.p95;
         out.push_back(std::move(stats));
     }
     return out;

@@ -33,7 +33,7 @@
  *    "X" events with pid = batch scope, tid = per-thread track.
  *    Loads in Perfetto / chrome://tracing.
  *  - A compact per-span-name summary: count, total/self
- *    microseconds, p50/p95 via the shared FixedBucketHistogram.
+ *    microseconds, p50/p95 via metrics::LatencyHistogram.
  */
 
 #ifndef HDHAM_CORE_TRACE_HH
@@ -247,7 +247,7 @@ class Tracer
 
     /**
      * Per-span-name aggregation (count, total/self microseconds,
-     * p50/p95 interpolated from a power-of-two bucket histogram),
+     * p50/p95 of a metrics::LatencyHistogram of the durations),
      * sorted by name.
      */
     std::vector<SpanStats> summary() const;

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/distance.hh"
@@ -227,34 +228,39 @@ Server::acceptLoop()
             break;
         }
         std::lock_guard<std::mutex> lock(connMu);
-        connFds.push_back(fd);
-        connThreads.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        // Give back the threads (and stacks) of closed connections.
+        conns.remove_if([](const Connection &c) { return c.done; });
+        Connection &conn = conns.emplace_back();
+        conn.fd = fd;
+        try {
+            conn.thread =
+                std::jthread([this, &conn] { serveConnection(conn); });
+        } catch (const std::system_error &) {
+            // No thread to serve it (EAGAIN): refuse this connection
+            // and keep accepting.
+            ::close(fd);
+            conns.pop_back();
+        }
     }
 }
 
 void
-Server::serveConnection(int fd)
+Server::serveConnection(Connection &conn)
 {
     try {
         Frame frame;
-        while (readFrame(fd, frame))
-            handleRequest(fd, frame);
+        while (readFrame(conn.fd, frame))
+            handleRequest(conn.fd, frame);
     } catch (const std::exception &) {
         // Peer vanished or sent garbage; drop the connection. Every
         // in-protocol error was already answered with an error
         // response inside handleRequest.
     }
-    // Release the fd under the lock so stop() never shuts down a
-    // recycled descriptor number.
+    // Close under the lock so stop() never shuts down a recycled
+    // descriptor number.
     std::lock_guard<std::mutex> lock(connMu);
-    for (int &slot : connFds) {
-        if (slot == fd) {
-            slot = -1;
-            break;
-        }
-    }
-    ::close(fd);
+    ::close(conn.fd);
+    conn.done = true;
 }
 
 void
@@ -524,29 +530,16 @@ Server::stop()
     ::shutdown(listenFd, SHUT_RDWR);
     if (acceptThread.joinable())
         acceptThread.join();
-    // Unblock every connection reader, then join.
+    // Unblock every connection reader, then join them all (erasing
+    // an entry joins its thread); each closes its own socket.
     {
         std::lock_guard<std::mutex> lock(connMu);
-        for (const int fd : connFds) {
-            if (fd >= 0)
-                ::shutdown(fd, SHUT_RDWR);
+        for (const Connection &conn : conns) {
+            if (!conn.done)
+                ::shutdown(conn.fd, SHUT_RDWR);
         }
     }
-    for (std::thread &t : connThreads) {
-        if (t.joinable())
-            t.join();
-    }
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (int &fd : connFds) {
-            if (fd >= 0) {
-                ::close(fd);
-                fd = -1;
-            }
-        }
-        connThreads.clear();
-        connFds.clear();
-    }
+    conns.clear();
     ::close(listenFd);
     listenFd = -1;
     if (!cfg.unixPath.empty())

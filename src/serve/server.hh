@@ -27,6 +27,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -116,8 +117,21 @@ class Server
     std::string statsJson();
 
   private:
+    /**
+     * One accepted connection. Its thread closes the socket and sets
+     * done under connMu; the acceptor then erases the entry.
+     */
+    struct Connection
+    {
+        int fd = -1;
+        bool done = false;
+        /** Declared last: destroying the entry joins the thread
+         *  before the members it uses go. */
+        std::jthread thread;
+    };
+
     void acceptLoop();
-    void serveConnection(int fd);
+    void serveConnection(Connection &conn);
     void handleRequest(int fd, const Frame &frame);
 
     std::vector<std::uint8_t> doPing();
@@ -152,8 +166,9 @@ class Server
     std::thread acceptThread;
 
     std::mutex connMu;
-    std::vector<int> connFds;
-    std::vector<std::thread> connThreads;
+    /** A list, so a thread's entry keeps its address while others
+     *  come and go. */
+    std::list<Connection> conns;
 
     std::mutex stateMu;
     std::condition_variable stateCv;

@@ -137,130 +137,4 @@ TEST(RunningStatsTest, PercentileOfAllEqualSamples)
     EXPECT_DOUBLE_EQ(stats.percentile(1.0), 7.0);
 }
 
-using hdham::bucketQuantile;
-using hdham::FixedBucketHistogram;
-
-TEST(BucketQuantileTest, EmptyThrows)
-{
-    EXPECT_THROW(bucketQuantile({1.0, 2.0}, {0, 0}, 0, 0.0, 0.0, 0.5),
-                 std::logic_error);
-}
-
-TEST(BucketQuantileTest, RejectsOutOfRangeQuantile)
-{
-    EXPECT_THROW(bucketQuantile({1.0}, {1}, 0, 0.5, 0.5, -0.1),
-                 std::invalid_argument);
-    EXPECT_THROW(bucketQuantile({1.0}, {1}, 0, 0.5, 0.5, 1.1),
-                 std::invalid_argument);
-}
-
-TEST(BucketQuantileTest, OverflowOnlyReturnsMax)
-{
-    // Every observation above the last bound: interior quantiles
-    // report the exact max (the only honest value available), and
-    // the extrema stay exact.
-    EXPECT_DOUBLE_EQ(
-        bucketQuantile({1.0}, {0}, 5, 10.0, 20.0, 0.5), 20.0);
-    EXPECT_DOUBLE_EQ(
-        bucketQuantile({1.0}, {0}, 5, 10.0, 20.0, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(
-        bucketQuantile({1.0}, {0}, 5, 10.0, 20.0, 1.0), 20.0);
-}
-
-TEST(FixedBucketHistogramTest, RejectsBadBounds)
-{
-    EXPECT_THROW(FixedBucketHistogram({}), std::invalid_argument);
-    EXPECT_THROW(FixedBucketHistogram({1.0, 1.0}),
-                 std::invalid_argument);
-    EXPECT_THROW(FixedBucketHistogram({2.0, 1.0}),
-                 std::invalid_argument);
-}
-
-TEST(FixedBucketHistogramTest, GeometricLadder)
-{
-    const FixedBucketHistogram h =
-        FixedBucketHistogram::geometric(1.0, 2.0, 4);
-    ASSERT_EQ(h.buckets(), 4u);
-    EXPECT_DOUBLE_EQ(h.bucketBound(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.bucketBound(3), 8.0);
-}
-
-TEST(FixedBucketHistogramTest, QuantileOfEmptyThrows)
-{
-    const FixedBucketHistogram h({1.0, 2.0});
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_THROW(h.quantile(0.5), std::logic_error);
-}
-
-TEST(FixedBucketHistogramTest, SingleSampleIsEveryQuantile)
-{
-    FixedBucketHistogram h({10.0, 100.0, 1000.0});
-    h.add(42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 42.0);
-}
-
-TEST(FixedBucketHistogramTest, AllEqualSamplesStayExact)
-{
-    FixedBucketHistogram h({10.0, 100.0, 1000.0});
-    for (int i = 0; i < 1000; ++i)
-        h.add(55.0);
-    // Clamping to the exact [min, max] beats raw interpolation when
-    // the whole distribution is one point.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 55.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 55.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 55.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 55.0);
-}
-
-TEST(FixedBucketHistogramTest, EdgeQuantilesAreExactExtrema)
-{
-    FixedBucketHistogram h =
-        FixedBucketHistogram::geometric(1.0, 2.0, 12);
-    for (const double x : {3.0, 17.0, 101.0, 999.0})
-        h.add(x);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 999.0);
-    const double median = h.quantile(0.5);
-    EXPECT_GE(median, 3.0);
-    EXPECT_LE(median, 999.0);
-}
-
-TEST(FixedBucketHistogramTest, BoundaryValueLandsInLowerBucket)
-{
-    FixedBucketHistogram h({1.0, 2.0, 4.0});
-    h.add(2.0); // exactly on a bound: bucket i holds x <= bounds[i]
-    EXPECT_EQ(h.bucketHits(1), 1u);
-    EXPECT_EQ(h.bucketHits(2), 0u);
-}
-
-TEST(FixedBucketHistogramTest, OverflowBucketCountsAndReportsMax)
-{
-    FixedBucketHistogram h({1.0, 2.0});
-    h.add(0.5);
-    h.add(100.0);
-    h.add(200.0);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.sum(), 300.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 200.0);
-    // The 2/3 rank falls in the overflow bucket -> exact max.
-    EXPECT_DOUBLE_EQ(h.quantile(0.9), 200.0);
-}
-
-TEST(FixedBucketHistogramTest, QuantilesTrackKnownDistribution)
-{
-    // 1..1000 into a fine geometric ladder: interpolated quantiles
-    // should stay within a bucket's width of the exact answer.
-    FixedBucketHistogram h =
-        FixedBucketHistogram::geometric(1.0, 1.25, 40);
-    for (int i = 1; i <= 1000; ++i)
-        h.add(static_cast<double>(i));
-    EXPECT_NEAR(h.quantile(0.5), 500.0, 125.0);
-    EXPECT_NEAR(h.quantile(0.95), 950.0, 240.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-}
-
 } // namespace

@@ -588,6 +588,56 @@ TEST(ServerTest, HugeWordCountIsRejectedBeforeAllocating)
     ::close(fd);
 }
 
+/** This process's virtual size (VmSize) in KiB, or -1. */
+long
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stol(line.substr(7));
+    }
+    return -1;
+}
+
+TEST(ServerTest, ConnectionChurnReleasesThreadStacks)
+{
+    // Every connection gets a thread with its own stack (8 MiB by
+    // default). Closed connections must give both back while the
+    // server runs, not at stop(): 2,000 connections would otherwise
+    // map ~16 GiB. The warm-up lets the thread stack cache reach its
+    // steady size first.
+    ServerFixture fx({}, "churn");
+    // One ping per connection. Waiting for the server to close its end
+    // keeps one serving thread alive at a time, so malloc does not add
+    // an arena per overlapping thread.
+    const auto pingOnce = [&fx] {
+        const int fd = rawConnect(fx.socketPath);
+        hdham::serve::writeRequest(fd, MsgType::Ping, {});
+        Response resp;
+        EXPECT_TRUE(hdham::serve::readResponse(fd, resp));
+        ::shutdown(fd, SHUT_WR);
+        char byte;
+        while (::read(fd, &byte, 1) > 0) {
+        }
+        ::close(fd);
+    };
+    for (int i = 0; i < 500; ++i)
+        pingOnce();
+    const long before = vmSizeKib();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 2000; ++i)
+        pingOnce();
+    EXPECT_LT(vmSizeKib() - before, 512 * 1024);
+
+    Client client = fx.connect();
+    const QueryReply reply =
+        client.classify({"the quick brown fox jumps over the lazy dog"});
+    ASSERT_EQ(reply.results.size(), 1u);
+    EXPECT_EQ(reply.sequence, 1u);
+}
+
 /**
  * Write the fixture classes in the retired stream layout: "HDHAM"
  * plus three NULs, u64 version 1, u64 dim, u64 count, then per class

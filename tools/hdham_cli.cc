@@ -70,7 +70,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -92,14 +91,16 @@
 #include "ham/d_ham.hh"
 #include "ham/design_space.hh"
 #include "ham/r_ham.hh"
+#include "cli_args.hh"
 #include "lang/corpus.hh"
 #include "lang/pipeline.hh"
-#include "serve/commands.hh"
+#include "serve_commands.hh"
 
 namespace
 {
 
 using namespace hdham;
+using namespace hdham::cli;
 
 int
 usage()
@@ -184,69 +185,6 @@ usage()
         "(hdham.trace.v1 JSON, loads in Perfetto) and print a\n"
         "                    per-span timing summary\n");
     return 2;
-}
-
-/** Pull `--flag value` or `--flag=value` out of the argument list. */
-std::string
-option(std::vector<std::string> &args, const std::string &flag,
-       const std::string &fallback)
-{
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == flag && i + 1 < args.size()) {
-            const std::string value = args[i + 1];
-            args.erase(args.begin() + static_cast<long>(i),
-                       args.begin() + static_cast<long>(i) + 2);
-            return value;
-        }
-        if (args[i].size() > flag.size() + 1 &&
-            args[i].compare(0, flag.size(), flag) == 0 &&
-            args[i][flag.size()] == '=') {
-            const std::string value = args[i].substr(flag.size() + 1);
-            args.erase(args.begin() + static_cast<long>(i));
-            return value;
-        }
-    }
-    return fallback;
-}
-
-std::size_t
-numericOption(std::vector<std::string> &args, const std::string &flag,
-              std::size_t fallback)
-{
-    const std::string value =
-        option(args, flag, std::to_string(fallback));
-    return std::strtoull(value.c_str(), nullptr, 10);
-}
-
-/** Consume a valueless `--flag`; true when it was present. */
-bool
-boolOption(std::vector<std::string> &args, const std::string &flag)
-{
-    const auto it = std::find(args.begin(), args.end(), flag);
-    if (it == args.end())
-        return false;
-    args.erase(it);
-    return true;
-}
-
-/**
- * Apply `--kernel NAME` if present. Returns false (after printing a
- * diagnostic) when the name is unknown or the kernel is not supported
- * on this CPU; without the flag the env/cpuid default stands.
- */
-bool
-kernelOption(std::vector<std::string> &args, const char *command)
-{
-    const std::string name = option(args, "--kernel", "");
-    if (name.empty())
-        return true;
-    try {
-        distance::setKernelByName(name);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "%s: %s\n", command, e.what());
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -423,8 +361,8 @@ cmdClassify(std::vector<std::string> args)
     // 0 is a valid threshold (capture every query), so "flag absent"
     // is distinguished from the value, not defaulted numerically.
     const double slowQueryUs =
-        slowArg.empty() ? 1000.0 : std::strtod(slowArg.c_str(),
-                                               nullptr);
+        slowArg.empty() ? 1000.0
+                        : parseNumber<double>("--slow-query-us", slowArg);
     const std::string pruneName = option(args, "--prune", "auto");
     const std::size_t cascadePrefix =
         numericOption(args, "--cascade-prefix", 0);
@@ -730,12 +668,7 @@ cmdLoad(std::vector<std::string> args)
         return 2;
     }
     modelfile::ModelView::Options opts;
-    const auto noVerify =
-        std::find(args.begin(), args.end(), "--no-verify");
-    if (noVerify != args.end()) {
-        opts.verifyChecksums = false;
-        args.erase(noVerify);
-    }
+    opts.verifyChecksums = !boolOption(args, "--no-verify");
     // The shared open path (core/model_loader.hh): the exact loader
     // classify and hdham_server use.
     const modelload::LoadedModel model =
@@ -848,7 +781,7 @@ main(int argc, char **argv)
     } catch (const std::exception &e) {
         std::fprintf(stderr, "hdham %s: %s\n", command.c_str(),
                      e.what());
-        return 1;
+        return dynamic_cast<const UsageError *>(&e) ? 2 : 1;
     }
     return usage();
 }

@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "serve/commands.hh"
+#include "cli_args.hh"
+#include "serve_commands.hh"
 
 int
 main(int argc, char **argv)
@@ -21,6 +22,6 @@ main(int argc, char **argv)
         return hdham::serve::runServeCommand(std::move(args));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "hdham_server: %s\n", e.what());
-        return 1;
+        return dynamic_cast<const hdham::cli::UsageError *>(&e) ? 2 : 1;
     }
 }
