@@ -307,20 +307,16 @@ BM_SnapshotServe(benchmark::State &state)
 BENCHMARK(BM_SnapshotServe)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
- * Class-axis scaling: the cascade scan at C = 10k / 100k / 1M rows,
- * row-major vs bit-sliced layout. The workload is the skewed
- * classification regime (5% flips), where the cascade's first pass
- * dominates: row-major strides one cache line out of every
- * row-sized record, the sliced layout streams exactly the prefix
- * words back to back. Reduced dimensionality (1,024) keeps the 1M
- * stores at 128 MB each so all six fixtures fit in memory at once.
+ * Class-axis scaling: the cascade scan at C = 10k / 100k / 1M rows.
+ * The workload is the skewed classification regime (5% flips),
+ * where the cascade's first pass dominates: it reads one cache line
+ * out of every row-sized record. Reduced dimensionality (1,024) keeps
+ * the 1M store at 128 MB.
  */
 constexpr std::size_t kScaleDim = 1024;
-/** Cascade first pass and slice width (bits). */
+/** Cascade first pass (bits). */
 constexpr std::size_t kScalePrefix = 128;
 constexpr std::size_t kScaleBatch = 8;
-/** Shard count of the sharded class-scale config. */
-constexpr std::size_t kScaleShards = 8;
 
 struct ClassScaleFixture
 {
@@ -330,22 +326,15 @@ struct ClassScaleFixture
 };
 
 /**
- * Store fixtures are expensive (a 1M-row build plus a reshape), so
- * each (classes, layout, shards) combination is built once per
- * process and reused across iterations. Queries derive from the RNG
- * stream before any reshape, so every layout of the same class count
- * serves the identical workload.
+ * Store fixtures are expensive (a 1M-row build), so each class count
+ * is built once per process and reused across iterations.
  */
 const ClassScaleFixture &
-classScaleFixture(std::size_t classes, RowLayout layout,
-                  std::size_t shards)
+classScaleFixture(std::size_t classes)
 {
-    static std::map<std::pair<std::size_t, std::size_t>,
-                    std::unique_ptr<ClassScaleFixture>>
+    static std::map<std::size_t, std::unique_ptr<ClassScaleFixture>>
         cache;
-    const std::size_t variant =
-        (layout == RowLayout::Sliced ? 1u : 0u) + 2 * shards;
-    auto &slot = cache[{classes, variant}];
+    auto &slot = cache[classes];
     if (!slot) {
         slot = std::make_unique<ClassScaleFixture>(kScaleDim);
         Rng rng(17);
@@ -360,24 +349,15 @@ classScaleFixture(std::size_t classes, RowLayout layout,
         }
         slot->queries = bench::makeSkewedQueries(
             prototypes, kScaleBatch, 0.05, rng);
-        if (layout != RowLayout::RowMajor || shards != 1) {
-            StoreLayout spec;
-            spec.layout = layout;
-            spec.shards = shards;
-            spec.slicePrefix =
-                layout == RowLayout::Sliced ? kScalePrefix : 0;
-            slot->rows.setLayout(spec);
-        }
     }
     return *slot;
 }
 
 void
-classScaleBenchmark(benchmark::State &state, RowLayout layout)
+BM_ClassScaleRowMajor(benchmark::State &state)
 {
     const auto classes = static_cast<std::size_t>(state.range(0));
-    const ClassScaleFixture &fx =
-        classScaleFixture(classes, layout, 1);
+    const ClassScaleFixture &fx = classScaleFixture(classes);
     ScanPolicy policy;
     policy.prune = PruneMode::Auto;
     policy.cascadePrefix = kScalePrefix;
@@ -389,53 +369,11 @@ classScaleBenchmark(benchmark::State &state, RowLayout layout)
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);
 }
-
-void
-BM_ClassScaleRowMajor(benchmark::State &state)
-{
-    classScaleBenchmark(state, RowLayout::RowMajor);
-}
 BENCHMARK(BM_ClassScaleRowMajor)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000)
     ->UseRealTime();
-
-void
-BM_ClassScaleSliced(benchmark::State &state)
-{
-    classScaleBenchmark(state, RowLayout::Sliced);
-}
-BENCHMARK(BM_ClassScaleSliced)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->UseRealTime();
-
-/**
- * The sharded sliced 100k store with nearest()'s per-shard
- * bound-pruned scans fanned over all hardware threads, merged by the
- * bound-aware reduce. Bit-identical to BM_ClassScaleSliced/100000's
- * answers; the throughput delta is the shard fan-out.
- */
-void
-BM_ClassScaleSharded(benchmark::State &state)
-{
-    const auto classes = static_cast<std::size_t>(state.range(0));
-    const ClassScaleFixture &fx =
-        classScaleFixture(classes, RowLayout::Sliced, kScaleShards);
-    ScanPolicy policy;
-    policy.prune = PruneMode::Auto;
-    policy.cascadePrefix = kScalePrefix;
-    for (auto _ : state) {
-        for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(fx.rows.nearest(
-                query, kScaleDim, policy, nullptr, nullptr, 0));
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * kScaleBatch);
-}
-BENCHMARK(BM_ClassScaleSharded)->Arg(100000)->UseRealTime();
 
 template <typename HamT, typename ConfigT>
 void

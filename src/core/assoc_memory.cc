@@ -48,15 +48,14 @@ AssociativeMemory::store(const Hypervector &hv, std::string label)
 }
 
 void
-AssociativeMemory::bindExternal(const StoreLayout &spec,
+AssociativeMemory::bindExternal(const std::uint64_t *words,
                                 std::size_t rowCount,
-                                const std::vector<ExternalShard> &shards,
                                 std::vector<std::string> newLabels)
 {
     if (newLabels.size() != rowCount)
         throw std::invalid_argument("AssociativeMemory::bindExternal:"
                                     " one label per row required");
-    rows.bindExternal(spec, rowCount, shards);
+    rows.bindExternal(words, rowCount);
     labels = std::move(newLabels);
 }
 
@@ -127,21 +126,11 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
 {
     batch::requireStored(rows.rows(), "AssociativeMemory");
     const std::size_t prefix = rows.dim();
-
-    // A sharded store with a batch smaller than the worker budget
-    // flips the parallel axis: queries run one at a time and each
-    // query's shard scans fan out across the workers instead. Both
-    // shapes are bit-identical (each shard scan seeds its own bound),
-    // so routing is purely a throughput choice.
-    const bool perQuery = rows.shardCount() > 1 &&
-                          queries.size() < resolveThreads(threads);
-    const std::size_t scanThreads = perQuery ? threads : 1;
     const auto kernel = [&](std::size_t q, ScanStats &stats) {
         SearchResult result;
         result.classId = rows.nearest(queries[q], prefix, policy,
                                       sink ? &stats : nullptr,
-                                      &result.bestDistance,
-                                      scanThreads);
+                                      &result.bestDistance);
         return result;
     };
     const auto newTally = [] { return ScanStats{}; };
@@ -149,11 +138,6 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
                            std::size_t end) {
         recordScans(end - begin, stats);
     };
-    if (perQuery) {
-        return batch::runPerQuery<SearchResult>(
-            {"am.batch", "am.chunk"}, queries.size(), sink, newTally,
-            kernel, merge);
-    }
     return batch::run<SearchResult>({"am.batch", "am.chunk"},
                                     queries.size(), threads, sink,
                                     newTally, kernel, merge);

@@ -21,6 +21,7 @@
 #define HDHAM_CORE_ASSOC_MEMORY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -103,22 +104,21 @@ class AssociativeMemory
 
     /**
      * True when the class store borrows read-only mapped memory
-     * (bindExternal): every search works unchanged, but store() and
-     * setStoreLayout() throw std::logic_error -- copy the classes
-     * into a fresh memory to mutate or re-lay them.
+     * (bindExternal): every search works unchanged, but store()
+     * throws std::logic_error -- copy the classes into a fresh
+     * memory to mutate them.
      */
     bool mapped() const { return rows.external(); }
 
     /**
      * Bind the class store to caller-managed memory (an mmap'ed
      * hdham.model.v1 file; see core/model_file.hh) holding
-     * @p rowCount rows laid out per @p spec, with one label per
-     * class. O(shards + labels): no row word is copied, which is
-     * what makes loading a model zero-copy. The mapping must outlive
-     * this object. @pre newLabels.size() == rowCount.
+     * @p rowCount row-major rows at @p words, with one label per
+     * class. O(labels): no row word is copied, which is what makes
+     * loading a model zero-copy. The mapping must outlive this
+     * object. @pre newLabels.size() == rowCount.
      */
-    void bindExternal(const StoreLayout &spec, std::size_t rowCount,
-                      const std::vector<ExternalShard> &shards,
+    void bindExternal(const std::uint64_t *words, std::size_t rowCount,
                       std::vector<std::string> newLabels);
 
     /**
@@ -147,24 +147,6 @@ class AssociativeMemory
     const ScanPolicy &scanPolicy() const { return policy; }
 
     /**
-     * Re-lay the class store (row-major or bit-sliced layout, shard
-     * count; see RowStore). Bit-exact: every search result is
-     * identical under every layout -- the layout only changes memory
-     * traffic. A sliced layout wants slicePrefix equal to the scan
-     * policy's cascadePrefix so the cascade streams the head slices.
-     */
-    void setStoreLayout(const StoreLayout &spec)
-    {
-        rows.setLayout(spec);
-    }
-
-    /** The resolved physical layout of the class store. */
-    const StoreLayout &storeLayout() const
-    {
-        return rows.layoutSpec();
-    }
-
-    /**
      * Exact nearest-distance search (winner + distance only; no
      * allocation). @pre size() > 0 and query.dim() == dim().
      */
@@ -189,11 +171,8 @@ class AssociativeMemory
     /**
      * Batched exact search: one result per query, parallelized over
      * the batch with @p threads workers (0 = all hardware threads).
-     * On a sharded store with a batch smaller than the worker
-     * budget, parallelism flips inside each query instead (per-shard
-     * scans; see PackedRows::nearest). Bit-identical to
-     * calling search() per query in order, for every thread count,
-     * batch split, layout and shard count.
+     * Bit-identical to calling search() per query in order, for
+     * every thread count and batch split.
      * @pre size() > 0 and every query.dim() == dim().
      */
     std::vector<SearchResult>

@@ -133,59 +133,6 @@ run(const SpanNames &spans, std::size_t numQueries,
     return results;
 }
 
-/**
- * Sharded-store variant of the batch scaffold: queries run one at a
- * time in index order on the calling thread, and each kernel call
- * parallelizes *inside* the query (per-shard scans over a sharded
- * RowStore). The right shape when the store is sharded and the batch
- * is smaller than the worker budget -- query-level chunking would
- * leave most workers idle, while per-shard scans keep them all busy
- * on shard-local rows.
- *
- * Records the same batch envelope and merges one tally for the whole
- * batch. Deterministic like run(): kernels are bit-identical however
- * their internal shard scans are scheduled, so the output matches
- * the chunked executor's exactly.
- */
-template <typename Result, typename MakeTally, typename Kernel,
-          typename Merge>
-std::vector<Result>
-runPerQuery(const SpanNames &spans, std::size_t numQueries,
-            metrics::QueryMetrics *sink, MakeTally makeTally,
-            Kernel kernel, Merge merge)
-{
-    TRACE_BATCH(spans.batch);
-    const metrics::Clock::time_point start =
-        sink ? metrics::Clock::now() : metrics::Clock::time_point{};
-    std::vector<Result> results(numQueries);
-    {
-        const events::SlowQueryCapture slow =
-            events::activeSlowQueryCapture();
-        auto tally = makeTally();
-        for (std::size_t q = 0; q < numQueries; ++q) {
-            if (slow.log) {
-                results[q] = events::runCaptured(spans.batch, q, slow,
-                                                 [&] {
-                                                     TRACE_SPAN(
-                                                         spans.chunk);
-                                                     return kernel(
-                                                         q, tally);
-                                                 });
-            } else {
-                TRACE_SPAN(spans.chunk);
-                results[q] = kernel(q, tally);
-            }
-        }
-        if (sink && numQueries > 0)
-            merge(tally, 0, numQueries);
-    }
-    if (sink) {
-        sink->batches.add(1);
-        sink->batchLatencyUs.record(metrics::elapsedMicros(start));
-    }
-    return results;
-}
-
 } // namespace hdham::batch
 
 #endif // HDHAM_CORE_BATCH_EXECUTOR_HH

@@ -19,8 +19,11 @@
  *      narrowest-first).
  *
  * setKernelByName() (the CLI's --kernel flag) overrides the choice
- * at any time. Concurrent first calls race benignly -- both compute
- * the same answer from the same inputs.
+ * at any time. The choice is one atomic pointer to a registry entry,
+ * so a reader always gets one tier's exact and bounded kernels
+ * together, never a mix across a concurrent switch. Concurrent first
+ * calls race benignly -- both compute the same answer from the same
+ * inputs.
  */
 
 #include "core/distance.hh"
@@ -37,11 +40,7 @@ namespace hdham::distance
 namespace
 {
 
-/** The serving kernel; null until the first resolution. */
-std::atomic<HammingFn> g_active{nullptr};
-/** The serving bounded kernel; installed alongside g_active. */
-std::atomic<BoundedHammingFn> g_activeBounded{nullptr};
-/** The registry entry g_active points at. */
+/** The serving registry entry; null until the first resolution. */
 std::atomic<const KernelEntry *> g_entry{nullptr};
 
 /** The probe choice: the widest (last-registered) usable backend. */
@@ -58,9 +57,7 @@ widestAvailable()
 void
 install(const KernelEntry &entry)
 {
-    g_entry.store(&entry, std::memory_order_relaxed);
-    g_activeBounded.store(entry.bounded, std::memory_order_release);
-    g_active.store(entry.fn, std::memory_order_release);
+    g_entry.store(&entry, std::memory_order_release);
 }
 
 /**
@@ -69,7 +66,7 @@ install(const KernelEntry &entry)
  * process -- an invalid HDHAM_KERNEL must not fail silently, but it
  * must not spam either.
  */
-HammingFn
+const KernelEntry &
 resolve()
 {
     std::string warning;
@@ -81,7 +78,7 @@ resolve()
             std::fprintf(stderr, "%s\n", warning.c_str());
     }
     install(choice);
-    return choice.fn;
+    return choice;
 }
 
 } // namespace
@@ -133,54 +130,29 @@ setKernelByName(const std::string &name)
     install(*entry);
 }
 
+const KernelEntry &
+activeEntry()
+{
+    const KernelEntry *entry = g_entry.load(std::memory_order_acquire);
+    return entry ? *entry : resolve();
+}
+
 HammingFn
 active()
 {
-    HammingFn fn = g_active.load(std::memory_order_acquire);
-    return fn ? fn : resolve();
+    return activeEntry().fn;
 }
 
 BoundedHammingFn
 activeBounded()
 {
-    BoundedHammingFn fn =
-        g_activeBounded.load(std::memory_order_acquire);
-    if (fn)
-        return fn;
-    resolve();
-    return g_activeBounded.load(std::memory_order_acquire);
-}
-
-const KernelEntry &
-activeEntry()
-{
-    active();
-    return *g_entry.load(std::memory_order_relaxed);
+    return activeEntry().bounded;
 }
 
 const char *
 activeKernelName()
 {
     return activeEntry().name;
-}
-
-std::size_t
-splitHamming(const std::uint64_t *head, const std::uint64_t *tail,
-             const std::uint64_t *q, std::size_t sliceBits,
-             std::size_t bits)
-{
-    return splitHamming(head, tail, q, sliceBits, bits, active());
-}
-
-std::size_t
-splitHammingBounded(const std::uint64_t *head,
-                    const std::uint64_t *tail,
-                    const std::uint64_t *q, std::size_t sliceBits,
-                    std::size_t bits, std::size_t bound,
-                    std::size_t *wordsRead)
-{
-    return splitHammingBounded(head, tail, q, sliceBits, bits,
-                               bound, wordsRead, activeBounded());
 }
 
 } // namespace hdham::distance

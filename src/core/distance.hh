@@ -227,7 +227,10 @@ const KernelEntry &resolveKernelChoice(const char *envValue,
 
 /**
  * The registry entry currently serving hamming() calls, resolving
- * the startup default on first use.
+ * the startup default on first use. One atomic load: a scan that
+ * needs both the exact and the bounded kernel hoists this once, so
+ * both come from the same tier even across a concurrent
+ * setKernelByName().
  */
 const KernelEntry &activeEntry();
 
@@ -241,8 +244,9 @@ const char *activeKernelName();
 HammingFn active();
 
 /**
- * The active kernel's bounded (early-abandon) function pointer;
- * always the same implementation family as active().
+ * The active kernel's bounded (early-abandon) function pointer. A
+ * separate call from active() may see another tier after a
+ * concurrent switch; take both from one activeEntry() instead.
  */
 BoundedHammingFn activeBounded();
 
@@ -268,75 +272,6 @@ hammingBounded(const std::uint64_t *a, const std::uint64_t *b,
 {
     return activeBounded()(a, b, bits, bound, wordsRead);
 }
-
-/**
- * Exact Hamming distance over the first @p bits components of a row
- * stored in two contiguous strides, as the sliced RowStore layout
- * keeps them: words [0, sliceBits / 64) at @p head, the rest at
- * @p tail. @p sliceBits must be a positive multiple of 64 (the
- * slice boundary is always word-aligned), @p q is the query's
- * full-width word array, and @p bits > sliceBits (callers with
- * bits <= sliceBits read the head stride directly). Exactly the sum
- * of the two per-stride kernel calls, so it inherits the kernels'
- * cross-kernel determinism contract. @p fn is the hoisted active()
- * pointer of the surrounding scan.
- */
-inline std::size_t
-splitHamming(const std::uint64_t *head, const std::uint64_t *tail,
-             const std::uint64_t *q, std::size_t sliceBits,
-             std::size_t bits, HammingFn fn)
-{
-    return fn(head, q, sliceBits) +
-           fn(tail, q + sliceBits / 64, bits - sliceBits);
-}
-
-/**
- * Bound-exact early-abandon distance over the same split strides:
- * the exact distance d when d < @p bound, kAbandoned otherwise,
- * with @p wordsRead summed across both strides. Exactness composes
- * stride by stride: the head stride abandons iff its partial count
- * d0 already reaches @p bound (and Hamming counts only grow), and
- * the tail stride runs under the remaining budget bound - d0, so
- * d0 + d1 < bound iff d1 < bound - d0.
- */
-inline std::size_t
-splitHammingBounded(const std::uint64_t *head,
-                    const std::uint64_t *tail,
-                    const std::uint64_t *q, std::size_t sliceBits,
-                    std::size_t bits, std::size_t bound,
-                    std::size_t *wordsRead, BoundedHammingFn bfn)
-{
-    std::size_t headWords = 0;
-    const std::size_t d0 =
-        bfn(head, q, sliceBits, bound, &headWords);
-    if (d0 == kAbandoned) {
-        *wordsRead = headWords;
-        return kAbandoned;
-    }
-    std::size_t tailWords = 0;
-    const std::size_t d1 =
-        bfn(tail, q + sliceBits / 64, bits - sliceBits, bound - d0,
-            &tailWords);
-    *wordsRead = headWords + tailWords;
-    return d1 == kAbandoned ? kAbandoned : d0 + d1;
-}
-
-/** splitHamming through the active kernel (non-hoisted callers). */
-std::size_t splitHamming(const std::uint64_t *head,
-                         const std::uint64_t *tail,
-                         const std::uint64_t *q,
-                         std::size_t sliceBits, std::size_t bits);
-
-/**
- * splitHammingBounded through the active kernel (non-hoisted
- * callers).
- */
-std::size_t splitHammingBounded(const std::uint64_t *head,
-                                const std::uint64_t *tail,
-                                const std::uint64_t *q,
-                                std::size_t sliceBits,
-                                std::size_t bits, std::size_t bound,
-                                std::size_t *wordsRead);
 
 } // namespace hdham::distance
 

@@ -112,20 +112,19 @@ struct SectionPlan
     std::uint32_t crc = 0;
 };
 
-/** Everything the writer derives before emitting a byte. */
+/**
+ * Everything the writer derives before emitting a byte. The writer
+ * always emits row-major rows in one shard, so the layout tag, shard
+ * count and slice prefix are constants (0, 1, 0) and the one shard's
+ * rows start the row words section.
+ */
 struct FilePlan
 {
     std::uint64_t dim = 0;
     std::uint64_t rows = 0;
-    std::uint32_t layoutTag = 0;
-    std::uint32_t shardCount = 0;
-    std::uint64_t slicePrefix = 0;
     std::uint64_t wordsPerRow = 0;
     std::uint64_t fileSize = 0;
     std::array<SectionPlan, kSectionCount> sections;
-    /** Absolute head/tail byte offsets per shard. */
-    std::vector<std::uint64_t> headOffsets;
-    std::vector<std::uint64_t> tailOffsets;
 };
 
 /**
@@ -190,44 +189,33 @@ struct StreamSink
     }
 };
 
-/** Shard table section: one 32-byte record per shard. */
+/**
+ * Shard table section: the one shard's 32-byte record {firstRow 0,
+ * rows, head offset, tail offset 0}.
+ */
 template <typename Sink>
 void
-emitShardTable(Sink &sink, const PackedRows &store,
-               const FilePlan &plan)
+emitShardTable(Sink &sink, const FilePlan &plan)
 {
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.shardView(s);
-        sink.u64(v.firstRow);
-        sink.u64(v.rows);
-        sink.u64(plan.headOffsets[s]);
-        sink.u64(plan.tailOffsets[s]);
-    }
+    sink.u64(0);
+    sink.u64(plan.rows);
+    sink.u64(plan.sections[kRowWords].offset);
+    sink.u64(0);
     sink.padTo(plan.sections[kShardTable].offset +
                plan.sections[kShardTable].size);
 }
 
 /**
- * Row words section: every shard's head region, then its tail
- * region (sliced layouts), each 64-byte aligned -- streamed straight
- * from the live store's word pointers.
+ * Row words section: every row back to back, streamed straight from
+ * the live store's row-major words.
  */
 template <typename Sink>
 void
 emitRowWords(Sink &sink, const PackedRows &store,
              const FilePlan &plan)
 {
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.shardView(s);
-        sink.padTo(plan.headOffsets[s]);
-        sink.bytes(v.head,
-                   v.rows * v.headStride * sizeof(std::uint64_t));
-        if (v.sliceBits != 0) {
-            sink.padTo(plan.tailOffsets[s]);
-            sink.bytes(v.tail, v.rows * v.tailStride *
-                                   sizeof(std::uint64_t));
-        }
-    }
+    sink.bytes(store.data(), store.rows() * store.wordsPerRow() *
+                                 sizeof(std::uint64_t));
     sink.padTo(plan.sections[kRowWords].offset +
                plan.sections[kRowWords].size);
 }
@@ -298,7 +286,6 @@ FilePlan
 planFile(const AssociativeMemory &am, const SaveOptions &opts)
 {
     const PackedRows &store = am.storage();
-    const StoreLayout &spec = store.layoutSpec();
 
     if (opts.items != nullptr && opts.items->dim() != am.dim()) {
         throw std::invalid_argument(
@@ -314,40 +301,19 @@ planFile(const AssociativeMemory &am, const SaveOptions &opts)
     FilePlan plan;
     plan.dim = am.dim();
     plan.rows = am.size();
-    plan.layoutTag = spec.layout == RowLayout::Sliced
-                         ? kLayoutTagSliced
-                         : kLayoutTagRowMajor;
-    plan.shardCount = static_cast<std::uint32_t>(store.shardCount());
-    plan.slicePrefix =
-        spec.layout == RowLayout::Sliced ? spec.slicePrefix : 0;
     plan.wordsPerRow = store.wordsPerRow();
 
-    // Section 0: shard table.
+    // Section 0: shard table, one record.
     plan.sections[kShardTable].offset = headerBytes;
-    plan.sections[kShardTable].size =
-        alignUp(std::uint64_t{plan.shardCount} * kShardEntryBytes);
+    plan.sections[kShardTable].size = alignUp(kShardEntryBytes);
 
-    // Section 1: row words -- per-shard regions, each 64-aligned.
+    // Section 1: row words.
     std::uint64_t cursor = plan.sections[kShardTable].offset +
                            plan.sections[kShardTable].size;
     plan.sections[kRowWords].offset = cursor;
-    plan.headOffsets.resize(store.shardCount());
-    plan.tailOffsets.resize(store.shardCount());
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.shardView(s);
-        plan.headOffsets[s] = cursor;
-        cursor +=
-            alignUp(v.rows * v.headStride * sizeof(std::uint64_t));
-        if (v.sliceBits != 0) {
-            plan.tailOffsets[s] = cursor;
-            cursor += alignUp(v.rows * v.tailStride *
-                              sizeof(std::uint64_t));
-        } else {
-            plan.tailOffsets[s] = 0;
-        }
-    }
-    plan.sections[kRowWords].size =
-        cursor - plan.sections[kRowWords].offset;
+    plan.sections[kRowWords].size = alignUp(
+        plan.rows * plan.wordsPerRow * sizeof(std::uint64_t));
+    cursor += plan.sections[kRowWords].size;
 
     // Section 2: labels.
     std::uint64_t labelPayload = 8;
@@ -377,7 +343,7 @@ planFile(const AssociativeMemory &am, const SaveOptions &opts)
 
     // Checksums: run every emitter once into a CRC sink.
     planSection(plan, kShardTable, [&](CrcSink &sink) {
-        emitShardTable(sink, store, plan);
+        emitShardTable(sink, plan);
     });
     planSection(plan, kRowWords, [&](CrcSink &sink) {
         emitRowWords(sink, store, plan);
@@ -406,9 +372,9 @@ buildHeader(const FilePlan &plan)
     putU32(h.data() + kOffHeaderCrc, 0);
     putU64(h.data() + kOffDim, plan.dim);
     putU64(h.data() + kOffRows, plan.rows);
-    putU32(h.data() + kOffLayoutTag, plan.layoutTag);
-    putU32(h.data() + kOffShardCount, plan.shardCount);
-    putU64(h.data() + kOffSlicePrefix, plan.slicePrefix);
+    putU32(h.data() + kOffLayoutTag, kLayoutTagRowMajor);
+    putU32(h.data() + kOffShardCount, 1);
+    putU64(h.data() + kOffSlicePrefix, 0);
     putU64(h.data() + kOffWordsPerRow, plan.wordsPerRow);
     putU64(h.data() + kOffFileSize, plan.fileSize);
     putU32(h.data() + kOffSectionCount, kSectionCount);
@@ -454,9 +420,8 @@ ModelWriter::write(const AssociativeMemory &am,
 
     StreamSink sink{out};
     sink.bytes(header.data(), header.size());
-    const PackedRows &store = am.storage();
-    emitShardTable(sink, store, plan);
-    emitRowWords(sink, store, plan);
+    emitShardTable(sink, plan);
+    emitRowWords(sink, am.storage(), plan);
     emitLabels(sink, am, plan);
     emitSideMemory(sink, opts.items,
                    opts.items != nullptr ? opts.items->size() : 0,
@@ -510,7 +475,7 @@ ModelView::ModelView(ModelView &&other) noexcept
       headerCrc(other.headerCrc), itemCount(other.itemCount),
       itemWordsOffset(other.itemWordsOffset),
       levelCount(other.levelCount),
-      levelWordsOffset(other.levelWordsOffset),
+      levelWordsOffset(other.levelWordsOffset), layout(other.layout),
       am(std::move(other.am))
 {
     other.base = nullptr;
@@ -681,8 +646,8 @@ ModelView::openAndValidate(const Options &opts)
     }
 
     // --- Shard table ----------------------------------------------
-    // Derive the head/tail strides exactly as RowStore does,
-    // including the degenerate whole-row slice.
+    // Derive the head/tail strides the legacy writer used, including
+    // its degenerate whole-row slice (stored as whole rows).
     const std::uint64_t rawSlice =
         layoutTag == kLayoutTagSliced
             ? std::min<std::uint64_t>(
@@ -705,7 +670,14 @@ ModelView::openAndValidate(const Options &opts)
     const std::uint64_t rowsBegin = sections[kRowWords].offset;
     const std::uint64_t rowsEnd =
         rowsBegin + sections[kRowWords].size;
-    std::vector<ExternalShard> ext(shardCount);
+    /** One validated shard: its rows and where their words live. */
+    struct ShardWords
+    {
+        std::uint64_t rows = 0;
+        const std::uint64_t *head = nullptr;
+        const std::uint64_t *tail = nullptr;
+    };
+    std::vector<ShardWords> shardWords(shardCount);
     std::uint64_t covered = 0;
     for (std::size_t s = 0; s < shardCount; ++s) {
         const unsigned char *e = base +
@@ -745,9 +717,8 @@ ModelView::openAndValidate(const Options &opts)
                  std::to_string(headOffset) +
                  " falls outside the row words section");
         }
-        ext[s].firstRow = static_cast<std::size_t>(firstRow);
-        ext[s].rows = static_cast<std::size_t>(shardRows);
-        ext[s].head = reinterpret_cast<const std::uint64_t *>(
+        shardWords[s].rows = shardRows;
+        shardWords[s].head = reinterpret_cast<const std::uint64_t *>(
             base + headOffset);
         if (tailStride != 0) {
             const std::uint64_t tailStrideBytes =
@@ -761,8 +732,9 @@ ModelView::openAndValidate(const Options &opts)
                      std::to_string(tailOffset) +
                      " falls outside the row words section");
             }
-            ext[s].tail = reinterpret_cast<const std::uint64_t *>(
-                base + tailOffset);
+            shardWords[s].tail =
+                reinterpret_cast<const std::uint64_t *>(base +
+                                                        tailOffset);
         } else if (tailOffset != 0) {
             fail("shard " + std::to_string(s) +
                  " records a tail region in a row-major layout");
@@ -852,14 +824,42 @@ ModelView::openAndValidate(const Options &opts)
         fail("level memory with a single level");
 
     // --- Bind -----------------------------------------------------
-    StoreLayout spec;
-    spec.layout = layoutTag == kLayoutTagSliced ? RowLayout::Sliced
-                                                : RowLayout::RowMajor;
-    spec.shards = shardCount;
-    spec.slicePrefix = static_cast<std::size_t>(slicePrefix);
+    layout.sliced = layoutTag == kLayoutTagSliced;
+    layout.shards = shardCount;
+    layout.slicePrefix = static_cast<std::size_t>(slicePrefix);
     am.emplace(static_cast<std::size_t>(dim));
-    am->bindExternal(spec, static_cast<std::size_t>(rowCount), ext,
-                     std::move(labels));
+    if (!layout.sliced && shardCount == 1) {
+        // What every writer emits: the rows in place, zero-copy.
+        am->bindExternal(shardWords[0].head,
+                         static_cast<std::size_t>(rowCount),
+                         std::move(labels));
+        return;
+    }
+    // A legacy sliced or multi-shard file: gather each row, shard by
+    // shard, from its head words and then its tail words into an
+    // owned row-major store. Its shards are disjoint, so the copy is
+    // no larger than the row words section; a table whose shards
+    // alias each other's words must not multiply the allocation.
+    if (rowCount > sections[kRowWords].size /
+                       (wordsPerRow * sizeof(std::uint64_t))) {
+        fail("shard table corrupt: " + std::to_string(rowCount) +
+             " rows do not fit the row words section");
+    }
+    am->reserve(static_cast<std::size_t>(rowCount));
+    std::vector<std::uint64_t> row(wordsPerRow);
+    std::size_t id = 0;
+    for (const ShardWords &shard : shardWords) {
+        for (std::uint64_t r = 0; r < shard.rows; ++r, ++id) {
+            std::copy_n(shard.head + r * headStride, headStride,
+                        row.begin());
+            if (tailStride != 0)
+                std::copy_n(shard.tail + r * tailStride, tailStride,
+                            row.begin() + headStride);
+            am->store(Hypervector::fromWords(
+                          static_cast<std::size_t>(dim), row.data()),
+                      std::move(labels[id]));
+        }
+    }
 }
 
 ItemMemory

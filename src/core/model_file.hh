@@ -5,17 +5,16 @@
  * Serving millions of users needs instant cold start: a worker must
  * answer queries moments after exec, from models too large to
  * deserialize row by row. This module persists a trained
- * AssociativeMemory -- the PackedRows class store in its *physical*
- * layout (row-major or bit-sliced, including shard boundaries), the
- * class labels, and optionally the item/level memories the encoder
- * was trained with -- in a 64-byte-aligned little-endian file that a
- * ModelView maps read-only and queries *in place*: nearest/topK/
- * searchBatch, pruning, the sharded scan and every distance kernel
- * run on the mapped words directly, bit-identical to the in-RAM
- * store, with zero per-row deserialization on the load path (the
- * loader touches only the header and, by default, the per-section
- * CRC32C checksums). N processes mapping the same file share one
- * physical copy of the model.
+ * AssociativeMemory -- the PackedRows class store as its row-major
+ * words, the class labels, and optionally the item/level memories
+ * the encoder was trained with -- in a 64-byte-aligned little-endian
+ * file that a ModelView maps read-only and queries *in place*:
+ * nearest/topK/searchBatch, pruning and every distance kernel run on
+ * the mapped words directly, bit-identical to the in-RAM store, with
+ * zero per-row deserialization on the load path (the loader touches
+ * only the header and, by default, the per-section CRC32C
+ * checksums). N processes mapping the same file share one physical
+ * copy of the model.
  *
  * ## Byte layout (all integers little-endian; full spec in
  * ## docs/SERIALIZATION.md)
@@ -35,6 +34,12 @@
  * byte of the file past the header belongs to exactly one checksummed
  * section: any flipped bit or truncation is rejected at load with a
  * precise error, never a crash or a silently wrong model.
+ *
+ * Writers emit row-major rows in one shard (N = 1, no tail region).
+ * Earlier writers could also split the rows into several shards and
+ * bit-slice them (each row's leading words in a shard's head region,
+ * the rest in its tail region); readers still accept those files and
+ * copy their rows into a row-major store on open.
  *
  * Compatibility rules: the magic and version gate the whole file; a
  * reader must reject any version it does not know. Fields marked
@@ -105,10 +110,9 @@ struct SaveOptions
  * the first pass walks the exact bytes to be emitted and computes
  * every section size and CRC32C; the second streams the header and
  * sections to the output, row words copied straight from the
- * PackedRows shard views. The stream never needs to seek, so the
- * writer works on pipes as well as files. The class store is written
- * in its *current* physical layout -- re-lay the memory first
- * (setStoreLayout) to choose the on-disk layout.
+ * PackedRows array. The stream never needs to seek, so the writer
+ * works on pipes as well as files. The rows are always written
+ * row-major in one shard.
  */
 class ModelWriter
 {
@@ -135,6 +139,21 @@ void save(const std::string &path, const AssociativeMemory &am,
           const SaveOptions &opts = {});
 
 /**
+ * The row layout an hdham.model.v1 header records. What writers
+ * emit today is row-major in one shard; the other values only occur
+ * in files from earlier writers.
+ */
+struct FileLayout
+{
+    /** Each row's leading words stored apart from the rest. */
+    bool sliced = false;
+    /** Contiguous row ranges, each with its own word regions. */
+    std::size_t shards = 1;
+    /** Sliced files: components in a row's leading words. */
+    std::size_t slicePrefix = 0;
+};
+
+/**
  * Read-only zero-copy view of an hdham.model.v1 file.
  *
  * The constructor maps the file (PROT_READ), validates the header
@@ -148,9 +167,11 @@ void save(const std::string &path, const AssociativeMemory &am,
  *
  * memory() serves queries directly from the mapping and is
  * bit-identical to the store the model was saved from, for every
- * kernel, thread count, layout and shard count. The memory is
- * read-only: store()/setStoreLayout() throw; setScanPolicy and
- * attachMetrics work normally. The view must outlive every reference
+ * kernel and thread count. The mapped memory is read-only: store()
+ * throws; setScanPolicy and attachMetrics work normally. A file in
+ * a legacy sliced or multi-shard layout passes the same validation
+ * and then has its rows copied into an owned row-major store, which
+ * answers bit-identically. The view must outlive every reference
  * obtained from it.
  */
 class ModelView
@@ -205,11 +226,8 @@ class ModelView
     /** Number of stored classes. */
     std::size_t classes() const { return memory().size(); }
 
-    /** The on-disk (and in-memory) physical store layout. */
-    const StoreLayout &layout() const
-    {
-        return memory().storeLayout();
-    }
+    /** The row layout the file's header records. */
+    const FileLayout &fileLayout() const { return layout; }
 
     /**
      * The mapped associative memory, queried zero-copy in place.
@@ -248,6 +266,7 @@ class ModelView
     std::size_t itemWordsOffset = 0;
     std::size_t levelCount = 0;
     std::size_t levelWordsOffset = 0;
+    FileLayout layout;
     std::optional<AssociativeMemory> am;
 };
 

@@ -32,9 +32,10 @@ namespace hdham::modelload
 
 /**
  * An hdham.model.v1 file, mmap'ed and validated, whose class store
- * is served zero-copy in place. memory() is mutable so callers can
- * set scan policy and metrics; the mapped store still rejects
- * mutation of the rows.
+ * is served zero-copy in place (a file in a legacy sliced or sharded
+ * layout: from the row-major copy the open made). memory() is
+ * mutable so callers can set scan policy and metrics; the mapped
+ * store still rejects mutation of the rows.
  */
 class LoadedModel
 {

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/distance.hh"
-#include "core/parallel_for.hh"
 #include "core/trace.hh"
 
 namespace hdham
@@ -59,78 +58,19 @@ pruneLimit(const ScanPolicy &policy, std::size_t prefix)
     return autoCutoff(prefix) + 1;
 }
 
-/** Word pointer to local row @p r's head stride. */
-inline const std::uint64_t *
-headPtr(const ShardView &v, std::size_t r)
-{
-    return v.head + r * v.headStride;
-}
-
-/** Word pointer to local row @p r's tail stride (sliced shards). */
-inline const std::uint64_t *
-tailPtr(const ShardView &v, std::size_t r)
-{
-    return v.tail + r * v.tailStride;
-}
-
 /**
- * True when a @p prefix-wide distance must read past the shard's
- * slice seam. Row-major shards (sliceBits == 0) never do; sliced
- * shards only when the prefix exceeds the slice, in which case the
- * split kernels compose head and tail strides exactly.
- */
-inline bool
-crossesSeam(const ShardView &v, std::size_t prefix)
-{
-    return v.sliceBits != 0 && prefix > v.sliceBits;
-}
-
-/** Exact distance of local row @p r under the shard's layout. */
-inline std::size_t
-rowDist(const ShardView &v, std::size_t r, const std::uint64_t *q,
-        std::size_t prefix, distance::HammingFn fn)
-{
-    if (!crossesSeam(v, prefix))
-        return fn(headPtr(v, r), q, prefix);
-    return distance::splitHamming(headPtr(v, r), tailPtr(v, r), q,
-                                  v.sliceBits, prefix, fn);
-}
-
-/** Bound-exact distance of local row @p r under the shard's layout. */
-inline std::size_t
-rowDistBounded(const ShardView &v, std::size_t r,
-               const std::uint64_t *q, std::size_t prefix,
-               std::size_t bound, std::size_t *wordsRead,
-               distance::BoundedHammingFn bfn)
-{
-    if (!crossesSeam(v, prefix))
-        return bfn(headPtr(v, r), q, prefix, bound, wordsRead);
-    return distance::splitHammingBounded(headPtr(v, r), tailPtr(v, r),
-                                         q, v.sliceBits, prefix,
-                                         bound, wordsRead, bfn);
-}
-
-/**
- * Distances of every row in the shard over the first @p prefix
- * components, written to out[0 .. v.rows). The head-only loop walks
- * one stride sequentially -- on a sliced shard whose slice covers the
- * prefix this is the cascade's streaming pass.
+ * Distances of rows [0, @p count) over the first @p prefix
+ * components, written to out[0 .. count): one sequential walk of the
+ * row-major array.
  */
 inline void
-shardDistances(const ShardView &v, const std::uint64_t *q,
-               std::size_t prefix, distance::HammingFn fn,
-               std::size_t *out)
+rowDistances(const std::uint64_t *rows, std::size_t rowWords,
+             std::size_t count, const std::uint64_t *q,
+             std::size_t prefix, distance::HammingFn fn,
+             std::size_t *out)
 {
-    if (!crossesSeam(v, prefix)) {
-        const std::uint64_t *p = v.head;
-        for (std::size_t r = 0; r < v.rows; ++r) {
-            out[r] = fn(p, q, prefix);
-            p += v.headStride;
-        }
-        return;
-    }
-    for (std::size_t r = 0; r < v.rows; ++r)
-        out[r] = rowDist(v, r, q, prefix, fn);
+    for (std::size_t r = 0; r < count; ++r)
+        out[r] = fn(rows + r * rowWords, q, prefix);
 }
 
 /** Worse-first (distance, index) ordering: heap top = k-th best. */
@@ -156,12 +96,6 @@ struct BestRow
     void visit(Visit visitRow) const
     {
         visitRow(best);
-    }
-    /** Fold a later shard's keeper (local indices from firstRow). */
-    void fold(const BestRow &shard, std::size_t firstRow)
-    {
-        if (shard.best.distance < best.distance)
-            best = {firstRow + shard.best.index, shard.best.distance};
     }
 };
 
@@ -197,52 +131,41 @@ struct BestRows
         for (const RowMatch &m : heap)
             visitRow(m);
     }
-    /**
-     * Fold a later shard's keeper in ascending (distance, index)
-     * order, so equal distances arrive in ascending global index
-     * order and the strict cut keeps the earlier row. The break is
-     * sound because the rest of the shard's list only grows while
-     * the cut only shrinks.
-     */
-    void fold(BestRows &shard, std::size_t firstRow)
-    {
-        std::sort_heap(shard.heap.begin(), shard.heap.end(),
-                       worseMatch);
-        for (const RowMatch &m : shard.heap) {
-            if (m.distance >= cut())
-                break;
-            add(firstRow + m.index, m.distance);
-        }
-    }
 
     std::size_t k;
     std::vector<RowMatch> heap;
 };
 
 /**
- * The scan: every row of one shard, in index order, offered to
- * @p keep (local indices). A row must come in strictly below
- * min(ceiling, keep.cut()); the ceiling is prefix + 1 or, with the
- * cascade, one past the largest exact distance among the keeper-size
- * best prefix rows. See PackedRows::nearest for the exactness
- * argument.
+ * The scan: every row of the store, in index order, offered to
+ * @p keep. A row must come in strictly below min(ceiling,
+ * keep.cut()); the ceiling is prefix + 1 or, with the cascade, one
+ * past the largest exact distance among the keeper-size best prefix
+ * rows. The kernel entry is read once, so one scan never mixes two
+ * tiers. See PackedRows::nearest for the exactness argument.
  */
 template <typename Keeper>
 void
-scanShard(const ShardView &v, const std::uint64_t *q,
-          std::size_t prefix, const ScanPolicy &policy,
-          ScanStats *stats, distance::HammingFn fn,
-          distance::BoundedHammingFn bfn, Keeper &keep)
+scanRows(const std::uint64_t *rows, std::size_t rowWords,
+         std::size_t count, const Hypervector &query,
+         std::size_t prefix, const ScanPolicy &policy,
+         ScanStats *stats, Keeper &keep)
 {
+    const std::uint64_t *q = query.data();
+    const distance::KernelEntry &kernel = distance::activeEntry();
+    const distance::HammingFn fn = kernel.fn;
+    const distance::BoundedHammingFn bfn = kernel.bounded;
     const std::size_t rowSpan = wordsFor(prefix);
     const std::size_t pruneBelow = pruneLimit(policy, prefix);
     std::size_t ceiling = prefix + 1;
     // prefixDist is null without the cascade. Inlined at both calls
     // so the cascade-free scan compiles without the prefix checks.
-    const auto scanRows = [&](const std::size_t *prefixDist)
-                              __attribute__((always_inline)) {
+    const auto scanAll = [&](const std::size_t *prefixDist)
+                             __attribute__((always_inline)) {
         std::size_t bound = std::min(ceiling, keep.cut());
-        for (std::size_t row = 0; row < v.rows; ++row) {
+        const std::uint64_t *p = rows;
+        for (std::size_t row = 0; row < count;
+             ++row, p += rowWords) {
             if (prefixDist != nullptr) {
                 if (prefixDist[row] >= bound) {
                     if (stats != nullptr) {
@@ -258,8 +181,7 @@ scanShard(const ShardView &v, const std::uint64_t *q,
             std::size_t d;
             if (bound < pruneBelow) {
                 std::size_t wordsRead = 0;
-                d = rowDistBounded(v, row, q, prefix, bound,
-                                   &wordsRead, bfn);
+                d = bfn(p, q, prefix, bound, &wordsRead);
                 if (d == distance::kAbandoned) {
                     if (stats != nullptr) {
                         ++stats->rowsPruned;
@@ -268,7 +190,7 @@ scanShard(const ShardView &v, const std::uint64_t *q,
                     continue;
                 }
             } else {
-                d = rowDist(v, row, q, prefix, fn);
+                d = fn(p, q, prefix);
                 if (d >= bound)
                     continue;
             }
@@ -277,8 +199,8 @@ scanShard(const ShardView &v, const std::uint64_t *q,
         }
     };
     if (policy.prune == PruneMode::Off || policy.cascadePrefix == 0 ||
-        policy.cascadePrefix >= prefix || keep.capacity() >= v.rows) {
-        scanRows(nullptr);
+        policy.cascadePrefix >= prefix || keep.capacity() >= count) {
+        scanAll(nullptr);
         return;
     }
 
@@ -287,69 +209,22 @@ scanShard(const ShardView &v, const std::uint64_t *q,
     thread_local std::vector<std::size_t> cascadeDist;
     {
         TRACE_SPAN("packed_rows.cascade");
-        cascadeDist.resize(v.rows);
-        shardDistances(v, q, policy.cascadePrefix, fn,
-                       cascadeDist.data());
+        cascadeDist.resize(count);
+        rowDistances(rows, rowWords, count, q, policy.cascadePrefix,
+                     fn, cascadeDist.data());
         Keeper seeds = keep.fresh();
-        for (std::size_t row = 0; row < v.rows; ++row)
+        for (std::size_t row = 0; row < count; ++row)
             if (cascadeDist[row] < seeds.cut())
                 seeds.add(row, cascadeDist[row]);
         std::size_t maxSeed = 0;
         seeds.visit([&](const RowMatch &m) {
-            maxSeed =
-                std::max(maxSeed, rowDist(v, m.index, q, prefix, fn));
+            maxSeed = std::max(
+                maxSeed, fn(rows + m.index * rowWords, q, prefix));
         });
         ceiling = maxSeed + 1;
     }
     TRACE_SPAN("packed_rows.refine");
-    scanRows(cascadeDist.data());
-}
-
-/**
- * Scan every shard of @p store into @p keep (global indices). Each
- * shard scans into its own fresh keeper -- so its bound, and what
- * it adds to @p stats, never depends on another shard -- and the
- * shard keepers fold into @p keep in ascending shard order. With
- * one resolved thread the shards run in order on the caller; with
- * more they fan out over parallelForShards.
- */
-template <typename Keeper>
-void
-scanShards(const RowStore &store, const Hypervector &query,
-           std::size_t prefix, const ScanPolicy &policy,
-           ScanStats *stats, std::size_t threads, Keeper &keep)
-{
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    const std::size_t n = store.shardCount();
-    if (n == 1) {
-        scanShard(store.view(0), q, prefix, policy, stats, fn, bfn,
-                  keep);
-        return;
-    }
-    if (resolveThreads(threads) <= 1) {
-        for (std::size_t s = 0; s < n; ++s) {
-            const ShardView v = store.view(s);
-            Keeper shard = keep.fresh();
-            scanShard(v, q, prefix, policy, stats, fn, bfn, shard);
-            keep.fold(shard, v.firstRow);
-        }
-        return;
-    }
-    std::vector<Keeper> shards(n, keep.fresh());
-    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
-    parallelForShards(n, threads, [&](std::size_t s) {
-        TRACE_SPAN("packed_rows.shard_scan");
-        scanShard(store.view(s), q, prefix, policy,
-                  stats != nullptr ? &shardStats[s] : nullptr, fn,
-                  bfn, shards[s]);
-    });
-    for (std::size_t s = 0; s < n; ++s) {
-        keep.fold(shards[s], store.view(s).firstRow);
-        if (stats != nullptr)
-            *stats += shardStats[s];
-    }
+    scanAll(cascadeDist.data());
 }
 
 } // namespace
@@ -381,50 +256,69 @@ parsePruneMode(const std::string &name, PruneMode *out)
     return false;
 }
 
-PackedRows::PackedRows(std::size_t dim) : store(dim) {}
+PackedRows::PackedRows(std::size_t dim)
+    : numBits(dim), rowWords(wordsFor(dim))
+{
+    if (dim == 0)
+        throw std::invalid_argument("PackedRows: zero dimension");
+}
+
+void
+PackedRows::requireOwned(const char *what) const
+{
+    if (external()) {
+        throw std::logic_error(
+            std::string("PackedRows::") + what +
+            ": store is bound to read-only external memory");
+    }
+}
+
+void
+PackedRows::bindExternal(const std::uint64_t *words,
+                         std::size_t rowCount)
+{
+    if (words == nullptr) {
+        throw std::invalid_argument(
+            "PackedRows::bindExternal: null words");
+    }
+    owned = {};
+    borrowed = words;
+    numRows = rowCount;
+}
 
 void
 PackedRows::reserve(std::size_t extraRows)
 {
-    store.reserve(extraRows);
-}
-
-void
-PackedRows::setLayout(const StoreLayout &spec)
-{
-    store.reshape(spec);
+    requireOwned("reserve");
+    owned.reserve(owned.size() + extraRows * rowWords);
 }
 
 std::size_t
 PackedRows::append(const Hypervector &hv)
 {
+    requireOwned("append");
     if (hv.dim() != dim())
         throw std::invalid_argument("PackedRows::append: dimension "
                                     "mismatch");
-    return store.append(hv.data());
+    owned.insert(owned.end(), hv.data(), hv.data() + rowWords);
+    return numRows++;
 }
 
 Hypervector
-PackedRows::rowVector(std::size_t row) const
+PackedRows::rowVector(std::size_t r) const
 {
-    assert(row < rows());
-    std::vector<std::uint64_t> buf(wordsPerRow());
-    store.copyRow(row, buf.data());
-    return Hypervector::fromWords(dim(), buf.data());
+    assert(r < rows());
+    return Hypervector::fromWords(dim(), row(r));
 }
 
 std::size_t
-PackedRows::distance(std::size_t row, const Hypervector &query,
+PackedRows::distance(std::size_t r, const Hypervector &query,
                      std::size_t prefix) const
 {
-    assert(row < rows());
+    assert(r < rows());
     assert(query.dim() == dim());
     assert(prefix <= dim());
-    std::size_t shard = 0;
-    std::size_t local = 0;
-    store.locate(row, &shard, &local);
-    return rowDist(store.view(shard), local, query.data(), prefix,
-                   distance::active());
+    return distance::hamming(row(r), query.data(), prefix);
 }
 
 void
@@ -432,41 +326,21 @@ PackedRows::distances(const Hypervector &query, std::size_t prefix,
                       std::vector<std::size_t> &out) const
 {
     out.resize(rows());
-    // Hoist the kernel dispatch out of the row loops.
-    const distance::HammingFn fn = distance::active();
-    const std::uint64_t *q = query.data();
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.view(s);
-        shardDistances(v, q, prefix, fn, out.data() + v.firstRow);
-    }
+    rowDistances(data(), rowWords, rows(), query.data(), prefix,
+                 distance::active(), out.data());
 }
 
 void
 PackedRows::stagePrefixDistances(
-    std::size_t row, const Hypervector &query,
+    std::size_t r, const Hypervector &query,
     const std::vector<std::size_t> &stageEnds,
     std::vector<std::size_t> &out) const
 {
-    assert(row < rows());
+    assert(r < rows());
     assert(query.dim() == dim());
     assert(stageEnds.empty() || stageEnds.back() <= dim());
     out.resize(stageEnds.size());
-    // The staged walk below wants one contiguous record; on a sliced
-    // store materialize the row first (the staged engines keep their
-    // stores row-major, so this path is cold there).
-    std::vector<std::uint64_t> rowBuf;
-    const std::uint64_t *a = nullptr;
-    if (store.sliceWords() != 0) {
-        rowBuf.resize(wordsPerRow());
-        store.copyRow(row, rowBuf.data());
-        a = rowBuf.data();
-    } else {
-        std::size_t shard = 0;
-        std::size_t local = 0;
-        store.locate(row, &shard, &local);
-        const ShardView v = store.view(shard);
-        a = headPtr(v, local);
-    }
+    const std::uint64_t *a = row(r);
     const std::uint64_t *q = query.data();
     const distance::HammingFn fn = distance::active();
     // One pass: full words accumulate into cum (through the
@@ -503,15 +377,15 @@ PackedRows::stagePrefixDistances(
 std::size_t
 PackedRows::nearest(const Hypervector &query, std::size_t prefix,
                     const ScanPolicy &policy, ScanStats *stats,
-                    std::size_t *bestDistance,
-                    std::size_t threads) const
+                    std::size_t *bestDistance) const
 {
     if (rows() == 0)
         throw std::logic_error("PackedRows::nearest: empty store");
     assert(query.dim() == dim());
     assert(prefix <= dim());
     BestRow keep;
-    scanShards(store, query, prefix, policy, stats, threads, keep);
+    scanRows(data(), rowWords, rows(), query, prefix, policy, stats,
+             keep);
     if (bestDistance != nullptr)
         *bestDistance = keep.best.distance;
     return keep.best.index;
@@ -520,8 +394,7 @@ PackedRows::nearest(const Hypervector &query, std::size_t prefix,
 void
 PackedRows::topK(const Hypervector &query, std::size_t prefix,
                  std::size_t k, const ScanPolicy &policy,
-                 ScanStats *stats, std::vector<RowMatch> &out,
-                 std::size_t threads) const
+                 ScanStats *stats, std::vector<RowMatch> &out) const
 {
     out.clear();
     if (rows() == 0)
@@ -531,7 +404,8 @@ PackedRows::topK(const Hypervector &query, std::size_t prefix,
     if (k == 0)
         return;
     BestRows keep(std::min(k, rows()));
-    scanShards(store, query, prefix, policy, stats, threads, keep);
+    scanRows(data(), rowWords, rows(), query, prefix, policy, stats,
+             keep);
     std::sort_heap(keep.heap.begin(), keep.heap.end(), worseMatch);
     out = std::move(keep.heap);
 }

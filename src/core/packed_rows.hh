@@ -1,41 +1,33 @@
 /**
  * @file
- * The exact nearest-row search over a sharded, layout-aware row
- * store: the software form of the D-HAM array (an XOR per cell, a
- * popcount per row, a comparator tree that takes the lowest index on
- * ties).
+ * The exact nearest-row search over a dense row-major store: the
+ * software form of the D-HAM array (an XOR per cell, a popcount per
+ * row, a comparator tree that takes the lowest index on ties).
  *
- * PackedRows owns one scan algorithm on top of a RowStore
- * (core/row_store.hh), which owns the physical words in one of two
- * layouts:
+ * PackedRows keeps every row as one contiguous record of
+ * wordsPerRow() words, all rows back to back in one array -- the
+ * software analogue of the hardware CAM array. It either owns that
+ * array or borrows it read-only from caller-managed memory (a mapped
+ * hdham.model.v1 file; see core/model_file.hh), and every scan reads
+ * the two the same way.
  *
- *  - row-major (the default): each row is one contiguous record, the
- *    software analogue of the hardware CAM array's dense layout.
- *  - sliced: the first slicePrefix components of every row are
- *    packed contiguously, so the cascade's first pass streams
- *    sequential memory instead of striding row-sized records -- the
- *    layout that keeps the cascade fast at C >= 100k rows.
- *
- * The scan is one per-shard loop that keeps the k best rows seen so
- * far (a single slot for nearest(), a worse-first heap for topK()).
- * A row enters only with a distance strictly below both the
- * keeper's cut and a ceiling, so the ScanPolicy can reject rows
- * without reading all of their words:
+ * The scan is one loop that keeps the k best rows seen so far (a
+ * single slot for nearest(), a worse-first heap for topK()). A row
+ * enters only with a distance strictly below both the keeper's cut
+ * and a ceiling, so the ScanPolicy can reject rows without reading
+ * all of their words:
  *
  *  - Early abandonment: the row's distance runs through the bounded
  *    kernel (distance::hammingBounded), which stops as soon as the
  *    running popcount reaches the bound. PruneMode picks when; Off
  *    never does.
- *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): the
- *    shard is first scored on its leading cascadePrefix components,
+ *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): every
+ *    row is first scored on its leading cascadePrefix components,
  *    and the ceiling drops to one past the largest exact distance
  *    among the keeper-size best prefix rows. A row whose prefix
  *    distance already reaches the bound is skipped.
  *
- * Every shard seeds its own bound, so what a shard computes (and
- * every ScanStats counter it adds) is independent of which thread
- * runs it; shard keepers are folded in ascending shard order. The
- * exactness argument is on nearest() and topK().
+ * The exactness argument is on nearest() and topK().
  */
 
 #ifndef HDHAM_CORE_PACKED_ROWS_HH
@@ -47,7 +39,6 @@
 #include <vector>
 
 #include "core/hypervector.hh"
-#include "core/row_store.hh"
 
 namespace hdham
 {
@@ -95,13 +86,10 @@ struct ScanPolicy
 
 /**
  * Work avoided by one pruned scan. rowsPruned and cascadeSurvivors
- * depend only on the distance values and the shard partition, so
- * they are identical across kernels, layouts and (summed per query)
- * across thread counts; wordsSkipped depends on where the active
- * kernel places its strip checks and is exactly reproducible only
- * for a pinned kernel. Sharded scans accumulate per-shard stats and
- * merge them in ascending shard order, so merged totals are exact
- * at every thread count.
+ * depend only on the distance values, so they are identical across
+ * kernels and (summed per query) across thread counts; wordsSkipped
+ * depends on where the active kernel places its strip checks and is
+ * exactly reproducible only for a pinned kernel.
  */
 struct ScanStats
 {
@@ -132,7 +120,7 @@ struct RowMatch
 };
 
 /**
- * Scan engine over a dense store of equal-dimensionality
+ * Scan engine over a dense row-major store of equal-dimensionality
  * hypervectors.
  */
 class PackedRows
@@ -142,66 +130,47 @@ class PackedRows
     explicit PackedRows(std::size_t dim);
 
     /** Dimensionality of stored rows. */
-    std::size_t dim() const { return store.dim(); }
+    std::size_t dim() const { return numBits; }
 
     /** Number of stored rows. */
-    std::size_t rows() const { return store.rows(); }
+    std::size_t rows() const { return numRows; }
 
     /** Words per row (including tail padding). */
-    std::size_t wordsPerRow() const { return store.wordsPerRow(); }
-
-    /** The resolved physical layout of the backing store. */
-    const StoreLayout &layoutSpec() const
-    {
-        return store.layoutSpec();
-    }
-
-    /** Number of row shards (>= 1; 1 until setLayout shards). */
-    std::size_t shardCount() const { return store.shardCount(); }
+    std::size_t wordsPerRow() const { return rowWords; }
 
     /**
-     * Scan view of shard @p shard -- the raw word pointers and
-     * strides the scan loops use. Exposed so the model writer
-     * (core/model_file.hh) can stream the physical words straight to
-     * disk without materializing rows. @pre shard < shardCount().
+     * The row-major words: row r is the wordsPerRow() words at
+     * data() + r * wordsPerRow(). Exposed so the model writer
+     * (core/model_file.hh) can stream them straight to disk.
      */
-    ShardView shardView(std::size_t shard) const
+    const std::uint64_t *data() const
     {
-        return store.view(shard);
+        return borrowed != nullptr ? borrowed : owned.data();
     }
 
     /**
-     * True when the backing store borrows read-only external memory
-     * (an mmap'ed model file; see bindExternal). append/reserve/
-     * setLayout throw on such a store.
+     * True when the store borrows read-only external memory (an
+     * mmap'ed model file; see bindExternal). append/reserve throw on
+     * such a store.
      */
-    bool external() const { return store.external(); }
+    bool external() const { return borrowed != nullptr; }
 
     /**
-     * Point the backing store at caller-managed memory laid out per
-     * @p spec (see RowStore::bindExternal). O(shards): no row word
-     * is copied or read. The memory must outlive this object.
+     * Replace the store's contents with @p rowCount row-major rows
+     * borrowed from caller-managed memory at @p words (typically an
+     * mmap'ed model file). O(1): no row word is copied, read or
+     * validated, which is what gives the model loader its
+     * zero-deserialization cold start. The memory must stay mapped
+     * and unchanged for this object's lifetime.
+     * @throws std::invalid_argument when @p words is null.
      */
-    void bindExternal(const StoreLayout &spec, std::size_t rowCount,
-                      const std::vector<ExternalShard> &ext)
-    {
-        store.bindExternal(spec, rowCount, ext);
-    }
+    void bindExternal(const std::uint64_t *words, std::size_t rowCount);
 
     /**
      * Reserve capacity for @p extraRows more append() calls so bulk
-     * training / model loading never reallocates (and never breaks
-     * the sharded first-touch placement with growth copies).
+     * training / model loading never reallocates.
      */
     void reserve(std::size_t extraRows);
-
-    /**
-     * Re-lay the backing store (layout, shard count, slice prefix;
-     * see RowStore::reshape). Word-exact: every scan result is
-     * bit-identical before and after. @throws std::invalid_argument
-     * for a sliced layout without a slice prefix.
-     */
-    void setLayout(const StoreLayout &spec);
 
     /**
      * Append a row; returns its index.
@@ -234,9 +203,7 @@ class PackedRows
      * Stage boundaries need not be word-aligned; boundary words are
      * split exactly with bit masks, so ragged stage widths (and
      * ragged dimensions) produce the same counts as summing
-     * per-stage hammingPrefix differences. (On a sliced store the
-     * row is first materialized into a scratch record; the staged
-     * engines keep their stores row-major.)
+     * per-stage hammingPrefix differences.
      * @pre stageEnds is non-decreasing and stageEnds.back() <= dim().
      */
     void stagePrefixDistances(std::size_t row,
@@ -249,33 +216,26 @@ class PackedRows
      * the first @p prefix components; ties resolve to the lowest
      * index. Scans under @p policy, adds the work it avoided to
      * @p stats and writes the winner's distance to @p bestDistance
-     * (both may be null). @p threads > 1 (0 = all hardware threads)
-     * fans the shards out over workers under
-     * "packed_rows.shard_scan" spans; otherwise they run in order on
-     * the caller, which allocates nothing.
+     * (both may be null). Runs on the caller and allocates nothing.
      *
      * Exactness: winner, distance and counters are bit-identical
-     * for every policy, kernel, layout, shard count and thread
-     * count, and the winner and distance match an exhaustive scan.
-     * A row is rejected only when its distance reaches the bound:
-     * either the keeper's cut, a distance a row earlier in index
-     * order attains (the rejected row could at best tie it and would
-     * lose the lowest-index tie), or the ceiling, one past a
-     * distance some row attains (the rejected row is strictly
-     * worse). The bounded kernel is bound-exact -- it returns the
-     * true distance whenever that is below the bound -- and a
-     * prefix distance lower-bounds the full distance, so neither
-     * abandonment nor the cascade rejects a row the bound admits.
-     * Shards cover ascending row ranges and fold in that order,
-     * entering only with a strictly smaller distance, which keeps
-     * the tie rule across shard seams.
+     * for every policy and kernel, and the winner and distance match
+     * an exhaustive scan. A row is rejected only when its distance
+     * reaches the bound: either the keeper's cut, a distance a row
+     * earlier in index order attains (the rejected row could at best
+     * tie it and would lose the lowest-index tie), or the ceiling,
+     * one past a distance some row attains (the rejected row is
+     * strictly worse). The bounded kernel is bound-exact -- it
+     * returns the true distance whenever that is below the bound --
+     * and a prefix distance lower-bounds the full distance, so
+     * neither abandonment nor the cascade rejects a row the bound
+     * admits.
      * @pre rows() > 0.
      */
     std::size_t nearest(const Hypervector &query, std::size_t prefix,
                         const ScanPolicy &policy = {},
                         ScanStats *stats = nullptr,
-                        std::size_t *bestDistance = nullptr,
-                        std::size_t threads = 1) const;
+                        std::size_t *bestDistance = nullptr) const;
 
     /**
      * The @p k rows nearest to @p query over the first @p prefix
@@ -286,17 +246,30 @@ class PackedRows
      * one: a row rejected at the cut trails k earlier rows that are
      * no farther, and one rejected at the cascade's ceiling (one
      * past the largest exact distance among k seed rows) trails
-     * those k rows. @p stats and @p threads as for nearest().
+     * those k rows. @p stats as for nearest().
      * @pre rows() > 0.
      */
     void topK(const Hypervector &query, std::size_t prefix,
               std::size_t k, const ScanPolicy &policy,
-              ScanStats *stats, std::vector<RowMatch> &out,
-              std::size_t threads = 1) const;
+              ScanStats *stats, std::vector<RowMatch> &out) const;
 
   private:
-    /** Sharded, layout-aware owner of the packed words. */
-    RowStore store;
+    /** First word of row @p r. */
+    const std::uint64_t *row(std::size_t r) const
+    {
+        return data() + r * rowWords;
+    }
+
+    /** Throw std::logic_error when external() (read-only store). */
+    void requireOwned(const char *what) const;
+
+    std::size_t numBits;
+    std::size_t rowWords;
+    std::size_t numRows = 0;
+    /** The rows, back to back, while the store owns its words. */
+    std::vector<std::uint64_t> owned;
+    /** Borrowed read-only rows (bindExternal); null when owned. */
+    const std::uint64_t *borrowed = nullptr;
 };
 
 } // namespace hdham

@@ -67,32 +67,4 @@ parallelFor(std::size_t n, std::size_t threads,
         std::rethrow_exception(firstError);
 }
 
-std::vector<ShardRange>
-shardRanges(std::size_t n, std::size_t shards)
-{
-    std::vector<ShardRange> ranges;
-    if (n == 0 || shards == 0)
-        return ranges;
-    const std::size_t count = std::min(shards, n);
-    const std::size_t chunk = (n + count - 1) / count;
-    ranges.reserve(count);
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-        ranges.push_back({ranges.size(), begin,
-                          std::min(begin + chunk, n)});
-    }
-    return ranges;
-}
-
-void
-parallelForShards(std::size_t numShards, std::size_t threads,
-                  const std::function<void(std::size_t)> &body)
-{
-    parallelFor(numShards, threads,
-                [&body](std::size_t begin, std::size_t end) {
-                    for (std::size_t shard = begin; shard < end;
-                         ++shard)
-                        body(shard);
-                });
-}
-
 } // namespace hdham

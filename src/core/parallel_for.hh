@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace hdham
 {
@@ -52,44 +51,6 @@ std::size_t resolveThreads(std::size_t requested);
 void parallelFor(
     std::size_t n, std::size_t threads,
     const std::function<void(std::size_t, std::size_t)> &body);
-
-/** One shard's contiguous slice of an index range. */
-struct ShardRange
-{
-    /** Shard index. */
-    std::size_t index = 0;
-    /** First covered index. */
-    std::size_t begin = 0;
-    /** One past the last covered index. */
-    std::size_t end = 0;
-};
-
-/**
- * Partition [0, n) into up to @p shards contiguous ascending ranges
- * of near-equal size (the same chunking rule parallelFor uses for
- * its workers). Never returns an empty range, so the result may
- * hold fewer than @p shards entries when n < shards. The canonical
- * row partition of a sharded RowStore -- shard s always covers a
- * lower index range than shard s + 1, which is what lets a shard
- * merge preserve the lowest-index tie rule.
- */
-std::vector<ShardRange> shardRanges(std::size_t n,
-                                    std::size_t shards);
-
-/**
- * Sharded-range mode: run body(shard) once for every shard in
- * [0, numShards), each shard entirely on one worker, with the
- * shard-to-worker assignment fixed by the chunking rule (worker
- * w serves a contiguous block of shard indices). Chunk bodies
- * that allocate therefore first-touch their pages on the worker
- * that serves that shard -- the NUMA-friendly placement a
- * per-thread sharded scan wants -- and repeated calls with the
- * same (numShards, threads) reuse the same assignment, keeping
- * shard data local to its scanning worker across calls.
- * @p threads as in parallelFor (0 = all hardware threads).
- */
-void parallelForShards(std::size_t numShards, std::size_t threads,
-                       const std::function<void(std::size_t)> &body);
 
 } // namespace hdham
 

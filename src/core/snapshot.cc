@@ -279,8 +279,6 @@ SnapshotBuilder::SnapshotBuilder(const MemorySnapshot &seedSnapshot,
         const std::size_t cls = trainable.addClass(am.labelOf(id));
         trainable.addSample(cls, am.vectorOf(id));
     }
-    layout = am.storeLayout();
-    relayout = true;
     policy = am.scanPolicy();
     sink = am.metricsSink();
     if (seedSnapshot.hasItemMemory())
@@ -355,14 +353,6 @@ SnapshotBuilder::assimilate(const Hypervector &hv,
 }
 
 void
-SnapshotBuilder::setStoreLayout(const StoreLayout &spec)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    layout = spec;
-    relayout = true;
-}
-
-void
 SnapshotBuilder::setScanPolicy(const ScanPolicy &p)
 {
     std::lock_guard<std::mutex> lock(mu);
@@ -409,8 +399,6 @@ std::unique_ptr<MemorySnapshot>
 SnapshotBuilder::buildLocked() const
 {
     AssociativeMemory am = trainable.snapshot();
-    if (relayout)
-        am.setStoreLayout(layout);
     MemorySnapshot::Options opts;
     opts.policy = policy;
     opts.sink = sink;

@@ -34,12 +34,12 @@
  *    retirement beyond their own reference decrement.
  *
  * The writer side is SnapshotBuilder: per-class majority counters
- * (core/trainable_memory.hh) plus the layout/policy/metrics
- * configuration every published snapshot is frozen with. Updates
- * (addSample, assimilate) mutate only the builder's private
- * counters; publish() thresholds them into a fresh
- * AssociativeMemory, re-lays it, wraps it in a MemorySnapshot and
- * swaps it in. No query path ever sees the intermediate states.
+ * (core/trainable_memory.hh) plus the policy/metrics configuration
+ * every published snapshot is frozen with. Updates (addSample,
+ * assimilate) mutate only the builder's private counters; publish()
+ * thresholds them into a fresh AssociativeMemory, wraps it in a
+ * MemorySnapshot and swaps it in. No query path ever sees the
+ * intermediate states.
  */
 
 #ifndef HDHAM_CORE_SNAPSHOT_HH
@@ -359,9 +359,9 @@ class SnapshotSource
  * serving path, and it is never visible to a reader.
  *
  * Owns the per-class majority counters (a TrainableMemory) plus the
- * serving configuration (store layout, scan policy, metrics sink, and
- * the side memories of the seed snapshot) every published snapshot
- * is frozen with. All
+ * serving configuration (scan policy, metrics sink, and the side
+ * memories of the seed snapshot) every published snapshot is frozen
+ * with. All
  * mutations -- new classes, training samples, reconsolidation-style
  * assimilation -- accumulate out-of-line; nothing is observable
  * until publish() thresholds the counters into a fresh
@@ -379,7 +379,7 @@ class SnapshotBuilder
         /** Sequence number the snapshot was published as. */
         std::uint64_t sequence = 0;
         /** Microseconds spent building the snapshot out-of-line
-         *  (threshold + re-lay + freeze) -- work readers never see. */
+         *  (threshold + freeze) -- work readers never see. */
         double buildUs = 0.0;
         /** Microseconds spent in SnapshotSource::publish itself
          *  (the swap plus the epoch grace period). */
@@ -448,13 +448,6 @@ class SnapshotBuilder
                            const std::string &label,
                            std::size_t mergeThreshold);
 
-    /**
-     * Store layout every published snapshot is re-laid into
-     * (row-major/sliced, shard count). Defaults to the row-major
-     * single-shard layout.
-     */
-    void setStoreLayout(const StoreLayout &spec);
-
     /** Scan policy every published snapshot serves with. */
     void setScanPolicy(const ScanPolicy &p);
 
@@ -467,8 +460,8 @@ class SnapshotBuilder
     /**
      * Build a snapshot from the current counters and publish it to
      * @p source. The expensive part (majority thresholding, the
-     * re-lay, the freeze) happens before the swap, out-of-line from
-     * every reader. Returns the new sequence number.
+     * freeze) happens before the swap, out-of-line from every
+     * reader. Returns the new sequence number.
      * @pre classes() > 0 and every class has at least one sample.
      */
     std::uint64_t publish(SnapshotSource &source);
@@ -487,8 +480,6 @@ class SnapshotBuilder
 
     mutable std::mutex mu;
     TrainableMemory trainable;
-    StoreLayout layout;
-    bool relayout = false;
     ScanPolicy policy;
     metrics::QueryMetrics *sink = nullptr;
     std::optional<ItemMemory> items;

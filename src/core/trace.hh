@@ -218,7 +218,8 @@ class Tracer
 
     /**
      * Record one completed span into the calling thread's buffer.
-     * Called by Span; wait-free after the thread's first event.
+     * Called by Span, which registered the buffer when the thread
+     * opened its first span; wait-free after that.
      */
     void record(const Event &e);
 
@@ -273,7 +274,10 @@ class Tracer
     friend class Span;
     friend class BatchScope;
 
-    /** This thread's buffer, registering it on first use. */
+    /**
+     * This thread's buffer, registering (and allocating) it on first
+     * use. Span calls it on open, before reading its start time.
+     */
     ThreadBuffer &threadBuffer();
 
     std::size_t capacity;
@@ -368,6 +372,11 @@ class Span
     {
         if (!tracer && !collector)
             return;
+        // Build this thread's buffer before the clock starts, so its
+        // setup lands in no span's time instead of in the enclosing
+        // span's self time when the first span closes.
+        if (tracer)
+            tracer->threadBuffer();
         name = spanName;
         parent = detail::tlCurrent;
         depth = parent ? parent->depth + 1 : 0;

@@ -52,20 +52,12 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
 {
     batch::requireStored(rows.rows(), "DHam");
     const std::size_t prefix = cfg.effectiveDim();
-
-    // A sharded store with a batch smaller than the worker budget
-    // serves queries one at a time and fans each query's shard scans
-    // out across the workers instead -- bit-identical either way.
-    const bool perQuery = rows.shardCount() > 1 &&
-                          queries.size() < resolveThreads(threads);
-    const std::size_t scanThreads = perQuery ? threads : 1;
     const auto kernel = [&](std::size_t q, ScanStats &stats) {
         assert(queries[q].dim() == cfg.dim);
         HamResult result;
         result.classId = rows.nearest(queries[q], prefix, policy,
                                       sink ? &stats : nullptr,
-                                      &result.reportedDistance,
-                                      scanThreads);
+                                      &result.reportedDistance);
         return result;
     };
     const auto newTally = [] { return ScanStats{}; };
@@ -73,11 +65,6 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
                            std::size_t end) {
         recordScans(end - begin, stats);
     };
-    if (perQuery) {
-        return batch::runPerQuery<HamResult>(
-            {"d_ham.batch", "d_ham.chunk"}, queries.size(), sink,
-            newTally, kernel, merge);
-    }
     return batch::run<HamResult>({"d_ham.batch", "d_ham.chunk"},
                                  queries.size(), threads, sink,
                                  newTally, kernel, merge);

@@ -84,22 +84,6 @@ class DHam : public Ham
     /** Reserve capacity for @p n more store() calls. */
     void reserve(std::size_t n) override { rows.reserve(n); }
 
-    /**
-     * Re-lay the class store (sharded / bit-sliced; see RowStore).
-     * Bit-exact under every layout; a sliced layout wants the scan
-     * policy's cascadePrefix as its slicePrefix.
-     */
-    void setStoreLayout(const StoreLayout &spec) override
-    {
-        rows.setLayout(spec);
-    }
-
-    /** The resolved physical layout of the class store. */
-    const StoreLayout &storeLayout() const
-    {
-        return rows.layoutSpec();
-    }
-
   private:
     /**
      * Add @p queries full scans, and the work @p stats says they

@@ -148,17 +148,6 @@ class Ham
      */
     virtual void reserve(std::size_t) {}
 
-    /**
-     * Re-lay the design's class store (shard count, row-major or
-     * bit-sliced layout; see RowStore). Results stay bit-identical
-     * under every layout; only memory traffic changes. Only D-HAM
-     * overrides this: the stochastic designs (R-HAM, A-HAM) draw
-     * noise in row-scan order from their own storage models, so a
-     * physical re-layout has nothing to accelerate there. The
-     * default ignores the request.
-     */
-    virtual void setStoreLayout(const StoreLayout &) {}
-
   protected:
     /** Optional observability sink; never owned. */
     metrics::QueryMetrics *sink = nullptr;

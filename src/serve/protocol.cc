@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -91,8 +92,15 @@ readBody(int fd, std::vector<std::uint8_t> &body,
     if (len < minBytes || len > maxFrameBytes)
         throw std::runtime_error("serve: bad frame length " +
                                  std::to_string(len));
-    body.resize(len);
-    readAll(fd, body.data(), len, false);
+    // Grow the body as its bytes arrive: a peer that claims a large
+    // length and sends little costs what it sent, not the claim.
+    constexpr std::size_t kChunk = std::size_t(1) << 16;
+    body.clear();
+    while (body.size() < len) {
+        const std::size_t at = body.size();
+        body.resize(at + std::min<std::size_t>(len - at, kChunk));
+        readAll(fd, body.data() + at, body.size() - at, false);
+    }
     return true;
 }
 

@@ -133,14 +133,6 @@ Server::loadModel(const std::string &path)
     std::unique_ptr<snapshot::MemorySnapshot> snap =
         std::move(model).intoSnapshot(sopts);
     updateBuilder = std::make_unique<snapshot::SnapshotBuilder>(*snap);
-    if (cfg.layout.has_value()) {
-        // A mapped store cannot be re-laid in place, so serve the
-        // builder's product instead: one class per row, each the
-        // majority of its one sample (the row itself), with the side
-        // memories carried over.
-        updateBuilder->setStoreLayout(*cfg.layout);
-        snap = updateBuilder->build();
-    }
     source.publish(std::move(snap));
 }
 

@@ -11,8 +11,8 @@
  * Per request, a connection pins the current snapshot once, serves
  * every query in the request from that pin through the existing
  * engine paths (AssociativeMemory::searchBatch over the batch
- * executor -- kernel dispatch, pruning, sharding, metrics, tracing
- * all compose unchanged), and leads its response with the pinned
+ * executor -- kernel dispatch, pruning, metrics, tracing all compose
+ * unchanged), and leads its response with the pinned
  * sequence number. Update requests feed the builder; a Swap request
  * publishes -- readers mid-request keep their pinned snapshot and
  * never block.
@@ -30,14 +30,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/metrics.hh"
 #include "core/packed_rows.hh"
-#include "core/row_store.hh"
 #include "core/snapshot.hh"
 #include "core/trace.hh"
 #include "serve/protocol.hh"
@@ -61,12 +59,6 @@ struct ServerConfig
     bool verifyChecksums = true;
     /** Scan policy frozen into every served snapshot. */
     ScanPolicy policy;
-    /**
-     * Optional store re-lay applied to the served model: the first
-     * snapshot is then the update builder's re-laid copy of the
-     * file's classes (absent = serve the mapping in its own layout).
-     */
-    std::optional<StoreLayout> layout;
     /** Collect trace spans and answer Trace requests. */
     bool trace = false;
 };
@@ -87,8 +79,7 @@ class Server
     /**
      * Open @p path via the shared model-open helper
      * (core/model_loader.hh), seed the update builder from it, and
-     * publish it (re-laid when ServerConfig::layout is set) as
-     * snapshot 1. Call once, before start().
+     * publish it as snapshot 1. Call once, before start().
      * @throws std::runtime_error on malformed input; nothing is
      * published then.
      */

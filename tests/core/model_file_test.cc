@@ -5,7 +5,9 @@
  * corrupted section and shard tables -- must raise a precise
  * std::runtime_error and never crash (the suite is part of the
  * tier-1 set the ASan/UBSan targets run). Also pins the read-only
- * contract and the basic save/load round trip both layouts.
+ * contract and the basic save/load round trip. The shard-table and
+ * tail-region checks run on the committed legacy fixture, a sliced
+ * 3-shard file today's writer no longer produces.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,11 @@
 #include "core/item_memory.hh"
 #include "core/model_file.hh"
 #include "core/random.hh"
+#include "fixtures/model_fixture.hh"
+
+#ifndef HDHAM_TEST_DATA_DIR
+#error "HDHAM_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace
 {
@@ -34,15 +41,15 @@ using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::ItemMemory;
 using hdham::Rng;
-using hdham::RowLayout;
-using hdham::StoreLayout;
 namespace crc32c = hdham::crc32c;
 namespace modelfile = hdham::modelfile;
+namespace testfix = hdham::testfix;
 
 /** Header/section-table byte offsets of the v1 format. */
 constexpr std::size_t kOffHeaderCrc = 12;
 constexpr std::size_t kOffVersion = 8;
 constexpr std::size_t kOffRows = 24;
+constexpr std::size_t kOffShardCount = 36;
 constexpr std::size_t kOffFileSize = 56;
 constexpr std::size_t kOffSections = 72;
 constexpr std::size_t kSectionEntryBytes = 24;
@@ -113,22 +120,20 @@ refreshChecksums(std::string &bytes)
 }
 
 AssociativeMemory
-makeModel(std::size_t dim, std::size_t classes,
-          const StoreLayout &layout)
+makeModel(std::size_t dim, std::size_t classes)
 {
     Rng rng(dim * 31 + classes);
     AssociativeMemory am(dim);
     for (std::size_t id = 0; id < classes; ++id)
         am.store(Hypervector::random(dim, rng),
                  "label-" + std::to_string(id));
-    am.setStoreLayout(layout);
     return am;
 }
 
 std::string
-serializedModel(const StoreLayout &layout, bool withItems = true)
+serializedModel(bool withItems = true)
 {
-    const AssociativeMemory am = makeModel(250, 9, layout);
+    const AssociativeMemory am = makeModel(250, 9);
     modelfile::SaveOptions opts;
     const ItemMemory items(27, 250, 99);
     if (withItems)
@@ -187,31 +192,47 @@ expectLoadError(const std::string &path, const std::string &needle,
     }
 }
 
-StoreLayout
-slicedLayout()
+/** The legacy fixture: its 12 classes bit-sliced in 3 shards. */
+const testfix::FixtureSpec &
+legacySpec()
 {
-    StoreLayout layout;
-    layout.layout = RowLayout::Sliced;
-    layout.shards = 3;
-    layout.slicePrefix = 128;
-    return layout;
+    static const testfix::FixtureSpec spec =
+        testfix::legacyFixtureSpecs().front();
+    return spec;
+}
+
+/** The committed legacy fixture's bytes. */
+std::string
+legacyFixtureBytes()
+{
+    const std::string path =
+        std::string(HDHAM_TEST_DATA_DIR) + "/" + legacySpec().file;
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(static_cast<bool>(in)) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 TEST(ModelFileTest, RoundTripServesIdentically)
 {
+    // Today's writer's bytes, then a legacy sliced 3-shard file whose
+    // rows the reader copies into a row-major store.
     for (const bool sliced : {false, true}) {
-        const StoreLayout layout =
-            sliced ? slicedLayout() : StoreLayout{};
-        const AssociativeMemory am = makeModel(250, 9, layout);
+        const AssociativeMemory am =
+            sliced ? testfix::buildFixtureMemory(legacySpec())
+                   : makeModel(250, 9);
         const std::string path = tempFile(
-            "mf_roundtrip.hdc", serializedModel(layout));
+            "mf_roundtrip.hdc",
+            sliced ? legacyFixtureBytes() : serializedModel());
         modelfile::ModelView view(path);
         ASSERT_EQ(view.classes(), am.size());
         ASSERT_EQ(view.dim(), am.dim());
         EXPECT_EQ(view.version(), modelfile::formatVersion);
         Rng rng(7);
         for (int q = 0; q < 32; ++q) {
-            const Hypervector query = Hypervector::random(250, rng);
+            const Hypervector query =
+                Hypervector::random(am.dim(), rng);
             const auto expect = am.search(query);
             const auto got = view.memory().search(query);
             EXPECT_EQ(got.classId, expect.classId);
@@ -228,8 +249,8 @@ TEST(ModelFileTest, RoundTripServesIdentically)
 TEST(ModelFileTest, EveryTruncatedPrefixThrows)
 {
     for (const bool sliced : {false, true}) {
-        const std::string full = serializedModel(
-            sliced ? slicedLayout() : StoreLayout{});
+        const std::string full =
+            sliced ? legacyFixtureBytes() : serializedModel();
         for (std::size_t cut = 0; cut < full.size(); ++cut) {
             const std::string path = tempFile(
                 "mf_truncated.hdc", full.substr(0, cut));
@@ -253,7 +274,7 @@ TEST(ModelFileTest, EveryTruncatedPrefixThrows)
 
 TEST(ModelFileTest, FlippedBitInEverySectionThrows)
 {
-    const std::string full = serializedModel(slicedLayout());
+    const std::string full = legacyFixtureBytes();
     for (std::size_t i = 0; i < modelfile::kSectionCount; ++i) {
         const SectionInfo s = sectionAt(full, i);
         ASSERT_GT(s.size, 0u) << modelfile::sectionName(i);
@@ -280,7 +301,7 @@ TEST(ModelFileTest, FlippedBitInEverySectionThrows)
 
 TEST(ModelFileTest, FlippedBitAnywhereInHeaderThrows)
 {
-    const std::string full = serializedModel(StoreLayout{});
+    const std::string full = serializedModel();
     for (std::size_t at = 0; at < modelfile::headerBytes; ++at) {
         for (int bit = 0; bit < 8; ++bit) {
             std::string bytes = full;
@@ -297,14 +318,14 @@ TEST(ModelFileTest, FlippedBitAnywhereInHeaderThrows)
 
 TEST(ModelFileTest, BadMagicNamed)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     bytes[0] = 'X';
     expectLoadError(tempFile("mf_magic.hdc", bytes), "bad magic");
 }
 
 TEST(ModelFileTest, UnsupportedVersionNamed)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     patchU32At(bytes, kOffVersion, 2);
     refreshChecksums(bytes);
     expectLoadError(tempFile("mf_version.hdc", bytes),
@@ -313,7 +334,7 @@ TEST(ModelFileTest, UnsupportedVersionNamed)
 
 TEST(ModelFileTest, HeaderChecksumMismatchNamed)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     // Flip a reserved-ish header byte without refreshing the CRC.
     bytes[68] = static_cast<char>(bytes[68] ^ 0x01);
     expectLoadError(tempFile("mf_headercrc.hdc", bytes),
@@ -322,7 +343,7 @@ TEST(ModelFileTest, HeaderChecksumMismatchNamed)
 
 TEST(ModelFileTest, FileSizeFieldMismatchNamed)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     patchU64At(bytes, kOffFileSize,
                readU64At(bytes, kOffFileSize) + 64);
     refreshChecksums(bytes);
@@ -332,7 +353,7 @@ TEST(ModelFileTest, FileSizeFieldMismatchNamed)
 
 TEST(ModelFileTest, AppendedGarbageRejected)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     bytes.append(64, '\0');
     expectLoadError(tempFile("mf_appended.hdc", bytes),
                     "truncated file");
@@ -340,7 +361,7 @@ TEST(ModelFileTest, AppendedGarbageRejected)
 
 TEST(ModelFileTest, TamperedSectionOffsetNamesSection)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     const std::size_t entry =
         kOffSections + 2 * kSectionEntryBytes; // labels
     patchU64At(bytes, entry, readU64At(bytes, entry) + 64);
@@ -351,7 +372,7 @@ TEST(ModelFileTest, TamperedSectionOffsetNamesSection)
 
 TEST(ModelFileTest, TamperedShardTableCaught)
 {
-    std::string bytes = serializedModel(slicedLayout());
+    std::string bytes = legacyFixtureBytes();
     const SectionInfo table = sectionAt(bytes, 0);
     // Shard 1's firstRow (second 32-byte entry) off by one.
     const std::size_t firstRowAt =
@@ -365,7 +386,7 @@ TEST(ModelFileTest, TamperedShardTableCaught)
 
 TEST(ModelFileTest, TamperedShardPointerCaught)
 {
-    std::string bytes = serializedModel(slicedLayout());
+    std::string bytes = legacyFixtureBytes();
     const SectionInfo table = sectionAt(bytes, 0);
     // Shard 0's head offset pushed past the row words section.
     const std::size_t headAt =
@@ -378,7 +399,7 @@ TEST(ModelFileTest, TamperedShardPointerCaught)
 
 TEST(ModelFileTest, ImplausibleRowCountRejected)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     patchU64At(bytes, kOffRows, 1ULL << 62);
     refreshChecksums(bytes);
     expectLoadError(tempFile("mf_rowcount.hdc", bytes),
@@ -389,11 +410,11 @@ TEST(ModelFileTest, ShardRowWraparoundRejected)
 {
     // Crafted shard table whose row counts wrap uint64 arithmetic:
     // shard 0 claims 2^60 rows (head/tail byte counts wrap to 0),
-    // shard 1 claims 2^64 - 2^60 + 3 rows so `covered` wraps back
-    // to 3, and shard 2 tops it up to the header's 9. Every legacy
+    // shard 1 claims 2^64 - 2^60 + 4 rows so `covered` wraps back
+    // to 4, and shard 2 tops it up to the header's 12. Every older
     // check (contiguity, byte bounds, final sum) is satisfied; only
     // the overflow-safe rows-remaining check rejects it.
-    std::string bytes = serializedModel(slicedLayout());
+    std::string bytes = legacyFixtureBytes();
     const SectionInfo table = sectionAt(bytes, 0);
     const auto entry = [&](std::size_t s, std::size_t field) {
         return static_cast<std::size_t>(table.offset) + s * 32 +
@@ -401,12 +422,46 @@ TEST(ModelFileTest, ShardRowWraparoundRejected)
     };
     patchU64At(bytes, entry(0, 1), 1ULL << 60);
     patchU64At(bytes, entry(1, 0), 1ULL << 60);
-    patchU64At(bytes, entry(1, 1), 0 - (1ULL << 60) + 3);
-    patchU64At(bytes, entry(2, 0), 3);
-    patchU64At(bytes, entry(2, 1), 6);
+    patchU64At(bytes, entry(1, 1), 0 - (1ULL << 60) + 4);
+    patchU64At(bytes, entry(2, 0), 4);
+    patchU64At(bytes, entry(2, 1), 8);
     refreshChecksums(bytes);
     expectLoadError(tempFile("mf_shardwrap.hdc", bytes),
                     "shard table corrupt");
+}
+
+TEST(ModelFileTest, AliasedShardsCannotInflateTheCopy)
+{
+    // Two row-major shards that both point at the same 10 rows of
+    // words: each passes its own bounds check, but together they
+    // claim 20 rows in a section that holds 10. Copying them into a
+    // row-major store would allocate more than the file holds, so
+    // the loader refuses.
+    const AssociativeMemory am = makeModel(250, 20);
+    std::ostringstream out;
+    modelfile::ModelWriter writer(out);
+    writer.write(am);
+    std::string bytes = out.str();
+    const SectionInfo rows = sectionAt(bytes, 1);
+    const std::uint64_t half = rows.size / 2; // 10 rows of 32 bytes
+    bytes.erase(static_cast<std::size_t>(rows.offset + half),
+                static_cast<std::size_t>(half));
+    patchU32At(bytes, kOffShardCount, 2);
+    patchU64At(bytes, kOffFileSize, bytes.size());
+    patchU64At(bytes, kOffSections + kSectionEntryBytes + 8, half);
+    for (std::size_t i = 2; i < modelfile::kSectionCount; ++i) {
+        const std::size_t e = kOffSections + i * kSectionEntryBytes;
+        patchU64At(bytes, e, readU64At(bytes, e) - half);
+    }
+    const auto table = static_cast<std::size_t>(sectionAt(bytes, 0).offset);
+    patchU64At(bytes, table + 8, 10);           // shard 0: rows
+    patchU64At(bytes, table + 32, 10);          // shard 1: firstRow
+    patchU64At(bytes, table + 40, 10);          // rows
+    patchU64At(bytes, table + 48, rows.offset); // head: shard 0's
+    patchU64At(bytes, table + 56, 0);           // tail
+    refreshChecksums(bytes);
+    expectLoadError(tempFile("mf_aliased.hdc", bytes),
+                    "rows do not fit the row words section");
 }
 
 TEST(ModelFileTest, SectionSizeWraparoundRejected)
@@ -417,7 +472,7 @@ TEST(ModelFileTest, SectionSizeWraparoundRejected)
     // final sum land exactly on the file size. The overflow-safe
     // size bound must reject it before the checksum pass walks a
     // ~2^64-byte section.
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     const std::uint64_t fileSize = bytes.size();
     patchU64At(bytes,
                kOffSections + 0 * kSectionEntryBytes + 8,
@@ -445,7 +500,7 @@ TEST(ModelFileTest, SectionSizeWraparoundRejected)
 
 TEST(ModelFileTest, TamperedLabelCountCaught)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     const SectionInfo labels = sectionAt(bytes, 2);
     const std::size_t countAt =
         static_cast<std::size_t>(labels.offset);
@@ -457,7 +512,7 @@ TEST(ModelFileTest, TamperedLabelCountCaught)
 
 TEST(ModelFileTest, TamperedLabelLengthCaught)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     const SectionInfo labels = sectionAt(bytes, 2);
     // First label length (just after the count): far too large.
     const std::size_t lenAt =
@@ -470,7 +525,7 @@ TEST(ModelFileTest, TamperedLabelLengthCaught)
 
 TEST(ModelFileTest, TamperedItemMemoryDimCaught)
 {
-    std::string bytes = serializedModel(StoreLayout{});
+    std::string bytes = serializedModel();
     const SectionInfo items = sectionAt(bytes, 3);
     const std::size_t dimAt =
         static_cast<std::size_t>(items.offset) + 8;
@@ -484,7 +539,7 @@ TEST(ModelFileTest, SkippedVerificationStillValidatesStructure)
 {
     // verifyChecksums=false skips only the CRC pass; structural
     // validation (truncation, shard/label bounds) still rejects.
-    const std::string full = serializedModel(slicedLayout());
+    const std::string full = legacyFixtureBytes();
 
     // A payload bit flip now loads -- that is the documented trade.
     {
@@ -521,15 +576,11 @@ TEST(ModelFileTest, SkippedVerificationStillValidatesStructure)
 TEST(ModelFileTest, MappedMemoryIsReadOnly)
 {
     const std::string path = tempFile(
-        "mf_readonly.hdc", serializedModel(StoreLayout{}));
+        "mf_readonly.hdc", serializedModel());
     modelfile::ModelView view(path);
     ASSERT_TRUE(view.memory().mapped());
     Rng rng(1);
     EXPECT_THROW(view.memory().store(Hypervector::random(250, rng)),
-                 std::logic_error);
-    StoreLayout relay;
-    relay.shards = 2;
-    EXPECT_THROW(view.memory().setStoreLayout(relay),
                  std::logic_error);
     // The failed store must not have grown the label table.
     EXPECT_EQ(view.memory().size(), 9u);
@@ -539,7 +590,7 @@ TEST(ModelFileTest, MappedMemoryIsReadOnly)
 TEST(ModelFileTest, MoveTransfersTheMapping)
 {
     const std::string path = tempFile(
-        "mf_move.hdc", serializedModel(StoreLayout{}));
+        "mf_move.hdc", serializedModel());
     modelfile::ModelView first(path);
     const std::uint32_t checksum = first.checksum();
     modelfile::ModelView second(std::move(first));

@@ -1,12 +1,11 @@
 /**
  * @file
- * Save -> mmap-load round-trip property: for random models across
- * every on-disk layout (row-major and bit-sliced, single- and
- * multi-shard), both a ragged and an aligned dimensionality, and
- * every scan policy, the mapped view answers nearest / top-k /
- * batched searches bit-identically to the in-RAM original -- and
- * drives the pruning counters to the exact same values, since the
- * counters are part of the documented determinism contract.
+ * Save -> mmap-load round-trip property: for random models at both a
+ * ragged and an aligned dimensionality, and every scan policy, the
+ * mapped view answers nearest / top-k / batched searches
+ * bit-identically to the in-RAM original -- and drives the pruning
+ * counters to the exact same values, since the counters are part of
+ * the documented determinism contract.
  *
  * The suite runs twice in ctest: once under the default runtime
  * kernel dispatch and once pinned to the scalar kernel
@@ -37,39 +36,10 @@ using hdham::Hypervector;
 using hdham::PruneMode;
 using hdham::RankedMatch;
 using hdham::Rng;
-using hdham::RowLayout;
 using hdham::ScanPolicy;
 using hdham::SearchResult;
-using hdham::StoreLayout;
 namespace metrics = hdham::metrics;
 namespace modelfile = hdham::modelfile;
-
-struct LayoutCase
-{
-    const char *name;
-    StoreLayout layout;
-};
-
-std::vector<LayoutCase>
-layoutCases()
-{
-    std::vector<LayoutCase> cases;
-    for (const std::size_t shards : {1u, 4u}) {
-        StoreLayout l;
-        l.shards = shards;
-        cases.push_back(
-            {shards == 1 ? "row-major" : "row-major/4-shard", l});
-    }
-    for (const std::size_t shards : {1u, 3u}) {
-        StoreLayout l;
-        l.layout = RowLayout::Sliced;
-        l.slicePrefix = 128;
-        l.shards = shards;
-        cases.push_back(
-            {shards == 1 ? "sliced" : "sliced/3-shard", l});
-    }
-    return cases;
-}
 
 std::vector<ScanPolicy>
 scanPolicies()
@@ -84,8 +54,7 @@ scanPolicies()
 }
 
 AssociativeMemory
-buildModel(std::size_t dim, std::size_t classes, Rng &rng,
-           const StoreLayout &layout)
+buildModel(std::size_t dim, std::size_t classes, Rng &rng)
 {
     AssociativeMemory am(dim);
     am.reserve(classes);
@@ -94,7 +63,6 @@ buildModel(std::size_t dim, std::size_t classes, Rng &rng,
         label += std::to_string(id);
         am.store(Hypervector::random(dim, rng), std::move(label));
     }
-    am.setStoreLayout(layout);
     return am;
 }
 
@@ -135,104 +103,94 @@ TEST(ModelRoundTripPropertyTest, MappedSearchesAreBitIdentical)
 {
     Rng rng(0x50F7C0DEULL);
     for (const std::size_t dim : {250u, 1000u}) {
-        for (const auto &lc : layoutCases()) {
-            const std::string where0 = lc.name + std::string("/d") +
-                                       std::to_string(dim);
-            const AssociativeMemory am =
-                buildModel(dim, 17, rng, lc.layout);
-            const std::string path =
-                savedTo("rt_" + std::to_string(dim) + "_" +
-                            std::to_string(lc.layout.shards) + "_" +
-                            (lc.layout.layout == RowLayout::Sliced
-                                 ? "s"
-                                 : "r") +
-                            ".hdc",
-                        am);
-            modelfile::ModelView view(path);
-            ASSERT_EQ(view.dim(), dim);
-            ASSERT_EQ(view.classes(), 17u);
-            EXPECT_EQ(view.layout().layout, lc.layout.layout);
+        const std::string where0 = "d" + std::to_string(dim);
+        const AssociativeMemory am = buildModel(dim, 17, rng);
+        const std::string path =
+            savedTo("rt_" + std::to_string(dim) + ".hdc", am);
+        modelfile::ModelView view(path);
+        ASSERT_EQ(view.dim(), dim);
+        ASSERT_EQ(view.classes(), 17u);
+        EXPECT_TRUE(view.memory().mapped());
 
-            std::vector<Hypervector> queries;
-            for (int q = 0; q < 24; ++q)
-                queries.push_back(Hypervector::random(dim, rng));
+        std::vector<Hypervector> queries;
+        for (int q = 0; q < 24; ++q)
+            queries.push_back(Hypervector::random(dim, rng));
 
-            for (const ScanPolicy &policy : scanPolicies()) {
-                AssociativeMemory reference = am;
-                reference.setScanPolicy(policy);
-                view.memory().setScanPolicy(policy);
-                const std::string where =
-                    where0 + "/prune=" +
-                    hdham::pruneModeName(policy.prune);
+        for (const ScanPolicy &policy : scanPolicies()) {
+            AssociativeMemory reference = am;
+            reference.setScanPolicy(policy);
+            view.memory().setScanPolicy(policy);
+            const std::string where =
+                where0 + "/prune=" +
+                hdham::pruneModeName(policy.prune);
 
-                metrics::QueryMetrics ramMetrics;
-                metrics::QueryMetrics mapMetrics;
-                reference.attachMetrics(&ramMetrics);
-                view.memory().attachMetrics(&mapMetrics);
+            metrics::QueryMetrics ramMetrics;
+            metrics::QueryMetrics mapMetrics;
+            reference.attachMetrics(&ramMetrics);
+            view.memory().attachMetrics(&mapMetrics);
 
-                for (const auto &query : queries) {
-                    expectSameResult(view.memory().search(query),
-                                     reference.search(query),
-                                     where + "/search");
-                    const auto wantTop =
-                        reference.searchTopK(query, 5);
-                    const auto gotTop =
-                        view.memory().searchTopK(query, 5);
-                    ASSERT_EQ(gotTop.size(), wantTop.size());
-                    for (std::size_t i = 0; i < wantTop.size();
-                         ++i) {
-                        EXPECT_EQ(gotTop[i].classId,
-                                  wantTop[i].classId)
-                            << where << "/topk[" << i << "]";
-                        EXPECT_EQ(gotTop[i].distance,
-                                  wantTop[i].distance)
-                            << where << "/topk[" << i << "]";
-                    }
+            for (const auto &query : queries) {
+                expectSameResult(view.memory().search(query),
+                                 reference.search(query),
+                                 where + "/search");
+                const auto wantTop =
+                    reference.searchTopK(query, 5);
+                const auto gotTop =
+                    view.memory().searchTopK(query, 5);
+                ASSERT_EQ(gotTop.size(), wantTop.size());
+                for (std::size_t i = 0; i < wantTop.size();
+                     ++i) {
+                    EXPECT_EQ(gotTop[i].classId,
+                              wantTop[i].classId)
+                        << where << "/topk[" << i << "]";
+                    EXPECT_EQ(gotTop[i].distance,
+                              wantTop[i].distance)
+                        << where << "/topk[" << i << "]";
                 }
-                for (const std::size_t threads : {1u, 4u}) {
-                    const auto want =
-                        reference.searchBatch(queries, threads);
-                    const auto got =
-                        view.memory().searchBatch(queries, threads);
-                    ASSERT_EQ(got.size(), want.size());
-                    for (std::size_t i = 0; i < want.size(); ++i)
-                        expectSameResult(
-                            got[i], want[i],
-                            where + "/batch[" +
-                                std::to_string(i) + "]x" +
-                                std::to_string(threads));
-                }
-
-                // The pruning counters are part of the determinism
-                // contract: same layout + same policy + same queries
-                // must do exactly the same scan work, mapped or not.
-                const Counters ram = snapshot(ramMetrics);
-                const Counters map = snapshot(mapMetrics);
-                EXPECT_EQ(map.scanned, ram.scanned) << where;
-                EXPECT_EQ(map.pruned, ram.pruned) << where;
-                EXPECT_EQ(map.skipped, ram.skipped) << where;
-                EXPECT_EQ(map.survivors, ram.survivors) << where;
-                EXPECT_GT(ram.scanned, 0u) << where;
-
-                reference.attachMetrics(nullptr);
-                view.memory().attachMetrics(nullptr);
+            }
+            for (const std::size_t threads : {1u, 4u}) {
+                const auto want =
+                    reference.searchBatch(queries, threads);
+                const auto got =
+                    view.memory().searchBatch(queries, threads);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    expectSameResult(
+                        got[i], want[i],
+                        where + "/batch[" +
+                            std::to_string(i) + "]x" +
+                            std::to_string(threads));
             }
 
-            // Detailed search (full distance vector) from the map.
-            const auto wantDetail =
-                am.searchDetailed(queries.front());
-            const auto gotDetail =
-                view.memory().searchDetailed(queries.front());
-            EXPECT_EQ(gotDetail.distances, wantDetail.distances)
-                << where0;
-            EXPECT_EQ(gotDetail.margin(), wantDetail.margin())
-                << where0;
-            EXPECT_EQ(view.memory().minPairwiseDistance(),
-                      am.minPairwiseDistance())
-                << where0;
+            // The pruning counters are part of the determinism
+            // contract: same policy + same queries must do exactly
+            // the same scan work, mapped or not.
+            const Counters ram = snapshot(ramMetrics);
+            const Counters map = snapshot(mapMetrics);
+            EXPECT_EQ(map.scanned, ram.scanned) << where;
+            EXPECT_EQ(map.pruned, ram.pruned) << where;
+            EXPECT_EQ(map.skipped, ram.skipped) << where;
+            EXPECT_EQ(map.survivors, ram.survivors) << where;
+            EXPECT_GT(ram.scanned, 0u) << where;
 
-            std::remove(path.c_str());
+            reference.attachMetrics(nullptr);
+            view.memory().attachMetrics(nullptr);
         }
+
+        // Detailed search (full distance vector) from the map.
+        const auto wantDetail =
+            am.searchDetailed(queries.front());
+        const auto gotDetail =
+            view.memory().searchDetailed(queries.front());
+        EXPECT_EQ(gotDetail.distances, wantDetail.distances)
+            << where0;
+        EXPECT_EQ(gotDetail.margin(), wantDetail.margin())
+            << where0;
+        EXPECT_EQ(view.memory().minPairwiseDistance(),
+                  am.minPairwiseDistance())
+            << where0;
+
+        std::remove(path.c_str());
     }
 }
 
@@ -240,8 +198,7 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
 {
     Rng rng(0x1D157ULL);
     const std::size_t dim = 250;
-    const AssociativeMemory am =
-        buildModel(dim, 6, rng, StoreLayout{});
+    const AssociativeMemory am = buildModel(dim, 6, rng);
     const hdham::ItemMemory items(27, dim, 0xABCDULL);
     const hdham::LevelItemMemory levels(21, dim, 0xBEEFULL);
     modelfile::SaveOptions opts;

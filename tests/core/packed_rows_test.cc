@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/assoc_memory.hh"
 #include "core/packed_rows.hh"
 #include "core/random.hh"
@@ -49,6 +52,31 @@ TEST(PackedRowsTest, RowVectorRoundTrips)
         const Hypervector hv = Hypervector::random(dim, rng);
         rows.append(hv);
         EXPECT_EQ(rows.rowVector(0), hv) << "dim " << dim;
+    }
+}
+
+TEST(PackedRowsTest, ReserveKeepsContentsExact)
+{
+    // reserve(), on an empty store and between appends, must never
+    // disturb stored words or the append index sequence.
+    const std::size_t dim = 1027;
+    Rng rng(0x5E5E);
+    PackedRows rows(dim);
+    rows.reserve(64);
+    std::vector<Hypervector> stored;
+    for (std::size_t r = 0; r < 40; ++r) {
+        if (r == 8)
+            rows.reserve(32);
+        stored.push_back(Hypervector::random(dim, rng));
+        EXPECT_EQ(rows.append(stored.back()), r);
+    }
+    ASSERT_EQ(rows.rows(), stored.size());
+    for (std::size_t r = 0; r < stored.size(); ++r) {
+        EXPECT_EQ(rows.rowVector(r), stored[r]) << "row " << r;
+        EXPECT_TRUE(std::equal(stored[r].data(),
+                               stored[r].data() + rows.wordsPerRow(),
+                               rows.data() + r * rows.wordsPerRow()))
+            << "row " << r;
     }
 }
 

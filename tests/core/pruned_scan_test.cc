@@ -25,12 +25,10 @@ namespace
 using hdham::Hypervector;
 using hdham::PackedRows;
 using hdham::PruneMode;
-using hdham::RowLayout;
 using hdham::RowMatch;
 using hdham::Rng;
 using hdham::ScanPolicy;
 using hdham::ScanStats;
-using hdham::StoreLayout;
 namespace distance = hdham::distance;
 
 /** Names of every registered kernel this host can run. */
@@ -63,20 +61,6 @@ prunedPolicies(std::size_t dim)
         // cascade, not corrupt the scan.
         ScanPolicy{PruneMode::Auto, dim},
         ScanPolicy{PruneMode::Auto, dim + 1},
-    };
-}
-
-/**
- * The physical layouts every scan must be invariant under: the seed
- * row-major store and a sliced store whose head slice matches the
- * dim / 8 cascade width used by prunedPolicies().
- */
-std::vector<StoreLayout>
-layoutVariants(std::size_t dim)
-{
-    return {
-        StoreLayout{RowLayout::RowMajor, 1, 0},
-        StoreLayout{RowLayout::Sliced, 1, dim / 8},
     };
 }
 
@@ -384,52 +368,38 @@ TEST(PrunedScanTest, BoundedKernelsAreBoundExact)
     }
 }
 
-TEST(PrunedScanTest, TopKEdgeCasesAcrossLayoutsAndKernels)
+TEST(PrunedScanTest, TopKEdgeCasesAcrossKernels)
 {
-    // The degenerate k values every policy, layout and kernel must
-    // agree on: k = 0 returns nothing, k > rows() returns every row
-    // in exact sort-oracle order.
+    // The degenerate k values every policy and kernel must agree on:
+    // k = 0 returns nothing, k > rows() returns every row in exact
+    // sort-oracle order.
     KernelGuard guard;
     const std::size_t dim = 768;
     Workload w(dim, 12, 0x70F0);
-    for (const StoreLayout &variant : layoutVariants(dim)) {
-        w.rows.setLayout(variant);
-        for (const char *kernel : testableKernels()) {
-            distance::setKernelByName(kernel);
-            for (const Hypervector &query : w.queries) {
-                std::vector<RowMatch> oracle;
-                for (std::size_t r = 0; r < w.rows.rows(); ++r)
-                    oracle.push_back(
-                        {r, w.rows.distance(r, query, dim)});
-                std::stable_sort(
-                    oracle.begin(), oracle.end(),
-                    [](const RowMatch &a, const RowMatch &b) {
-                        return a.distance != b.distance
-                                   ? a.distance < b.distance
-                                   : a.index < b.index;
-                    });
-                for (const ScanPolicy &policy :
-                     prunedPolicies(dim)) {
-                    std::vector<RowMatch> got;
-                    w.rows.topK(query, dim, 0, policy, nullptr,
-                                got);
-                    EXPECT_TRUE(got.empty())
-                        << hdham::rowLayoutName(variant.layout)
-                        << " kernel "
-                        << kernel;
-                    w.rows.topK(query, dim, w.rows.rows() + 5,
-                                policy, nullptr, got);
-                    ASSERT_EQ(got.size(), w.rows.rows());
-                    for (std::size_t i = 0; i < got.size(); ++i) {
-                        EXPECT_EQ(got[i].index, oracle[i].index)
-                            << hdham::rowLayoutName(variant.layout)
-                            << " kernel "
-                            << kernel
-                            << " rank " << i;
-                        EXPECT_EQ(got[i].distance,
-                                  oracle[i].distance)
-                            << "rank " << i;
-                    }
+    for (const char *kernel : testableKernels()) {
+        distance::setKernelByName(kernel);
+        for (const Hypervector &query : w.queries) {
+            std::vector<RowMatch> oracle;
+            for (std::size_t r = 0; r < w.rows.rows(); ++r)
+                oracle.push_back({r, w.rows.distance(r, query, dim)});
+            std::stable_sort(oracle.begin(), oracle.end(),
+                             [](const RowMatch &a, const RowMatch &b) {
+                                 return a.distance != b.distance
+                                            ? a.distance < b.distance
+                                            : a.index < b.index;
+                             });
+            for (const ScanPolicy &policy : prunedPolicies(dim)) {
+                std::vector<RowMatch> got;
+                w.rows.topK(query, dim, 0, policy, nullptr, got);
+                EXPECT_TRUE(got.empty()) << "kernel " << kernel;
+                w.rows.topK(query, dim, w.rows.rows() + 5, policy,
+                            nullptr, got);
+                ASSERT_EQ(got.size(), w.rows.rows());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].index, oracle[i].index)
+                        << "kernel " << kernel << " rank " << i;
+                    EXPECT_EQ(got[i].distance, oracle[i].distance)
+                        << "rank " << i;
                 }
             }
         }
@@ -451,23 +421,16 @@ TEST(PrunedScanTest, TopKAllEqualDistancesKeepsIndexOrder)
         rows.append(proto);
     Hypervector query = proto;
     query.injectErrors(dim / 9, rng);
-    for (const StoreLayout &variant : layoutVariants(dim)) {
-        rows.setLayout(variant);
-        const std::size_t d = rows.distance(0, query, dim);
-        for (const char *kernel : testableKernels()) {
-            distance::setKernelByName(kernel);
-            for (const ScanPolicy &policy : prunedPolicies(dim)) {
-                std::vector<RowMatch> got;
-                rows.topK(query, dim, rows.rows(), policy, nullptr,
-                          got);
-                ASSERT_EQ(got.size(), rows.rows());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    EXPECT_EQ(got[i].index, i)
-                        << hdham::rowLayoutName(variant.layout)
-                        << " kernel "
-                        << kernel;
-                    EXPECT_EQ(got[i].distance, d);
-                }
+    const std::size_t d = rows.distance(0, query, dim);
+    for (const char *kernel : testableKernels()) {
+        distance::setKernelByName(kernel);
+        for (const ScanPolicy &policy : prunedPolicies(dim)) {
+            std::vector<RowMatch> got;
+            rows.topK(query, dim, rows.rows(), policy, nullptr, got);
+            ASSERT_EQ(got.size(), rows.rows());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].index, i) << "kernel " << kernel;
+                EXPECT_EQ(got[i].distance, d);
             }
         }
     }

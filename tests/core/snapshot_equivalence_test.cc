@@ -3,7 +3,7 @@
  * Snapshot bit-identity suite: the refactored read path must be
  * indistinguishable from the pre-refactor direct-engine path.
  *
- * For every store layout x shard count x scan policy, queries served
+ * For every scan policy, queries served
  * through a pinned MemorySnapshot (published via SnapshotBuilder ->
  * SnapshotSource) return the same winners, distances, rankings AND
  * the same pruning/metrics counters as an AssociativeMemory driven
@@ -35,11 +35,9 @@ using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::PruneMode;
 using hdham::RankedMatch;
-using hdham::RowLayout;
 using hdham::Rng;
 using hdham::ScanPolicy;
 using hdham::SearchResult;
-using hdham::StoreLayout;
 using hdham::metrics::QueryMetrics;
 using hdham::snapshot::MemorySnapshot;
 using hdham::snapshot::SnapshotBuilder;
@@ -47,14 +45,13 @@ using hdham::snapshot::SnapshotRef;
 using hdham::snapshot::SnapshotSource;
 
 constexpr std::size_t kDim = 1024;
-constexpr std::size_t kClasses = 53; // ragged for every shard count
+constexpr std::size_t kClasses = 53;
 constexpr std::size_t kQueries = 24;
 constexpr std::size_t kCascade = 128;
 constexpr std::size_t kTopK = 5;
 
 struct GridPoint
 {
-    StoreLayout layout;
     ScanPolicy policy;
     std::string name;
 };
@@ -63,31 +60,17 @@ std::vector<GridPoint>
 grid()
 {
     std::vector<GridPoint> points;
-    for (const std::size_t shards : {std::size_t(1), std::size_t(3)}) {
-        for (const PruneMode prune :
-             {PruneMode::Off, PruneMode::On, PruneMode::Auto}) {
-            GridPoint row;
-            row.layout.layout = RowLayout::RowMajor;
-            row.layout.shards = shards;
-            row.policy.prune = prune;
-            row.name = "row/s" + std::to_string(shards) + "/p" +
-                       std::to_string(static_cast<int>(prune));
-            points.push_back(row);
+    for (const PruneMode prune :
+         {PruneMode::Off, PruneMode::On, PruneMode::Auto}) {
+        GridPoint plain;
+        plain.policy.prune = prune;
+        plain.name = "p" + std::to_string(static_cast<int>(prune));
+        points.push_back(plain);
 
-            GridPoint cascade = row;
-            cascade.policy.cascadePrefix = kCascade;
-            cascade.name += "/cascade";
-            points.push_back(cascade);
-
-            GridPoint sliced = cascade;
-            sliced.layout.layout = RowLayout::Sliced;
-            sliced.layout.slicePrefix = kCascade;
-            sliced.name = "sliced/s" + std::to_string(shards) +
-                          "/p" + std::to_string(static_cast<int>(
-                                     prune)) +
-                          "/cascade";
-            points.push_back(sliced);
-        }
+        GridPoint cascade = plain;
+        cascade.policy.cascadePrefix = kCascade;
+        cascade.name += "/cascade";
+        points.push_back(cascade);
     }
     return points;
 }
@@ -145,7 +128,6 @@ publishGridSnapshot(SnapshotSource &source, const GridPoint &g,
 {
     SnapshotBuilder builder(
         *MemorySnapshot::fromMemory(testMemory()));
-    builder.setStoreLayout(g.layout);
     builder.setScanPolicy(g.policy);
     builder.attachMetrics(sink);
     builder.publish(source);
@@ -162,7 +144,6 @@ TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
         // place.
         QueryMetrics directSink;
         AssociativeMemory direct = testMemory();
-        direct.setStoreLayout(g.layout);
         direct.setScanPolicy(g.policy);
         direct.attachMetrics(&directSink);
 

@@ -3,17 +3,21 @@
  * Unit tests for the span tracing subsystem (core/trace.hh):
  * disabled-path inertness, nesting and self-time accounting, batch
  * scope propagation and restoration, exact overflow drop counting,
- * per-thread buffer registration, summary aggregation and its pinned
+ * per-thread buffer registration (on a thread's first span open,
+ * outside every span's time), summary aggregation and its pinned
  * quantiles, and that a traced D-HAM search returns the same answers
  * and does the same scan work as an untraced one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -208,6 +212,44 @@ TEST(TraceTest, EachThreadGetsItsOwnBuffer)
     EXPECT_EQ(tracer.eventCount(), 4u);
     EXPECT_EQ(tracer.threadsSeen(), 4u);
     EXPECT_EQ(tracer.droppedEvents(), 0u);
+}
+
+TEST(TraceTest, FirstSpanOnAThreadDoesNotBillBufferSetup)
+{
+    // A thread's first span builds its event buffer. That setup must
+    // happen before the span's clock starts, not when the first span
+    // closes -- otherwise it lands in the enclosing span's self time.
+    // The capacity makes the build take milliseconds; the test times
+    // an equal-sized build itself.
+    constexpr std::size_t kCapacity = std::size_t(1) << 18;
+    const auto buildStart = std::chrono::steady_clock::now();
+    {
+        std::vector<trace::Event> probe(kCapacity);
+        // Keep the build: the compiler must assume the words are read.
+        asm volatile("" : : "g"(probe.data()) : "memory");
+    }
+    const double buildUs =
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - buildStart)
+            .count();
+
+    trace::Tracer tracer(kCapacity);
+    {
+        ActiveTracer active(tracer);
+        std::thread([] {
+            TRACE_SPAN("outer");
+            TRACE_SPAN("inner");
+        }).join();
+    }
+    const std::vector<trace::SpanStats> stats = tracer.summary();
+    const auto outer =
+        std::find_if(stats.begin(), stats.end(),
+                     [](const trace::SpanStats &s) {
+                         return s.name == "outer";
+                     });
+    ASSERT_NE(outer, stats.end());
+    EXPECT_LT(outer->selfUs, buildUs / 4)
+        << "buffer build " << buildUs << " us";
 }
 
 TEST(TraceTest, SequentialTracersDoNotShareBuffers)

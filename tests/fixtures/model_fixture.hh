@@ -11,6 +11,11 @@
  * modelfile::formatVersion (and add new fixtures) instead of
  * silently rewriting the old ones.
  *
+ * The legacy fixtures were written by an earlier writer, in a
+ * layout today's writer no longer emits; they are never regenerated.
+ * They hold the same recipe's classes, so readers are checked
+ * against the same model.
+ *
  * Everything here derives from fixed seeds through hdham::Rng, which
  * is a portable fixed-width generator, so the recipe reproduces the
  * same bytes on every platform.
@@ -38,26 +43,31 @@ struct FixtureSpec
     const char *file;
     std::size_t dim;
     std::size_t classes;
-    StoreLayout layout;
     /** Embed a 27-symbol item memory (the text alphabet). */
     bool withItems;
 };
 
-/** The committed fixture set: one per on-disk layout. */
+/** The committed fixtures today's writer reproduces byte for byte. */
 inline std::vector<FixtureSpec>
 fixtureSpecs()
 {
     // dim 250 keeps a ragged tail word (250 = 3x64 + 58 bits) so the
-    // fixtures cover the clean-tail invariant; 12 classes over 3
-    // shards split evenly.
-    StoreLayout rowMajor;
-    StoreLayout sliced;
-    sliced.layout = RowLayout::Sliced;
-    sliced.shards = 3;
-    sliced.slicePrefix = 128;
+    // fixtures cover the clean-tail invariant.
     return {
-        {"model_rowmajor_d250_c12.hdc", 250, 12, rowMajor, true},
-        {"model_sliced_d250_c12_s3.hdc", 250, 12, sliced, true},
+        {"model_rowmajor_d250_c12.hdc", 250, 12, true},
+    };
+}
+
+/**
+ * The committed legacy fixtures: read-only, never regenerated.
+ * model_sliced_d250_c12_s3.hdc holds the row-major fixture's classes
+ * bit-sliced at a 128-bit prefix in 3 shards of 4 rows each.
+ */
+inline std::vector<FixtureSpec>
+legacyFixtureSpecs()
+{
+    return {
+        {"model_sliced_d250_c12_s3.hdc", 250, 12, true},
     };
 }
 
@@ -73,7 +83,7 @@ fixtureLabel(std::size_t id)
     return label;
 }
 
-/** The fixture's class store, before any re-layout. */
+/** The fixture's class store. */
 inline AssociativeMemory
 buildFixtureMemory(const FixtureSpec &spec)
 {
@@ -83,7 +93,6 @@ buildFixtureMemory(const FixtureSpec &spec)
     for (std::size_t id = 0; id < spec.classes; ++id)
         am.store(Hypervector::random(spec.dim, rng),
                  fixtureLabel(id));
-    am.setStoreLayout(spec.layout);
     return am;
 }
 

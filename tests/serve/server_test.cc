@@ -10,7 +10,7 @@
  * update->swap publishes a grown snapshot that subsequent queries
  * observe, and error paths come back as error responses, not closed
  * connections. A scripted raw-socket session pins every reply byte,
- * in the model's own layout and re-laid.
+ * under the default scan policy and under the cascade.
  */
 
 #include <gtest/gtest.h>
@@ -48,8 +48,6 @@ using hdham::Encoder;
 using hdham::Hypervector;
 using hdham::ItemMemory;
 using hdham::Rng;
-using hdham::RowLayout;
-using hdham::StoreLayout;
 using hdham::TextAlphabet;
 using hdham::serve::Client;
 using hdham::serve::MsgType;
@@ -548,13 +546,11 @@ TEST(ServerTranscriptTest, DefaultConfigRepliesArePinned)
 
 TEST(ServerTranscriptTest, RelaidConfigRepliesArePinned)
 {
-    // The re-laid serving path: sliced head words, three shards and
-    // a cascade scan must answer byte for byte like the file's own
-    // row-major layout.
+    // A cascade scan must answer byte for byte like the default
+    // policy.
     ServerConfig cfg;
-    cfg.layout = StoreLayout{RowLayout::Sliced, 3, 128};
     cfg.policy.cascadePrefix = 128;
-    EXPECT_EQ(playTranscript(std::move(cfg), "pin_sliced"),
+    EXPECT_EQ(playTranscript(std::move(cfg), "pin_cascade"),
               kPinnedTranscript);
 }
 

@@ -5,8 +5,9 @@
  *
  * Flags are consumed from the argument list as they are read, so
  * whatever is left afterwards is positional. A numeric flag whose
- * value does not parse completely throws UsageError naming the flag;
- * the front ends report it and exit 2.
+ * value does not parse completely throws UsageError naming the flag,
+ * and so does anything left over that starts with `--`
+ * (rejectUnknownFlags); the front ends report it and exit 2.
  */
 
 #ifndef HDHAM_TOOLS_CLI_ARGS_HH
@@ -91,6 +92,22 @@ boolOption(std::vector<std::string> &args, const std::string &flag)
         return false;
     args.erase(it);
     return true;
+}
+
+/**
+ * Call once a verb has consumed every flag it takes: whatever is left
+ * must not look like a flag, so a misspelt or retired flag fails
+ * before any work starts instead of being ignored or read as text.
+ * @throws UsageError naming the first leftover `--` argument.
+ */
+inline void
+rejectUnknownFlags(const std::vector<std::string> &args)
+{
+    for (const std::string &arg : args) {
+        if (arg.rfind("--", 0) == 0)
+            throw UsageError(arg + ": unknown flag, or a flag "
+                                   "without its value");
+    }
 }
 
 /**

@@ -10,15 +10,13 @@
  *            hdham.model.v1 (mmap-able; embeds the item memory)
  *   classify --model PATH [--design am|dham|rham|aham] [--threads N]
  *            [--batch N] [--prune auto|on|off]
- *            [--cascade-prefix BITS] [--layout row|sliced]
- *            [--shards N] [--stats-json PATH]
+ *            [--cascade-prefix BITS] [--stats-json PATH]
  *            [--trace PATH] TEXT...
  *            classify text samples with the chosen HAM design,
  *            batching queries through searchBatch(); --prune /
  *            --cascade-prefix select the bound-pruned scan (exact;
  *            reported in the metrics "info" map next to "kernel");
- *            --layout / --shards re-lay the class store (bit-sliced
- *            cascade heads, per-shard scans) -- also exact
+ *            a TEXT may not start with "--"
  *
  * --stats-json dumps a query-path observability snapshot (the
  * hdham.metrics.v1 schema of core/metrics.hh): per-design counters
@@ -41,11 +39,10 @@
  * threshold -- span tree plus perf delta -- into a bounded
  * hdham.events.v1 JSONL log (core/event_log.hh) with exact drop
  * counts.
- *   save     --model PATH --out PATH [--layout row|sliced]
- *            [--shards N] [--cascade-prefix BITS]
- *            rewrite a model, optionally re-laying the class store
- *            first so the file serves with the chosen physical
- *            layout
+ *   save     --model PATH --out PATH
+ *            rewrite a model as the current writer lays it out
+ *            (row-major, one shard): the migration path for files
+ *            in a legacy sliced or sharded layout
  *   load     --model PATH [--no-verify]
  *            mmap an hdham.model.v1 file, validate it and describe
  *            what it serves (the same loader classify uses)
@@ -56,7 +53,11 @@
  *
  * classify/info/load/save open every model through the shared
  * loader (core/model_loader.hh): the hdham.model.v1 file is mmap'ed
- * and -- with --design am -- queried zero-copy in place. Every
+ * and -- with --design am -- queried zero-copy in place.
+ *
+ * Every verb refuses a leftover argument that starts with "--" (a
+ * misspelt flag, or one the verb does not take) with exit code 2,
+ * before doing any work. Every
  * --stats-json snapshot records the model provenance (model.path,
  * model.format, model.version, model.checksum) in the "info" map.
  *
@@ -114,19 +115,17 @@ usage()
         "  hdham classify --model PATH "
         "[--design am|dham|rham|aham] "
         "[--threads N] [--batch N] [--kernel K] "
-        "[--prune auto|on|off] [--cascade-prefix BITS] "
-        "[--layout row|sliced] [--shards N] [--perf] "
+        "[--prune auto|on|off] [--cascade-prefix BITS] [--perf] "
         "[--slow-query-us US] [--events-out PATH] "
         "[--stats-json PATH] [--trace PATH] TEXT...\n"
-        "  hdham save --model PATH --out PATH [--layout row|sliced] "
-        "[--shards N] [--cascade-prefix BITS]\n"
+        "  hdham save --model PATH --out PATH\n"
         "  hdham load --model PATH [--no-verify]\n"
         "  hdham info --model PATH\n"
         "  hdham cost [--dim N] [--classes N]\n"
         "  hdham serve --model PATH (--socket PATH | --port N) "
         "[--threads N] [--prune M]\n"
-        "              [--cascade-prefix BITS] [--layout L] "
-        "[--shards N] [--kernel K] [--no-verify] [--trace]\n"
+        "              [--cascade-prefix BITS] [--kernel K] "
+        "[--no-verify] [--trace]\n"
         "  hdham query (--socket PATH | --port N) "
         "ping|classify TEXT...|update [--assimilate]\n"
         "              [--threshold BITS] LABEL=TEXT..."
@@ -144,15 +143,6 @@ usage()
         "                    score rows on the first BITS components "
         "first, then refine survivors (0 = off);\n"
         "                    exact for any value\n"
-        "  --layout L        physical class-store layout for "
-        "prunable designs (dham): row (default) or sliced\n"
-        "                    (cascade-prefix head words stored "
-        "contiguously; requires --cascade-prefix);\n"
-        "                    results are bit-identical either way\n"
-        "  --shards N        partition the class store into N "
-        "contiguous row shards scanned independently\n"
-        "                    (0 = one per hardware thread; default "
-        "1); results are bit-identical for any N\n"
         "  --threads N       scan workers for batched search (0 = "
         "all hardware threads; default 1)\n"
         "  --batch N         queries per searchBatch() call (0 = "
@@ -183,7 +173,14 @@ usage()
         "(hdham.metrics.v1 JSON)\n"
         "  --trace PATH      write a Chrome trace-event file "
         "(hdham.trace.v1 JSON, loads in Perfetto) and print a\n"
-        "                    per-span timing summary\n");
+        "                    per-span timing summary\n"
+        "\n"
+        "  An argument that starts with -- must be a flag the verb "
+        "takes: anything else (a misspelt\n"
+        "  flag, or a classify TEXT starting with --) exits 2 before "
+        "any work starts.\n"
+        "  `hdham save` rewrites a model in a legacy sliced or "
+        "sharded layout as row-major.\n");
     return 2;
 }
 
@@ -267,6 +264,7 @@ cmdTrain(std::vector<std::string> args)
     const bool perfOn = boolOption(args, "--perf");
     if (!kernelOption(args, "train"))
         return 2;
+    rejectUnknownFlags(args);
 
     std::printf("training %zu languages at D = %zu...\n",
                 corpusCfg.numLanguages, pipeCfg.dim);
@@ -377,26 +375,7 @@ cmdClassify(std::vector<std::string> args)
         return 2;
     }
     scanPolicy.cascadePrefix = cascadePrefix;
-    const std::string layoutName = option(args, "--layout", "row");
-    const std::size_t shards = numericOption(args, "--shards", 1);
-    StoreLayout storeLayout;
-    if (!parseRowLayout(layoutName, &storeLayout.layout)) {
-        std::fprintf(stderr,
-                     "classify: unknown layout '%s' (expected row "
-                     "or sliced)\n",
-                     layoutName.c_str());
-        return 2;
-    }
-    if (storeLayout.layout == RowLayout::Sliced &&
-        cascadePrefix == 0) {
-        std::fprintf(stderr,
-                     "classify: --layout sliced requires "
-                     "--cascade-prefix (the slice holds the "
-                     "cascade's head words)\n");
-        return 2;
-    }
-    storeLayout.shards = shards;
-    storeLayout.slicePrefix = cascadePrefix;
+    rejectUnknownFlags(args);
     if (path.empty() || args.empty()) {
         std::fprintf(stderr, "classify: need --model and at least "
                              "one TEXT argument\n");
@@ -410,8 +389,6 @@ cmdClassify(std::vector<std::string> args)
         throw std::runtime_error(path + " embeds no item memory, which "
                                         "classify needs to encode text");
 
-    const bool relayout =
-        storeLayout.layout != RowLayout::RowMajor || shards != 1;
     std::unique_ptr<ham::Ham> hardware;
     if (design != "am") {
         hardware = makeDesign(design, memory.dim());
@@ -422,20 +399,9 @@ cmdClassify(std::vector<std::string> args)
         }
         hardware->loadFrom(memory);
         hardware->setScanPolicy(scanPolicy);
-        if (relayout)
-            hardware->setStoreLayout(storeLayout);
     } else {
         // Serve from the associative memory itself: the model is
-        // queried zero-copy straight from the mapping, whose
-        // physical layout is the file's -- re-lay with `hdham save`.
-        if (relayout) {
-            std::fprintf(stderr,
-                         "classify: --design am serves a mapped "
-                         "model in its on-disk layout; use `hdham "
-                         "save --layout/--shards` to re-lay the "
-                         "file\n");
-            return 2;
-        }
+        // queried zero-copy straight from the mapping.
         memory.setScanPolicy(scanPolicy);
     }
 
@@ -544,9 +510,6 @@ cmdClassify(std::vector<std::string> args)
         registry.setInfo("prune", pruneModeName(scanPolicy.prune));
         registry.setInfo("cascade_prefix",
                          std::to_string(scanPolicy.cascadePrefix));
-        registry.setInfo("layout",
-                         rowLayoutName(storeLayout.layout));
-        registry.setGauge("run.shards", static_cast<double>(shards));
         if (perfOn) {
             perf::exportTo(registry, workload->delta(),
                            designMetrics.rowsScanned.value());
@@ -564,59 +527,27 @@ cmdClassify(std::vector<std::string> args)
 }
 
 /**
- * `hdham save`: rewrite a model, optionally re-laying the class
- * store so the file serves with the chosen physical layout. Side
- * memories embedded in the input are carried over.
+ * `hdham save`: rewrite a model as the writer lays it out (row-major,
+ * one shard), which migrates a file in a legacy sliced or sharded
+ * layout. Side memories embedded in the input are carried over.
  */
 int
 cmdSave(std::vector<std::string> args)
 {
     const std::string in = option(args, "--model", "");
     const std::string out = option(args, "--out", "");
+    rejectUnknownFlags(args);
     if (in.empty() || out.empty()) {
         std::fprintf(stderr,
                      "save: --model and --out are required\n");
         return 2;
     }
-    const std::string layoutName = option(args, "--layout", "");
-    const std::size_t shards = numericOption(args, "--shards", 0);
-    const std::size_t cascadePrefix =
-        numericOption(args, "--cascade-prefix", 0);
-    StoreLayout storeLayout;
-    const bool relayout = !layoutName.empty() || shards != 0;
-    if (relayout) {
-        if (!parseRowLayout(layoutName.empty() ? "row" : layoutName,
-                            &storeLayout.layout)) {
-            std::fprintf(stderr,
-                         "save: unknown layout '%s' (expected row "
-                         "or sliced)\n",
-                         layoutName.c_str());
-            return 2;
-        }
-        if (storeLayout.layout == RowLayout::Sliced &&
-            cascadePrefix == 0) {
-            std::fprintf(stderr,
-                         "save: --layout sliced requires "
-                         "--cascade-prefix (the slice holds the "
-                         "cascade's head words)\n");
-            return 2;
-        }
-        storeLayout.shards = shards == 0 ? 1 : shards;
-        storeLayout.slicePrefix = cascadePrefix;
-    }
 
-    // The snapshot carries the input's side memories across. A
-    // mapped store cannot be re-laid in place, so a re-lay saves the
-    // product of a builder seeded from it (one class per row, each
-    // the majority of its one sample: the row itself); otherwise the
-    // writer streams straight from the mapping.
-    std::unique_ptr<snapshot::MemorySnapshot> snap =
+    // The snapshot carries the input's side memories across; the
+    // writer streams the rows straight from the mapping (or, for a
+    // legacy layout, from the row-major copy the open made).
+    const std::unique_ptr<snapshot::MemorySnapshot> snap =
         modelload::LoadedModel::open(in).intoSnapshot();
-    if (relayout) {
-        snapshot::SnapshotBuilder builder(*snap);
-        builder.setStoreLayout(storeLayout);
-        snap = builder.build();
-    }
     modelfile::SaveOptions saveOpts;
     if (snap->hasItemMemory())
         saveOpts.items = &snap->itemMemory();
@@ -669,6 +600,7 @@ cmdLoad(std::vector<std::string> args)
     }
     modelfile::ModelView::Options opts;
     opts.verifyChecksums = !boolOption(args, "--no-verify");
+    rejectUnknownFlags(args);
     // The shared open path (core/model_loader.hh): the exact loader
     // classify and hdham_server use.
     const modelload::LoadedModel model =
@@ -683,11 +615,11 @@ cmdLoad(std::vector<std::string> args)
                                      : " (not verified)");
     std::printf("dimensionality : %zu\n", memory.dim());
     std::printf("classes        : %zu\n", memory.size());
-    const StoreLayout &layout = view.layout();
+    const modelfile::FileLayout &layout = view.fileLayout();
     std::printf("layout         : %s, %zu shard%s",
-                rowLayoutName(layout.layout), layout.shards,
+                layout.sliced ? "sliced" : "row", layout.shards,
                 layout.shards == 1 ? "" : "s");
-    if (layout.layout == RowLayout::Sliced)
+    if (layout.sliced)
         std::printf(", slice prefix %zu bits", layout.slicePrefix);
     std::printf("\n");
     std::printf("item memory    : %s\n",
@@ -710,6 +642,7 @@ int
 cmdInfo(std::vector<std::string> args)
 {
     const std::string path = option(args, "--model", "");
+    rejectUnknownFlags(args);
     if (path.empty()) {
         std::fprintf(stderr, "info: --model is required\n");
         return 2;
@@ -738,6 +671,7 @@ cmdCost(std::vector<std::string> args)
     const std::size_t dim = numericOption(args, "--dim", 10000);
     const std::size_t classes =
         numericOption(args, "--classes", 21);
+    rejectUnknownFlags(args);
     std::printf("design space at D = %zu, C = %zu:\n", dim, classes);
     std::printf("%8s %10s | %-26s %10s %9s %10s\n", "design",
                 "target", "knobs", "energy/pJ", "delay/ns", "EDP");

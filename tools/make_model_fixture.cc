@@ -2,7 +2,9 @@
  * @file
  * Regenerate the committed hdham.model.v1 golden fixtures in
  * tests/data/ from the deterministic recipes in
- * tests/fixtures/model_fixture.hh.
+ * tests/fixtures/model_fixture.hh. The legacy fixtures
+ * (testfix::legacyFixtureSpecs) are never regenerated: today's
+ * writer no longer emits their layout.
  *
  *   make_model_fixture OUTPUT_DIR
  *

@@ -6,7 +6,6 @@
 
 #include "cli_args.hh"
 #include "core/packed_rows.hh"
-#include "core/row_store.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 
@@ -84,31 +83,6 @@ runServeCommand(std::vector<std::string> args)
     }
     cfg.policy.cascadePrefix =
         numericOption(args, "--cascade-prefix", 0);
-
-    const std::string layoutName = option(args, "--layout", "");
-    const std::size_t shards = numericOption(args, "--shards", 1);
-    if (!layoutName.empty() || shards != 1) {
-        StoreLayout layout;
-        if (!parseRowLayout(layoutName.empty() ? "row" : layoutName,
-                            &layout.layout)) {
-            std::fprintf(stderr,
-                         "serve: unknown layout '%s' (expected row "
-                         "or sliced)\n",
-                         layoutName.c_str());
-            return 2;
-        }
-        if (layout.layout == RowLayout::Sliced &&
-            cfg.policy.cascadePrefix == 0) {
-            std::fprintf(stderr,
-                         "serve: --layout sliced requires "
-                         "--cascade-prefix (the slice holds the "
-                         "cascade's head words)\n");
-            return 2;
-        }
-        layout.shards = shards;
-        layout.slicePrefix = cfg.policy.cascadePrefix;
-        cfg.layout = layout;
-    }
 
     if (!kernelOption(args, "serve"))
         return 2;

@@ -21,11 +21,15 @@ namespace hdham::serve
  * Run a resident server until a Shutdown request:
  *
  *   serve --model PATH (--socket PATH | --port N) [--threads N]
- *         [--prune M] [--cascade-prefix BITS] [--layout L]
- *         [--shards N] [--kernel K] [--no-verify] [--trace]
+ *         [--prune M] [--cascade-prefix BITS] [--kernel K]
+ *         [--no-verify] [--trace]
  *
- * Returns a process exit code (0 ok, 2 usage). Throws on runtime
- * errors, and cli::UsageError on a numeric flag that does not parse.
+ * A model in a legacy sliced or sharded layout is served from the
+ * row-major copy the loader makes (`hdham save` migrates the file).
+ *
+ * Returns a process exit code (0 ok, 2 usage, also for any argument
+ * left over). Throws on runtime errors, and cli::UsageError on a
+ * numeric flag that does not parse.
  */
 int runServeCommand(std::vector<std::string> args);
 
