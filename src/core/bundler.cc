@@ -31,20 +31,20 @@ Bundler::add(const Hypervector &hv)
 
 void
 Bundler::addBound(const std::uint64_t *const *factors, std::size_t arity,
-                  std::size_t count)
+                  std::size_t count, unsigned shift)
 {
     for (std::size_t start = 0; start < count; start += kBlock) {
         const std::size_t m = std::min(kBlock, count - start);
-        growPlanes(m);
-        accumulate(factors + start * arity, arity, m);
+        growPlanes(std::uint64_t{m} << shift, shift + kSumPlanes);
+        accumulate(factors + start * arity, arity, m, shift);
     }
 }
 
 void
-Bundler::growPlanes(std::size_t m) const
+Bundler::growPlanes(std::uint64_t more, std::size_t least) const
 {
-    const auto needed = static_cast<std::size_t>(
-        std::bit_width(counted + m));
+    const std::size_t needed = std::max<std::size_t>(
+        std::bit_width(counted + more), least);
     if (needed > planeCount) {
         planeCount = needed;
         storage.resize((kBlock + planeCount) * numWords, 0);
@@ -53,12 +53,16 @@ Bundler::growPlanes(std::size_t m) const
 
 void
 Bundler::accumulate(const std::uint64_t *const *factors,
-                    std::size_t arity, std::size_t m) const
+                    std::size_t arity, std::size_t m,
+                    unsigned shift) const
 {
-    assert(m <= kBlock && arity > 0);
-    distance::activeEntry().countBlock(factors, arity, m, plane(0),
-                                       numWords, planeCount);
-    counted += m;
+    assert(m <= kBlock && arity > 0 && shift + kSumPlanes <= planeCount);
+    // The kernel adds the block's sum to the planes it is given, so
+    // handing it the planes from `shift` up adds the sum times
+    // 2^shift.
+    distance::activeEntry().countBlock(factors, arity, m, plane(shift),
+                                       numWords, planeCount - shift);
+    counted += std::uint64_t{m} << shift;
 }
 
 void
@@ -67,11 +71,11 @@ Bundler::foldPending() const
     if (pendingCount == 0)
         return;
     // Grow first: growing may move the pending rows.
-    growPlanes(pendingCount);
+    growPlanes(pendingCount, kSumPlanes);
     const std::uint64_t *rows[kBlock] = {};
     for (std::size_t j = 0; j < pendingCount; ++j)
         rows[j] = storage.data() + j * numWords;
-    accumulate(rows, 1, pendingCount);
+    accumulate(rows, 1, pendingCount, 0);
     pendingCount = 0;
 }
 

@@ -19,6 +19,12 @@
  * before a read. Planes are added as the count grows, so any number of
  * inputs up to 2^32 - 1 is exact.
  *
+ * addBound() can weight a block: with shift s, each of its vectors
+ * counts 2^s times. That is the same kernel run on the planes from
+ * plane s up, so the block's sum lands at bit s of every count. The
+ * encoder bundles a long text this way, each distinct n-gram once per
+ * set bit of its count (core/encoder.hh).
+ *
  * The counting kernel is the active kernel tier's (core/distance.hh),
  * at that tier's vector width: 1, 2, 4 or 8 words per step. --kernel
  * and HDHAM_KERNEL pick it together with the Hamming kernel. Every
@@ -75,12 +81,13 @@ class Bundler
      * vector j is the XOR of the @p arity word rows
      * factors[j * arity] .. factors[j * arity + arity - 1], each laid
      * out like Hypervector::data() for dim() components (clean tail).
-     * The result equals add() of every such XOR.
+     * Each vector counts 2^@p shift times: the result equals
+     * 2^shift add() calls of every such XOR, in any order.
      *
-     * @pre arity > 0 when count > 0.
+     * @pre arity > 0 when count > 0; count() stays below 2^32.
      */
     void addBound(const std::uint64_t *const *factors, std::size_t arity,
-                  std::size_t count);
+                  std::size_t count, unsigned shift = 0);
 
     /**
      * Ones-count of component @p i over everything added so far.
@@ -104,16 +111,21 @@ class Bundler
     void clear();
 
   private:
-    /** Add planes until @p m more inputs cannot carry out of them. */
-    void growPlanes(std::size_t m) const;
+    /**
+     * Add planes until @p more further inputs cannot carry out of
+     * them, and until there are at least @p least.
+     */
+    void growPlanes(std::uint64_t more, std::size_t least) const;
 
     /**
-     * Add @p m <= kBlock bound vectors (see addBound) to the planes,
-     * which growPlanes(m) has made room in, through the active tier's
-     * counting kernel.
+     * Add @p m <= kBlock bound vectors (see addBound), each counting
+     * 2^@p shift times, to the planes, which
+     * growPlanes(m << shift, shift + kSumPlanes) has made room in,
+     * through the active tier's counting kernel.
      */
     void accumulate(const std::uint64_t *const *factors,
-                    std::size_t arity, std::size_t m) const;
+                    std::size_t arity, std::size_t m,
+                    unsigned shift) const;
 
     /** Count the pending single adds into the planes. */
     void foldPending() const;

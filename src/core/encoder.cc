@@ -3,16 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace hdham
 {
 
 Encoder::Encoder(const ItemMemory &items, std::size_t n)
-    : items(items), n(n), dimension(items.dim())
+    : n(n), dimension(items.dim()), distinctNgrams(1)
 {
     if (n == 0)
         throw std::invalid_argument("Encoder: n must be positive");
+    constexpr std::size_t limit =
+        std::numeric_limits<std::size_t>::max();
+    for (std::size_t k = 0; k < n; ++k) {
+        distinctNgrams = distinctNgrams > limit / TextAlphabet::size
+                             ? limit
+                             : distinctNgrams * TextAlphabet::size;
+    }
     rotatedSeeds.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
         rotatedSeeds[p].reserve(items.size());
@@ -42,7 +50,18 @@ Encoder::encodeInto(const std::string &text, Bundler &bundler) const
     std::vector<std::size_t> ids(text.size());
     for (std::size_t i = 0; i < text.size(); ++i)
         ids[i] = TextAlphabet::symbolOf(text[i]);
+    const std::size_t grams = ids.size() - n + 1;
+    if (grams >= distinctNgrams)
+        countInto(ids, bundler);
+    else
+        streamInto(ids, bundler);
+    return grams;
+}
 
+void
+Encoder::streamInto(const std::vector<std::size_t> &ids,
+                    Bundler &bundler) const
+{
     // Hand the bundler each n-gram as its n rotated seed rows, oldest
     // symbol (most rotation) first, one kernel block at a time; the
     // bundler XORs them in registers.
@@ -57,7 +76,49 @@ Encoder::encodeInto(const std::string &text, Bundler &bundler) const
         }
         bundler.addBound(factors.data(), n, m);
     }
-    return grams;
+}
+
+void
+Encoder::countInto(const std::vector<std::size_t> &ids,
+                   Bundler &bundler) const
+{
+    // Count each n-gram under its base-27 code, oldest symbol most
+    // significant. The code rolls along the text: append the newest
+    // symbol, count, then subtract the oldest one's digit.
+    constexpr std::size_t base = TextAlphabet::size;
+    const std::size_t oldestWeight = distinctNgrams / base;
+    std::vector<std::size_t> counts(distinctNgrams, 0);
+    std::size_t code = 0;
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        code = code * base + ids[i];
+    for (std::size_t i = n - 1; i < ids.size(); ++i) {
+        code = code * base + ids[i];
+        ++counts[code];
+        code -= ids[i + 1 - n] * oldestWeight;
+    }
+
+    // Bit p of every count is one pass over the table: the n-grams
+    // whose count has it set, in blocks weighted 2^p. The code's
+    // digits give each n-gram's rows, as streamInto lays them out.
+    const std::size_t most = *std::max_element(counts.begin(), counts.end());
+    std::vector<const std::uint64_t *> factors(Bundler::kBlock * n);
+    for (unsigned shift = 0; (most >> shift) != 0; ++shift) {
+        std::size_t m = 0;
+        for (std::size_t gram = 0; gram < distinctNgrams; ++gram) {
+            if (((counts[gram] >> shift) & 1) == 0)
+                continue;
+            std::size_t rest = gram;
+            for (std::size_t k = n; k-- > 0; rest /= base)
+                factors[m * n + k] =
+                    rotatedSeeds[n - 1 - k][rest % base].data();
+            if (++m == Bundler::kBlock) {
+                bundler.addBound(factors.data(), n, m, shift);
+                m = 0;
+            }
+        }
+        if (m > 0)
+            bundler.addBound(factors.data(), n, m, shift);
+    }
 }
 
 Hypervector

@@ -13,6 +13,17 @@
  * to the Bundler as pointers to its n rotated rows, and the bundler's
  * counting kernel XORs them word by word in registers, so no n-gram
  * hypervector is ever stored.
+ *
+ * The majority depends only on how often each distinct n-gram occurs.
+ * A text with at least 27^n n-grams (a training text, for trigrams) is
+ * therefore counted first, in a table of all 27^n n-grams, and each
+ * distinct n-gram goes to the bundler once per set bit p of its count,
+ * weighted 2^p (Bundler::addBound's shift). That yields the same counts
+ * from far fewer kernel inputs: a 120k-character training text holds
+ * ~8k distinct trigrams. At that length the table is no larger than
+ * the text and repeats are certain. Shorter texts, such as held-out
+ * sentences and served requests, hold mostly distinct n-grams and
+ * stream straight to the bundler.
  */
 
 #ifndef HDHAM_CORE_ENCODER_HH
@@ -57,9 +68,11 @@ class Encoder
     encodeNgram(const std::vector<std::size_t> &symbols) const;
 
     /**
-     * Stream every n-gram of @p text (normalized to the 27-symbol
+     * Bundle every n-gram of @p text (normalized to the 27-symbol
      * alphabet) into @p bundler. Returns the number of n-grams added.
-     * Texts shorter than n contribute nothing.
+     * Texts shorter than n contribute nothing. The counts, and so the
+     * majority and its tie draws, are those of add()ing each n-gram's
+     * hypervector in turn.
      *
      * Used directly for training, where one Bundler accumulates
      * n-grams across many samples of the same class.
@@ -78,9 +91,24 @@ class Encoder
     Hypervector encode(const std::string &text, Rng &rng) const;
 
   private:
-    const ItemMemory &items;
+    /** Bundle the n-grams of symbol ids @p ids one by one. */
+    void streamInto(const std::vector<std::size_t> &ids,
+                    Bundler &bundler) const;
+
+    /**
+     * Bundle the n-grams of @p ids by their counts, each distinct
+     * n-gram once per set bit of its count.
+     */
+    void countInto(const std::vector<std::size_t> &ids,
+                   Bundler &bundler) const;
+
     std::size_t n;
     std::size_t dimension;
+    /**
+     * 27^n, the number of distinct n-grams (saturating at SIZE_MAX): a
+     * text with at least this many n-grams is counted first.
+     */
+    std::size_t distinctNgrams;
     /**
      * rotatedSeeds[p][s] = rho^p(seed of symbol s), for p in [0, n).
      * Position p counts from the newest element: the n-gram component

@@ -1,7 +1,6 @@
 #include "core/item_memory.hh"
 
 #include <cassert>
-#include <cctype>
 #include <stdexcept>
 #include <utility>
 
@@ -39,15 +38,6 @@ ItemMemory::operator[](std::size_t id) const
 {
     assert(id < items.size());
     return items[id];
-}
-
-std::size_t
-TextAlphabet::symbolOf(char c)
-{
-    const unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isalpha(uc))
-        return static_cast<std::size_t>(std::tolower(uc) - 'a');
-    return spaceId;
 }
 
 char

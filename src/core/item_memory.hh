@@ -12,6 +12,7 @@
 #ifndef HDHAM_CORE_ITEM_MEMORY_HH
 #define HDHAM_CORE_ITEM_MEMORY_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -66,9 +67,11 @@ class ItemMemory
  * The paper's text alphabet: 'a'..'z' plus space, 27 symbols.
  *
  * Maps a character to its symbol id; anything outside the alphabet
- * (digits, punctuation, ...) collapses to space, and uppercase letters
- * fold to lowercase, mirroring the usual preprocessing of the language
- * recognition pipeline.
+ * (digits, punctuation, bytes above 0x7f, ...) collapses to space, and
+ * uppercase letters fold to lowercase, mirroring the usual
+ * preprocessing of the language recognition pipeline. The rule is the
+ * C locale's, fixed in a table, so no locale the host process sets
+ * can change a symbol id.
  */
 class TextAlphabet
 {
@@ -80,13 +83,32 @@ class TextAlphabet
     static constexpr std::size_t spaceId = 26;
 
     /** Map a character to a symbol id in [0, size). */
-    static std::size_t symbolOf(char c);
+    static std::size_t
+    symbolOf(char c)
+    {
+        return symbols[static_cast<unsigned char>(c)];
+    }
 
     /** Map a symbol id back to its canonical character. */
     static char charOf(std::size_t id);
 
     /** Normalize a string to the 27-symbol alphabet. */
     static std::string normalize(const std::string &text);
+
+  private:
+    /** symbolOf() of every byte. */
+    static constexpr std::array<std::uint8_t, 256> symbols = [] {
+        std::array<std::uint8_t, 256> table{};
+        for (std::size_t c = 0; c < table.size(); ++c) {
+            if (c >= 'a' && c <= 'z')
+                table[c] = static_cast<std::uint8_t>(c - 'a');
+            else if (c >= 'A' && c <= 'Z')
+                table[c] = static_cast<std::uint8_t>(c - 'A');
+            else
+                table[c] = spaceId;
+        }
+        return table;
+    }();
 };
 
 } // namespace hdham

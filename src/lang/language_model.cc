@@ -63,12 +63,14 @@ LanguageModel::generate(std::size_t length, Rng &rng) const
     std::size_t c1 = TextAlphabet::spaceId;
     std::size_t c2 = TextAlphabet::spaceId;
     for (std::size_t i = 0; i < length; ++i) {
-        const double *cum =
-            &cumulative[contextOf(c1, c2) * alphabet];
+        const std::size_t ctx = contextOf(c1, c2);
+        const double *cum = &cumulative[ctx * alphabet];
         const double u = rng.nextDouble();
-        const std::size_t next = static_cast<std::size_t>(
-            std::lower_bound(cum, cum + alphabet, u) - cum);
-        const std::size_t sym = std::min(next, alphabet - 1);
+        // u < 1, so u * guideSlots < guideSlots exactly.
+        std::size_t sym = guide[ctx * guideSlots +
+                                static_cast<std::size_t>(u * guideSlots)];
+        while (sym < alphabet - 1 && cum[sym] < u)
+            ++sym;
         out.push_back(TextAlphabet::charOf(sym));
         c1 = c2;
         c2 = sym;
@@ -104,6 +106,15 @@ LanguageModel::buildCumulative()
         // Guard against floating-point drift so sampling never walks
         // off the end of the row.
         cumulative[ctx * alphabet + alphabet - 1] = 1.0;
+    }
+    guide.resize(contexts * guideSlots);
+    for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
+        const double *cum = &cumulative[ctx * alphabet];
+        for (std::size_t b = 0; b < guideSlots; ++b) {
+            const double mass = static_cast<double>(b) / guideSlots;
+            guide[ctx * guideSlots + b] = static_cast<std::uint8_t>(
+                std::lower_bound(cum, cum + alphabet, mass) - cum);
+        }
     }
 }
 

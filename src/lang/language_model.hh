@@ -15,6 +15,7 @@
 #define HDHAM_LANG_LANGUAGE_MODEL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,10 @@ class LanguageModel
   private:
     LanguageModel() = default;
 
-    /** Rebuild the per-context cumulative tables after editing probs. */
+    /**
+     * Rebuild the per-context cumulative and guide tables after
+     * editing probs.
+     */
     void buildCumulative();
 
     static std::size_t
@@ -86,10 +90,20 @@ class LanguageModel
         return c1 * alphabet + c2;
     }
 
+    /** Guide slots per context: a power of two, so b / slots is exact. */
+    static constexpr std::size_t guideSlots = 32;
+
     /** probs[context * alphabet + next]. */
     std::vector<double> probs;
-    /** Cumulative per-context distribution for O(log n) sampling. */
+    /** Cumulative per-context distribution, sampled by inversion. */
     std::vector<double> cumulative;
+    /**
+     * guide[context * guideSlots + b]: the first next-symbol whose
+     * cumulative probability reaches b / guideSlots. A draw u starts
+     * its scan at slot floor(u * guideSlots) and lands on the index
+     * std::lower_bound would find.
+     */
+    std::vector<std::uint8_t> guide;
 };
 
 } // namespace hdham::lang

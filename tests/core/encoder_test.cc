@@ -107,6 +107,67 @@ TEST_F(EncoderTest, EncodeIntoMatchesManualBundling)
     }
 }
 
+TEST_F(EncoderTest, LongTextsBundleLikeStreaming)
+{
+    // A text with at least 27^n n-grams is counted first, and each
+    // distinct n-gram is bundled once per set bit of its count. For
+    // n = 1..3, texts one n-gram short of 27^n (streamed), exactly
+    // 27^n and past it (counted), and a mostly-space text whose
+    // commonest n-gram repeats more than 2^12 times, must bundle
+    // exactly like encodeNgram + add: every count, the majority and
+    // its tie draws.
+    const std::size_t dim = 1000;
+    const std::string mixed = "abcdefghijklmnopqrstuvwxyz XYZ.,7";
+    for (std::size_t n = 1; n <= 3; ++n) {
+        const ItemMemory seeds(TextAlphabet::size, dim, 60 + n);
+        const Encoder enc(seeds, n);
+        std::size_t space = 1;
+        for (std::size_t k = 0; k < n; ++k)
+            space *= TextAlphabet::size;
+        Rng rng(n);
+        std::vector<std::string> texts;
+        for (const std::size_t grams :
+             {space - 1, space, space + 1, 3 * space + 7}) {
+            std::string text;
+            for (std::size_t i = 0; i < grams + n - 1; ++i)
+                text.push_back(mixed[rng.nextBelow(mixed.size())]);
+            texts.push_back(text);
+        }
+        std::string sparse;
+        for (std::size_t i = 0; i < space + 6000; ++i)
+            sparse.push_back(rng.nextBelow(8) == 0
+                                 ? mixed[rng.nextBelow(26)]
+                                 : ' ');
+        std::size_t blanks = 0;
+        for (std::size_t i = 0; i + n <= sparse.size(); ++i)
+            blanks += sparse.compare(i, n, std::string(n, ' ')) == 0;
+        ASSERT_GT(blanks, 1u << 12);
+        texts.push_back(sparse);
+
+        std::vector<std::size_t> symbols(n);
+        for (const std::string &text : texts) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " chars=" + std::to_string(text.size()));
+            Bundler viaEncoder(dim);
+            const std::size_t grams = enc.encodeInto(text, viaEncoder);
+            Bundler manual(dim);
+            for (std::size_t i = 0; i + n <= text.size(); ++i) {
+                for (std::size_t k = 0; k < n; ++k)
+                    symbols[k] = TextAlphabet::symbolOf(text[i + k]);
+                manual.add(enc.encodeNgram(symbols));
+            }
+            ASSERT_EQ(grams, text.size() - n + 1);
+            ASSERT_EQ(viaEncoder.count(), manual.count());
+            for (std::size_t i = 0; i < dim; ++i)
+                ASSERT_EQ(viaEncoder.onesCount(i), manual.onesCount(i))
+                    << "component " << i;
+            Rng a(grams), b(grams);
+            EXPECT_EQ(viaEncoder.majority(a), manual.majority(b));
+            EXPECT_EQ(a.next(), b.next());
+        }
+    }
+}
+
 TEST_F(EncoderTest, EncodeRejectsShortText)
 {
     Rng rng(2);

@@ -67,6 +67,23 @@ TEST(TextAlphabetTest, NonLettersCollapseToSpace)
         EXPECT_EQ(TextAlphabet::symbolOf(c), TextAlphabet::spaceId);
 }
 
+TEST(TextAlphabetTest, EveryByteMapsAsTheCLocale)
+{
+    // The C locale's rule, whatever locale the host process sets:
+    // ASCII letters fold to 0..25 and every other byte, 0x80..0xff
+    // included, is space.
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        std::size_t expected = TextAlphabet::spaceId;
+        if (byte >= 'a' && byte <= 'z')
+            expected = byte - 'a';
+        else if (byte >= 'A' && byte <= 'Z')
+            expected = byte - 'A';
+        EXPECT_EQ(TextAlphabet::symbolOf(static_cast<char>(byte)),
+                  expected)
+            << "byte " << byte;
+    }
+}
+
 TEST(TextAlphabetTest, CharOfInverts)
 {
     for (std::size_t id = 0; id < TextAlphabet::size; ++id)

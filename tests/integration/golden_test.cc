@@ -71,6 +71,24 @@ TEST(GoldenTest, ItemMemoryIsPinned)
     EXPECT_LT(d, 600u);
 }
 
+/**
+ * CRC32C chained over each language's training text and then its
+ * test sentences, language by language.
+ */
+std::uint32_t
+crcOf(const hdham::lang::SyntheticCorpus &corpus)
+{
+    std::uint32_t crc = 0;
+    for (std::size_t lang = 0; lang < corpus.numLanguages(); ++lang) {
+        const std::string &text = corpus.trainingText(lang);
+        crc = hdham::crc32c::update(crc, text.data(), text.size());
+        for (const std::string &sentence : corpus.testSentences(lang))
+            crc = hdham::crc32c::update(crc, sentence.data(),
+                                        sentence.size());
+    }
+    return crc;
+}
+
 TEST(GoldenTest, CorpusFirstCharactersArePinned)
 {
     hdham::lang::CorpusConfig cfg;
@@ -86,6 +104,14 @@ TEST(GoldenTest, CorpusFirstCharactersArePinned)
     // And the text is structurally sane: words of plausible length.
     const std::string &text = corpus.trainingText(0);
     EXPECT_NE(text.find(' '), std::string::npos);
+
+    // Every character of the default corpus, and of one on another
+    // seed: a sampler change that moves any draw moves these.
+    EXPECT_EQ(crcOf(hdham::lang::SyntheticCorpus{}), 0xc5c3bfcau);
+    hdham::lang::CorpusConfig reseeded;
+    reseeded.seed ^= 20170204;
+    EXPECT_EQ(crcOf(hdham::lang::SyntheticCorpus(reseeded)),
+              0x8909ab97u);
 }
 
 TEST(GoldenTest, BenchmarkWorkloadAccuracyIsPinned)
