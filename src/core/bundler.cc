@@ -98,6 +98,15 @@ Bundler::majority(Rng &rng) const
     if (count() == 0)
         throw std::logic_error("Bundler::majority: nothing accumulated");
     foldPending();
+    std::vector<std::uint64_t> masks(2 * numWords);
+    compare(masks.data(), masks.data() + numWords);
+    fillTies(masks.data(), masks.data() + numWords, numWords, rng);
+    return Hypervector::fromWords(numBits, masks.data());
+}
+
+void
+Bundler::compare(std::uint64_t *greater, std::uint64_t *ties) const
+{
     // A component is set when its count exceeds half = floor(n/2),
     // i.e. when twice the count exceeds n; it ties when n is even and
     // the count equals half. Both masks come from one bit-sliced
@@ -105,28 +114,33 @@ Bundler::majority(Rng &rng) const
     // components count 0, which equals half only for n = 1 (odd).
     const std::uint64_t half = counted / 2;
     const bool even = counted % 2 == 0;
-    std::vector<std::uint64_t> words(numWords);
     for (std::size_t w = 0; w < numWords; ++w) {
-        std::uint64_t greater = 0, equal = ~0ULL;
+        std::uint64_t more = 0, equal = ~0ULL;
         for (std::size_t p = planeCount; p-- > 0;) {
             const std::uint64_t x = plane(p)[w];
             if ((half >> p) & 1ULL) {
                 equal &= x;
             } else {
-                greater |= equal & x;
+                more |= equal & x;
                 equal &= ~x;
             }
         }
-        if (even) {
-            // One draw per tie: nextBool() is true exactly when bit
-            // 63 of next() is clear, so this fills the same bits from
-            // the same stream without a branch on the coin.
-            for (std::uint64_t tie = equal; tie != 0; tie &= tie - 1)
-                greater |= tie & (~tie + 1) & ((rng.next() >> 63) - 1);
-        }
-        words[w] = greater;
+        greater[w] = more;
+        ties[w] = even ? equal : 0;
     }
-    return Hypervector::fromWords(numBits, words.data());
+}
+
+void
+Bundler::fillTies(std::uint64_t *greater, const std::uint64_t *ties,
+                  std::size_t words, Rng &rng)
+{
+    // One draw per tie: nextBool() is true exactly when bit 63 of
+    // next() is clear, so this fills the same bits from the same
+    // stream without a branch on the coin.
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t tie = ties[w]; tie != 0; tie &= tie - 1)
+            greater[w] |= tie & (~tie + 1) & ((rng.next() >> 63) - 1);
+    }
 }
 
 void

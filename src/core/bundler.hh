@@ -30,6 +30,14 @@
  * and HDHAM_KERNEL pick it together with the Hamming kernel. Every
  * tier computes the same counts, so the choice never changes a count,
  * a majority or the Rng draws.
+ *
+ * majority() is two steps: a bit-sliced compare of every count with
+ * half the input count, which yields a greater mask and a tie mask,
+ * then fillTies(), which breaks the ties from the Rng in ascending
+ * component order. The encoder's short-text path gets the same two
+ * masks from the active tier's majority kernel, which counts in
+ * registers, and completes them with the same fillTies(), so a text
+ * draws the same ties whichever path encodes it.
  */
 
 #ifndef HDHAM_CORE_BUNDLER_HH
@@ -107,6 +115,17 @@ class Bundler
      */
     Hypervector majority(Rng &rng) const;
 
+    /**
+     * Break a majority's ties: for each set bit of the tie mask
+     * ties[0 .. words), in ascending component order, draw one
+     * rng.next() and set that bit of @p greater when bit 63 of the
+     * draw is clear (the coin nextBool() flips). This is the one tie
+     * rule of every majority in the library.
+     */
+    static void fillTies(std::uint64_t *greater,
+                         const std::uint64_t *ties, std::size_t words,
+                         Rng &rng);
+
     /** Reset to the empty state. */
     void clear();
 
@@ -129,6 +148,14 @@ class Bundler
 
     /** Count the pending single adds into the planes. */
     void foldPending() const;
+
+    /**
+     * The majority's masks from the planes, numWords words each:
+     * @p greater has the components whose count exceeds half of
+     * count(), @p ties those whose count is exactly half of it.
+     * @pre nothing is pending.
+     */
+    void compare(std::uint64_t *greater, std::uint64_t *ties) const;
 
     /** First word of count plane @p p. */
     std::uint64_t *

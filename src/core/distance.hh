@@ -1,17 +1,19 @@
 /**
  * @file
- * Kernel registry with runtime CPU dispatch: the Hamming distance and
- * the bundling count.
+ * Kernel registry with runtime CPU dispatch: the Hamming distance,
+ * the bundling count and the short-text majority.
  *
  * Every search engine in the library -- the software oracle, D-HAM's
  * sampled scan, A-HAM's staged prefix sums -- reduces to the same
  * primitive: popcount(a XOR b) over the first @p bits components of
  * two packed word arrays. Training reduces to another: Bundler's
  * bit-sliced ones-counts, advanced a block of bound vectors at a time
- * (CountBlockFn). This layer owns both primitives as a *registry* of
- * hardware tiers, each compiled in its own translation unit under
- * src/core/kernels/ with per-function target attributes. The Hamming
- * kernels:
+ * (CountBlockFn). Encoding a short text reduces to a third: the
+ * majority of fewer than 2^kMajorityPlanes bound vectors, counted in
+ * registers (MajorityFn). This layer owns these primitives as a
+ * *registry* of hardware tiers, each compiled in its own translation
+ * unit under src/core/kernels/ with per-function target attributes.
+ * The Hamming kernels:
  *
  *  - scalar:   one std::popcount per 64-bit word; the bit-exactness
  *              reference every other kernel must match.
@@ -26,23 +28,25 @@
  *  - avx512:   VPOPCNTQ on 512-bit lanes, eight words per step
  *              (x86-64 with AVX-512 VPOPCNTDQ).
  *
- * The count kernels are one carry-save template
+ * The count and majority kernels share one carry-save tree
  * (kernels/bundle_kernel.hh) at the tier's vector width: 1 word per
  * step for scalar, 2 for sse2 and neon, 4 for avx2, 8 for avx512.
  *
  * Each tier is a self-describing KernelEntry (name, availability
- * predicate, exact fn, bounded fn, block count); the dispatcher only
- * iterates kernels(), so adding a tier never touches the dispatcher
- * -- only its own translation unit and the registry table. One
- * choice picks both kernels of a tier.
+ * predicate, exact fn, bounded fn, block count, majority); the
+ * dispatcher only iterates kernels(), so adding a tier never touches
+ * the dispatcher -- only its own translation unit and the registry
+ * table. One choice picks all four kernels of a tier.
  *
  * All kernels are exact integer bit counts, so switching kernels can
- * never change a search result, a bundled count or a model byte --
- * the determinism contract (bit-identical output across threads,
- * batch splits and kernels) is pinned by tests/core/distance_test.cc
- * iterating every registered entry, by the batch-equivalence suite
- * end to end, and by the bundler's oracle suite and the golden model
- * bytes under every tier.
+ * never change a search result, a bundled count, a majority mask or
+ * a model byte -- the determinism contract (bit-identical output
+ * across threads, batch splits and kernels) is pinned by
+ * tests/core/distance_test.cc iterating every registered entry
+ * (the majority kernels against a per-component count), by the
+ * batch-equivalence suite end to end, and by the bundler's and
+ * encoder's oracle suites and the golden model bytes under every
+ * tier.
  *
  * Dispatch: the active kernel is resolved once, on first use, in
  * this order: (1) the HDHAM_KERNEL environment variable when it
@@ -127,6 +131,33 @@ using CountBlockFn = void (*)(const std::uint64_t *const *factors,
                               std::size_t planeCount);
 
 /**
+ * Register planes of the majority kernel: it counts up to
+ * kMajorityMaxInputs bound vectors without storing a count.
+ */
+inline constexpr std::size_t kMajorityPlanes = 8;
+
+/** Most bound vectors one MajorityFn call takes: 255. */
+inline constexpr std::size_t kMajorityMaxInputs =
+    (std::size_t{1} << kMajorityPlanes) - 1;
+
+/**
+ * Signature shared by every majority kernel: the componentwise
+ * majority of @p m bound vectors, 1 <= m <= kMajorityMaxInputs,
+ * vector j given as for CountBlockFn (@p arity rows of @p words words
+ * each, with clean tails). Writes @p words words of two masks:
+ * @p greater holds the components whose ones-count exceeds
+ * floor(m / 2), @p ties those whose count is exactly m / 2 (none when
+ * m is odd). These are the masks Bundler compares from the counts of
+ * the same m vectors, so Bundler::fillTies completes the same
+ * majority from the same Rng draws. Padding components count 0, so
+ * they are in neither mask. The Encoder is the caller.
+ */
+using MajorityFn = void (*)(const std::uint64_t *const *factors,
+                            std::size_t arity, std::size_t m,
+                            std::size_t words, std::uint64_t *greater,
+                            std::uint64_t *ties);
+
+/**
  * One registered hardware tier. Entries live in their tier's
  * translation unit (src/core/kernels/hamming_<name>.cc) and are
  * collected by the registry table (kernel_registry.cc); everything
@@ -152,8 +183,8 @@ struct KernelEntry
     /**
      * Runtime host probe (cpuid/hwcap). Only entries with
      * compiled && available() may be installed; on other entries
-     * fn/bounded/countBlock still point at safe scalar fallbacks,
-     * never null.
+     * fn/bounded/countBlock/majority still point at safe scalar
+     * fallbacks, never null.
      */
     bool (*available)();
     /** Exact kernel. */
@@ -162,6 +193,8 @@ struct KernelEntry
     BoundedHammingFn bounded;
     /** Bundling count kernel, at this tier's vector width. */
     CountBlockFn countBlock;
+    /** Short-text majority kernel, at this tier's vector width. */
+    MajorityFn majority;
 
     /** True when this backend can serve queries on this host. */
     bool usable() const { return compiled && available(); }

@@ -6,11 +6,38 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/distance.hh"
+
 namespace hdham
 {
 
+namespace
+{
+
+/**
+ * The short-text path's buffers, kept per thread and grown, never
+ * shrunk, so an encode allocates only the vector it returns. Buffers
+ * freed per call would leave holes between the query vectors a
+ * held-out encode keeps, and grow its heap.
+ */
+struct ShortBuffers
+{
+    std::vector<const std::uint64_t *> factors;
+    /** The greater mask, then the tie mask. */
+    std::vector<std::uint64_t> masks;
+};
+
+thread_local ShortBuffers buffers;
+
+} // namespace
+
 Encoder::Encoder(const ItemMemory &items, std::size_t n)
-    : n(n), dimension(items.dim()), distinctNgrams(1)
+    : n(n), dimension(items.dim()),
+      words((dimension + Hypervector::bitsPerWord - 1) /
+            Hypervector::bitsPerWord),
+      symbols(items.size()),
+      rowWords((words + kLineWords - 1) / kLineWords * kLineWords),
+      distinctNgrams(1)
 {
     if (n == 0)
         throw std::invalid_argument("Encoder: n must be positive");
@@ -21,24 +48,31 @@ Encoder::Encoder(const ItemMemory &items, std::size_t n)
                              ? limit
                              : distinctNgrams * TextAlphabet::size;
     }
-    rotatedSeeds.resize(n);
+    // Rotation-major, as row() reads them; the padding stays zero.
+    rows.resize(n * symbols * rowWords);
+    std::uint64_t *out = rows.data();
     for (std::size_t p = 0; p < n; ++p) {
-        rotatedSeeds[p].reserve(items.size());
-        for (std::size_t s = 0; s < items.size(); ++s)
-            rotatedSeeds[p].push_back(items[s].rotated(p));
+        for (std::size_t s = 0; s < symbols; ++s, out += rowWords) {
+            const Hypervector rotated = items[s].rotated(p);
+            std::copy(rotated.data(), rotated.data() + words, out);
+        }
     }
 }
 
 Hypervector
-Encoder::encodeNgram(const std::vector<std::size_t> &symbols) const
+Encoder::encodeNgram(const std::vector<std::size_t> &ids) const
 {
-    assert(symbols.size() == n);
+    assert(ids.size() == n);
     // Oldest symbol gets the most rotation: for a-b-c the result is
     // rho^2(A) ^ rho(B) ^ C.
-    Hypervector result = rotatedSeeds[n - 1][symbols[0]];
-    for (std::size_t i = 1; i < n; ++i)
-        result ^= rotatedSeeds[n - 1 - i][symbols[i]];
-    return result;
+    const std::uint64_t *oldest = row(n - 1, ids[0]);
+    std::vector<std::uint64_t> result(oldest, oldest + words);
+    for (std::size_t i = 1; i < n; ++i) {
+        const std::uint64_t *factor = row(n - 1 - i, ids[i]);
+        for (std::size_t w = 0; w < words; ++w)
+            result[w] ^= factor[w];
+    }
+    return Hypervector::fromWords(dimension, result.data());
 }
 
 std::size_t
@@ -71,8 +105,7 @@ Encoder::streamInto(const std::vector<std::size_t> &ids,
         const std::size_t m = std::min(Bundler::kBlock, grams - start);
         for (std::size_t j = 0; j < m; ++j) {
             for (std::size_t k = 0; k < n; ++k)
-                factors[j * n + k] =
-                    rotatedSeeds[n - 1 - k][ids[start + j + k]].data();
+                factors[j * n + k] = row(n - 1 - k, ids[start + j + k]);
         }
         bundler.addBound(factors.data(), n, m);
     }
@@ -109,8 +142,7 @@ Encoder::countInto(const std::vector<std::size_t> &ids,
                 continue;
             std::size_t rest = gram;
             for (std::size_t k = n; k-- > 0; rest /= base)
-                factors[m * n + k] =
-                    rotatedSeeds[n - 1 - k][rest % base].data();
+                factors[m * n + k] = row(n - 1 - k, rest % base);
             if (++m == Bundler::kBlock) {
                 bundler.addBound(factors.data(), n, m, shift);
                 m = 0;
@@ -127,9 +159,36 @@ Encoder::encode(const std::string &text, Rng &rng) const
     if (text.size() < n)
         throw std::invalid_argument("Encoder::encode: text shorter "
                                     "than the n-gram size");
+    const std::size_t grams = text.size() - n + 1;
+    if (grams <= distance::kMajorityMaxInputs)
+        return encodeShort(text, grams, rng);
     Bundler bundler(dimension);
     encodeInto(text, bundler);
     return bundler.majority(rng);
+}
+
+Hypervector
+Encoder::encodeShort(const std::string &text, std::size_t grams,
+                     Rng &rng) const
+{
+    // The kernel takes each n-gram as its n rotated rows, oldest
+    // symbol (most rotation) first, as streamInto lays them out.
+    if (buffers.factors.size() < grams * n)
+        buffers.factors.resize(grams * n);
+    if (buffers.masks.size() < 2 * words)
+        buffers.masks.resize(2 * words);
+    const std::uint64_t **factors = buffers.factors.data();
+    for (std::size_t j = 0; j < grams; ++j) {
+        for (std::size_t k = 0; k < n; ++k)
+            factors[j * n + k] =
+                row(n - 1 - k, TextAlphabet::symbolOf(text[j + k]));
+    }
+    std::uint64_t *greater = buffers.masks.data();
+    std::uint64_t *ties = greater + words;
+    distance::activeEntry().majority(factors, n, grams, words, greater,
+                                     ties);
+    Bundler::fillTies(greater, ties, words, rng);
+    return Hypervector::fromWords(dimension, greater);
 }
 
 } // namespace hdham

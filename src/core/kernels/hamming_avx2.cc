@@ -2,11 +2,11 @@
  * @file
  * AVX2 tier. Hamming kernel: 256-bit VPSHUFB nibble-lookup popcount
  * (Mula's method) with VPSADBW lane accumulation, four words per
- * vector step. Bundling count kernel: bundle_kernel.hh at four words
- * per step. Both are compiled with a per-function target attribute
- * so the rest of the binary stays baseline; the registry's
- * availability predicate (cpuid) decides whether they may be
- * installed.
+ * vector step. Bundling count and majority kernels:
+ * bundle_kernel.hh at four words per step. All are compiled with a
+ * per-function target attribute so the rest of the binary stays
+ * baseline; the registry's availability predicate (cpuid) decides
+ * whether they may be installed.
  */
 
 #include "core/kernels/bundle_kernel.hh"
@@ -116,6 +116,14 @@ avx2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
     detail::countBlock<4>(factors, arity, m, planes, words, planeCount);
 }
 
+__attribute__((target("avx2"))) void
+avx2Majority(const std::uint64_t *const *factors, std::size_t arity,
+             std::size_t m, std::size_t words, std::uint64_t *greater,
+             std::uint64_t *ties)
+{
+    detail::majorityMasks<4>(factors, arity, m, words, greater, ties);
+}
+
 bool
 avx2Available()
 {
@@ -142,6 +150,7 @@ avx2Kernel()
         &avx2Hamming,
         &avx2HammingBounded,
         &avx2CountBlock,
+        &avx2Majority,
     };
 #else
     static const KernelEntry entry{
@@ -153,6 +162,7 @@ avx2Kernel()
         &scalarHamming,
         &scalarHammingBounded,
         &scalarCountBlock,
+        &scalarMajority,
     };
 #endif
     return entry;

@@ -4,8 +4,8 @@
  * a 512-bit XOR in one instruction, so the exact loop is just xor +
  * popcnt + add per cache line. Roughly 2x the AVX2 nibble-lookup
  * kernel on hosts that have it (Ice Lake and newer, Zen 4 and
- * newer). Bundling count kernel: bundle_kernel.hh at eight words per
- * step, one 512-bit vector.
+ * newer). Bundling count and majority kernels: bundle_kernel.hh at
+ * eight words per step, one 512-bit vector.
  *
  * Availability needs two cpuid bits: avx512f (the 512-bit register
  * file itself) and avx512vpopcntdq (the popcount instruction);
@@ -88,6 +88,14 @@ avx512CountBlock(const std::uint64_t *const *factors, std::size_t arity,
     detail::countBlock<8>(factors, arity, m, planes, words, planeCount);
 }
 
+__attribute__((target("avx512f,avx512vpopcntdq"))) void
+avx512Majority(const std::uint64_t *const *factors, std::size_t arity,
+               std::size_t m, std::size_t words, std::uint64_t *greater,
+               std::uint64_t *ties)
+{
+    detail::majorityMasks<8>(factors, arity, m, words, greater, ties);
+}
+
 bool
 avx512Available()
 {
@@ -115,6 +123,7 @@ avx512Kernel()
         &avx512Hamming,
         &avx512HammingBounded,
         &avx512CountBlock,
+        &avx512Majority,
     };
 #else
     static const KernelEntry entry{
@@ -126,6 +135,7 @@ avx512Kernel()
         &scalarHamming,
         &scalarHammingBounded,
         &scalarCountBlock,
+        &scalarMajority,
     };
 #endif
     return entry;

@@ -3,13 +3,13 @@
  * Internal glue between the tiers' kernels and the registry.
  *
  * Each tier's translation unit (hamming_<name>.cc) implements its
- * exact and bounded Hamming kernels and its bundling count kernel
- * (bundle_kernel.hh at the tier's width), wraps them in a
- * self-describing KernelEntry, and exposes that entry through the
- * accessor declared here; kernel_registry.cc collects the accessors
- * into the ordered table behind distance::kernels(). Nothing outside
- * src/core/kernels/ includes this header -- callers go through the
- * registry.
+ * exact and bounded Hamming kernels and its bundling count and
+ * majority kernels (bundle_kernel.hh at the tier's width), wraps them
+ * in a self-describing KernelEntry, and exposes that entry through
+ * the accessor declared here; kernel_registry.cc collects the
+ * accessors into the ordered table behind distance::kernels().
+ * Nothing outside src/core/kernels/ includes this header -- callers
+ * go through the registry.
  *
  * The helpers below encode the two contracts every Hamming kernel
  * shares: ragged-tail masking (the final partial word's padding bits
@@ -66,6 +66,14 @@ void scalarCountBlock(const std::uint64_t *const *factors,
                       std::size_t arity, std::size_t m,
                       std::uint64_t *planes, std::size_t words,
                       std::size_t planeCount);
+
+/**
+ * The scalar tier's majority kernel, one word per step: also the
+ * fallback cross-architecture registry entries point at.
+ */
+void scalarMajority(const std::uint64_t *const *factors,
+                    std::size_t arity, std::size_t m, std::size_t words,
+                    std::uint64_t *greater, std::uint64_t *ties);
 
 /** One entry per backend translation unit, in kernel_registry.cc
  *  order (narrowest first). */

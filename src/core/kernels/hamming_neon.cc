@@ -4,8 +4,8 @@
  * byte of a 128-bit XOR, two XOR+CNT pairs are summed byte-wise
  * (counts stay <= 16, no overflow), then one widening pairwise-add
  * chain folds the sixteen byte counts into the qword accumulator --
- * four words per iteration. Bundling count kernel: bundle_kernel.hh
- * at two words per step.
+ * four words per iteration. Bundling count and majority kernels:
+ * bundle_kernel.hh at two words per step.
  *
  * AdvSIMD is architectural on AArch64, so availability is simply
  * "compiled for aarch64"; there is no hwcap probe to run. On other
@@ -104,6 +104,14 @@ neonCountBlock(const std::uint64_t *const *factors, std::size_t arity,
     detail::countBlock<2>(factors, arity, m, planes, words, planeCount);
 }
 
+void
+neonMajority(const std::uint64_t *const *factors, std::size_t arity,
+             std::size_t m, std::size_t words, std::uint64_t *greater,
+             std::uint64_t *ties)
+{
+    detail::majorityMasks<2>(factors, arity, m, words, greater, ties);
+}
+
 bool
 neonAvailable()
 {
@@ -130,6 +138,7 @@ neonKernel()
         &neonHamming,
         &neonHammingBounded,
         &neonCountBlock,
+        &neonMajority,
     };
 #else
     static const KernelEntry entry{
@@ -141,6 +150,7 @@ neonKernel()
         &scalarHamming,
         &scalarHammingBounded,
         &scalarCountBlock,
+        &scalarMajority,
     };
 #endif
     return entry;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Reference scalar tier: one std::popcount per 64-bit word, and the
- * bundling count one word per step. Every other tier must match it
- * bit for bit; its bounded and count kernels are also the fallbacks
- * cross-architecture registry entries point at.
+ * bundling count and majority one word per step. Every other tier
+ * must match it bit for bit; its bounded, count and majority kernels
+ * are also the fallbacks cross-architecture registry entries point
+ * at.
  */
 
 #include "core/kernels/bundle_kernel.hh"
@@ -58,6 +59,14 @@ scalarCountBlock(const std::uint64_t *const *factors, std::size_t arity,
     countBlock<1>(factors, arity, m, planes, words, planeCount);
 }
 
+void
+scalarMajority(const std::uint64_t *const *factors, std::size_t arity,
+               std::size_t m, std::size_t words, std::uint64_t *greater,
+               std::uint64_t *ties)
+{
+    majorityMasks<1>(factors, arity, m, words, greater, ties);
+}
+
 namespace
 {
 
@@ -81,6 +90,7 @@ scalarKernel()
         &scalarHamming,
         &scalarHammingBounded,
         &scalarCountBlock,
+        &scalarMajority,
     };
     return entry;
 }

@@ -3,7 +3,8 @@
  * SSE2 tier. Hamming kernel: 128-bit SWAR byte popcount (the
  * Hacker's-Delight halving sequence on sixteen bytes at once)
  * folded into per-qword sums by PSADBW, two words per vector step.
- * Bundling count kernel: bundle_kernel.hh at two words per step.
+ * Bundling count and majority kernels: bundle_kernel.hh at two
+ * words per step.
  *
  * SSE2 is part of the x86-64 baseline, so this backend is available
  * on *every* x86-64 host -- it is the SIMD floor for machines that
@@ -133,6 +134,14 @@ sse2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
     detail::countBlock<2>(factors, arity, m, planes, words, planeCount);
 }
 
+__attribute__((target("sse2"))) void
+sse2Majority(const std::uint64_t *const *factors, std::size_t arity,
+             std::size_t m, std::size_t words, std::uint64_t *greater,
+             std::uint64_t *ties)
+{
+    detail::majorityMasks<2>(factors, arity, m, words, greater, ties);
+}
+
 bool
 sse2Available()
 {
@@ -161,6 +170,7 @@ sse2Kernel()
         &sse2Hamming,
         &sse2HammingBounded,
         &sse2CountBlock,
+        &sse2Majority,
     };
 #else
     static const KernelEntry entry{
@@ -172,6 +182,7 @@ sse2Kernel()
         &scalarHamming,
         &scalarHammingBounded,
         &scalarCountBlock,
+        &scalarMajority,
     };
 #endif
     return entry;

@@ -6,38 +6,11 @@
 namespace hdham
 {
 
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     SplitMix64 sm(seed);
     for (auto &word : s)
         word = sm.next();
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
 }
 
 std::uint64_t

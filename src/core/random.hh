@@ -12,6 +12,7 @@
 #ifndef HDHAM_CORE_RANDOM_HH
 #define HDHAM_CORE_RANDOM_HH
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -66,8 +67,25 @@ class Rng
     /** Next raw 64-bit value. */
     result_type operator()() { return next(); }
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next();
+    /**
+     * Next raw 64-bit value. Inline: a majority's tie fill and the
+     * corpus generator draw one per tie and per character.
+     */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = std::rotl(s[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @pre bound > 0. */
     std::uint64_t nextBelow(std::uint64_t bound);

@@ -9,7 +9,8 @@
  * (early-abandon) forms must be bound-exact (the true distance d
  * when d < bound, kAbandoned otherwise -- never a partial count),
  * which also makes kAbandoned independent of where a backend places
- * its strip checks.
+ * its strip checks. Every backend's majority kernel must give the
+ * greater and tie masks of a per-component ones-count.
  *
  * Also pins the dispatch rules: resolution order (env override ->
  * widest-supported probe), the one-time warning for an invalid
@@ -27,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -233,6 +236,63 @@ TEST(DistanceKernelTest, AbandonmentIsStripPlacementIndependent)
     }
 }
 
+TEST(DistanceKernelTest, EveryMajorityKernelMatchesCountOracle)
+{
+    // Every usable tier's majority kernel must give the masks of a
+    // per-component ones-count: greater where 2 * count > m, ties
+    // where 2 * count == m, padding components in neither. The scalar
+    // tier is held to the same count, so every tier gives its masks.
+    // The widths straddle the word and every vector step, and m runs
+    // over every input count the kernel takes: odd and even, whole
+    // and partial blocks of 16, up to all eight planes set.
+    Rng rng(77);
+    const std::size_t most = distance::kMajorityMaxInputs;
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 640u, 10000u}) {
+        const std::size_t words = (bits + 63) / 64;
+        for (const std::size_t arity : {1u, 3u}) {
+            // Rows with clean tails, as the kernel requires.
+            std::vector<std::vector<std::uint64_t>> rows(most * arity);
+            std::vector<const std::uint64_t *> factors;
+            for (auto &row : rows) {
+                row = randomWords(bits, rng);
+                if (bits % 64 != 0)
+                    row.back() &= (1ULL << (bits % 64)) - 1;
+                factors.push_back(row.data());
+            }
+            std::vector<std::size_t> count(bits, 0);
+            std::vector<std::uint64_t> wantGreater(words), wantTies(words);
+            std::vector<std::uint64_t> greater(words), ties(words);
+            for (std::size_t m = 1; m <= most; ++m) {
+                std::fill(wantGreater.begin(), wantGreater.end(), 0);
+                std::fill(wantTies.begin(), wantTies.end(), 0);
+                for (std::size_t i = 0; i < bits; ++i) {
+                    std::uint64_t bit = 0;
+                    for (std::size_t k = 0; k < arity; ++k)
+                        bit ^= rows[(m - 1) * arity + k][i / 64] >> (i % 64);
+                    count[i] += bit & 1;
+                    const std::uint64_t mask = 1ULL << (i % 64);
+                    if (2 * count[i] > m)
+                        wantGreater[i / 64] |= mask;
+                    else if (2 * count[i] == m)
+                        wantTies[i / 64] |= mask;
+                }
+                for (const KernelEntry *entry : usableEntries()) {
+                    std::fill(greater.begin(), greater.end(), ~0ULL);
+                    std::fill(ties.begin(), ties.end(), ~0ULL);
+                    entry->majority(factors.data(), arity, m, words,
+                                    greater.data(), ties.data());
+                    ASSERT_EQ(greater, wantGreater)
+                        << entry->name << " bits " << bits << " arity "
+                        << arity << " m " << m;
+                    ASSERT_EQ(ties, wantTies)
+                        << entry->name << " bits " << bits << " arity "
+                        << arity << " m " << m;
+                }
+            }
+        }
+    }
+}
+
 TEST(DistanceKernelTest, IdenticalVectorsAndComplements)
 {
     Rng rng(55);
@@ -288,6 +348,8 @@ TEST(DistanceDispatchTest, RegistryNamesAreUniqueAndLookUp)
         EXPECT_EQ(distance::findKernel(entry.name), &entry);
         EXPECT_NE(entry.fn, nullptr) << entry.name;
         EXPECT_NE(entry.bounded, nullptr) << entry.name;
+        EXPECT_NE(entry.countBlock, nullptr) << entry.name;
+        EXPECT_NE(entry.majority, nullptr) << entry.name;
         EXPECT_NE(distance::kernelNameList().find(entry.name),
                   std::string::npos)
             << entry.name;

@@ -168,6 +168,50 @@ TEST_F(EncoderTest, LongTextsBundleLikeStreaming)
     }
 }
 
+TEST_F(EncoderTest, ShortTextsMatchManualBundling)
+{
+    // encode() takes the majority of a text with at most 255 n-grams
+    // (distance::kMajorityMaxInputs) in registers, and streams a
+    // longer one to a Bundler. For n = 1..4 and every n-gram count
+    // from 1 to 300 (both sides of the cut-off, even and odd counts),
+    // a random text must encode exactly like encodeNgram + add +
+    // majority: the vector and the tie draws. So must a one-letter
+    // text of 255 and of 256 n-grams, whose counts are all 0 or m.
+    const std::size_t dim = 1000;
+    const std::string letters = "abcdefghijklmnopqrstuvwxyz ";
+    for (std::size_t n = 1; n <= 4; ++n) {
+        const ItemMemory seeds(TextAlphabet::size, dim, 80 + n);
+        const Encoder enc(seeds, n);
+        Rng rng(n);
+        std::vector<std::string> texts;
+        for (std::size_t grams = 1; grams <= 300; ++grams) {
+            std::string text;
+            for (std::size_t i = 0; i < grams + n - 1; ++i)
+                text.push_back(letters[rng.nextBelow(letters.size())]);
+            texts.push_back(text);
+        }
+        texts.push_back(std::string(255 + n - 1, 'q'));
+        texts.push_back(std::string(256 + n - 1, 'q'));
+
+        std::vector<std::size_t> symbols(n);
+        for (const std::string &text : texts) {
+            const std::size_t grams = text.size() - n + 1;
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " grams=" + std::to_string(grams) +
+                         " text=" + text.substr(0, 8));
+            Bundler manual(dim);
+            for (std::size_t i = 0; i < grams; ++i) {
+                for (std::size_t k = 0; k < n; ++k)
+                    symbols[k] = TextAlphabet::symbolOf(text[i + k]);
+                manual.add(enc.encodeNgram(symbols));
+            }
+            Rng a(grams), b(grams);
+            ASSERT_EQ(enc.encode(text, a), manual.majority(b));
+            ASSERT_EQ(a.next(), b.next());
+        }
+    }
+}
+
 TEST_F(EncoderTest, EncodeRejectsShortText)
 {
     Rng rng(2);
