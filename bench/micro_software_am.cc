@@ -2,8 +2,9 @@
  * @file
  * Software microbenchmarks (google-benchmark): throughput of the
  * core primitives behind every experiment -- Hamming distance,
- * associative search, trigram encoding and the behavioral HAM
- * searches -- across the paper's D and C sweeps.
+ * associative search, trigram encoding (a sentence, and a training
+ * text through the counted path) and the behavioral HAM searches --
+ * across the paper's D and C sweeps.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +21,7 @@
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
 #include "ham/r_ham.hh"
+#include "lang/corpus.hh"
 
 namespace
 {
@@ -143,6 +145,29 @@ BM_TrigramEncode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * sentence.size());
 }
 BENCHMARK(BM_TrigramEncode);
+
+void
+BM_EncodeIntoTrainingText(benchmark::State &state)
+{
+    // One default 120k-character training text (the first language
+    // of the default corpus) through the encoder's counted path, into
+    // a cleared Bundler at D = 10,000.
+    lang::CorpusConfig cfg;
+    cfg.numLanguages = 1;
+    cfg.testSentences = 0;
+    const lang::SyntheticCorpus corpus(cfg);
+    const std::string &text = corpus.trainingText(0);
+    ItemMemory items(TextAlphabet::size, 10000, 5);
+    Encoder encoder(items, 3);
+    Bundler bundler(encoder.dim());
+    for (auto _ : state) {
+        bundler.clear();
+        benchmark::DoNotOptimize(encoder.encodeInto(text, bundler));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * text.size());
+}
+BENCHMARK(BM_EncodeIntoTrainingText)->Unit(benchmark::kMillisecond);
 
 template <typename HamT, typename ConfigT>
 void

@@ -10,6 +10,9 @@
 namespace hdham
 {
 
+static_assert(Bundler::kSumPlanes == distance::kRegisterPlanes,
+              "the planes from a pass's shift up hold its sum");
+
 Bundler::Bundler(std::size_t dim)
     : numBits(dim),
       numWords((dim + Hypervector::bitsPerWord - 1) /
@@ -23,6 +26,7 @@ void
 Bundler::add(const Hypervector &hv)
 {
     assert(hv.dim() == numBits);
+    checkRoom(1, 0);
     std::copy(hv.data(), hv.data() + numWords,
               storage.data() + pendingCount * numWords);
     if (++pendingCount == kBlock)
@@ -33,10 +37,27 @@ void
 Bundler::addBound(const std::uint64_t *const *factors, std::size_t arity,
                   std::size_t count, unsigned shift)
 {
-    for (std::size_t start = 0; start < count; start += kBlock) {
-        const std::size_t m = std::min(kBlock, count - start);
-        growPlanes(std::uint64_t{m} << shift, shift + kSumPlanes);
+    if (count == 0)
+        return;
+    checkRoom(count, shift);
+    growPlanes(std::uint64_t{count} << shift, shift + kSumPlanes);
+    for (std::size_t start = 0; start < count;
+         start += distance::kMaxPassInputs) {
+        const std::size_t m =
+            std::min(distance::kMaxPassInputs, count - start);
         accumulate(factors + start * arity, arity, m, shift);
+    }
+}
+
+void
+Bundler::checkRoom(std::uint64_t count, unsigned shift) const
+{
+    // The room is below 2^32, so any shift of 32 or more leaves none
+    // (and a shift of 64 or more would be undefined).
+    const std::uint64_t room = kMaxCount - this->count();
+    if (shift >= 32 || count > room >> shift) {
+        throw std::length_error("Bundler: the count would reach 2^32, "
+                                "past its 32-bit counts");
     }
 }
 
@@ -56,7 +77,8 @@ Bundler::accumulate(const std::uint64_t *const *factors,
                     std::size_t arity, std::size_t m,
                     unsigned shift) const
 {
-    assert(m <= kBlock && arity > 0 && shift + kSumPlanes <= planeCount);
+    assert(m <= distance::kMaxPassInputs && arity > 0 &&
+           shift + kSumPlanes <= planeCount);
     // The kernel adds the block's sum to the planes it is given, so
     // handing it the planes from `shift` up adds the sum times
     // 2^shift.

@@ -9,21 +9,24 @@
  *
  * The counts are bit-sliced: plane p holds bit p of every component's
  * ones-count, packed 64 components per word like a hypervector, so
- * one word operation advances 64 counters. Inputs are counted a block
- * of up to kBlock vectors at a time: a carry-save adder tree sums the
- * block into register planes, and that sum is carried into the wide
- * planes once per block. A block vector is given as the word rows
- * whose XOR it is, so the encoder's n-gram rho^2(A) ^ rho(B) ^ C is
- * formed in registers and never stored. Single add() calls are copied
- * into a pending block that the same kernel counts when it fills or
- * before a read. Planes are added as the count grows, so any number of
- * inputs up to 2^32 - 1 is exact.
+ * one word operation advances 64 counters. The counting kernel takes
+ * up to distance::kMaxPassInputs = 255 vectors per pass: a carry-save
+ * adder tree sums them, 16 at a time, into kSumPlanes = 8 register
+ * planes, and that sum is added to the wide planes once per pass. A
+ * vector is given as the word rows whose XOR it is, so the encoder's
+ * n-gram rho^2(A) ^ rho(B) ^ C is formed in registers and never
+ * stored. addBound() hands the kernel up to 255 vectors per pass.
+ * Single add() calls are copied into a pending block of kBlock = 16
+ * rows that the same kernel counts when it fills or before a read.
+ * Planes are added as the count grows. The counts are 32-bit: add()
+ * and addBound() refuse, with std::length_error and before changing
+ * anything, an input that would take count() to 2^32.
  *
- * addBound() can weight a block: with shift s, each of its vectors
- * counts 2^s times. That is the same kernel run on the planes from
- * plane s up, so the block's sum lands at bit s of every count. The
- * encoder bundles a long text this way, each distinct n-gram once per
- * set bit of its count (core/encoder.hh).
+ * addBound() can weight its vectors: with shift s, each counts 2^s
+ * times. That is the same kernel run on the planes from plane s up,
+ * so each pass's sum lands at bit s of every count. The encoder
+ * bundles a long text this way, each distinct n-gram once per set
+ * bit of its count (core/encoder.hh).
  *
  * The counting kernel is the active kernel tier's (core/distance.hh),
  * at that tier's vector width: 1, 2, 4 or 8 words per step. --kernel
@@ -43,7 +46,6 @@
 #ifndef HDHAM_CORE_BUNDLER_HH
 #define HDHAM_CORE_BUNDLER_HH
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,14 +62,22 @@ namespace hdham
 class Bundler
 {
   public:
-    /** Vectors the counting kernel sums in registers per pass. */
+    /**
+     * Single add()s copied into the pending block before the counting
+     * kernel counts them in one pass.
+     */
     static constexpr std::size_t kBlock = 16;
 
     /**
-     * Planes that hold a block's 0..kBlock sum: the counting kernel
-     * writes at least this many, so a Bundler never has fewer.
+     * Planes that hold one kernel pass's 0..255 sum, the kernel's
+     * register planes (distance::kRegisterPlanes): the kernel adds to
+     * at least this many from the pass's shift up, so a Bundler never
+     * has fewer.
      */
-    static constexpr std::size_t kSumPlanes = std::bit_width(kBlock);
+    static constexpr std::size_t kSumPlanes = 8;
+
+    /** Most inputs a Bundler counts: its counts are 32-bit. */
+    static constexpr std::uint64_t kMaxCount = 0xffffffffULL;
 
     /** Create an accumulator for dimension @p dim. */
     explicit Bundler(std::size_t dim);
@@ -81,6 +91,8 @@ class Bundler
     /**
      * Accumulate one hypervector.
      * @pre hv.dim() == dim().
+     * @throws std::length_error, changing nothing, when count() is
+     * already kMaxCount.
      */
     void add(const Hypervector &hv);
 
@@ -90,9 +102,13 @@ class Bundler
      * factors[j * arity] .. factors[j * arity + arity - 1], each laid
      * out like Hypervector::data() for dim() components (clean tail).
      * Each vector counts 2^@p shift times: the result equals
-     * 2^shift add() calls of every such XOR, in any order.
+     * 2^shift add() calls of every such XOR, in any order. The
+     * counting kernel takes them up to distance::kMaxPassInputs at a
+     * time.
      *
-     * @pre arity > 0 when count > 0; count() stays below 2^32.
+     * @pre arity > 0 when count > 0.
+     * @throws std::length_error, changing nothing, when count > 0 and
+     * the count * 2^shift inputs would take count() past kMaxCount.
      */
     void addBound(const std::uint64_t *const *factors, std::size_t arity,
                   std::size_t count, unsigned shift = 0);
@@ -131,16 +147,22 @@ class Bundler
 
   private:
     /**
+     * Throw std::length_error unless @p count inputs, each counting
+     * 2^@p shift times, keep count() within kMaxCount.
+     */
+    void checkRoom(std::uint64_t count, unsigned shift) const;
+
+    /**
      * Add planes until @p more further inputs cannot carry out of
      * them, and until there are at least @p least.
      */
     void growPlanes(std::uint64_t more, std::size_t least) const;
 
     /**
-     * Add @p m <= kBlock bound vectors (see addBound), each counting
-     * 2^@p shift times, to the planes, which
+     * Add @p m <= distance::kMaxPassInputs bound vectors (see
+     * addBound), each counting 2^@p shift times, to the planes, which
      * growPlanes(m << shift, shift + kSumPlanes) has made room in,
-     * through the active tier's counting kernel.
+     * in one pass of the active tier's counting kernel.
      */
     void accumulate(const std::uint64_t *const *factors,
                     std::size_t arity, std::size_t m,

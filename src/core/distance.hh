@@ -7,10 +7,11 @@
  * sampled scan, A-HAM's staged prefix sums -- reduces to the same
  * primitive: popcount(a XOR b) over the first @p bits components of
  * two packed word arrays. Training reduces to another: Bundler's
- * bit-sliced ones-counts, advanced a block of bound vectors at a time
+ * bit-sliced ones-counts, advanced up to 255 bound vectors at a time
  * (CountBlockFn). Encoding a short text reduces to a third: the
- * majority of fewer than 2^kMajorityPlanes bound vectors, counted in
- * registers (MajorityFn). This layer owns these primitives as a
+ * majority of at most 255 bound vectors (MajorityFn). Both bundling
+ * kernels count their vectors in the same kRegisterPlanes = 8
+ * register planes and differ only in the last step. This layer owns these primitives as a
  * *registry* of hardware tiers, each compiled in its own translation
  * unit under src/core/kernels/ with per-function target attributes.
  * The Hamming kernels:
@@ -28,9 +29,10 @@
  *  - avx512:   VPOPCNTQ on 512-bit lanes, eight words per step
  *              (x86-64 with AVX-512 VPOPCNTDQ).
  *
- * The count and majority kernels share one carry-save tree
- * (kernels/bundle_kernel.hh) at the tier's vector width: 1 word per
- * step for scalar, 2 for sse2 and neon, 4 for avx2, 8 for avx512.
+ * The count and majority kernels share one accumulation loop, a
+ * carry-save tree over 16 vectors at a time (kernels/bundle_kernel.hh),
+ * at the tier's vector width: 1 word per step for scalar, 2 for sse2
+ * and neon, 4 for avx2, 8 for avx512.
  *
  * Each tier is a self-describing KernelEntry (name, availability
  * predicate, exact fn, bounded fn, block count, majority); the
@@ -43,7 +45,8 @@
  * a model byte -- the determinism contract (bit-identical output
  * across threads, batch splits and kernels) is pinned by
  * tests/core/distance_test.cc iterating every registered entry
- * (the majority kernels against a per-component count), by the
+ * (the count and majority kernels against a per-component count), by
+ * the
  * batch-equivalence suite end to end, and by the bundler's and
  * encoder's oracle suites and the golden model bytes under every
  * tier.
@@ -116,14 +119,28 @@ using BoundedHammingFn = std::size_t (*)(const std::uint64_t *a,
                                          std::size_t *wordsRead);
 
 /**
- * Signature shared by every bundling count kernel: add @p m <= 16
- * bound vectors to bit-sliced ones-counts. Vector j is the XOR of the
- * @p arity rows factors[j * arity] .. factors[j * arity + arity - 1],
- * each @p words words long. The counts are @p planeCount planes of
- * @p words words each, contiguous from @p planes; plane p holds bit p
- * of every component's count. The caller guarantees planeCount >=
- * Bundler::kSumPlanes and that m more inputs cannot carry out of the
- * top plane. Bundler (core/bundler.hh) is the caller.
+ * Register planes of the bundling kernels: one pass sums up to
+ * kMaxPassInputs bound vectors in registers without storing a count.
+ */
+inline constexpr std::size_t kRegisterPlanes = 8;
+
+/** Most bound vectors one CountBlockFn or MajorityFn call takes: 255. */
+inline constexpr std::size_t kMaxPassInputs =
+    (std::size_t{1} << kRegisterPlanes) - 1;
+
+/**
+ * Signature shared by every bundling count kernel: add @p m bound
+ * vectors, 1 <= m <= kMaxPassInputs, to bit-sliced ones-counts.
+ * Vector j is the XOR of the @p arity rows factors[j * arity] ..
+ * factors[j * arity + arity - 1], each @p words words long with a
+ * clean tail. The counts are @p planeCount planes of @p words words
+ * each, contiguous from @p planes; plane p holds bit p of every
+ * component's count. The kernel sums the m vectors in kRegisterPlanes
+ * register planes and adds them to the first kRegisterPlanes planes,
+ * rippling the carry up. The caller guarantees planeCount >=
+ * kRegisterPlanes and that m more inputs cannot carry out of the top
+ * plane. Bundler (core/bundler.hh) is the caller; it hands the kernel
+ * its planes from the input's weight bit up.
  */
 using CountBlockFn = void (*)(const std::uint64_t *const *factors,
                               std::size_t arity, std::size_t m,
@@ -131,18 +148,8 @@ using CountBlockFn = void (*)(const std::uint64_t *const *factors,
                               std::size_t planeCount);
 
 /**
- * Register planes of the majority kernel: it counts up to
- * kMajorityMaxInputs bound vectors without storing a count.
- */
-inline constexpr std::size_t kMajorityPlanes = 8;
-
-/** Most bound vectors one MajorityFn call takes: 255. */
-inline constexpr std::size_t kMajorityMaxInputs =
-    (std::size_t{1} << kMajorityPlanes) - 1;
-
-/**
  * Signature shared by every majority kernel: the componentwise
- * majority of @p m bound vectors, 1 <= m <= kMajorityMaxInputs,
+ * majority of @p m bound vectors, 1 <= m <= kMaxPassInputs,
  * vector j given as for CountBlockFn (@p arity rows of @p words words
  * each, with clean tails). Writes @p words words of two masks:
  * @p greater holds the components whose ones-count exceeds

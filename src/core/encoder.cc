@@ -81,75 +81,115 @@ Encoder::encodeInto(const std::string &text, Bundler &bundler) const
     assert(bundler.dim() == dimension);
     if (text.size() < n)
         return 0;
-    std::vector<std::size_t> ids(text.size());
-    for (std::size_t i = 0; i < text.size(); ++i)
-        ids[i] = TextAlphabet::symbolOf(text[i]);
-    const std::size_t grams = ids.size() - n + 1;
+    const std::size_t grams = text.size() - n + 1;
+    // Checked before anything is counted: it keeps the bundler
+    // unchanged when it throws, and the counted path's 32-bit counts
+    // and codes from wrapping.
+    if (grams > Bundler::kMaxCount - bundler.count()) {
+        throw std::length_error("Encoder::encodeInto: the bundler's "
+                                "count would reach 2^32");
+    }
     if (grams >= distinctNgrams)
-        countInto(ids, bundler);
+        countInto(text, bundler);
     else
-        streamInto(ids, bundler);
+        streamInto(text, bundler);
     return grams;
 }
 
 void
-Encoder::streamInto(const std::vector<std::size_t> &ids,
-                    Bundler &bundler) const
+Encoder::ngramRows(const std::string &text, std::size_t start,
+                   std::size_t m, const std::uint64_t **factors) const
 {
-    // Hand the bundler each n-gram as its n rotated seed rows, oldest
-    // symbol (most rotation) first, one kernel block at a time; the
-    // bundler XORs them in registers.
-    const std::size_t grams = ids.size() - n + 1;
-    std::vector<const std::uint64_t *> factors(Bundler::kBlock * n);
-    for (std::size_t start = 0; start < grams; start += Bundler::kBlock) {
-        const std::size_t m = std::min(Bundler::kBlock, grams - start);
-        for (std::size_t j = 0; j < m; ++j) {
-            for (std::size_t k = 0; k < n; ++k)
-                factors[j * n + k] = row(n - 1 - k, ids[start + j + k]);
+    for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t k = 0; k < n; ++k) {
+            factors[j * n + k] = row(
+                n - 1 - k, TextAlphabet::symbolOf(text[start + j + k]));
         }
+    }
+}
+
+void
+Encoder::streamInto(const std::string &text, Bundler &bundler) const
+{
+    const std::size_t grams = text.size() - n + 1;
+    const std::size_t most = distance::kMaxPassInputs;
+    std::vector<const std::uint64_t *> factors(std::min(most, grams) * n);
+    for (std::size_t start = 0; start < grams; start += most) {
+        const std::size_t m = std::min(most, grams - start);
+        ngramRows(text, start, m, factors.data());
         bundler.addBound(factors.data(), n, m);
     }
 }
 
 void
-Encoder::countInto(const std::vector<std::size_t> &ids,
-                   Bundler &bundler) const
+Encoder::countInto(const std::string &text, Bundler &bundler) const
 {
     // Count each n-gram under its base-27 code, oldest symbol most
-    // significant. The code rolls along the text: append the newest
-    // symbol, count, then subtract the oldest one's digit.
-    constexpr std::size_t base = TextAlphabet::size;
-    const std::size_t oldestWeight = distinctNgrams / base;
-    std::vector<std::size_t> counts(distinctNgrams, 0);
-    std::size_t code = 0;
+    // significant, straight from the text's bytes. The code rolls
+    // along the text: append the newest symbol, count, then subtract
+    // the oldest one's digit. encodeInto has checked that the text
+    // holds fewer than 2^32 n-grams, so neither a count nor a code
+    // (below 27^n, at most the n-gram count) wraps.
+    constexpr std::uint32_t base = TextAlphabet::size;
+    const auto digit = [&text](std::size_t i) {
+        return static_cast<std::uint32_t>(TextAlphabet::symbolOf(text[i]));
+    };
+    const auto oldestWeight =
+        static_cast<std::uint32_t>(distinctNgrams / base);
+    std::vector<std::uint32_t> counts(distinctNgrams, 0);
+    std::uint32_t code = 0;
     for (std::size_t i = 0; i + 1 < n; ++i)
-        code = code * base + ids[i];
-    for (std::size_t i = n - 1; i < ids.size(); ++i) {
-        code = code * base + ids[i];
+        code = code * base + digit(i);
+    for (std::size_t i = n - 1; i < text.size(); ++i) {
+        code = code * base + digit(i);
         ++counts[code];
-        code -= ids[i + 1 - n] * oldestWeight;
+        code -= digit(i + 1 - n) * oldestWeight;
     }
 
-    // Bit p of every count is one pass over the table: the n-grams
-    // whose count has it set, in blocks weighted 2^p. The code's
-    // digits give each n-gram's rows, as streamInto lays them out.
-    const std::size_t most = *std::max_element(counts.begin(), counts.end());
-    std::vector<const std::uint64_t *> factors(Bundler::kBlock * n);
-    for (unsigned shift = 0; (most >> shift) != 0; ++shift) {
-        std::size_t m = 0;
-        for (std::size_t gram = 0; gram < distinctNgrams; ++gram) {
-            if (((counts[gram] >> shift) & 1) == 0)
-                continue;
-            std::size_t rest = gram;
-            for (std::size_t k = n; k-- > 0; rest /= base)
-                factors[m * n + k] = row(n - 1 - k, rest % base);
-            if (++m == Bundler::kBlock) {
-                bundler.addBound(factors.data(), n, m, shift);
-                m = 0;
-            }
+    // The distinct n-grams, compacted once, in code order: their codes
+    // in codes[], their counts moved down in counts[]. Every loop from
+    // here on is branch-free: it writes each entry and advances its end
+    // by the entry's bit, so codes[] has room for one write past the
+    // distinct n-grams.
+    const std::size_t distinct = static_cast<std::size_t>(
+        counts.size() - std::count(counts.begin(), counts.end(), 0u));
+    std::vector<std::uint32_t> codes(distinct + 1);
+    std::size_t live = 0;
+    for (std::size_t gram = 0; gram < distinctNgrams; ++gram) {
+        const std::uint32_t count = counts[gram];
+        codes[live] = static_cast<std::uint32_t>(gram);
+        counts[live] = count;
+        live += count != 0;
+    }
+
+    // Bit p of every count is one addBound call: the n-grams whose
+    // count has it set, each weighted 2^p. The same walk drops the
+    // n-grams with no higher bit, so each bit walks only the n-grams
+    // still live. The code's digits give each n-gram's rows, as
+    // ngramRows lays them out.
+    std::vector<std::uint32_t> chosen(live);
+    std::vector<const std::uint64_t *> factors;
+    for (unsigned shift = 0; live != 0; ++shift) {
+        std::size_t m = 0, kept = 0;
+        for (std::size_t i = 0; i < live; ++i) {
+            const std::uint32_t gram = codes[i];
+            const std::uint32_t count = counts[i];
+            chosen[m] = gram;
+            m += (count >> shift) & 1;
+            codes[kept] = gram;
+            counts[kept] = count;
+            kept += (count >> shift) > 1;
         }
-        if (m > 0)
-            bundler.addBound(factors.data(), n, m, shift);
+        live = kept;
+        // Bit 0 usually selects the most, so this grows once or twice.
+        if (factors.size() < m * n)
+            factors.resize(m * n);
+        for (std::size_t j = 0; j < m; ++j) {
+            std::uint32_t rest = chosen[j];
+            for (std::size_t k = n; k-- > 0; rest /= base)
+                factors[j * n + k] = row(n - 1 - k, rest % base);
+        }
+        bundler.addBound(factors.data(), n, m, shift);
     }
 }
 
@@ -160,7 +200,7 @@ Encoder::encode(const std::string &text, Rng &rng) const
         throw std::invalid_argument("Encoder::encode: text shorter "
                                     "than the n-gram size");
     const std::size_t grams = text.size() - n + 1;
-    if (grams <= distance::kMajorityMaxInputs)
+    if (grams <= distance::kMaxPassInputs)
         return encodeShort(text, grams, rng);
     Bundler bundler(dimension);
     encodeInto(text, bundler);
@@ -171,18 +211,12 @@ Hypervector
 Encoder::encodeShort(const std::string &text, std::size_t grams,
                      Rng &rng) const
 {
-    // The kernel takes each n-gram as its n rotated rows, oldest
-    // symbol (most rotation) first, as streamInto lays them out.
     if (buffers.factors.size() < grams * n)
         buffers.factors.resize(grams * n);
     if (buffers.masks.size() < 2 * words)
         buffers.masks.resize(2 * words);
     const std::uint64_t **factors = buffers.factors.data();
-    for (std::size_t j = 0; j < grams; ++j) {
-        for (std::size_t k = 0; k < n; ++k)
-            factors[j * n + k] =
-                row(n - 1 - k, TextAlphabet::symbolOf(text[j + k]));
-    }
+    ngramRows(text, 0, grams, factors);
     std::uint64_t *greater = buffers.masks.data();
     std::uint64_t *ties = greater + words;
     distance::activeEntry().majority(factors, n, grams, words, greater,

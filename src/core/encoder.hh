@@ -22,24 +22,27 @@
  *  - Registers: encode() of a text with fewer than 2^8 n-grams (a
  *    held-out sentence, a served or classified request). The active
  *    tier's majority kernel counts all of its n-grams in
- *    kMajorityPlanes = 8 register planes and returns the greater and
- *    tie masks, and Bundler::fillTies breaks the ties. No Bundler is
- *    built and no count is stored. 2^8 - 1 is the most inputs eight
- *    planes hold (distance::kMajorityMaxInputs), so the cut-off
- *    follows from the kernel, not from a setting.
+ *    distance::kRegisterPlanes = 8 register planes and returns the
+ *    greater and tie masks, and Bundler::fillTies breaks the ties. No
+ *    Bundler is built and no count is stored. 2^8 - 1 is the most
+ *    inputs eight planes hold (distance::kMaxPassInputs), so the
+ *    cut-off follows from the kernel, not from a setting.
  *  - Counted: a text with at least 27^n n-grams (a training text, for
- *    trigrams), counted first in a table of all 27^n n-grams. Each
- *    distinct n-gram goes to the bundler once per set bit p of its
- *    count, weighted 2^p (Bundler::addBound's shift). The majority
- *    depends only on how often each distinct n-gram occurs, and a
- *    120k-character training text holds ~8k distinct trigrams, so
- *    this takes far fewer kernel inputs. At that length the table is
- *    no larger than the text and repeats are certain.
- *  - Streamed: every other text, to the bundler a kernel block at a
- *    time. encode() streams only texts of 2^8 n-grams or more;
- *    encodeInto(), which adds to a caller's Bundler, streams any text
- *    below 27^n n-grams. Such texts hold mostly distinct n-grams, so
- *    counting them first would not pay.
+ *    trigrams), in one pass over its n-gram counts. The n-gram codes
+ *    roll straight from the text's bytes into a table of 32-bit counts
+ *    of all 27^n n-grams; the distinct n-grams are compacted once;
+ *    then, for each bit p, a branch-free walk selects the n-grams
+ *    whose count has bit p set, and one addBound call weights them
+ *    2^p (Bundler::addBound's shift), up to 255 per kernel pass. The
+ *    majority depends only on how often each distinct n-gram occurs,
+ *    and a 120k-character training text holds ~8k distinct trigrams,
+ *    so this takes far fewer kernel inputs. At that length the table
+ *    is no larger than the text and repeats are certain.
+ *  - Streamed: every other text, to the bundler up to 255 n-grams
+ *    per addBound call. encode() streams only texts of 2^8 n-grams or
+ *    more; encodeInto(), which adds to a caller's Bundler, streams any
+ *    text below 27^n n-grams. Such texts hold mostly distinct n-grams,
+ *    so counting them first would not pay.
  */
 
 #ifndef HDHAM_CORE_ENCODER_HH
@@ -96,6 +99,8 @@ class Encoder
      * n-grams across many samples of the same class.
      *
      * @pre bundler.dim() == dim().
+     * @throws std::length_error, before adding anything, when the
+     * n-grams would take bundler.count() past Bundler::kMaxCount.
      */
     std::size_t
     encodeInto(const std::string &text, Bundler &bundler) const;
@@ -181,22 +186,28 @@ class Encoder
     }
 
     /**
+     * The kernels' factors of the @p m n-grams of @p text from
+     * position @p start: n row pointers each, oldest symbol (most
+     * rotation) first, into factors[0 .. m * n).
+     */
+    void ngramRows(const std::string &text, std::size_t start,
+                   std::size_t m, const std::uint64_t **factors) const;
+
+    /**
      * encode() of a text of @p grams n-grams, 1 <= grams <=
-     * distance::kMajorityMaxInputs, through the majority kernel.
+     * distance::kMaxPassInputs, through the majority kernel.
      */
     Hypervector encodeShort(const std::string &text, std::size_t grams,
                             Rng &rng) const;
 
-    /** Bundle the n-grams of symbol ids @p ids one by one. */
-    void streamInto(const std::vector<std::size_t> &ids,
-                    Bundler &bundler) const;
+    /** Bundle the n-grams of @p text in order, 255 per call. */
+    void streamInto(const std::string &text, Bundler &bundler) const;
 
     /**
-     * Bundle the n-grams of @p ids by their counts, each distinct
+     * Bundle the n-grams of @p text by their counts, each distinct
      * n-gram once per set bit of its count.
      */
-    void countInto(const std::vector<std::size_t> &ids,
-                   Bundler &bundler) const;
+    void countInto(const std::string &text, Bundler &bundler) const;
 
     std::size_t n;
     std::size_t dimension;

@@ -1,26 +1,29 @@
 /**
  * @file
- * The bundling kernels, one template each for every tier: the block
- * count and the short-text majority.
+ * The bundling kernels, one template each for every tier: the count
+ * and the short-text majority. They share one accumulation and differ
+ * only in its final step.
  *
- * Bundler (core/bundler.hh) keeps bit-sliced ones-counts: plane p
- * holds bit p of every component's count, packed 64 components per
- * word. countBlock<L> adds m <= Bundler::kBlock bound vectors to those
- * planes, vector j being the XOR of the arity rows at
- * factors[j * arity]. A Harley-Seal tree of carry-save adders sums the
- * block into five register planes, which then ripple into the wide
- * planes until the carry dies out.
+ * The accumulation (sumInputs) sums m <= kMaxPassInputs = 255 bound
+ * vectors on one word span into kRegisterPlanes = 8 register planes,
+ * plane p holding bit p of every component's count. Vector j is the
+ * XOR of the arity rows at factors[j * arity]. A Harley-Seal tree of
+ * carry-save adders takes the vectors 16 at a time; its ones, twos,
+ * fours and eights carry from one 16 to the next and are planes 0..3
+ * of the count, and the one sixteens vector each 16 yields ripples
+ * into a four-plane counter, planes 4..7. Since m < 2^8, the top
+ * plane never carries out and no count is stored while it grows.
  *
- * majorityMasks<L> is the tier's fourth kernel (MajorityFn in
- * core/distance.hh). It takes all m < 2^kMajorityPlanes bound vectors
- * of a short text at once. On each word span it runs the same tree
- * over every block of 16 and ripples each block's sum into
- * kMajorityPlanes register planes, so no count is ever stored. It
- * then compares the planes with floor(m / 2), as Bundler::majority
- * compares its planes, and writes only the greater and tie masks.
- * Since m < 2^kMajorityPlanes, the top plane never carries out, and
- * the masks are exactly those of the same vectors counted by
- * countBlock.
+ * The final steps:
+ *
+ *  - countBlock<L> (CountBlockFn in core/distance.hh) adds the eight
+ *    planes into the caller's bit-sliced counts, the planes of a
+ *    Bundler (core/bundler.hh) from the caller's shift up, and
+ *    ripples the carry into the planes above until it dies out.
+ *  - majorityMasks<L> (MajorityFn) compares the eight planes with
+ *    floor(m / 2), as Bundler::majority compares its planes, and
+ *    writes only the greater and tie masks. They are exactly those of
+ *    the same vectors counted by countBlock.
  *
  * L is the words per step. Each tier's translation unit calls
  * both kernels at its own width from functions carrying its target
@@ -38,12 +41,10 @@
 #ifndef HDHAM_CORE_KERNELS_BUNDLE_KERNEL_HH
 #define HDHAM_CORE_KERNELS_BUNDLE_KERNEL_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#include "core/bundler.hh"
 #include "core/distance.hh"
 
 // Every function here is force-inlined and takes or returns no vector
@@ -56,10 +57,12 @@ namespace hdham::distance::detail
 namespace
 {
 
-static_assert(Bundler::kBlock == 16 && Bundler::kSumPlanes == 5,
-              "the tree sums 16 vectors into five planes");
-static_assert(kMajorityPlanes >= Bundler::kSumPlanes,
-              "a block's sum fits the majority's planes");
+/** Vectors the Harley-Seal tree takes per step. */
+constexpr std::size_t kTreeInputs = 16;
+
+static_assert(kRegisterPlanes == 8 && kMaxPassInputs == 255,
+              "four tree planes and four planes counting its sixteens "
+              "hold a pass of up to 255 vectors");
 
 /**
  * L consecutive words of a row or plane as one GCC/Clang generic
@@ -73,10 +76,10 @@ struct Lanes
 };
 
 /**
- * The block being counted: vector j is the XOR of the @p arity rows
- * at factors[j * arity], and vectors j >= m are zero.
+ * The vectors of one kernel pass: vector j is the XOR of the @p arity
+ * rows at factors[j * arity], for j < m.
  */
-struct BoundBlock
+struct BoundInputs
 {
     const std::uint64_t *const *factors;
     std::size_t arity;
@@ -113,18 +116,22 @@ csa(V &high, V &low, const V &a, const V &b, const V &c)
 }
 
 /**
- * Words [w, w + L) of block vector @p j into @p v. A nonzero Arity
- * fixes the arity at compile time, so the factor loop unrolls.
+ * Words [w, w + L) of vector @p j into @p v. A nonzero Arity fixes
+ * the arity at compile time, so the factor loop unrolls. Unless
+ * Whole, vectors j >= m are zero.
  */
-template <std::size_t Arity, typename V>
+template <std::size_t Arity, bool Whole, typename V>
 [[gnu::always_inline]] inline void
-input(V &v, const BoundBlock &block, std::size_t w, std::size_t j)
+input(V &v, const BoundInputs &inputs, std::size_t w, std::size_t j)
 {
     v = V{};
-    if (j >= block.m)
+    if (!Whole && j >= inputs.m)
         return;
-    const std::size_t n = Arity != 0 ? Arity : block.arity;
-    const std::uint64_t *const *rows = block.factors + j * n;
+    const std::size_t n = Arity != 0 ? Arity : inputs.arity;
+    const std::uint64_t *const *rows = inputs.factors + j * n;
+    // Without the pragma the fixed-arity loop stays rolled inside the
+    // tree step loop.
+#pragma GCC unroll 4
     for (std::size_t k = 0; k < n; ++k) {
         V row = {};
         load(row, rows[k] + w);
@@ -132,77 +139,105 @@ input(V &v, const BoundBlock &block, std::size_t w, std::size_t j)
     }
 }
 
-/** Carry-save add block vectors @p j and j + 1 to @p low. */
-template <std::size_t Arity, typename V>
+/** Carry-save add vectors @p j and j + 1 to @p low. */
+template <std::size_t Arity, bool Whole, typename V>
 [[gnu::always_inline]] inline void
-csaInputs(V &high, V &low, const BoundBlock &block, std::size_t w,
+csaInputs(V &high, V &low, const BoundInputs &inputs, std::size_t w,
           std::size_t j)
 {
     V a = {}, b = {};
-    input<Arity>(a, block, w, j);
-    input<Arity>(b, block, w, j + 1);
+    input<Arity, Whole>(a, inputs, w, j);
+    input<Arity, Whole>(b, inputs, w, j + 1);
     csa(high, low, low, a, b);
 }
 
 /**
- * The Harley-Seal tree: the 0..16 sum of the block's vectors on words
- * [w, w + L), bit p in @p sum[p].
+ * One step of the Harley-Seal tree: add vectors [j, j + 16) to
+ * @p count on words [w, w + L). Planes 0..3 are the tree's ones,
+ * twos, fours and eights, carried in and out; the step's one sixteens
+ * vector is added to the counter in planes 4..7. Whole steps take 16
+ * vectors below m, so they skip the bound check.
  */
-template <std::size_t Arity, typename V>
+template <std::size_t Arity, bool Whole, typename V>
 [[gnu::always_inline]] inline void
-sumBlock(V (&sum)[Bundler::kSumPlanes], const BoundBlock &block,
-         std::size_t w)
+treeStep(V (&count)[kRegisterPlanes], const BoundInputs &inputs,
+         std::size_t w, std::size_t j)
 {
-    V ones = {}, twos = {}, fours = {}, eights = {};
+    V &ones = count[0], &twos = count[1], &fours = count[2],
+      &eights = count[3];
     V twosA = {}, twosB = {}, foursA = {}, foursB = {};
-    V eightsA = {}, eightsB = {};
-    csaInputs<Arity>(twosA, ones, block, w, 0);
-    csaInputs<Arity>(twosB, ones, block, w, 2);
+    V eightsA = {}, eightsB = {}, sixteens = {};
+    csaInputs<Arity, Whole>(twosA, ones, inputs, w, j);
+    csaInputs<Arity, Whole>(twosB, ones, inputs, w, j + 2);
     csa(foursA, twos, twos, twosA, twosB);
-    csaInputs<Arity>(twosA, ones, block, w, 4);
-    csaInputs<Arity>(twosB, ones, block, w, 6);
+    csaInputs<Arity, Whole>(twosA, ones, inputs, w, j + 4);
+    csaInputs<Arity, Whole>(twosB, ones, inputs, w, j + 6);
     csa(foursB, twos, twos, twosA, twosB);
     csa(eightsA, fours, fours, foursA, foursB);
-    csaInputs<Arity>(twosA, ones, block, w, 8);
-    csaInputs<Arity>(twosB, ones, block, w, 10);
+    csaInputs<Arity, Whole>(twosA, ones, inputs, w, j + 8);
+    csaInputs<Arity, Whole>(twosB, ones, inputs, w, j + 10);
     csa(foursA, twos, twos, twosA, twosB);
-    csaInputs<Arity>(twosA, ones, block, w, 12);
-    csaInputs<Arity>(twosB, ones, block, w, 14);
+    csaInputs<Arity, Whole>(twosA, ones, inputs, w, j + 12);
+    csaInputs<Arity, Whole>(twosB, ones, inputs, w, j + 14);
     csa(foursB, twos, twos, twosA, twosB);
     csa(eightsB, fours, fours, foursA, foursB);
-    csa(sum[4], eights, eights, eightsA, eightsB);
-    sum[0] = ones;
-    sum[1] = twos;
-    sum[2] = fours;
-    sum[3] = eights;
+    csa(sixteens, eights, eights, eightsA, eightsB);
+    // The plane loops are unrolled so that count[] lives in registers:
+    // a rolled loop indexes it, which keeps it on the stack.
+#pragma GCC unroll 4
+    for (std::size_t p = 4; p < kRegisterPlanes; ++p) {
+        const V carry = count[p] & sixteens;
+        count[p] ^= sixteens;
+        sixteens = carry;
+    }
 }
 
 /**
- * The count on words [w, w + L) of every plane: sum the block in
- * registers, then add the sum to the @p planeCount planes, @p stride
- * words apart.
+ * The accumulation both kernels share: the 0..m count of the
+ * m <= kMaxPassInputs vectors of @p inputs on words [w, w + L), bit p
+ * in @p count[p], summed 16 vectors to a tree step.
+ */
+template <std::size_t Arity, typename V>
+[[gnu::always_inline]] inline void
+sumInputs(V (&count)[kRegisterPlanes], const BoundInputs &inputs,
+          std::size_t w)
+{
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < kRegisterPlanes; ++p)
+        count[p] = V{};
+    std::size_t j = 0;
+    for (; j + kTreeInputs <= inputs.m; j += kTreeInputs)
+        treeStep<Arity, true>(count, inputs, w, j);
+    if (j < inputs.m)
+        treeStep<Arity, false>(count, inputs, w, j);
+}
+
+/**
+ * The count on words [w, w + L) of every plane: sum the inputs in
+ * registers, then add the sum to the @p planeCount >= kRegisterPlanes
+ * planes, @p stride words apart, rippling the carry up until it dies.
  */
 template <std::size_t L, std::size_t Arity>
 [[gnu::always_inline]] inline void
-countWords(const BoundBlock &block, std::size_t w,
+countWords(const BoundInputs &inputs, std::size_t w,
            std::uint64_t *planes, std::size_t stride,
            std::size_t planeCount)
 {
     using V = typename Lanes<L>::type;
-    V sum[Bundler::kSumPlanes];
-    sumBlock<Arity>(sum, block, w);
+    V count[kRegisterPlanes];
+    sumInputs<Arity>(count, inputs, w);
 
     V carry = {};
-    std::size_t p = 0;
-    for (; p < Bundler::kSumPlanes; ++p) {
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < kRegisterPlanes; ++p) {
         std::uint64_t *plane = planes + p * stride + w;
         V a = {};
         load(a, plane);
-        const V u = a ^ sum[p];
+        const V u = a ^ count[p];
         store(plane, u ^ carry);
-        carry = (a & sum[p]) | (u & carry);
+        carry = (a & count[p]) | (u & carry);
     }
-    for (; p < planeCount; ++p) {
+    for (std::size_t p = kRegisterPlanes; p < planeCount; ++p) {
         std::uint64_t live = 0;
         for (std::size_t i = 0; i < L; ++i)
             live |= carry[i];
@@ -218,43 +253,25 @@ countWords(const BoundBlock &block, std::size_t w,
 
 /**
  * The majority masks on words [w, w + L) of all @p text.m vectors:
- * count them a block at a time into kMajorityPlanes register planes,
- * then compare the count with half = floor(m / 2), most significant
- * plane first. A component is greater when its count exceeds half,
- * and ties when m is even and its count equals half.
+ * sum them in registers, then compare the count with half =
+ * floor(m / 2), most significant plane first. A component is greater
+ * when its count exceeds half, and ties when m is even and its count
+ * equals half.
  */
 template <std::size_t L, std::size_t Arity>
 [[gnu::always_inline]] inline void
-majorityWords(const BoundBlock &text, std::size_t w,
+majorityWords(const BoundInputs &text, std::size_t w,
               std::uint64_t *greater, std::uint64_t *ties)
 {
     using V = typename Lanes<L>::type;
-    V count[kMajorityPlanes] = {};
-    for (std::size_t start = 0; start < text.m; start += Bundler::kBlock) {
-        const BoundBlock block{text.factors + start * text.arity,
-                               text.arity,
-                               std::min(Bundler::kBlock, text.m - start)};
-        V sum[Bundler::kSumPlanes];
-        sumBlock<Arity>(sum, block, w);
-        // The plane loops are unrolled so that count[] lives in
-        // registers: a rolled loop indexes it, which keeps it on the
-        // stack.
-        V carry = {};
-#pragma GCC unroll 8
-        for (std::size_t p = 0; p < kMajorityPlanes; ++p) {
-            const V addend = p < Bundler::kSumPlanes ? sum[p] : V{};
-            const V u = count[p] ^ addend;
-            const V next = (count[p] & addend) | (u & carry);
-            count[p] = u ^ carry;
-            carry = next;
-        }
-    }
+    V count[kRegisterPlanes];
+    sumInputs<Arity>(count, text, w);
 
     const std::size_t half = text.m / 2;
     V more = {}, equal = ~V{};
 #pragma GCC unroll 8
-    for (std::size_t i = 1; i <= kMajorityPlanes; ++i) {
-        const std::size_t p = kMajorityPlanes - i;
+    for (std::size_t i = 1; i <= kRegisterPlanes; ++i) {
+        const std::size_t p = kRegisterPlanes - i;
         if ((half >> p) & 1) {
             equal &= count[p];
         } else {
@@ -272,7 +289,7 @@ majorityWords(const BoundBlock &text, std::size_t w,
 template <std::size_t Arity>
 struct CountStep
 {
-    BoundBlock block;
+    BoundInputs inputs;
     std::uint64_t *planes;
     std::size_t stride;
     std::size_t planeCount;
@@ -281,7 +298,7 @@ struct CountStep
     [[gnu::always_inline]] void
     run(std::size_t w) const
     {
-        countWords<L, Arity>(block, w, planes, stride, planeCount);
+        countWords<L, Arity>(inputs, w, planes, stride, planeCount);
     }
 };
 
@@ -289,7 +306,7 @@ struct CountStep
 template <std::size_t Arity>
 struct MajorityStep
 {
-    BoundBlock text;
+    BoundInputs text;
     std::uint64_t *greater;
     std::uint64_t *ties;
 
@@ -354,14 +371,14 @@ byArity(std::size_t arity, std::size_t words, const Args &...args)
     }
 }
 
-/** The block-count kernel at L words per step (CountBlockFn). */
+/** The count kernel at L words per step (CountBlockFn). */
 template <std::size_t L>
 [[gnu::always_inline]] inline void
 countBlock(const std::uint64_t *const *factors, std::size_t arity,
            std::size_t m, std::uint64_t *planes, std::size_t words,
            std::size_t planeCount)
 {
-    byArity<L, CountStep>(arity, words, BoundBlock{factors, arity, m},
+    byArity<L, CountStep>(arity, words, BoundInputs{factors, arity, m},
                           planes, words, planeCount);
 }
 
@@ -373,7 +390,7 @@ majorityMasks(const std::uint64_t *const *factors, std::size_t arity,
               std::uint64_t *ties)
 {
     byArity<L, MajorityStep>(arity, words,
-                             BoundBlock{factors, arity, m}, greater,
+                             BoundInputs{factors, arity, m}, greater,
                              ties);
 }
 

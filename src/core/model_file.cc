@@ -19,6 +19,7 @@
 #include "core/crc32c.hh"
 #include "core/hypervector.hh"
 #include "core/packed_rows.hh"
+#include "core/trace.hh"
 
 namespace hdham::modelfile
 {
@@ -439,6 +440,7 @@ void
 save(const std::string &path, const AssociativeMemory &am,
      const SaveOptions &opts)
 {
+    TRACE_SPAN("save");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
         throw std::runtime_error("model_file: cannot open " + path +

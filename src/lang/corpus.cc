@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/trace.hh"
+
 namespace hdham::lang
 {
 
@@ -24,6 +26,7 @@ constexpr std::array<const char *, 21> europarlNames = {
 SyntheticCorpus::SyntheticCorpus(const CorpusConfig &config)
     : cfg(config)
 {
+    TRACE_SPAN("corpus.generate");
     if (cfg.numLanguages == 0)
         throw std::invalid_argument("SyntheticCorpus: no languages");
     if (cfg.familySize == 0)

@@ -1,6 +1,5 @@
 #include "lang/language_model.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -28,7 +27,6 @@ LanguageModel::random(Rng &rng, double spaceBias,
             row[s] = row[s] / sum * (1.0 - spaceBias);
         row[TextAlphabet::spaceId] += spaceBias;
     }
-    model.buildCumulative();
     return model;
 }
 
@@ -43,7 +41,6 @@ LanguageModel::mix(const LanguageModel &a, const LanguageModel &b,
     model.probs.resize(contexts * alphabet);
     for (std::size_t i = 0; i < model.probs.size(); ++i)
         model.probs[i] = (1.0 - w) * a.probs[i] + w * b.probs[i];
-    model.buildCumulative();
     return model;
 }
 
@@ -60,15 +57,16 @@ LanguageModel::generate(std::size_t length, Rng &rng) const
 {
     std::string out;
     out.reserve(length);
+    const Tables &t = sampling();
     std::size_t c1 = TextAlphabet::spaceId;
     std::size_t c2 = TextAlphabet::spaceId;
     for (std::size_t i = 0; i < length; ++i) {
         const std::size_t ctx = contextOf(c1, c2);
-        const double *cum = &cumulative[ctx * alphabet];
+        const double *cum = &t.cumulative[ctx * alphabet];
         const double u = rng.nextDouble();
         // u < 1, so u * guideSlots < guideSlots exactly.
-        std::size_t sym = guide[ctx * guideSlots +
-                                static_cast<std::size_t>(u * guideSlots)];
+        std::size_t sym = t.guide[ctx * guideSlots +
+                                  static_cast<std::size_t>(u * guideSlots)];
         while (sym < alphabet - 1 && cum[sym] < u)
             ++sym;
         out.push_back(TextAlphabet::charOf(sym));
@@ -93,27 +91,40 @@ LanguageModel::divergence(const LanguageModel &other) const
     return total / contexts;
 }
 
-void
-LanguageModel::buildCumulative()
+const LanguageModel::Tables &
+LanguageModel::sampling() const
 {
-    cumulative.resize(probs.size());
+    std::call_once(tables->built, [this] { buildTables(*tables); });
+    return *tables;
+}
+
+void
+LanguageModel::buildTables(Tables &out) const
+{
+    out.cumulative.resize(probs.size());
+    out.guide.resize(contexts * guideSlots);
     for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
+        double *cum = &out.cumulative[ctx * alphabet];
         double running = 0.0;
         for (std::size_t s = 0; s < alphabet; ++s) {
             running += probs[ctx * alphabet + s];
-            cumulative[ctx * alphabet + s] = running;
+            cum[s] = running;
         }
         // Guard against floating-point drift so sampling never walks
         // off the end of the row.
-        cumulative[ctx * alphabet + alphabet - 1] = 1.0;
-    }
-    guide.resize(contexts * guideSlots);
-    for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
-        const double *cum = &cumulative[ctx * alphabet];
+        cum[alphabet - 1] = 1.0;
+        // One merged walk over the row: the masses b / guideSlots
+        // rise, so each slot's lower_bound index starts from the last
+        // one's. Every mass is below cum[alphabet - 1] = 1, so the row
+        // is partitioned at each and the walk stops where
+        // std::lower_bound would.
+        std::size_t sym = 0;
         for (std::size_t b = 0; b < guideSlots; ++b) {
             const double mass = static_cast<double>(b) / guideSlots;
-            guide[ctx * guideSlots + b] = static_cast<std::uint8_t>(
-                std::lower_bound(cum, cum + alphabet, mass) - cum);
+            while (cum[sym] < mass)
+                ++sym;
+            out.guide[ctx * guideSlots + b] =
+                static_cast<std::uint8_t>(sym);
         }
     }
 }

@@ -9,6 +9,12 @@
  * sees letter trigram statistics, which is exactly what an order-2
  * chain controls, so the substitution exercises the identical code
  * path with a tunable task difficulty.
+ *
+ * Sampling reads two tables per model: each context's cumulative
+ * distribution and a 32-slot guide into it. Only a model that samples
+ * builds them, once, on its first generate(). The corpus (lang/
+ * corpus.hh) mixes 57 models to make its 21 languages, and only those
+ * 21 generate text.
  */
 
 #ifndef HDHAM_LANG_LANGUAGE_MODEL_HH
@@ -16,6 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,7 +72,8 @@ class LanguageModel
 
     /**
      * Generate @p length characters starting from the "space space"
-     * context.
+     * context. The first call builds the sampling tables; concurrent
+     * calls on one model are safe.
      */
     std::string generate(std::size_t length, Rng &rng) const;
 
@@ -76,13 +85,31 @@ class LanguageModel
     double divergence(const LanguageModel &other) const;
 
   private:
+    /** Guide slots per context: a power of two, so b / slots is exact. */
+    static constexpr std::size_t guideSlots = 32;
+
+    /** The sampling tables, built from probs on first use. */
+    struct Tables
+    {
+        std::once_flag built;
+        /** Cumulative per-context distribution, sampled by inversion. */
+        std::vector<double> cumulative;
+        /**
+         * guide[context * guideSlots + b]: the first next-symbol whose
+         * cumulative probability reaches b / guideSlots. A draw u
+         * starts its scan at slot floor(u * guideSlots) and lands on
+         * the index std::lower_bound would find.
+         */
+        std::vector<std::uint8_t> guide;
+    };
+
     LanguageModel() = default;
 
-    /**
-     * Rebuild the per-context cumulative and guide tables after
-     * editing probs.
-     */
-    void buildCumulative();
+    /** The sampling tables, built on the first call. */
+    const Tables &sampling() const;
+
+    /** Fill @p out's tables from probs. */
+    void buildTables(Tables &out) const;
 
     static std::size_t
     contextOf(std::size_t c1, std::size_t c2)
@@ -90,20 +117,13 @@ class LanguageModel
         return c1 * alphabet + c2;
     }
 
-    /** Guide slots per context: a power of two, so b / slots is exact. */
-    static constexpr std::size_t guideSlots = 32;
-
     /** probs[context * alphabet + next]. */
     std::vector<double> probs;
-    /** Cumulative per-context distribution, sampled by inversion. */
-    std::vector<double> cumulative;
     /**
-     * guide[context * guideSlots + b]: the first next-symbol whose
-     * cumulative probability reaches b / guideSlots. A draw u starts
-     * its scan at slot floor(u * guideSlots) and lands on the index
-     * std::lower_bound would find.
+     * Built by the first sampling() call. A copy of the model shares
+     * them, as it shares the probabilities they come from.
      */
-    std::vector<std::uint8_t> guide;
+    std::shared_ptr<Tables> tables = std::make_shared<Tables>();
 };
 
 } // namespace hdham::lang

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -484,6 +485,105 @@ TEST(BundlerTest, ShiftedBlocksCountLikeRepeatedAdds)
             }
         }
     }
+}
+
+TEST(BundlerTest, ExactAcrossKernelPassBoundaries)
+{
+    // addBound hands the count kernel up to 255 products per pass.
+    // Calls of 254..257, 510..512 and 765 products, at shifts 0 and 5,
+    // with single adds between them (pending rows folded in their own
+    // pass), must match the oracle under every tier this host runs.
+    // D = 650 is 11 words: the 8, 2 and 1-word steps.
+    const std::size_t dim = 650;
+    const KernelGuard guard;
+    for (const distance::KernelEntry &entry : distance::kernels()) {
+        if (!entry.usable())
+            continue;
+        SCOPED_TRACE(entry.name);
+        distance::setKernelByName(entry.name);
+        Rng rng(31);
+        const std::vector<Hypervector> pool = randomPool(dim, 24, rng);
+        Bundler b(dim);
+        Oracle oracle(dim);
+        for (const unsigned shift : {0u, 5u}) {
+            for (const std::size_t count :
+                 {254u, 255u, 256u, 257u, 510u, 511u, 512u, 765u}) {
+                SCOPED_TRACE("shift " + std::to_string(shift) +
+                             " count " + std::to_string(count));
+                addBoundFromPool(b, oracle, pool, 1 + count % 3 * 2, count,
+                                 rng, shift);
+                for (std::size_t i = 0; i < count % 7; ++i) {
+                    const Hypervector &hv = pool[rng.nextBelow(pool.size())];
+                    b.add(hv);
+                    oracle.add(hv);
+                }
+                ASSERT_NO_FATAL_FAILURE(
+                    expectMatchesOracle(b, oracle, count + shift));
+            }
+        }
+    }
+}
+
+/** Every count of @p b and its majority's tie draws, as a snapshot. */
+std::vector<std::uint64_t>
+snapshotOf(const Bundler &b)
+{
+    std::vector<std::uint64_t> state{b.count()};
+    for (std::size_t i = 0; i < b.dim(); ++i)
+        state.push_back(b.onesCount(i));
+    if (b.count() != 0) {
+        Rng rng(5);
+        const Hypervector majority = b.majority(rng);
+        for (std::size_t i = 0; i < b.dim(); ++i)
+            state.push_back(majority.get(i));
+        state.push_back(rng.next());
+    }
+    return state;
+}
+
+TEST(BundlerTest, RefusesCountsPastThirtyTwoBits)
+{
+    // The counts are 32-bit: an input that would take count() to 2^32
+    // throws std::length_error and leaves the bundler as it was.
+    const std::size_t dim = 70;
+    Rng rng(41);
+    const Hypervector hv = Hypervector::random(dim, rng);
+    const std::uint64_t *rows[] = {hv.data(), hv.data(), hv.data()};
+
+    Bundler b(dim);
+    const std::vector<std::uint64_t> empty = snapshotOf(b);
+    // One vector weighted 2^32, three weighted 2^31, one at an
+    // undefined shift of 64.
+    EXPECT_THROW(b.addBound(rows, 1, 1, 32), std::length_error);
+    EXPECT_EQ(snapshotOf(b), empty);
+    EXPECT_THROW(b.addBound(rows, 1, 3, 31), std::length_error);
+    EXPECT_EQ(snapshotOf(b), empty);
+    EXPECT_THROW(b.addBound(rows, 1, 1, 64), std::length_error);
+    EXPECT_EQ(snapshotOf(b), empty);
+    // No vectors add nothing, at any shift.
+    b.addBound(rows, 1, 0, 64);
+    EXPECT_EQ(snapshotOf(b), empty);
+
+    // Up to 2^32 - 2 by shifts 1..31, then one single add left.
+    Bundler full(dim);
+    Oracle oracle(dim);
+    for (unsigned shift = 1; shift < 32; ++shift) {
+        full.addBound(rows, 1, 1, shift);
+        oracle.add(hv, shift);
+    }
+    ASSERT_EQ(full.count(), Bundler::kMaxCount - 1);
+    const std::vector<std::uint64_t> before = snapshotOf(full);
+    EXPECT_THROW(full.addBound(rows, 1, 2, 0), std::length_error);
+    EXPECT_THROW(full.addBound(rows, 3, 1, 1), std::length_error);
+    EXPECT_EQ(snapshotOf(full), before);
+    full.add(hv);
+    oracle.add(hv);
+    EXPECT_EQ(full.count(), Bundler::kMaxCount);
+    const std::vector<std::uint64_t> atCeiling = snapshotOf(full);
+    EXPECT_THROW(full.add(hv), std::length_error);
+    EXPECT_THROW(full.addBound(rows, 1, 1, 0), std::length_error);
+    EXPECT_EQ(snapshotOf(full), atCeiling);
+    expectMatchesOracle(full, oracle, 6);
 }
 
 } // namespace

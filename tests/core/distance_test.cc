@@ -9,8 +9,9 @@
  * (early-abandon) forms must be bound-exact (the true distance d
  * when d < bound, kAbandoned otherwise -- never a partial count),
  * which also makes kAbandoned independent of where a backend places
- * its strip checks. Every backend's majority kernel must give the
- * greater and tie masks of a per-component ones-count.
+ * its strip checks. Every backend's count kernel must add a
+ * per-component ones-count to the counts it is given, and its
+ * majority kernel must give the greater and tie masks of one.
  *
  * Also pins the dispatch rules: resolution order (env override ->
  * widest-supported probe), the one-time warning for an invalid
@@ -236,6 +237,89 @@ TEST(DistanceKernelTest, AbandonmentIsStripPlacementIndependent)
     }
 }
 
+TEST(DistanceKernelTest, EveryCountKernelMatchesOracle)
+{
+    // Every usable tier's count kernel must add the per-component
+    // count of its m vectors to the bit-sliced counts it is given. The
+    // planes already hold counts, and the kernel gets them from plane
+    // `shift` up, so each vector counts 2^shift. A quarter of the
+    // components sit just below 2^(shift + 8) and a quarter just below
+    // the top plane, so the carry ripples past the eight register
+    // planes, up to the top. The widths straddle the word and every
+    // vector step, and m runs over every input count the kernel takes:
+    // whole and partial tree steps of 16, up to all eight planes set.
+    Rng rng(78);
+    const std::size_t most = distance::kMaxPassInputs;
+    constexpr std::size_t shift = 3, planeCount = 14;
+    // Every starting count stays below 2^(planeCount - 1), and adding
+    // at most 255 * 2^shift keeps it below 2^planeCount.
+    static_assert((std::size_t{255} << shift) < (1u << (planeCount - 1)));
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 640u, 10000u}) {
+        const std::size_t words = (bits + 63) / 64;
+        const std::size_t components = 64 * words;
+        const auto toPlanes = [&](const std::vector<std::uint64_t> &counts) {
+            std::vector<std::uint64_t> planes(planeCount * words, 0);
+            for (std::size_t i = 0; i < components; ++i) {
+                for (std::size_t p = 0; p < planeCount; ++p)
+                    planes[p * words + i / 64] |=
+                        ((counts[i] >> p) & 1) << (i % 64);
+            }
+            return planes;
+        };
+        for (const std::size_t arity : {1u, 3u}) {
+            // Rows with clean tails, as the kernel requires.
+            std::vector<std::vector<std::uint64_t>> rows(most * arity);
+            std::vector<const std::uint64_t *> factors;
+            for (auto &row : rows) {
+                row = randomWords(bits, rng);
+                if (bits % 64 != 0)
+                    row.back() &= (1ULL << (bits % 64)) - 1;
+                factors.push_back(row.data());
+            }
+            // Padding components start with counts too; the kernel
+            // adds 0 to them.
+            std::vector<std::uint64_t> start(components);
+            for (std::uint64_t &c : start) {
+                const std::uint64_t below = rng.nextBelow(1u << shift);
+                switch (rng.nextBelow(4)) {
+                case 0:
+                    c = (1u << (shift + 8)) - 1 - below;
+                    break;
+                case 1:
+                    c = (1u << (planeCount - 1)) - 1 - below;
+                    break;
+                default:
+                    c = rng.nextBelow(1u << (planeCount - 1));
+                    break;
+                }
+            }
+            const std::vector<std::uint64_t> initial = toPlanes(start);
+            std::vector<std::uint64_t> count(components, 0);
+            std::vector<std::uint64_t> want(components);
+            for (std::size_t m = 1; m <= most; ++m) {
+                for (std::size_t i = 0; i < bits; ++i) {
+                    std::uint64_t bit = 0;
+                    for (std::size_t k = 0; k < arity; ++k)
+                        bit ^= rows[(m - 1) * arity + k][i / 64] >> (i % 64);
+                    count[i] += bit & 1;
+                }
+                for (std::size_t i = 0; i < components; ++i)
+                    want[i] = start[i] + (count[i] << shift);
+                const std::vector<std::uint64_t> wantPlanes = toPlanes(want);
+                for (const KernelEntry *entry : usableEntries()) {
+                    std::vector<std::uint64_t> planes = initial;
+                    entry->countBlock(factors.data(), arity, m,
+                                      planes.data() + shift * words, words,
+                                      planeCount - shift);
+                    ASSERT_EQ(planes, wantPlanes)
+                        << entry->name << " bits " << bits << " arity "
+                        << arity << " m " << m;
+                }
+            }
+        }
+    }
+}
+
 TEST(DistanceKernelTest, EveryMajorityKernelMatchesCountOracle)
 {
     // Every usable tier's majority kernel must give the masks of a
@@ -246,7 +330,7 @@ TEST(DistanceKernelTest, EveryMajorityKernelMatchesCountOracle)
     // over every input count the kernel takes: odd and even, whole
     // and partial blocks of 16, up to all eight planes set.
     Rng rng(77);
-    const std::size_t most = distance::kMajorityMaxInputs;
+    const std::size_t most = distance::kMaxPassInputs;
     for (const std::size_t bits : {1u, 63u, 64u, 65u, 640u, 10000u}) {
         const std::size_t words = (bits + 63) / 64;
         for (const std::size_t arity : {1u, 3u}) {

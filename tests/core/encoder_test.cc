@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -171,7 +173,7 @@ TEST_F(EncoderTest, LongTextsBundleLikeStreaming)
 TEST_F(EncoderTest, ShortTextsMatchManualBundling)
 {
     // encode() takes the majority of a text with at most 255 n-grams
-    // (distance::kMajorityMaxInputs) in registers, and streams a
+    // (distance::kMaxPassInputs) in registers, and streams a
     // longer one to a Bundler. For n = 1..4 and every n-gram count
     // from 1 to 300 (both sides of the cut-off, even and odd counts),
     // a random text must encode exactly like encodeNgram + add +
@@ -209,6 +211,38 @@ TEST_F(EncoderTest, ShortTextsMatchManualBundling)
             ASSERT_EQ(enc.encode(text, a), manual.majority(b));
             ASSERT_EQ(a.next(), b.next());
         }
+    }
+}
+
+TEST(EncoderCeilingTest, RefusesTextsPastTheBundlersCount)
+{
+    // encodeInto checks a text's n-gram count against the bundler's
+    // 2^32 ceiling before it adds or counts anything, on both paths.
+    // A unigram encoder counts any text of 27 n-grams or more.
+    const ItemMemory letters(TextAlphabet::size, 200, 7);
+    const Encoder unigrams(letters, 1);
+    const std::uint64_t row[4] = {};
+    const std::uint64_t *rows[] = {row};
+    for (const std::size_t room : {std::size_t{20}, std::size_t{40}}) {
+        SCOPED_TRACE(room);
+        Bundler b(unigrams.dim());
+        // Bundler::kMaxCount - room, in shifted passes of one vector.
+        const std::uint64_t target = Bundler::kMaxCount - room;
+        for (unsigned shift = 0; shift < 32; ++shift) {
+            if ((target >> shift) & 1)
+                b.addBound(rows, 1, 1, shift);
+        }
+        ASSERT_EQ(b.count(), target);
+        EXPECT_THROW(unigrams.encodeInto(std::string(room + 1, 'a'), b),
+                     std::length_error);
+        EXPECT_EQ(b.count(), target);
+        EXPECT_EQ(unigrams.encodeInto(std::string(room, 'b'), b), room);
+        EXPECT_EQ(b.count(), Bundler::kMaxCount);
+        // The earlier passes added zero rows, so each component
+        // counts the b seed's bit `room` times.
+        const Hypervector &seed = letters[TextAlphabet::symbolOf('b')];
+        for (std::size_t i = 0; i < unigrams.dim(); ++i)
+            ASSERT_EQ(b.onesCount(i), seed.get(i) ? room : 0) << i;
     }
 }
 

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <string>
+#include <vector>
 
 #include "core/item_memory.hh"
+#include "lang/corpus.hh"
 #include "lang/language_model.hh"
 
 namespace
@@ -16,6 +20,42 @@ namespace
 using hdham::Rng;
 using hdham::TextAlphabet;
 using hdham::lang::LanguageModel;
+
+/**
+ * A sampler that shares no code with generate(): each context's
+ * cumulative row is rebuilt from probability(), summed in order with
+ * the last entry set to 1, and each draw picks its symbol with
+ * std::lower_bound.
+ */
+std::string
+referenceGenerate(const LanguageModel &model, std::size_t length, Rng &rng)
+{
+    constexpr std::size_t n = LanguageModel::alphabet;
+    std::vector<double> cumulative(LanguageModel::contexts * n);
+    for (std::size_t c1 = 0; c1 < n; ++c1) {
+        for (std::size_t c2 = 0; c2 < n; ++c2) {
+            double *row = &cumulative[(c1 * n + c2) * n];
+            double running = 0.0;
+            for (std::size_t s = 0; s < n; ++s) {
+                running += model.probability(c1, c2, s);
+                row[s] = running;
+            }
+            row[n - 1] = 1.0;
+        }
+    }
+    std::string out;
+    std::size_t c1 = TextAlphabet::spaceId, c2 = TextAlphabet::spaceId;
+    for (std::size_t i = 0; i < length; ++i) {
+        const double *row = &cumulative[(c1 * n + c2) * n];
+        const double u = rng.nextDouble();
+        const auto sym =
+            static_cast<std::size_t>(std::lower_bound(row, row + n, u) - row);
+        out.push_back(TextAlphabet::charOf(sym));
+        c1 = c2;
+        c2 = sym;
+    }
+    return out;
+}
 
 TEST(LanguageModelTest, ProbabilitiesSumToOnePerContext)
 {
@@ -40,6 +80,40 @@ TEST(LanguageModelTest, GeneratesOnlyAlphabetCharacters)
     ASSERT_EQ(text.size(), 2000u);
     for (const char c : text)
         EXPECT_TRUE(c == ' ' || (c >= 'a' && c <= 'z'));
+}
+
+TEST(LanguageModelTest, GenerateLandsOnLowerBound)
+{
+    // generate() starts each draw at a guide slot and scans forward;
+    // it must land where std::lower_bound on the cumulative row lands,
+    // draw for draw: 10^6 characters each from a random(), a mix()
+    // and every model of a small corpus, with the Rng left in the same
+    // state.
+    Rng modelRng(21);
+    const LanguageModel a = LanguageModel::random(modelRng);
+    const LanguageModel b = LanguageModel::random(modelRng, 0.05, 24.0);
+    std::vector<LanguageModel> models = {a, LanguageModel::mix(a, b, 0.35)};
+    hdham::lang::CorpusConfig cfg;
+    cfg.numLanguages = 3;
+    cfg.trainChars = 100;
+    cfg.testSentences = 1;
+    const hdham::lang::SyntheticCorpus corpus(cfg);
+    for (std::size_t lang = 0; lang < corpus.numLanguages(); ++lang)
+        models.push_back(corpus.modelOf(lang));
+
+    constexpr std::size_t draws = 1000000;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        Rng viaGenerate(100 + i), viaReference(100 + i);
+        const std::string got = models[i].generate(draws, viaGenerate);
+        const std::string want = referenceGenerate(models[i], draws,
+                                                   viaReference);
+        ASSERT_EQ(got.size(), draws);
+        const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+        EXPECT_EQ(diff.first, got.end())
+            << "model " << i << " differs at draw "
+            << (diff.first - got.begin());
+        EXPECT_EQ(viaGenerate.next(), viaReference.next()) << "model " << i;
+    }
 }
 
 TEST(LanguageModelTest, GenerationIsDeterministic)

@@ -268,15 +268,16 @@ cmdTrain(std::vector<std::string> args)
 
     std::printf("training %zu languages at D = %zu...\n",
                 corpusCfg.numLanguages, pipeCfg.dim);
-    const lang::SyntheticCorpus corpus(corpusCfg);
-
-    // Activate tracing before the pipeline constructor so the
-    // lang.train / lang.encode spans are captured too. The counter
-    // workload starts here as well: training plus evaluation.
+    // Activate tracing before the corpus is generated, so the
+    // corpus.generate, lang.train, lang.encode and save spans are all
+    // captured.
     trace::Tracer tracer;
     tracer.setCapturePerf(perfOn);
     if (!tracePath.empty())
         trace::setActive(&tracer);
+    const lang::SyntheticCorpus corpus(corpusCfg);
+
+    // The counter workload starts here: training plus evaluation.
     std::optional<perf::ProcessCounters> workload;
     if (perfOn)
         workload.emplace();
