@@ -35,11 +35,11 @@ main()
     const auto pipeline = bench::makePipeline(10000);
     RunningStats margins(true);
     RunningStats correctMargins(true);
-    for (const auto &query : pipeline->queries()) {
-        const auto result =
-            pipeline->memory().searchDetailed(query.vector);
+    const std::vector<Hypervector> &queries = pipeline->queryVectors();
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const auto result = pipeline->memory().searchDetailed(queries[q]);
         margins.add(static_cast<double>(result.margin()));
-        if (result.classId == query.trueLang)
+        if (result.classId == pipeline->queryClasses()[q])
             correctMargins.add(static_cast<double>(result.margin()));
     }
 
@@ -74,12 +74,11 @@ main()
             10000, 14, 14, ltaOffsetGrowth(corner.variation));
         // Fraction of queries whose margin the LTA cannot resolve.
         double atRisk = 0.0;
-        for (const auto &query : pipeline->queries()) {
-            const auto result =
-                pipeline->memory().searchDetailed(query.vector);
+        for (const Hypervector &query : queries) {
+            const auto result = pipeline->memory().searchDetailed(query);
             atRisk += result.margin() < md;
         }
-        atRisk /= static_cast<double>(pipeline->queries().size());
+        atRisk /= static_cast<double>(queries.size());
         std::printf("  %-36s minDet %5zu -> %5.1f%% of queries "
                     "below it\n",
                     corner.name, md, 100.0 * atRisk);

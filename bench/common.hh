@@ -62,11 +62,11 @@ storeRandomClasses(Memory &memory, std::size_t dim,
 
 /**
  * Skewed query workload: each query is a stored prototype with
- * floor(@p flip * dim) random bits flipped. Real classification
- * queries look like this -- close to one prototype, ~dim/2 from the
- * rest -- and it is the regime where bound pruning pays off: the
- * best-so-far bound drops to ~flip*dim after the matching row, so
- * every later row abandons within a few words.
+ * floor(@p flip * dim) random bits flipped, so it sits close to one
+ * prototype and ~dim/2 from the rest. Real classification queries
+ * are much farther from their class: a held-out sentence of the
+ * default language workload sits a median 4,106 of 10,000 bits from
+ * its language and 4,613 from the runner-up.
  */
 inline std::vector<Hypervector>
 makeSkewedQueries(const std::vector<Hypervector> &prototypes,

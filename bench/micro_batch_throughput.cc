@@ -78,17 +78,12 @@ using namespace hdham;
 constexpr std::size_t kDim = 10000;
 constexpr std::size_t kClasses = 100;
 constexpr std::size_t kBatch = 256;
-/** Cascade first-pass prefix (bits) for BM_CascadeScan. */
-constexpr std::size_t kCascadePrefix = 1024;
 
 /** Shared sinks, attached only when --stats-json was requested. */
 metrics::QueryMetrics *gAmMetrics = nullptr;
 metrics::QueryMetrics *gDHamMetrics = nullptr;
 metrics::QueryMetrics *gRHamMetrics = nullptr;
 metrics::QueryMetrics *gAHamMetrics = nullptr;
-metrics::QueryMetrics *gExhaustiveMetrics = nullptr;
-metrics::QueryMetrics *gPrunedMetrics = nullptr;
-metrics::QueryMetrics *gCascadeMetrics = nullptr;
 metrics::QueryMetrics *gServeMetrics = nullptr;
 
 /** Batches between snapshot publishes in BM_SnapshotServe (0=off). */
@@ -113,57 +108,6 @@ BENCHMARK(BM_SoftwareBatchSearch)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
-
-/**
- * The pruned-scan trio: identical skewed workload (each query is a
- * stored prototype with 5% of its bits flipped -- the realistic
- * classification regime where pruning pays), identical memory,
- * different scan policies. Compare q/s across the three to see the
- * early-abandon and cascade wins; BM_ExhaustiveScan is the baseline.
- */
-void
-scanBenchmark(benchmark::State &state, PruneMode prune,
-              std::size_t cascadePrefix,
-              metrics::QueryMetrics *sink)
-{
-    const auto threads = static_cast<std::size_t>(state.range(0));
-    Rng rng(13);
-    AssociativeMemory am(kDim);
-    am.attachMetrics(sink);
-    const auto prototypes =
-        bench::storeRandomClasses(am, kDim, kClasses, rng);
-    ScanPolicy policy;
-    policy.prune = prune;
-    policy.cascadePrefix = cascadePrefix;
-    am.setScanPolicy(policy);
-    const auto queries =
-        bench::makeSkewedQueries(prototypes, kBatch, 0.05, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(am.searchBatch(queries, threads));
-    state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-void
-BM_ExhaustiveScan(benchmark::State &state)
-{
-    scanBenchmark(state, PruneMode::Off, 0, gExhaustiveMetrics);
-}
-BENCHMARK(BM_ExhaustiveScan)->Arg(1)->Arg(4)->UseRealTime();
-
-void
-BM_PrunedScan(benchmark::State &state)
-{
-    scanBenchmark(state, PruneMode::Auto, 0, gPrunedMetrics);
-}
-BENCHMARK(BM_PrunedScan)->Arg(1)->Arg(4)->UseRealTime();
-
-void
-BM_CascadeScan(benchmark::State &state)
-{
-    scanBenchmark(state, PruneMode::Auto, kCascadePrefix,
-                  gCascadeMetrics);
-}
-BENCHMARK(BM_CascadeScan)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
  * Model persistence: cold-start latency (open a saved model until it
@@ -307,15 +251,11 @@ BM_SnapshotServe(benchmark::State &state)
 BENCHMARK(BM_SnapshotServe)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
- * Class-axis scaling: the cascade scan at C = 10k / 100k / 1M rows.
- * The workload is the skewed classification regime (5% flips),
- * where the cascade's first pass dominates: it reads one cache line
- * out of every row-sized record. Reduced dimensionality (1,024) keeps
- * the 1M store at 128 MB.
+ * Class-axis scaling: the exact scan at C = 10k / 100k / 1M rows,
+ * each query 5% from a stored prototype. Reduced dimensionality
+ * (1,024) keeps the 1M store at 128 MB.
  */
 constexpr std::size_t kScaleDim = 1024;
-/** Cascade first pass (bits). */
-constexpr std::size_t kScalePrefix = 128;
 constexpr std::size_t kScaleBatch = 8;
 
 struct ClassScaleFixture
@@ -358,14 +298,9 @@ BM_ClassScaleRowMajor(benchmark::State &state)
 {
     const auto classes = static_cast<std::size_t>(state.range(0));
     const ClassScaleFixture &fx = classScaleFixture(classes);
-    ScanPolicy policy;
-    policy.prune = PruneMode::Auto;
-    policy.cascadePrefix = kScalePrefix;
     for (auto _ : state) {
-        for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(
-                fx.rows.nearest(query, kScaleDim, policy));
-        }
+        for (const Hypervector &query : fx.queries)
+            benchmark::DoNotOptimize(fx.rows.nearest(query, kScaleDim));
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);
 }
@@ -508,16 +443,12 @@ main(int argc, char **argv)
     int passthroughArgc =
         static_cast<int>(passthrough.size()) - 1;
 
-    metrics::QueryMetrics am, dham, rham, aham;
-    metrics::QueryMetrics exhaustive, pruned, cascade, serve;
+    metrics::QueryMetrics am, dham, rham, aham, serve;
     if (!statsPath.empty()) {
         gAmMetrics = &am;
         gDHamMetrics = &dham;
         gRHamMetrics = &rham;
         gAHamMetrics = &aham;
-        gExhaustiveMetrics = &exhaustive;
-        gPrunedMetrics = &pruned;
-        gCascadeMetrics = &cascade;
         gServeMetrics = &serve;
     }
 
@@ -563,9 +494,6 @@ main(int argc, char **argv)
         registry.attachQuery("dham", dham);
         registry.attachQuery("rham", rham);
         registry.attachQuery("aham", aham);
-        registry.attachQuery("am_exhaustive", exhaustive);
-        registry.attachQuery("am_pruned", pruned);
-        registry.attachQuery("am_cascade", cascade);
         registry.attachQuery("am_serve", serve);
         registry.setGauge("run.swap_every",
                           static_cast<double>(gSwapEvery));
@@ -583,9 +511,6 @@ main(int argc, char **argv)
             const std::uint64_t rows =
                 am.rowsScanned.value() + dham.rowsScanned.value() +
                 rham.rowsScanned.value() + aham.rowsScanned.value() +
-                exhaustive.rowsScanned.value() +
-                pruned.rowsScanned.value() +
-                cascade.rowsScanned.value() +
                 serve.rowsScanned.value();
             perf::exportTo(registry, measured, rows);
         } else {

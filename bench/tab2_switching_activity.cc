@@ -45,7 +45,7 @@ main()
         rows.push_back(pipeline->memory().vectorOf(c));
     std::vector<Hypervector> stream;
     for (std::size_t i = 0; i < 200; ++i)
-        stream.push_back(pipeline->queries()[i].vector);
+        stream.push_back(pipeline->queryVectors()[i]);
     std::printf("\nreplaying %zu encoded test sentences against the "
                 "%zu learned rows:\n",
                 stream.size(), rows.size());

@@ -91,14 +91,14 @@ main(int argc, char **argv)
     // Show a few ranked decisions with their margins.
     std::printf("\nsample decisions (top-2 with margin):\n");
     for (std::size_t i = 0; i < 5; ++i) {
-        const auto &query = pipeline.queries()[i * 97 %
-                                               pipeline.queries()
-                                                   .size()];
+        const std::size_t q = i * 97 % pipeline.queryVectors().size();
         const auto ranked =
-            pipeline.memory().searchTopK(query.vector, 2);
+            pipeline.memory().searchTopK(pipeline.queryVectors()[q], 2);
         std::printf("  truth=%-11s -> %-11s (d=%zu), then %-11s "
                     "(margin %zu bits)\n",
-                    pipeline.memory().labelOf(query.trueLang).c_str(),
+                    pipeline.memory()
+                        .labelOf(pipeline.queryClasses()[q])
+                        .c_str(),
                     pipeline.memory()
                         .labelOf(ranked[0].classId)
                         .c_str(),

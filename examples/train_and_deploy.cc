@@ -69,7 +69,7 @@ main(int argc, char **argv)
             ++agreements;
     }
     std::printf("deployed software AM agrees on %zu/%zu queries\n",
-                agreements, pipeline.queries().size());
+                agreements, pipeline.queryVectors().size());
 
     // Load into a hardware model and classify a few samples.
     ham::RHamConfig rCfg;
@@ -79,11 +79,10 @@ main(int argc, char **argv)
     rham.loadFrom(deployed);
     std::printf("\noverscaled R-HAM on the deployed model:\n");
     for (std::size_t i = 0; i < 5; ++i) {
-        const auto &query =
-            pipeline.queries()[i * 131 % pipeline.queries().size()];
-        const auto hit = rham.search(query.vector);
+        const std::size_t q = i * 131 % pipeline.queryVectors().size();
+        const auto hit = rham.search(pipeline.queryVectors()[q]);
         std::printf("  truth=%-11s predicted=%-11s\n",
-                    deployed.labelOf(query.trueLang).c_str(),
+                    deployed.labelOf(pipeline.queryClasses()[q]).c_str(),
                     deployed.labelOf(hit.classId).c_str());
     }
     std::remove(path.c_str());

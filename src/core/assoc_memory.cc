@@ -90,11 +90,8 @@ AssociativeMemory::searchSampled(const Hypervector &query,
 
     TRACE_SPAN("am.search");
     SearchResult result;
-    ScanStats stats;
-    result.classId = rows.nearest(query, prefix, policy,
-                                  sink ? &stats : nullptr,
-                                  &result.bestDistance);
-    recordScans(1, stats);
+    result.classId = rows.nearest(query, prefix, &result.bestDistance);
+    recordScans(1);
     return result;
 }
 
@@ -126,18 +123,15 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
 {
     batch::requireStored(rows.rows(), "AssociativeMemory");
     const std::size_t prefix = rows.dim();
-    const auto kernel = [&](std::size_t q, ScanStats &stats) {
+    const auto kernel = [&](std::size_t q, batch::NoTally &) {
         SearchResult result;
-        result.classId = rows.nearest(queries[q], prefix, policy,
-                                      sink ? &stats : nullptr,
-                                      &result.bestDistance);
+        result.classId =
+            rows.nearest(queries[q], prefix, &result.bestDistance);
         return result;
     };
-    const auto newTally = [] { return ScanStats{}; };
-    const auto merge = [&](const ScanStats &stats, std::size_t begin,
-                           std::size_t end) {
-        recordScans(end - begin, stats);
-    };
+    const auto newTally = [] { return batch::NoTally{}; };
+    const auto merge = [&](const batch::NoTally &, std::size_t begin,
+                           std::size_t end) { recordScans(end - begin); };
     return batch::run<SearchResult>({"am.batch", "am.chunk"},
                                     queries.size(), threads, sink,
                                     newTally, kernel, merge);
@@ -150,10 +144,8 @@ AssociativeMemory::searchTopK(const Hypervector &query,
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
     std::vector<RowMatch> matches;
-    ScanStats stats;
-    rows.topK(query, rows.dim(), k, policy, sink ? &stats : nullptr,
-              matches);
-    recordScans(1, stats);
+    rows.topK(query, rows.dim(), k, matches);
+    recordScans(1);
     std::vector<RankedMatch> ranked;
     ranked.reserve(matches.size());
     for (const RowMatch &m : matches)
@@ -162,16 +154,12 @@ AssociativeMemory::searchTopK(const Hypervector &query,
 }
 
 void
-AssociativeMemory::recordScans(std::size_t queries,
-                               const ScanStats &stats) const
+AssociativeMemory::recordScans(std::size_t queries) const
 {
     if (!sink)
         return;
     sink->queries.add(queries);
     sink->rowsScanned.add(queries * rows.rows());
-    sink->rowsPruned.add(stats.rowsPruned);
-    sink->wordsSkipped.add(stats.wordsSkipped);
-    sink->cascadeSurvivors.add(stats.cascadeSurvivors);
 }
 
 std::size_t

@@ -134,19 +134,6 @@ class AssociativeMemory
     metrics::QueryMetrics *metricsSink() const { return sink; }
 
     /**
-     * Set the scan policy for search/searchSampled/searchBatch and
-     * searchTopK (bound pruning and the sampled-prefix cascade; see
-     * PackedRows). Every policy returns bit-identical results; the
-     * policy only trades scan work, observable via the rows_pruned /
-     * words_skipped / cascade_survivors counters. searchDetailed is
-     * unaffected -- it must materialize every distance.
-     */
-    void setScanPolicy(const ScanPolicy &p) { policy = p; }
-
-    /** The active scan policy. */
-    const ScanPolicy &scanPolicy() const { return policy; }
-
-    /**
      * Exact nearest-distance search (winner + distance only; no
      * allocation). @pre size() > 0 and query.dim() == dim().
      */
@@ -197,16 +184,12 @@ class AssociativeMemory
     std::size_t minPairwiseDistance() const;
 
   private:
-    /**
-     * Add @p queries full scans, and the work @p stats says they
-     * avoided, to the attached sink (no-op when detached).
-     */
-    void recordScans(std::size_t queries, const ScanStats &stats) const;
+    /** Add @p queries full scans to the attached sink (no-op when
+     *  detached). */
+    void recordScans(std::size_t queries) const;
 
     /** Dense row-major class store (the CAM array analogue). */
     PackedRows rows;
-    /** How the nearest/top-k scans may skip row words. */
-    ScanPolicy policy;
     std::vector<std::string> labels;
     /** Optional observability sink; never owned. */
     metrics::QueryMetrics *sink = nullptr;

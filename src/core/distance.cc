@@ -20,8 +20,8 @@
  *
  * setKernelByName() (the CLI's --kernel flag) overrides the choice
  * at any time. The choice is one atomic pointer to a registry entry,
- * so a reader always gets one tier's exact and bounded kernels
- * together, never a mix across a concurrent switch. Concurrent first
+ * so a reader always gets one tier's kernels together, never a mix
+ * across a concurrent switch. Concurrent first
  * calls race benignly -- both compute the same answer from the same
  * inputs.
  */
@@ -141,12 +141,6 @@ HammingFn
 active()
 {
     return activeEntry().fn;
-}
-
-BoundedHammingFn
-activeBounded()
-{
-    return activeEntry().bounded;
 }
 
 const char *

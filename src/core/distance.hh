@@ -35,10 +35,10 @@
  * and neon, 4 for avx2, 8 for avx512.
  *
  * Each tier is a self-describing KernelEntry (name, availability
- * predicate, exact fn, bounded fn, block count, majority); the
- * dispatcher only iterates kernels(), so adding a tier never touches
- * the dispatcher -- only its own translation unit and the registry
- * table. One choice picks all four kernels of a tier.
+ * predicate, exact fn, block count, majority); the dispatcher only
+ * iterates kernels(), so adding a tier never touches the dispatcher
+ * -- only its own translation unit and the registry table. One
+ * choice picks all three kernels of a tier.
  *
  * All kernels are exact integer bit counts, so switching kernels can
  * never change a search result, a bundled count, a majority mask or
@@ -64,19 +64,6 @@
  * Contract of every kernel: reads exactly ceil(bits / 64) words from
  * both arrays; any bits of the final word beyond @p bits are masked
  * out, so callers may pass rows whose tail words carry padding.
- *
- * Bounded variants: every kernel also exists as an early-abandon
- * form, distanceBounded(a, b, bits, bound, wordsRead), which
- * accumulates the count in strips of a few words and stops as soon
- * as the running count can no longer end up below @p bound. The
- * return value is bound-exact: the true distance d when d < bound,
- * the kAbandoned sentinel when d >= bound -- never a partial count.
- * Because popcounts only grow, the result is independent of where a
- * kernel places its strip checks, so bounded kernels preserve the
- * same cross-kernel determinism contract as the exact ones. Only
- * @p wordsRead (how far the kernel got before abandoning) is
- * kernel-specific; it feeds the words_skipped observability counter
- * and never influences a search result.
  */
 
 #ifndef HDHAM_CORE_DISTANCE_HH
@@ -95,28 +82,6 @@ namespace hdham::distance
 using HammingFn = std::size_t (*)(const std::uint64_t *a,
                                   const std::uint64_t *b,
                                   std::size_t bits);
-
-/**
- * Sentinel returned by the bounded kernels when the distance is not
- * below the bound. Distances never exceed the dimensionality, so the
- * sentinel can never collide with a real count.
- */
-inline constexpr std::size_t kAbandoned =
-    static_cast<std::size_t>(-1);
-
-/**
- * Signature shared by every bounded (early-abandon) kernel: returns
- * the exact Hamming distance d over the first @p bits components
- * when d < @p bound, kAbandoned otherwise. @p wordsRead (never null)
- * receives the number of words of each operand the kernel examined
- * before returning -- ceil(bits / 64) on completion, less when the
- * scan abandoned early.
- */
-using BoundedHammingFn = std::size_t (*)(const std::uint64_t *a,
-                                         const std::uint64_t *b,
-                                         std::size_t bits,
-                                         std::size_t bound,
-                                         std::size_t *wordsRead);
 
 /**
  * Register planes of the bundling kernels: one pass sums up to
@@ -190,14 +155,12 @@ struct KernelEntry
     /**
      * Runtime host probe (cpuid/hwcap). Only entries with
      * compiled && available() may be installed; on other entries
-     * fn/bounded/countBlock/majority still point at safe scalar
-     * fallbacks, never null.
+     * fn/countBlock/majority still point at safe scalar fallbacks,
+     * never null.
      */
     bool (*available)();
     /** Exact kernel. */
     HammingFn fn;
-    /** Early-abandon (bound-exact) kernel. */
-    BoundedHammingFn bounded;
     /** Bundling count kernel, at this tier's vector width. */
     CountBlockFn countBlock;
     /** Short-text majority kernel, at this tier's vector width. */
@@ -239,12 +202,6 @@ std::string availableKernelList();
 std::size_t scalarHamming(const std::uint64_t *a,
                           const std::uint64_t *b, std::size_t bits);
 
-/** Bounded reference scalar kernel (always available). */
-std::size_t scalarHammingBounded(const std::uint64_t *a,
-                                 const std::uint64_t *b,
-                                 std::size_t bits, std::size_t bound,
-                                 std::size_t *wordsRead);
-
 /**
  * Pin the active kernel by selection name; "auto" re-runs the
  * widest-supported probe.
@@ -267,9 +224,9 @@ const KernelEntry &resolveKernelChoice(const char *envValue,
 
 /**
  * The registry entry currently serving hamming() calls, resolving
- * the startup default on first use. One atomic load: a scan that
- * needs both the exact and the bounded kernel hoists this once, so
- * both come from the same tier even across a concurrent
+ * the startup default on first use. One atomic load: a caller that
+ * needs more than one of a tier's kernels hoists this once, so all
+ * come from the same tier even across a concurrent
  * setKernelByName().
  */
 const KernelEntry &activeEntry();
@@ -284,13 +241,6 @@ const char *activeKernelName();
 HammingFn active();
 
 /**
- * The active kernel's bounded (early-abandon) function pointer. A
- * separate call from active() may see another tier after a
- * concurrent switch; take both from one activeEntry() instead.
- */
-BoundedHammingFn activeBounded();
-
-/**
  * Hamming distance over the first @p bits components of @p a and
  * @p b through the active kernel.
  */
@@ -299,18 +249,6 @@ hamming(const std::uint64_t *a, const std::uint64_t *b,
         std::size_t bits)
 {
     return active()(a, b, bits);
-}
-
-/**
- * Bound-exact early-abandon distance through the active kernel: the
- * exact distance when it is below @p bound, kAbandoned otherwise.
- */
-inline std::size_t
-hammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-               std::size_t bits, std::size_t bound,
-               std::size_t *wordsRead)
-{
-    return activeBounded()(a, b, bits, bound, wordsRead);
 }
 
 } // namespace hdham::distance

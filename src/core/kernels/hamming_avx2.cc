@@ -68,46 +68,6 @@ avx2Hamming(const std::uint64_t *a, const std::uint64_t *b,
     return count + detail::maskedTail(a, b, fullWords, bits % 64);
 }
 
-__attribute__((target("avx2"))) std::size_t
-avx2HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-                   std::size_t bits, std::size_t bound,
-                   std::size_t *wordsRead)
-{
-    const std::size_t fullWords = bits / 64;
-    const __m256i zero = _mm256_setzero_si256();
-    std::size_t count = 0;
-    std::size_t w = 0;
-    // Two VPSADBW steps (8 words) per strip; the horizontal lane sum
-    // runs once per strip, keeping the bound check off the critical
-    // path of the vector accumulation.
-    for (; w + detail::kStripWords <= fullWords;
-         w += detail::kStripWords) {
-        __m256i acc = zero;
-        for (std::size_t step = 0; step < detail::kStripWords;
-             step += 4) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    a + w + step)),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    b + w + step)));
-            acc = _mm256_add_epi64(
-                acc, _mm256_sad_epu8(popcountBytes(x), zero));
-        }
-        std::uint64_t lanes[4];
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), acc);
-        count += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        if (count >= bound) {
-            *wordsRead = w + detail::kStripWords;
-            return kAbandoned;
-        }
-    }
-    for (; w < fullWords; ++w)
-        count += std::popcount(a[w] ^ b[w]);
-    count += detail::maskedTail(a, b, fullWords, bits % 64);
-    *wordsRead = detail::totalWords(bits);
-    return count < bound ? count : kAbandoned;
-}
-
 __attribute__((target("avx2"))) void
 avx2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
                std::size_t m, std::uint64_t *planes, std::size_t words,
@@ -148,7 +108,6 @@ avx2Kernel()
         true,
         &avx2Available,
         &avx2Hamming,
-        &avx2HammingBounded,
         &avx2CountBlock,
         &avx2Majority,
     };
@@ -160,7 +119,6 @@ avx2Kernel()
         false,
         +[] { return false; },
         &scalarHamming,
-        &scalarHammingBounded,
         &scalarCountBlock,
         &scalarMajority,
     };

@@ -51,35 +51,6 @@ avx512Hamming(const std::uint64_t *a, const std::uint64_t *b,
     return count + detail::maskedTail(a, b, fullWords, bits % 64);
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t
-avx512HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-                     std::size_t bits, std::size_t bound,
-                     std::size_t *wordsRead)
-{
-    const std::size_t fullWords = bits / 64;
-    std::size_t count = 0;
-    std::size_t w = 0;
-    // One 512-bit step is exactly the 8-word strip, so the bound
-    // check sits on every vector: the reduce costs a few shuffles,
-    // which the early abandon pays back on the first skipped strip.
-    for (; w + detail::kStripWords <= fullWords;
-         w += detail::kStripWords) {
-        const __m512i x = _mm512_xor_si512(
-            _mm512_loadu_si512(a + w), _mm512_loadu_si512(b + w));
-        count += static_cast<std::size_t>(
-            _mm512_reduce_add_epi64(_mm512_popcnt_epi64(x)));
-        if (count >= bound) {
-            *wordsRead = w + detail::kStripWords;
-            return kAbandoned;
-        }
-    }
-    for (; w < fullWords; ++w)
-        count += std::popcount(a[w] ^ b[w]);
-    count += detail::maskedTail(a, b, fullWords, bits % 64);
-    *wordsRead = detail::totalWords(bits);
-    return count < bound ? count : kAbandoned;
-}
-
 __attribute__((target("avx512f,avx512vpopcntdq"))) void
 avx512CountBlock(const std::uint64_t *const *factors, std::size_t arity,
                  std::size_t m, std::uint64_t *planes, std::size_t words,
@@ -121,7 +92,6 @@ avx512Kernel()
         true,
         &avx512Available,
         &avx512Hamming,
-        &avx512HammingBounded,
         &avx512CountBlock,
         &avx512Majority,
     };
@@ -133,7 +103,6 @@ avx512Kernel()
         false,
         +[] { return false; },
         &scalarHamming,
-        &scalarHammingBounded,
         &scalarCountBlock,
         &scalarMajority,
     };

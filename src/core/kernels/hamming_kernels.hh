@@ -3,7 +3,7 @@
  * Internal glue between the tiers' kernels and the registry.
  *
  * Each tier's translation unit (hamming_<name>.cc) implements its
- * exact and bounded Hamming kernels and its bundling count and
+ * exact Hamming kernel and its bundling count and
  * majority kernels (bundle_kernel.hh at the tier's width), wraps them
  * in a self-describing KernelEntry, and exposes that entry through
  * the accessor declared here; kernel_registry.cc collects the
@@ -11,9 +11,9 @@
  * Nothing outside src/core/kernels/ includes this header -- callers
  * go through the registry.
  *
- * The helpers below encode the two contracts every Hamming kernel
- * shares: ragged-tail masking (the final partial word's padding bits
- * never count) and the strip width of the early-abandon bound check.
+ * The helper below encodes the contract every Hamming kernel shares:
+ * ragged-tail masking (the final partial word's padding bits never
+ * count).
  */
 
 #ifndef HDHAM_CORE_KERNELS_HAMMING_KERNELS_HH
@@ -41,21 +41,6 @@ maskedTail(const std::uint64_t *a, const std::uint64_t *b,
     const std::uint64_t mask = (1ULL << rem) - 1;
     return static_cast<std::size_t>(
         std::popcount((a[fullWords] ^ b[fullWords]) & mask));
-}
-
-/**
- * Words checked per early-abandon strip. Checking more often
- * abandons sooner but pays the compare on every strip; 8 words
- * (512 components) keeps the overhead of a never-abandoning scan
- * within a few percent of the exact kernel.
- */
-constexpr std::size_t kStripWords = 8;
-
-/** Words a bounded kernel reports after running to completion. */
-inline std::size_t
-totalWords(std::size_t bits)
-{
-    return bits / 64 + (bits % 64 != 0);
 }
 
 /**

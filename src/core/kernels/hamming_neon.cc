@@ -66,36 +66,6 @@ neonHamming(const std::uint64_t *a, const std::uint64_t *b,
     return count + detail::maskedTail(a, b, fullWords, bits % 64);
 }
 
-std::size_t
-neonHammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-                   std::size_t bits, std::size_t bound,
-                   std::size_t *wordsRead)
-{
-    const std::size_t fullWords = bits / 64;
-    std::size_t count = 0;
-    std::size_t w = 0;
-    // Four vectors (8 words) per strip; one horizontal add per
-    // strip keeps the bound check off the vector critical path.
-    for (; w + detail::kStripWords <= fullWords;
-         w += detail::kStripWords) {
-        const uint8x16_t c0 =
-            vaddq_u8(xorCounts(a, b, w), xorCounts(a, b, w + 2));
-        const uint8x16_t c1 = vaddq_u8(xorCounts(a, b, w + 4),
-                                       xorCounts(a, b, w + 6));
-        const uint64x2_t acc = vaddq_u64(widen(c0), widen(c1));
-        count += static_cast<std::size_t>(vaddvq_u64(acc));
-        if (count >= bound) {
-            *wordsRead = w + detail::kStripWords;
-            return kAbandoned;
-        }
-    }
-    for (; w < fullWords; ++w)
-        count += std::popcount(a[w] ^ b[w]);
-    count += detail::maskedTail(a, b, fullWords, bits % 64);
-    *wordsRead = detail::totalWords(bits);
-    return count < bound ? count : kAbandoned;
-}
-
 void
 neonCountBlock(const std::uint64_t *const *factors, std::size_t arity,
                std::size_t m, std::uint64_t *planes, std::size_t words,
@@ -136,7 +106,6 @@ neonKernel()
         true,
         &neonAvailable,
         &neonHamming,
-        &neonHammingBounded,
         &neonCountBlock,
         &neonMajority,
     };
@@ -148,7 +117,6 @@ neonKernel()
         false,
         +[] { return false; },
         &scalarHamming,
-        &scalarHammingBounded,
         &scalarCountBlock,
         &scalarMajority,
     };

@@ -2,9 +2,8 @@
  * @file
  * Reference scalar tier: one std::popcount per 64-bit word, and the
  * bundling count and majority one word per step. Every other tier
- * must match it bit for bit; its bounded, count and majority kernels
- * are also the fallbacks cross-architecture registry entries point
- * at.
+ * must match it bit for bit; its count and majority kernels are also
+ * the fallbacks cross-architecture registry entries point at.
  */
 
 #include "core/kernels/bundle_kernel.hh"
@@ -22,30 +21,6 @@ scalarHamming(const std::uint64_t *a, const std::uint64_t *b,
     for (std::size_t w = 0; w < fullWords; ++w)
         count += std::popcount(a[w] ^ b[w]);
     return count + detail::maskedTail(a, b, fullWords, bits % 64);
-}
-
-std::size_t
-scalarHammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-                     std::size_t bits, std::size_t bound,
-                     std::size_t *wordsRead)
-{
-    const std::size_t fullWords = bits / 64;
-    std::size_t count = 0;
-    std::size_t w = 0;
-    while (w + detail::kStripWords <= fullWords) {
-        const std::size_t stop = w + detail::kStripWords;
-        for (; w < stop; ++w)
-            count += std::popcount(a[w] ^ b[w]);
-        if (count >= bound) {
-            *wordsRead = w;
-            return kAbandoned;
-        }
-    }
-    for (; w < fullWords; ++w)
-        count += std::popcount(a[w] ^ b[w]);
-    count += detail::maskedTail(a, b, fullWords, bits % 64);
-    *wordsRead = detail::totalWords(bits);
-    return count < bound ? count : kAbandoned;
 }
 
 namespace detail
@@ -88,7 +63,6 @@ scalarKernel()
         true,
         &always,
         &scalarHamming,
-        &scalarHammingBounded,
         &scalarCountBlock,
         &scalarMajority,
     };

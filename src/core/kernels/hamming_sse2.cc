@@ -90,42 +90,6 @@ sse2Hamming(const std::uint64_t *a, const std::uint64_t *b,
     return count + detail::maskedTail(a, b, fullWords, bits % 64);
 }
 
-__attribute__((target("sse2"))) std::size_t
-sse2HammingBounded(const std::uint64_t *a, const std::uint64_t *b,
-                   std::size_t bits, std::size_t bound,
-                   std::size_t *wordsRead)
-{
-    const std::size_t fullWords = bits / 64;
-    std::size_t count = 0;
-    std::size_t w = 0;
-    // Four vectors (8 words) per strip; the horizontal lane sum runs
-    // once per strip, keeping the bound check off the critical path
-    // of the vector accumulation.
-    for (; w + detail::kStripWords <= fullWords;
-         w += detail::kStripWords) {
-        __m128i acc = _mm_setzero_si128();
-        for (std::size_t step = 0; step < detail::kStripWords;
-             step += 2) {
-            const __m128i x = _mm_xor_si128(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    a + w + step)),
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    b + w + step)));
-            acc = _mm_add_epi64(acc, laneCounts(x));
-        }
-        count += lanesSum(acc);
-        if (count >= bound) {
-            *wordsRead = w + detail::kStripWords;
-            return kAbandoned;
-        }
-    }
-    for (; w < fullWords; ++w)
-        count += std::popcount(a[w] ^ b[w]);
-    count += detail::maskedTail(a, b, fullWords, bits % 64);
-    *wordsRead = detail::totalWords(bits);
-    return count < bound ? count : kAbandoned;
-}
-
 __attribute__((target("sse2"))) void
 sse2CountBlock(const std::uint64_t *const *factors, std::size_t arity,
                std::size_t m, std::uint64_t *planes, std::size_t words,
@@ -168,7 +132,6 @@ sse2Kernel()
         true,
         &sse2Available,
         &sse2Hamming,
-        &sse2HammingBounded,
         &sse2CountBlock,
         &sse2Majority,
     };
@@ -180,7 +143,6 @@ sse2Kernel()
         false,
         +[] { return false; },
         &scalarHamming,
-        &scalarHammingBounded,
         &scalarCountBlock,
         &scalarMajority,
     };

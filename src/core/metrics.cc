@@ -302,10 +302,6 @@ Registry::snapshot() const
             m->saturationEvents.value();
         snap.counters[name + ".rows_pruned"] =
             m->rowsPruned.value();
-        snap.counters[name + ".words_skipped"] =
-            m->wordsSkipped.value();
-        snap.counters[name + ".cascade_survivors"] =
-            m->cascadeSurvivors.value();
         snap.histograms[name + ".batch_latency_us"] =
             m->batchLatencyUs.summary();
     }

@@ -175,17 +175,9 @@ struct QueryMetrics
      *  compression curve that per-bit sensitivity fell below half
      *  (d > dSat * (sqrt(2) - 1)). */
     Counter saturationEvents;
-    /** Pruned scans: rows rejected without a full-width distance
-     *  computation (early-abandoned by the bounded kernel or
-     *  filtered on their cascade prefix distance). */
+    /** Always 0: the scan counts every row in full. Kept because the
+     *  end-to-end benchmark (perfbench/src/design_sweep.cc) reads it. */
     Counter rowsPruned;
-    /** Pruned scans: words of full-width distance work those
-     *  rejections avoided. Kernel-dependent (strip placement);
-     *  exactly reproducible only under a pinned kernel. */
-    Counter wordsSkipped;
-    /** Pruned scans: rows that survived the cascade prefix filter
-     *  and entered the refine stage. */
-    Counter cascadeSurvivors;
     /** Wall time per searchBatch() call. */
     LatencyHistogram batchLatencyUs;
 };

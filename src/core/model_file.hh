@@ -168,7 +168,7 @@ struct FileLayout
  * memory() serves queries directly from the mapping and is
  * bit-identical to the store the model was saved from, for every
  * kernel and thread count. The mapped memory is read-only: store()
- * throws; setScanPolicy and attachMetrics work normally. A file in
+ * throws; attachMetrics works normally. A file in
  * a legacy sliced or multi-shard layout passes the same validation
  * and then has its rows copied into an owned row-major store, which
  * answers bit-identically. The view must outlive every reference
@@ -231,8 +231,8 @@ class ModelView
 
     /**
      * The mapped associative memory, queried zero-copy in place.
-     * Non-const access allows setScanPolicy/attachMetrics; the
-     * stored rows themselves are immutable (mapped read-only).
+     * Non-const access allows attachMetrics; the stored rows
+     * themselves are immutable (mapped read-only).
      */
     AssociativeMemory &memory() { return *am; }
     const AssociativeMemory &memory() const { return *am; }

@@ -9,7 +9,7 @@
  * drift apart.
  *
  * A LoadedModel is the mutable-configuration stage of a model's
- * life: callers may set scan policy and metrics on the mapped store.
+ * life: callers may attach metrics to the mapped store.
  * Serving freezes it: intoSnapshot() moves the opened view into an
  * immutable snapshot::MemorySnapshot without reopening or copying
  * the class store.
@@ -34,8 +34,8 @@ namespace hdham::modelload
  * An hdham.model.v1 file, mmap'ed and validated, whose class store
  * is served zero-copy in place (a file in a legacy sliced or sharded
  * layout: from the row-major copy the open made). memory() is
- * mutable so callers can set scan policy and metrics; the mapped
- * store still rejects mutation of the rows.
+ * mutable so callers can attach metrics; the mapped store still
+ * rejects mutation of the rows.
  */
 class LoadedModel
 {

@@ -5,9 +5,9 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/distance.hh"
-#include "core/trace.hh"
 
 namespace hdham
 {
@@ -23,56 +23,6 @@ wordsFor(std::size_t prefix)
            Hypervector::bitsPerWord;
 }
 
-/**
- * Auto-mode pruning threshold. A row that loses to bound B abandons,
- * in expectation, once its running count reaches B -- about
- * B / (prefix / 2) of the way through a random far row -- so the
- * fraction of the row skipped shrinks as B approaches prefix / 2.
- * Below 7/16 x prefix the expected savings comfortably exceed the
- * bounded kernel's strip-check overhead; above it (uniform random
- * workloads, whose best hovers near prefix / 2) the exact kernel is
- * the faster choice and pruning would only add overhead.
- */
-inline std::size_t
-autoCutoff(std::size_t prefix)
-{
-    return prefix * 7 / 16;
-}
-
-/**
- * Bounds strictly below this run the bounded kernel; larger bounds
- * run the exact kernel. PruneMode::On admits every attainable bound
- * (all are <= prefix + 1), PruneMode::Off none.
- */
-inline std::size_t
-pruneLimit(const ScanPolicy &policy, std::size_t prefix)
-{
-    switch (policy.prune) {
-    case PruneMode::On:
-        return prefix + 2;
-    case PruneMode::Off:
-        return 0;
-    case PruneMode::Auto:
-        break;
-    }
-    return autoCutoff(prefix) + 1;
-}
-
-/**
- * Distances of rows [0, @p count) over the first @p prefix
- * components, written to out[0 .. count): one sequential walk of the
- * row-major array.
- */
-inline void
-rowDistances(const std::uint64_t *rows, std::size_t rowWords,
-             std::size_t count, const std::uint64_t *q,
-             std::size_t prefix, distance::HammingFn fn,
-             std::size_t *out)
-{
-    for (std::size_t r = 0; r < count; ++r)
-        out[r] = fn(rows + r * rowWords, q, prefix);
-}
-
 /** Worse-first (distance, index) ordering: heap top = k-th best. */
 inline bool
 worseMatch(const RowMatch &a, const RowMatch &b)
@@ -86,17 +36,10 @@ struct BestRow
 {
     RowMatch best{0, std::numeric_limits<std::size_t>::max()};
 
-    std::size_t capacity() const { return 1; }
     /** A row enters only with a distance strictly below this. */
     std::size_t cut() const { return best.distance; }
     /** @pre d < cut(). */
     void add(std::size_t index, std::size_t d) { best = {index, d}; }
-    BestRow fresh() const { return {}; }
-    template <typename Visit>
-    void visit(Visit visitRow) const
-    {
-        visitRow(best);
-    }
 };
 
 /**
@@ -108,7 +51,6 @@ struct BestRows
 {
     explicit BestRows(std::size_t k) : k(k) { heap.reserve(k); }
 
-    std::size_t capacity() const { return k; }
     std::size_t cut() const
     {
         return heap.size() < k ? std::numeric_limits<std::size_t>::max()
@@ -124,137 +66,37 @@ struct BestRows
         }
         std::push_heap(heap.begin(), heap.end(), worseMatch);
     }
-    BestRows fresh() const { return BestRows(k); }
-    template <typename Visit>
-    void visit(Visit visitRow) const
-    {
-        for (const RowMatch &m : heap)
-            visitRow(m);
-    }
 
     std::size_t k;
     std::vector<RowMatch> heap;
 };
 
 /**
- * The scan: every row of the store, in index order, offered to
- * @p keep. A row must come in strictly below min(ceiling,
- * keep.cut()); the ceiling is prefix + 1 or, with the cascade, one
- * past the largest exact distance among the keeper-size best prefix
- * rows. The kernel entry is read once, so one scan never mixes two
- * tiers. See PackedRows::nearest for the exactness argument.
+ * The scan: every row of the store, in index order, through the
+ * active tier's exact kernel (read once, so one scan never mixes two
+ * tiers); a row enters @p keep only with a distance strictly below
+ * keep.cut(), so an equal distance keeps the earlier row.
  */
 template <typename Keeper>
 void
 scanRows(const std::uint64_t *rows, std::size_t rowWords,
          std::size_t count, const Hypervector &query,
-         std::size_t prefix, const ScanPolicy &policy,
-         ScanStats *stats, Keeper &keep)
+         std::size_t prefix, Keeper &keep)
 {
     const std::uint64_t *q = query.data();
-    const distance::KernelEntry &kernel = distance::activeEntry();
-    const distance::HammingFn fn = kernel.fn;
-    const distance::BoundedHammingFn bfn = kernel.bounded;
-    const std::size_t rowSpan = wordsFor(prefix);
-    const std::size_t pruneBelow = pruneLimit(policy, prefix);
-    std::size_t ceiling = prefix + 1;
-    // prefixDist is null without the cascade. Inlined at both calls
-    // so the cascade-free scan compiles without the prefix checks.
-    const auto scanAll = [&](const std::size_t *prefixDist)
-                             __attribute__((always_inline)) {
-        std::size_t bound = std::min(ceiling, keep.cut());
-        const std::uint64_t *p = rows;
-        for (std::size_t row = 0; row < count;
-             ++row, p += rowWords) {
-            if (prefixDist != nullptr) {
-                if (prefixDist[row] >= bound) {
-                    if (stats != nullptr) {
-                        ++stats->rowsPruned;
-                        stats->wordsSkipped +=
-                            rowSpan - wordsFor(policy.cascadePrefix);
-                    }
-                    continue;
-                }
-                if (stats != nullptr)
-                    ++stats->cascadeSurvivors;
-            }
-            std::size_t d;
-            if (bound < pruneBelow) {
-                std::size_t wordsRead = 0;
-                d = bfn(p, q, prefix, bound, &wordsRead);
-                if (d == distance::kAbandoned) {
-                    if (stats != nullptr) {
-                        ++stats->rowsPruned;
-                        stats->wordsSkipped += rowSpan - wordsRead;
-                    }
-                    continue;
-                }
-            } else {
-                d = fn(p, q, prefix);
-                if (d >= bound)
-                    continue;
-            }
+    const distance::HammingFn fn = distance::active();
+    std::size_t cut = keep.cut();
+    const std::uint64_t *p = rows;
+    for (std::size_t row = 0; row < count; ++row, p += rowWords) {
+        const std::size_t d = fn(p, q, prefix);
+        if (d < cut) {
             keep.add(row, d);
-            bound = std::min(ceiling, keep.cut());
+            cut = keep.cut();
         }
-    };
-    if (policy.prune == PruneMode::Off || policy.cascadePrefix == 0 ||
-        policy.cascadePrefix >= prefix || keep.capacity() >= count) {
-        scanAll(nullptr);
-        return;
     }
-
-    // Reused across calls on this thread; declared inside the cascade
-    // path so the other scans never pay its init guard.
-    thread_local std::vector<std::size_t> cascadeDist;
-    {
-        TRACE_SPAN("packed_rows.cascade");
-        cascadeDist.resize(count);
-        rowDistances(rows, rowWords, count, q, policy.cascadePrefix,
-                     fn, cascadeDist.data());
-        Keeper seeds = keep.fresh();
-        for (std::size_t row = 0; row < count; ++row)
-            if (cascadeDist[row] < seeds.cut())
-                seeds.add(row, cascadeDist[row]);
-        std::size_t maxSeed = 0;
-        seeds.visit([&](const RowMatch &m) {
-            maxSeed = std::max(
-                maxSeed, fn(rows + m.index * rowWords, q, prefix));
-        });
-        ceiling = maxSeed + 1;
-    }
-    TRACE_SPAN("packed_rows.refine");
-    scanAll(cascadeDist.data());
 }
 
 } // namespace
-
-const char *
-pruneModeName(PruneMode mode)
-{
-    switch (mode) {
-    case PruneMode::Auto:
-        return "auto";
-    case PruneMode::On:
-        return "on";
-    case PruneMode::Off:
-        return "off";
-    }
-    return "unknown";
-}
-
-bool
-parsePruneMode(const std::string &name, PruneMode *out)
-{
-    for (const PruneMode mode :
-         {PruneMode::Auto, PruneMode::On, PruneMode::Off}) {
-        if (name == pruneModeName(mode)) {
-            *out = mode;
-            return true;
-        }
-    }
-    return false;
-}
 
 PackedRows::PackedRows(std::size_t dim)
     : numBits(dim), rowWords(wordsFor(dim))
@@ -326,8 +168,9 @@ PackedRows::distances(const Hypervector &query, std::size_t prefix,
                       std::vector<std::size_t> &out) const
 {
     out.resize(rows());
-    rowDistances(data(), rowWords, rows(), query.data(), prefix,
-                 distance::active(), out.data());
+    const distance::HammingFn fn = distance::active();
+    for (std::size_t r = 0; r < rows(); ++r)
+        out[r] = fn(row(r), query.data(), prefix);
 }
 
 void
@@ -376,7 +219,6 @@ PackedRows::stagePrefixDistances(
 
 std::size_t
 PackedRows::nearest(const Hypervector &query, std::size_t prefix,
-                    const ScanPolicy &policy, ScanStats *stats,
                     std::size_t *bestDistance) const
 {
     if (rows() == 0)
@@ -384,8 +226,7 @@ PackedRows::nearest(const Hypervector &query, std::size_t prefix,
     assert(query.dim() == dim());
     assert(prefix <= dim());
     BestRow keep;
-    scanRows(data(), rowWords, rows(), query, prefix, policy, stats,
-             keep);
+    scanRows(data(), rowWords, rows(), query, prefix, keep);
     if (bestDistance != nullptr)
         *bestDistance = keep.best.distance;
     return keep.best.index;
@@ -393,8 +234,7 @@ PackedRows::nearest(const Hypervector &query, std::size_t prefix,
 
 void
 PackedRows::topK(const Hypervector &query, std::size_t prefix,
-                 std::size_t k, const ScanPolicy &policy,
-                 ScanStats *stats, std::vector<RowMatch> &out) const
+                 std::size_t k, std::vector<RowMatch> &out) const
 {
     out.clear();
     if (rows() == 0)
@@ -404,8 +244,7 @@ PackedRows::topK(const Hypervector &query, std::size_t prefix,
     if (k == 0)
         return;
     BestRows keep(std::min(k, rows()));
-    scanRows(data(), rowWords, rows(), query, prefix, policy, stats,
-             keep);
+    scanRows(data(), rowWords, rows(), query, prefix, keep);
     std::sort_heap(keep.heap.begin(), keep.heap.end(), worseMatch);
     out = std::move(keep.heap);
 }

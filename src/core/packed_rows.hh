@@ -11,23 +11,19 @@
  * hdham.model.v1 file; see core/model_file.hh), and every scan reads
  * the two the same way.
  *
- * The scan is one loop that keeps the k best rows seen so far (a
- * single slot for nearest(), a worse-first heap for topK()). A row
- * enters only with a distance strictly below both the keeper's cut
- * and a ceiling, so the ScanPolicy can reject rows without reading
- * all of their words:
+ * The scan is one loop, as in the hardware's full pass: the active
+ * tier's exact kernel counts every row's distance in full, and a
+ * keeper holds the k best rows seen so far (a single slot for
+ * nearest(), a worse-first heap for topK()). A row enters only with
+ * a distance strictly below the keeper's cut, so ties go to the
+ * lowest index.
  *
- *  - Early abandonment: the row's distance runs through the bounded
- *    kernel (distance::hammingBounded), which stops as soon as the
- *    running popcount reaches the bound. PruneMode picks when; Off
- *    never does.
- *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): every
- *    row is first scored on its leading cascadePrefix components,
- *    and the ceiling drops to one past the largest exact distance
- *    among the keeper-size best prefix rows. A row whose prefix
- *    distance already reaches the bound is skipped.
- *
- * The exactness argument is on nearest() and topK().
+ * No row is abandoned early: on the paper's workload a held-out
+ * sentence sits a median 4,106 of 10,000 bits from its language and
+ * 4,613 from the runner-up, so a losing row rarely falls behind soon
+ * enough to skip much of it, and the checks cost more than they save
+ * (README.md, "One exact scan"). A scan prefix below dim() is
+ * D-HAM's structured sampling.
  */
 
 #ifndef HDHAM_CORE_PACKED_ROWS_HH
@@ -35,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/hypervector.hh"
@@ -43,73 +38,13 @@
 namespace hdham
 {
 
-/** When a scan may use the early-abandon distance kernels. */
-enum class PruneMode
-{
-    /**
-     * Prune only while the running bound is tight enough that the
-     * expected word savings beat the bounded kernel's strip-check
-     * overhead (bound <= ~0.44 x prefix). Uniform random workloads
-     * -- whose best distance hovers near prefix/2 -- scan at full
-     * exact-kernel speed; skewed workloads prune aggressively.
-     */
-    Auto,
-    /** Always use the bounded kernel once a bound exists. */
-    On,
-    /**
-     * The same scan with the bounded kernel switched off: every row
-     * runs through the exact kernel, as the hardware's full pass.
-     */
-    Off,
-};
-
-/** Canonical lower-case name of @p mode ("auto", "on", "off"). */
-const char *pruneModeName(PruneMode mode);
-
 /**
- * Parse a prune-mode name ("auto", "on", "off") into @p out;
- * returns false (and leaves @p out alone) on anything else.
+ * Empty: the scan has one path. Kept because the end-to-end
+ * benchmark (perfbench/src/design_sweep.cc) still passes one to
+ * ham::Ham::setScanPolicy.
  */
-bool parsePruneMode(const std::string &name, PruneMode *out);
-
-/** How nearest()/topK() may skip row words. */
 struct ScanPolicy
 {
-    PruneMode prune = PruneMode::Auto;
-    /**
-     * Cascade stage width in components; 0 disables the cascade.
-     * Values >= the scan prefix also disable it (the "prefix" stage
-     * would be the full scan). Need not be word-aligned.
-     */
-    std::size_t cascadePrefix = 0;
-};
-
-/**
- * Work avoided by one pruned scan. rowsPruned and cascadeSurvivors
- * depend only on the distance values, so they are identical across
- * kernels and (summed per query) across thread counts; wordsSkipped
- * depends on where the active kernel places its strip checks and is
- * exactly reproducible only for a pinned kernel.
- */
-struct ScanStats
-{
-    /** Rows rejected without computing a full distance (abandoned
-     *  by the bounded kernel or filtered by the cascade prefix). */
-    std::size_t rowsPruned = 0;
-    /** Words of full-width distance work those rejections avoided
-     *  (relative to an exhaustive pass at the scan prefix). */
-    std::size_t wordsSkipped = 0;
-    /** Rows that survived the cascade prefix filter and entered the
-     *  refine stage (0 when the cascade is disabled). */
-    std::size_t cascadeSurvivors = 0;
-
-    ScanStats &operator+=(const ScanStats &other)
-    {
-        rowsPruned += other.rowsPruned;
-        wordsSkipped += other.wordsSkipped;
-        cascadeSurvivors += other.cascadeSurvivors;
-        return *this;
-    }
 };
 
 /** One ranked row of a topK() scan. */
@@ -214,44 +149,24 @@ class PackedRows
     /**
      * Index of the row with the minimum distance to @p query over
      * the first @p prefix components; ties resolve to the lowest
-     * index. Scans under @p policy, adds the work it avoided to
-     * @p stats and writes the winner's distance to @p bestDistance
-     * (both may be null). Runs on the caller and allocates nothing.
-     *
-     * Exactness: winner, distance and counters are bit-identical
-     * for every policy and kernel, and the winner and distance match
-     * an exhaustive scan. A row is rejected only when its distance
-     * reaches the bound: either the keeper's cut, a distance a row
-     * earlier in index order attains (the rejected row could at best
-     * tie it and would lose the lowest-index tie), or the ceiling,
-     * one past a distance some row attains (the rejected row is
-     * strictly worse). The bounded kernel is bound-exact -- it
-     * returns the true distance whenever that is below the bound --
-     * and a prefix distance lower-bounds the full distance, so
-     * neither abandonment nor the cascade rejects a row the bound
-     * admits.
+     * index. Writes the winner's distance to @p bestDistance (may be
+     * null). Every row's distance is counted in full through the
+     * active kernel, so winner and distance are the same for every
+     * kernel. Runs on the caller and allocates nothing.
      * @pre rows() > 0.
      */
     std::size_t nearest(const Hypervector &query, std::size_t prefix,
-                        const ScanPolicy &policy = {},
-                        ScanStats *stats = nullptr,
                         std::size_t *bestDistance = nullptr) const;
 
     /**
      * The @p k rows nearest to @p query over the first @p prefix
      * components, written to @p out sorted by ascending (distance,
-     * index) -- the same tie rule as nearest(). Returns all rows
-     * when k >= rows(). The same scan as nearest() with a k-slot
-     * keeper, so the same argument holds with k rows in place of
-     * one: a row rejected at the cut trails k earlier rows that are
-     * no farther, and one rejected at the cascade's ceiling (one
-     * past the largest exact distance among k seed rows) trails
-     * those k rows. @p stats as for nearest().
+     * index) -- the same tie rule as nearest(), and the same scan
+     * with a k-slot keeper. Returns all rows when k >= rows().
      * @pre rows() > 0.
      */
     void topK(const Hypervector &query, std::size_t prefix,
-              std::size_t k, const ScanPolicy &policy,
-              ScanStats *stats, std::vector<RowMatch> &out) const;
+              std::size_t k, std::vector<RowMatch> &out) const;
 
   private:
     /** First word of row @p r. */

@@ -122,7 +122,6 @@ MemorySnapshot::MemorySnapshot(AssociativeMemory &&ownedMem,
     : owned(std::move(ownedMem)), items(std::move(im)),
       levels(std::move(lm))
 {
-    owned->setScanPolicy(opts.policy);
     owned->attachMetrics(opts.sink);
     mem = &*owned;
 }
@@ -131,7 +130,6 @@ MemorySnapshot::MemorySnapshot(modelfile::ModelView &&mapped,
                                const Options &opts)
     : view(std::move(mapped))
 {
-    view->memory().setScanPolicy(opts.policy);
     view->memory().attachMetrics(opts.sink);
     // Side memories are materialized (copied out of the mapping) so
     // an encoder built on them never depends on page residency.
@@ -279,7 +277,6 @@ SnapshotBuilder::SnapshotBuilder(const MemorySnapshot &seedSnapshot,
         const std::size_t cls = trainable.addClass(am.labelOf(id));
         trainable.addSample(cls, am.vectorOf(id));
     }
-    policy = am.scanPolicy();
     sink = am.metricsSink();
     if (seedSnapshot.hasItemMemory())
         items = seedSnapshot.itemMemory();
@@ -353,13 +350,6 @@ SnapshotBuilder::assimilate(const Hypervector &hv,
 }
 
 void
-SnapshotBuilder::setScanPolicy(const ScanPolicy &p)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    policy = p;
-}
-
-void
 SnapshotBuilder::attachMetrics(metrics::QueryMetrics *m)
 {
     std::lock_guard<std::mutex> lock(mu);
@@ -400,7 +390,6 @@ SnapshotBuilder::buildLocked() const
 {
     AssociativeMemory am = trainable.snapshot();
     MemorySnapshot::Options opts;
-    opts.policy = policy;
     opts.sink = sink;
     return MemorySnapshot::fromMemory(std::move(am), opts, items,
                                       levels);

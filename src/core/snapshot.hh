@@ -21,7 +21,7 @@
  *    k+1, k+2, ...
  *  - Every query observes exactly one coherent snapshot. A pinned
  *    snapshot is immutable by construction: the class store, labels,
- *    scan policy and side memories were frozen before publication,
+ *    metrics sink and side memories were frozen before publication,
  *    so there is no torn state to observe. The swap is a single
  *    pointer exchange; a batch either sees the old store or the new
  *    one, never a mix.
@@ -34,8 +34,8 @@
  *    retirement beyond their own reference decrement.
  *
  * The writer side is SnapshotBuilder: per-class majority counters
- * (core/trainable_memory.hh) plus the policy/metrics configuration
- * every published snapshot is frozen with. Updates (addSample,
+ * (core/trainable_memory.hh) plus the metrics sink every published
+ * snapshot is frozen with. Updates (addSample,
  * assimilate) mutate only the builder's private counters; publish()
  * thresholds them into a fresh AssociativeMemory, wraps it in a
  * MemorySnapshot and swaps it in. No query path ever sees the
@@ -73,8 +73,6 @@ class SnapshotSource;
  */
 struct SnapshotOptions
 {
-    /** Scan policy every search on this snapshot uses. */
-    ScanPolicy policy;
     /**
      * Metrics sink the snapshot's searches feed (nullptr =
      * detached). Must outlive every reference to the snapshot.
@@ -114,8 +112,8 @@ void unref(Node *node);
 /**
  * Immutable snapshot of a servable memory: the frozen class store
  * (owned in RAM or mapped from an hdham.model.v1 file), its labels,
- * the scan policy and metrics sink it serves with, and the side
- * memories an encoder needs to turn raw inputs into queries.
+ * the metrics sink it serves with, and the side memories an encoder
+ * needs to turn raw inputs into queries.
  *
  * Everything observable is fixed before publication; afterwards the
  * object is only ever read, concurrently, until the last reference
@@ -359,9 +357,8 @@ class SnapshotSource
  * serving path, and it is never visible to a reader.
  *
  * Owns the per-class majority counters (a TrainableMemory) plus the
- * serving configuration (scan policy, metrics sink, and the side
- * memories of the seed snapshot) every published snapshot is frozen
- * with. All
+ * serving configuration (metrics sink, and the side memories of the
+ * seed snapshot) every published snapshot is frozen with. All
  * mutations -- new classes, training samples, reconsolidation-style
  * assimilation -- accumulate out-of-line; nothing is observable
  * until publish() thresholds the counters into a fresh
@@ -448,9 +445,6 @@ class SnapshotBuilder
                            const std::string &label,
                            std::size_t mergeThreshold);
 
-    /** Scan policy every published snapshot serves with. */
-    void setScanPolicy(const ScanPolicy &p);
-
     /**
      * Metrics sink every published snapshot feeds (must outlive all
      * published snapshots; nullptr detaches).
@@ -480,7 +474,6 @@ class SnapshotBuilder
 
     mutable std::mutex mu;
     TrainableMemory trainable;
-    ScanPolicy policy;
     metrics::QueryMetrics *sink = nullptr;
     std::optional<ItemMemory> items;
     std::optional<LevelItemMemory> levels;

@@ -124,16 +124,13 @@ class AHam : public Ham
     AHamConfig cfg;
     circuit::MultistageCurrentSum summer;
     /**
-     * Dense row store (the TCAM crossbar analogue). A-HAM cannot
-     * early-abandon individual rows the way the software memory
-     * does: every row's summed current feeds the LTA comparator
-     * tree, and the mirror/comparator noise stream consumes one draw
-     * per row in row order, so skipping a row would change both the
-     * comparison set and the random stream. The win here is the
-     * one-pass staged distance sweep (stagePrefixDistances): the
-     * stage boundaries -- ragged or not -- are resolved in a single
-     * pass over each row instead of one cumulative prefix pass per
-     * stage.
+     * Dense row store (the TCAM crossbar analogue). Every row's
+     * summed current feeds the LTA comparator tree, and the
+     * mirror/comparator noise stream consumes one draw per row in
+     * row order. The one-pass staged distance sweep
+     * (stagePrefixDistances) resolves the stage boundaries -- ragged
+     * or not -- in a single pass over each row instead of one
+     * cumulative prefix pass per stage.
      */
     PackedRows rows;
     /** Stage boundary bits: stageEnds[s] = min((s+1) * W, D). */

@@ -38,11 +38,9 @@ DHam::search(const Hypervector &query)
     // which is exactly PackedRows::nearest's tie rule.
     TRACE_SPAN("d_ham.search");
     HamResult result;
-    ScanStats stats;
-    result.classId =
-        rows.nearest(query, cfg.effectiveDim(), policy,
-                     sink ? &stats : nullptr, &result.reportedDistance);
-    recordScans(1, stats);
+    result.classId = rows.nearest(query, cfg.effectiveDim(),
+                                  &result.reportedDistance);
+    recordScans(1);
     return result;
 }
 
@@ -52,35 +50,29 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
 {
     batch::requireStored(rows.rows(), "DHam");
     const std::size_t prefix = cfg.effectiveDim();
-    const auto kernel = [&](std::size_t q, ScanStats &stats) {
+    const auto kernel = [&](std::size_t q, batch::NoTally &) {
         assert(queries[q].dim() == cfg.dim);
         HamResult result;
-        result.classId = rows.nearest(queries[q], prefix, policy,
-                                      sink ? &stats : nullptr,
-                                      &result.reportedDistance);
+        result.classId =
+            rows.nearest(queries[q], prefix, &result.reportedDistance);
         return result;
     };
-    const auto newTally = [] { return ScanStats{}; };
-    const auto merge = [&](const ScanStats &stats, std::size_t begin,
-                           std::size_t end) {
-        recordScans(end - begin, stats);
-    };
+    const auto newTally = [] { return batch::NoTally{}; };
+    const auto merge = [&](const batch::NoTally &, std::size_t begin,
+                           std::size_t end) { recordScans(end - begin); };
     return batch::run<HamResult>({"d_ham.batch", "d_ham.chunk"},
                                  queries.size(), threads, sink,
                                  newTally, kernel, merge);
 }
 
 void
-DHam::recordScans(std::size_t queries, const ScanStats &stats) const
+DHam::recordScans(std::size_t queries) const
 {
     if (!sink)
         return;
     sink->queries.add(queries);
     sink->rowsScanned.add(queries * rows.rows());
     sink->bitsSampled.add(queries * cfg.effectiveDim());
-    sink->rowsPruned.add(stats.rowsPruned);
-    sink->wordsSkipped.add(stats.wordsSkipped);
-    sink->cascadeSurvivors.add(stats.cascadeSurvivors);
 }
 
 } // namespace hdham::ham

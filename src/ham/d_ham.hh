@@ -70,32 +70,17 @@ class DHam : public Ham
 
     const DHamConfig &config() const { return cfg; }
 
-    /**
-     * Set the scan policy (bound pruning / sampled-prefix cascade;
-     * see PackedRows). Results stay bit-identical under every
-     * policy; only the amount of scan work changes, traced or not.
-     * PruneMode::Off is the full array pass the hardware performs.
-     */
-    void setScanPolicy(const ScanPolicy &p) override { policy = p; }
-
-    /** The active scan policy. */
-    const ScanPolicy &scanPolicy() const { return policy; }
-
     /** Reserve capacity for @p n more store() calls. */
     void reserve(std::size_t n) override { rows.reserve(n); }
 
   private:
-    /**
-     * Add @p queries full scans, and the work @p stats says they
-     * avoided, to the attached sink (no-op when detached).
-     */
-    void recordScans(std::size_t queries, const ScanStats &stats) const;
+    /** Add @p queries full scans to the attached sink (no-op when
+     *  detached). */
+    void recordScans(std::size_t queries) const;
 
     DHamConfig cfg;
     /** Dense row store: the software analogue of the CAM array. */
     PackedRows rows;
-    /** How the scan may skip row words. */
-    ScanPolicy policy;
 };
 
 } // namespace hdham::ham

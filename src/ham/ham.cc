@@ -49,7 +49,6 @@ Ham::bindSnapshot(snapshot::SnapshotRef ref)
                                "per snapshot");
     bound = std::move(ref);
     loadFrom(bound->memory());
-    setScanPolicy(bound->memory().scanPolicy());
     attachMetrics(bound->memory().metricsSink());
 }
 

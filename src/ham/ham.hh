@@ -95,12 +95,12 @@ class Ham
     /**
      * Bind the design's read path to one published snapshot: pin it
      * (keeping a mapped model's file mapping alive for the design's
-     * lifetime), load its classes, and adopt its scan policy and
-     * metrics sink. The design then serves exactly that snapshot --
-     * later publishes never bleed into a bound engine; rebind a
-     * fresh design to pick up a new snapshot. This is the engines'
-     * end of the refactor: a design is handed an immutable pinned
-     * store, never a raw mutable one.
+     * lifetime), load its classes, and adopt its metrics sink. The
+     * design then serves exactly that snapshot -- later publishes
+     * never bleed into a bound engine; rebind a fresh design to pick
+     * up a new snapshot. This is the engines' end of the refactor: a
+     * design is handed an immutable pinned store, never a raw
+     * mutable one.
      * @pre ref pins a snapshot and the design is still empty
      *      (size() == 0); violations throw std::logic_error.
      */
@@ -128,17 +128,9 @@ class Ham
     /** The attached metrics sink, or nullptr. */
     metrics::QueryMetrics *metricsSink() const { return sink; }
 
-    /**
-     * Set the scan policy (bound pruning / sampled-prefix cascade;
-     * see PackedRows) for designs whose distance computation is a
-     * sequential, deterministic word scan. Only D-HAM overrides
-     * this: R-HAM senses every active block of a row concurrently
-     * and draws stochastic per-row noise in row order, and A-HAM
-     * feeds every row's current into the LTA tree, so neither can
-     * skip rows or words without changing its modeled behavior (see
-     * r_ham.hh / a_ham.hh). The default ignores the policy.
-     */
-    virtual void setScanPolicy(const ScanPolicy &) {}
+    /** No-op: the scan has one path. Kept because the end-to-end
+     *  benchmark (perfbench/src/design_sweep.cc) still calls it. */
+    void setScanPolicy(const ScanPolicy &) {}
 
     /**
      * Reserve capacity for @p n more store() calls so bulk loading

@@ -32,19 +32,6 @@
  * across words; other widths count block by block. Both give the
  * same exact histogram, and the noise draws read nothing else, so
  * every sensed distance is the same whichever way it was counted.
- *
- * Why R-HAM has no bound-pruned scan path: the hardware senses every
- * active block of every row concurrently -- match-line discharge is
- * a physical event, not a sequential word loop, so there is no
- * "remaining words" to abandon once a row falls behind. The model
- * mirrors that: per-row sensing draws stochastic mis-sense counts
- * from the noise stream in block order, so skipping a hopeless row
- * would desynchronize the RNG substream and change every subsequent
- * row's sensed distances -- the results would no longer be
- * bit-identical to the hardware-faithful exhaustive scan. Pruning
- * here lives only in the software oracle and D-HAM (see
- * PackedRows::nearest), whose distance computations are exact and
- * deterministic.
  */
 
 #ifndef HDHAM_HAM_R_HAM_HH

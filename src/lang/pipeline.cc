@@ -56,25 +56,37 @@ Evaluation::macroF1() const
 }
 
 Evaluation
-scorePredictions(const std::vector<LabeledQuery> &queries,
+scorePredictions(const std::vector<std::size_t> &truth,
                  std::size_t numClasses,
                  const std::vector<std::size_t> &predictions)
 {
-    if (predictions.size() != queries.size())
+    if (predictions.size() != truth.size())
         throw std::invalid_argument("scorePredictions: one prediction "
                                     "per query required");
     Evaluation eval;
     eval.confusion.assign(numClasses,
                           std::vector<std::size_t>(numClasses, 0));
-    for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (std::size_t q = 0; q < truth.size(); ++q) {
         const std::size_t predicted = predictions[q];
         assert(predicted < numClasses);
-        ++eval.confusion[queries[q].trueLang][predicted];
-        if (predicted == queries[q].trueLang)
+        ++eval.confusion[truth[q]][predicted];
+        if (predicted == truth[q])
             ++eval.correct;
         ++eval.total;
     }
     return eval;
+}
+
+Evaluation
+scorePredictions(const std::vector<LabeledQuery> &queries,
+                 std::size_t numClasses,
+                 const std::vector<std::size_t> &predictions)
+{
+    std::vector<std::size_t> truth;
+    truth.reserve(queries.size());
+    for (const LabeledQuery &query : queries)
+        truth.push_back(query.trueLang);
+    return scorePredictions(truth, numClasses, predictions);
 }
 
 RecognitionPipeline::RecognitionPipeline(const SyntheticCorpus &corpus,
@@ -101,16 +113,14 @@ RecognitionPipeline::RecognitionPipeline(const SyntheticCorpus &corpus,
 
     // Testing: encode every sentence once.
     TRACE_SPAN("lang.encode");
-    tests.reserve(corpus.totalTestSentences());
+    encodedQueries.reserve(corpus.totalTestSentences());
+    trueClasses.reserve(corpus.totalTestSentences());
     for (std::size_t lang = 0; lang < numLanguages; ++lang) {
         for (const auto &sentence : corpus.testSentences(lang)) {
-            tests.push_back(
-                LabeledQuery{encoder.encode(sentence, rng), lang});
+            encodedQueries.push_back(encoder.encode(sentence, rng));
+            trueClasses.push_back(lang);
         }
     }
-    encodedQueries.reserve(tests.size());
-    for (const LabeledQuery &test : tests)
-        encodedQueries.push_back(test.vector);
 }
 
 void
@@ -140,15 +150,15 @@ RecognitionPipeline::evaluate(
     const
 {
     std::vector<std::size_t> predictions;
-    predictions.reserve(tests.size());
+    predictions.reserve(encodedQueries.size());
     {
         TRACE_SPAN("lang.query");
-        for (const auto &query : tests)
-            predictions.push_back(classify(query.vector));
+        for (const Hypervector &query : encodedQueries)
+            predictions.push_back(classify(query));
     }
     TRACE_SPAN("lang.decide");
     const Evaluation eval =
-        scorePredictions(tests, numLanguages, predictions);
+        scorePredictions(trueClasses, numLanguages, predictions);
     recordEvaluation(eval);
     return eval;
 }
@@ -164,7 +174,7 @@ RecognitionPipeline::evaluateBatch(const BatchClassifier &classify)
     }
     TRACE_SPAN("lang.decide");
     const Evaluation eval =
-        scorePredictions(tests, numLanguages, predictions);
+        scorePredictions(trueClasses, numLanguages, predictions);
     recordEvaluation(eval);
     return eval;
 }
@@ -183,7 +193,7 @@ RecognitionPipeline::evaluateExact(std::size_t threads) const
     for (const SearchResult &result : results)
         predictions.push_back(result.classId);
     const Evaluation eval =
-        scorePredictions(tests, numLanguages, predictions);
+        scorePredictions(trueClasses, numLanguages, predictions);
     recordEvaluation(eval);
     return eval;
 }

@@ -42,7 +42,7 @@ struct PipelineConfig
     std::uint64_t seed = 0x6864632d73656564ULL; // "hdc-seed"
 };
 
-/** A cached, encoded test sentence with its ground-truth language. */
+/** An encoded query with its ground-truth class id. */
 struct LabeledQuery
 {
     Hypervector vector;
@@ -89,12 +89,16 @@ struct Evaluation
 };
 
 /**
- * Score a vector of predicted class ids (one per labeled query, in
- * order) against the ground truth. The shared back half of every
- * evaluate path, so the sequential and batched front ends cannot
- * disagree on metrics.
+ * Score predicted class ids against the true ones, query by query.
+ * The shared back half of every evaluate path, so the sequential and
+ * batched front ends cannot disagree on metrics.
  * @throws std::invalid_argument when the sizes differ.
  */
+Evaluation scorePredictions(const std::vector<std::size_t> &truth,
+                            std::size_t numClasses,
+                            const std::vector<std::size_t> &predictions);
+
+/** The same, with the true class of each query in trueLang. */
 Evaluation scorePredictions(const std::vector<LabeledQuery> &queries,
                             std::size_t numClasses,
                             const std::vector<std::size_t> &predictions);
@@ -134,16 +138,19 @@ class RecognitionPipeline
     /** The trigram encoder. */
     const Encoder &textEncoder() const { return encoder; }
 
-    /** Cached encoded test set. */
-    const std::vector<LabeledQuery> &queries() const { return tests; }
-
     /**
-     * The bare query hypervectors, in the same order as queries().
-     * This is the batch a BatchClassifier receives.
+     * The cached encoded test set. This is the batch a
+     * BatchClassifier receives.
      */
     const std::vector<Hypervector> &queryVectors() const
     {
         return encodedQueries;
+    }
+
+    /** The true language id of each query, in queryVectors() order. */
+    const std::vector<std::size_t> &queryClasses() const
+    {
+        return trueClasses;
     }
 
     /**
@@ -186,9 +193,8 @@ class RecognitionPipeline
     ItemMemory items;
     Encoder encoder;
     AssociativeMemory am;
-    std::vector<LabeledQuery> tests;
-    /** tests[i].vector copied out once, batch-search ready. */
     std::vector<Hypervector> encodedQueries;
+    std::vector<std::size_t> trueClasses;
     /** Optional observability sink; never owned. */
     metrics::ClassificationMetrics *clsSink = nullptr;
 };

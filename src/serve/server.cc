@@ -128,7 +128,6 @@ Server::loadModel(const std::string &path)
     }
 
     snapshot::MemorySnapshot::Options sopts;
-    sopts.policy = cfg.policy;
     sopts.sink = &queryMetrics;
     std::unique_ptr<snapshot::MemorySnapshot> snap =
         std::move(model).intoSnapshot(sopts);

@@ -57,8 +57,6 @@ struct ServerConfig
     std::size_t threads = 1;
     /** Verify model checksums on load. */
     bool verifyChecksums = true;
-    /** Scan policy frozen into every served snapshot. */
-    ScanPolicy policy;
     /** Collect trace spans and answer Trace requests. */
     bool trace = false;
 };

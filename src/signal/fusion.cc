@@ -153,18 +153,11 @@ FusionPipeline::evaluateAgainst(
     const AssociativeMemory &am,
     const std::vector<lang::LabeledQuery> &queries) const
 {
-    lang::Evaluation eval;
-    eval.confusion.assign(
-        numActivities, std::vector<std::size_t>(numActivities, 0));
-    for (const auto &query : queries) {
-        const std::size_t predicted =
-            am.search(query.vector).classId;
-        ++eval.confusion[query.trueLang][predicted];
-        if (predicted == query.trueLang)
-            ++eval.correct;
-        ++eval.total;
-    }
-    return eval;
+    std::vector<std::size_t> predictions;
+    predictions.reserve(queries.size());
+    for (const lang::LabeledQuery &query : queries)
+        predictions.push_back(am.search(query.vector).classId);
+    return lang::scorePredictions(queries, numActivities, predictions);
 }
 
 lang::Evaluation

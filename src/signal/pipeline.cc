@@ -28,14 +28,12 @@ GesturePipeline::GesturePipeline(const EmgCorpus &corpus,
     }
 
     TRACE_SPAN("signal.encode");
-    tests.reserve(corpus.testSet().size());
+    encodedQueries.reserve(corpus.testSet().size());
+    trueClasses.reserve(corpus.testSet().size());
     for (const Recording &rec : corpus.testSet()) {
-        tests.push_back(
-            lang::LabeledQuery{enc.encode(rec, rng), rec.gesture});
+        encodedQueries.push_back(enc.encode(rec, rng));
+        trueClasses.push_back(rec.gesture);
     }
-    encodedQueries.reserve(tests.size());
-    for (const lang::LabeledQuery &test : tests)
-        encodedQueries.push_back(test.vector);
 }
 
 void
@@ -65,15 +63,15 @@ GesturePipeline::evaluate(
     const
 {
     std::vector<std::size_t> predictions;
-    predictions.reserve(tests.size());
+    predictions.reserve(encodedQueries.size());
     {
         TRACE_SPAN("signal.query");
-        for (const auto &query : tests)
-            predictions.push_back(classify(query.vector));
+        for (const Hypervector &query : encodedQueries)
+            predictions.push_back(classify(query));
     }
     TRACE_SPAN("signal.decide");
     const lang::Evaluation eval =
-        lang::scorePredictions(tests, numGestures, predictions);
+        lang::scorePredictions(trueClasses, numGestures, predictions);
     recordEvaluation(eval);
     return eval;
 }
@@ -89,7 +87,7 @@ GesturePipeline::evaluateBatch(const lang::BatchClassifier &classify)
     }
     TRACE_SPAN("signal.decide");
     const lang::Evaluation eval =
-        lang::scorePredictions(tests, numGestures, predictions);
+        lang::scorePredictions(trueClasses, numGestures, predictions);
     recordEvaluation(eval);
     return eval;
 }
@@ -108,7 +106,7 @@ GesturePipeline::evaluateExact(std::size_t threads) const
     for (const SearchResult &result : results)
         predictions.push_back(result.classId);
     const lang::Evaluation eval =
-        lang::scorePredictions(tests, numGestures, predictions);
+        lang::scorePredictions(trueClasses, numGestures, predictions);
     recordEvaluation(eval);
     return eval;
 }

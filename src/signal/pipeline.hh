@@ -24,7 +24,7 @@ namespace hdham::signal
 
 /**
  * Trains one gesture hypervector per class and caches the encoded
- * test set. Reuses lang::Evaluation / lang::LabeledQuery so the
+ * test set. Reuses lang::Evaluation / lang::scorePredictions so the
  * evaluation plumbing is shared between the two applications.
  */
 class GesturePipeline
@@ -39,19 +39,19 @@ class GesturePipeline
     /** The spatiotemporal encoder. */
     const SpatioTemporalEncoder &encoder() const { return enc; }
 
-    /** Cached encoded test set. */
-    const std::vector<lang::LabeledQuery> &queries() const
-    {
-        return tests;
-    }
-
     /**
-     * The bare query hypervectors, in the same order as queries().
-     * This is the batch a lang::BatchClassifier receives.
+     * The cached encoded test set. This is the batch a
+     * lang::BatchClassifier receives.
      */
     const std::vector<Hypervector> &queryVectors() const
     {
         return encodedQueries;
+    }
+
+    /** The true gesture id of each query, in queryVectors() order. */
+    const std::vector<std::size_t> &queryClasses() const
+    {
+        return trueClasses;
     }
 
     /** Evaluate an arbitrary classifier over the cached queries. */
@@ -90,9 +90,8 @@ class GesturePipeline
     std::size_t numGestures;
     SpatioTemporalEncoder enc;
     AssociativeMemory am;
-    std::vector<lang::LabeledQuery> tests;
-    /** tests[i].vector copied out once, batch-search ready. */
     std::vector<Hypervector> encodedQueries;
+    std::vector<std::size_t> trueClasses;
     /** Optional observability sink; never owned. */
     metrics::ClassificationMetrics *clsSink = nullptr;
 };

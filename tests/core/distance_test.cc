@@ -5,13 +5,10 @@
  * kernel except the scalar oracle -- must return the exact same
  * integer count as a naive bit loop, for randomized ragged widths
  * where `bits` is not a multiple of the word or vector size and the
- * final word carries garbage padding beyond `bits`. The bounded
- * (early-abandon) forms must be bound-exact (the true distance d
- * when d < bound, kAbandoned otherwise -- never a partial count),
- * which also makes kAbandoned independent of where a backend places
- * its strip checks. Every backend's count kernel must add a
- * per-component ones-count to the counts it is given, and its
- * majority kernel must give the greater and tie masks of one.
+ * final word carries garbage padding beyond `bits`. Every backend's
+ * count kernel must add a per-component ones-count to the counts it
+ * is given, and its majority kernel must give the greater and tie
+ * masks of one.
  *
  * Also pins the dispatch rules: resolution order (env override ->
  * widest-supported probe), the one-time warning for an invalid
@@ -154,84 +151,6 @@ TEST(DistanceKernelTest, EveryRegisteredKernelMatchesScalarOracle)
                                             bits))
                     << entry.name << " bits = " << bits << ", rep "
                     << rep;
-            }
-        }
-    }
-}
-
-TEST(DistanceKernelTest,
-     EveryRegisteredBoundedKernelIsBoundExact)
-{
-    // The bound-exact contract behind every pruning proof: the
-    // bounded form returns the exact distance iff it is strictly
-    // below the bound, and the sentinel otherwise -- never a
-    // partial count. Randomized bounds straddle the exact distance
-    // so both sides of the contract are exercised at every width.
-    Rng rng(33);
-    for (const KernelEntry &entry : distance::kernels()) {
-        if (!entry.usable()) {
-            std::printf("note: kernel '%s' not available on this "
-                        "host (%s); bounded-form check skipped\n",
-                        entry.name, entry.requirement);
-            continue;
-        }
-        for (const std::size_t bits : raggedWidths(rng)) {
-            const auto a = randomWords(bits, rng);
-            const auto b = randomWords(bits, rng);
-            const std::size_t exact =
-                distance::scalarHamming(a.data(), b.data(), bits);
-            const std::size_t totalWords = (bits + 63) / 64;
-            std::vector<std::size_t> bounds = {
-                1, exact, exact + 1, bits + 1};
-            bounds.push_back(1 + rng.next() % (bits + 1));
-            for (const std::size_t bound : bounds) {
-                std::size_t wordsRead = 0;
-                const std::size_t got = entry.bounded(
-                    a.data(), b.data(), bits, bound, &wordsRead);
-                if (exact < bound) {
-                    EXPECT_EQ(got, exact)
-                        << entry.name << " bits " << bits
-                        << " bound " << bound;
-                    EXPECT_EQ(wordsRead, totalWords)
-                        << entry.name << " bits " << bits;
-                } else {
-                    EXPECT_EQ(got, distance::kAbandoned)
-                        << entry.name << " bits " << bits
-                        << " bound " << bound;
-                }
-                EXPECT_LE(wordsRead, totalWords)
-                    << entry.name << " bits " << bits;
-            }
-        }
-    }
-}
-
-TEST(DistanceKernelTest, AbandonmentIsStripPlacementIndependent)
-{
-    // kAbandoned-vs-count must agree across every pair of backends
-    // for the same inputs and bound: because popcounts only grow,
-    // whether d < bound is a fact about the data, not about where a
-    // kernel placed its strip checks. (wordsRead may differ; the
-    // returned value may not.)
-    Rng rng(44);
-    const auto entries = usableEntries();
-    for (const std::size_t bits : raggedWidths(rng)) {
-        const auto a = randomWords(bits, rng);
-        const auto b = randomWords(bits, rng);
-        const std::size_t exact =
-            distance::scalarHamming(a.data(), b.data(), bits);
-        for (const std::size_t bound :
-             {std::size_t{1}, exact, exact + 1, bits + 1,
-              1 + rng.next() % (bits + 1)}) {
-            std::size_t wordsRead = 0;
-            const std::size_t want = distance::scalarHammingBounded(
-                a.data(), b.data(), bits, bound, &wordsRead);
-            for (const KernelEntry *entry : entries) {
-                const std::size_t got = entry->bounded(
-                    a.data(), b.data(), bits, bound, &wordsRead);
-                EXPECT_EQ(got, want)
-                    << entry->name << " bits " << bits << " bound "
-                    << bound;
             }
         }
     }
@@ -409,11 +328,6 @@ TEST(DistanceDispatchTest, EveryUsableKernelServesHamming)
         EXPECT_STREQ(distance::activeKernelName(), entry->name);
         EXPECT_EQ(distance::hamming(a.data(), b.data(), 4099), want)
             << entry->name;
-        std::size_t wordsRead = 0;
-        EXPECT_EQ(distance::hammingBounded(a.data(), b.data(), 4099,
-                                           4100, &wordsRead),
-                  want)
-            << entry->name;
     }
     distance::setKernelByName("auto");
     // Auto must land on the widest usable backend (the last
@@ -431,7 +345,6 @@ TEST(DistanceDispatchTest, RegistryNamesAreUniqueAndLookUp)
             << "duplicate kernel name " << entry.name;
         EXPECT_EQ(distance::findKernel(entry.name), &entry);
         EXPECT_NE(entry.fn, nullptr) << entry.name;
-        EXPECT_NE(entry.bounded, nullptr) << entry.name;
         EXPECT_NE(entry.countBlock, nullptr) << entry.name;
         EXPECT_NE(entry.majority, nullptr) << entry.name;
         EXPECT_NE(distance::kernelNameList().find(entry.name),
@@ -451,7 +364,6 @@ TEST(DistanceDispatchTest, ScalarKernelsAlwaysRegisteredAndUsable)
     ASSERT_NE(scalar, nullptr);
     EXPECT_TRUE(scalar->usable());
     EXPECT_EQ(scalar->fn, &distance::scalarHamming);
-    EXPECT_EQ(scalar->bounded, &distance::scalarHammingBounded);
 }
 
 TEST(DistanceDispatchTest, CompiledAndAvailableListsAreConsistent)

@@ -1,11 +1,11 @@
 /**
  * @file
  * Save -> mmap-load round-trip property: for random models at both a
- * ragged and an aligned dimensionality, and every scan policy, the
- * mapped view answers nearest / top-k / batched searches
- * bit-identically to the in-RAM original -- and drives the pruning
- * counters to the exact same values, since the counters are part of
- * the documented determinism contract.
+ * ragged and an aligned dimensionality, the mapped view answers
+ * nearest / top-k / batched searches bit-identically to the in-RAM
+ * original -- and drives the scan counters to the exact same values,
+ * since the counters are part of the documented determinism
+ * contract.
  *
  * The suite runs twice in ctest: once under the default runtime
  * kernel dispatch and once pinned to the scalar kernel
@@ -33,25 +33,11 @@ namespace
 
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
-using hdham::PruneMode;
 using hdham::RankedMatch;
 using hdham::Rng;
-using hdham::ScanPolicy;
 using hdham::SearchResult;
 namespace metrics = hdham::metrics;
 namespace modelfile = hdham::modelfile;
-
-std::vector<ScanPolicy>
-scanPolicies()
-{
-    ScanPolicy off;
-    off.prune = PruneMode::Off;
-    ScanPolicy on;
-    on.prune = PruneMode::On;
-    on.cascadePrefix = 128;
-    ScanPolicy autoPolicy; // Auto, no cascade
-    return {off, autoPolicy, on};
-}
 
 AssociativeMemory
 buildModel(std::size_t dim, std::size_t classes, Rng &rng)
@@ -83,27 +69,11 @@ expectSameResult(const SearchResult &got, const SearchResult &want,
     EXPECT_EQ(got.bestDistance, want.bestDistance) << where;
 }
 
-/** Counter snapshot for the determinism comparison. */
-struct Counters
-{
-    std::uint64_t scanned;
-    std::uint64_t pruned;
-    std::uint64_t skipped;
-    std::uint64_t survivors;
-};
-
-Counters
-snapshot(const metrics::QueryMetrics &m)
-{
-    return {m.rowsScanned.value(), m.rowsPruned.value(),
-            m.wordsSkipped.value(), m.cascadeSurvivors.value()};
-}
-
 TEST(ModelRoundTripPropertyTest, MappedSearchesAreBitIdentical)
 {
     Rng rng(0x50F7C0DEULL);
     for (const std::size_t dim : {250u, 1000u}) {
-        const std::string where0 = "d" + std::to_string(dim);
+        const std::string where = "d" + std::to_string(dim);
         const AssociativeMemory am = buildModel(dim, 17, rng);
         const std::string path =
             savedTo("rt_" + std::to_string(dim) + ".hdc", am);
@@ -116,66 +86,59 @@ TEST(ModelRoundTripPropertyTest, MappedSearchesAreBitIdentical)
         for (int q = 0; q < 24; ++q)
             queries.push_back(Hypervector::random(dim, rng));
 
-        for (const ScanPolicy &policy : scanPolicies()) {
-            AssociativeMemory reference = am;
-            reference.setScanPolicy(policy);
-            view.memory().setScanPolicy(policy);
-            const std::string where =
-                where0 + "/prune=" +
-                hdham::pruneModeName(policy.prune);
+        AssociativeMemory reference = am;
 
-            metrics::QueryMetrics ramMetrics;
-            metrics::QueryMetrics mapMetrics;
-            reference.attachMetrics(&ramMetrics);
-            view.memory().attachMetrics(&mapMetrics);
+        metrics::QueryMetrics ramMetrics;
+        metrics::QueryMetrics mapMetrics;
+        reference.attachMetrics(&ramMetrics);
+        view.memory().attachMetrics(&mapMetrics);
 
-            for (const auto &query : queries) {
-                expectSameResult(view.memory().search(query),
-                                 reference.search(query),
-                                 where + "/search");
-                const auto wantTop =
-                    reference.searchTopK(query, 5);
-                const auto gotTop =
-                    view.memory().searchTopK(query, 5);
-                ASSERT_EQ(gotTop.size(), wantTop.size());
-                for (std::size_t i = 0; i < wantTop.size();
-                     ++i) {
-                    EXPECT_EQ(gotTop[i].classId,
-                              wantTop[i].classId)
-                        << where << "/topk[" << i << "]";
-                    EXPECT_EQ(gotTop[i].distance,
-                              wantTop[i].distance)
-                        << where << "/topk[" << i << "]";
-                }
+        for (const auto &query : queries) {
+            expectSameResult(view.memory().search(query),
+                             reference.search(query),
+                             where + "/search");
+            const auto wantTop =
+                reference.searchTopK(query, 5);
+            const auto gotTop =
+                view.memory().searchTopK(query, 5);
+            ASSERT_EQ(gotTop.size(), wantTop.size());
+            for (std::size_t i = 0; i < wantTop.size();
+                 ++i) {
+                EXPECT_EQ(gotTop[i].classId,
+                          wantTop[i].classId)
+                    << where << "/topk[" << i << "]";
+                EXPECT_EQ(gotTop[i].distance,
+                          wantTop[i].distance)
+                    << where << "/topk[" << i << "]";
             }
-            for (const std::size_t threads : {1u, 4u}) {
-                const auto want =
-                    reference.searchBatch(queries, threads);
-                const auto got =
-                    view.memory().searchBatch(queries, threads);
-                ASSERT_EQ(got.size(), want.size());
-                for (std::size_t i = 0; i < want.size(); ++i)
-                    expectSameResult(
-                        got[i], want[i],
-                        where + "/batch[" +
-                            std::to_string(i) + "]x" +
-                            std::to_string(threads));
-            }
-
-            // The pruning counters are part of the determinism
-            // contract: same policy + same queries must do exactly
-            // the same scan work, mapped or not.
-            const Counters ram = snapshot(ramMetrics);
-            const Counters map = snapshot(mapMetrics);
-            EXPECT_EQ(map.scanned, ram.scanned) << where;
-            EXPECT_EQ(map.pruned, ram.pruned) << where;
-            EXPECT_EQ(map.skipped, ram.skipped) << where;
-            EXPECT_EQ(map.survivors, ram.survivors) << where;
-            EXPECT_GT(ram.scanned, 0u) << where;
-
-            reference.attachMetrics(nullptr);
-            view.memory().attachMetrics(nullptr);
         }
+        for (const std::size_t threads : {1u, 4u}) {
+            const auto want =
+                reference.searchBatch(queries, threads);
+            const auto got =
+                view.memory().searchBatch(queries, threads);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i)
+                expectSameResult(
+                    got[i], want[i],
+                    where + "/batch[" +
+                        std::to_string(i) + "]x" +
+                        std::to_string(threads));
+        }
+
+        // The scan counters are part of the determinism
+        // contract: the same queries must do exactly the same
+        // scan work, mapped or not.
+        EXPECT_EQ(mapMetrics.queries.value(),
+                  ramMetrics.queries.value())
+            << where;
+        EXPECT_EQ(mapMetrics.rowsScanned.value(),
+                  ramMetrics.rowsScanned.value())
+            << where;
+        EXPECT_GT(ramMetrics.rowsScanned.value(), 0u) << where;
+
+        reference.attachMetrics(nullptr);
+        view.memory().attachMetrics(nullptr);
 
         // Detailed search (full distance vector) from the map.
         const auto wantDetail =
@@ -183,12 +146,12 @@ TEST(ModelRoundTripPropertyTest, MappedSearchesAreBitIdentical)
         const auto gotDetail =
             view.memory().searchDetailed(queries.front());
         EXPECT_EQ(gotDetail.distances, wantDetail.distances)
-            << where0;
+            << where;
         EXPECT_EQ(gotDetail.margin(), wantDetail.margin())
-            << where0;
+            << where;
         EXPECT_EQ(view.memory().minPairwiseDistance(),
                   am.minPairwiseDistance())
-            << where0;
+            << where;
 
         std::remove(path.c_str());
     }

@@ -130,7 +130,7 @@ TEST(PackedRowsTest, NearestAgreesWithAssociativeMemory)
         const Hypervector query = Hypervector::random(dim, rng);
         std::size_t best = 0;
         const std::size_t winner =
-            rows.nearest(query, dim, {}, nullptr, &best);
+            rows.nearest(query, dim, &best);
         const auto expect = oracle.search(query);
         EXPECT_EQ(winner, expect.classId);
         EXPECT_EQ(best, expect.bestDistance);

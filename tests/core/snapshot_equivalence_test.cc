@@ -3,12 +3,12 @@
  * Snapshot bit-identity suite: the refactored read path must be
  * indistinguishable from the pre-refactor direct-engine path.
  *
- * For every scan policy, queries served
- * through a pinned MemorySnapshot (published via SnapshotBuilder ->
- * SnapshotSource) return the same winners, distances, rankings AND
- * the same pruning/metrics counters as an AssociativeMemory driven
- * directly -- the snapshot layer adds ownership semantics, never
- * different arithmetic. Runs once under the ambient kernel and once
+ * Queries served through a pinned MemorySnapshot (published via
+ * SnapshotBuilder -> SnapshotSource) return the same winners,
+ * distances, rankings AND the same metrics counters as an
+ * AssociativeMemory driven directly, at every batch worker count --
+ * the snapshot layer adds ownership semantics, never different
+ * arithmetic. Runs once under the ambient kernel and once
  * pinned to the scalar reference (see tests/CMakeLists.txt), like
  * the other equivalence gates.
  */
@@ -33,10 +33,8 @@ namespace
 
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
-using hdham::PruneMode;
 using hdham::RankedMatch;
 using hdham::Rng;
-using hdham::ScanPolicy;
 using hdham::SearchResult;
 using hdham::metrics::QueryMetrics;
 using hdham::snapshot::MemorySnapshot;
@@ -47,33 +45,7 @@ using hdham::snapshot::SnapshotSource;
 constexpr std::size_t kDim = 1024;
 constexpr std::size_t kClasses = 53;
 constexpr std::size_t kQueries = 24;
-constexpr std::size_t kCascade = 128;
 constexpr std::size_t kTopK = 5;
-
-struct GridPoint
-{
-    ScanPolicy policy;
-    std::string name;
-};
-
-std::vector<GridPoint>
-grid()
-{
-    std::vector<GridPoint> points;
-    for (const PruneMode prune :
-         {PruneMode::Off, PruneMode::On, PruneMode::Auto}) {
-        GridPoint plain;
-        plain.policy.prune = prune;
-        plain.name = "p" + std::to_string(static_cast<int>(prune));
-        points.push_back(plain);
-
-        GridPoint cascade = plain;
-        cascade.policy.cascadePrefix = kCascade;
-        cascade.name += "/cascade";
-        points.push_back(cascade);
-    }
-    return points;
-}
 
 AssociativeMemory
 testMemory()
@@ -117,18 +89,15 @@ counterValues(const QueryMetrics &m)
         {"queries", m.queries.value()},
         {"batches", m.batches.value()},
         {"rowsScanned", m.rowsScanned.value()},
-        {"rowsPruned", m.rowsPruned.value()},
     };
 }
 
-/** Pin a published snapshot built from `testMemory()` with @p g. */
+/** Pin a published snapshot built from `testMemory()`. */
 SnapshotRef
-publishGridSnapshot(SnapshotSource &source, const GridPoint &g,
-                    QueryMetrics *sink)
+publishTestSnapshot(SnapshotSource &source, QueryMetrics *sink)
 {
     SnapshotBuilder builder(
         *MemorySnapshot::fromMemory(testMemory()));
-    builder.setScanPolicy(g.policy);
     builder.attachMetrics(sink);
     builder.publish(source);
     return source.acquire();
@@ -137,21 +106,19 @@ publishGridSnapshot(SnapshotSource &source, const GridPoint &g,
 TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
 {
     const std::vector<Hypervector> queries = testQueries();
-    for (const GridPoint &g : grid()) {
-        SCOPED_TRACE(g.name);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
 
         // Direct pre-refactor path: a mutable memory configured in
         // place.
         QueryMetrics directSink;
         AssociativeMemory direct = testMemory();
-        direct.setScanPolicy(g.policy);
         direct.attachMetrics(&directSink);
 
         // Snapshot path: builder -> publish -> pin.
         QueryMetrics snapSink;
         SnapshotSource source;
-        const SnapshotRef pinned =
-            publishGridSnapshot(source, g, &snapSink);
+        const SnapshotRef pinned = publishTestSnapshot(source, &snapSink);
         ASSERT_TRUE(static_cast<bool>(pinned));
 
         for (const Hypervector &query : queries) {
@@ -172,10 +139,10 @@ TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
             }
         }
 
-        // Batched path, multi-threaded.
-        const auto wantBatch = direct.searchBatch(queries, 4);
+        // Batched path.
+        const auto wantBatch = direct.searchBatch(queries, threads);
         const auto gotBatch =
-            pinned->memory().searchBatch(queries, 4);
+            pinned->memory().searchBatch(queries, threads);
         ASSERT_EQ(gotBatch.size(), wantBatch.size());
         for (std::size_t i = 0; i < wantBatch.size(); ++i) {
             EXPECT_EQ(gotBatch[i].classId, wantBatch[i].classId);
@@ -183,8 +150,8 @@ TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
                       wantBatch[i].bestDistance);
         }
 
-        // The serving counters -- scanned, pruned, query and batch
-        // totals -- must agree exactly, not just the answers.
+        // The serving counters -- scanned, query and batch totals --
+        // must agree exactly, not just the answers.
         const auto want = counterValues(directSink);
         const auto got = counterValues(snapSink);
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -202,16 +169,13 @@ TEST(SnapshotEquivalenceTest, MappedModelMatchesDirectEngine)
     const AssociativeMemory original = testMemory();
     hdham::modelfile::save(path, original);
 
-    MemorySnapshot::Options opts;
-    opts.policy.prune = PruneMode::On;
     SnapshotSource source;
     source.publish(
-        hdham::modelload::LoadedModel::open(path).intoSnapshot(opts));
+        hdham::modelload::LoadedModel::open(path).intoSnapshot());
     const SnapshotRef pinned = source.acquire();
     EXPECT_TRUE(pinned->mapped());
 
-    AssociativeMemory direct = testMemory();
-    direct.setScanPolicy(opts.policy);
+    const AssociativeMemory direct = testMemory();
 
     for (const Hypervector &query : testQueries()) {
         const SearchResult want = direct.search(query);

@@ -34,9 +34,7 @@ namespace
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::ItemMemory;
-using hdham::PruneMode;
 using hdham::Rng;
-using hdham::ScanPolicy;
 using hdham::TrainableMemory;
 using hdham::modelload::LoadedModel;
 using hdham::snapshot::MemorySnapshot;
@@ -145,17 +143,13 @@ TEST(SnapshotSourceTest, PinnedRefOutlivesTheSource)
     EXPECT_EQ(SnapshotSource::liveSnapshots(), baseline);
 }
 
-TEST(SnapshotTest, FreezesPolicyAndSink)
+TEST(SnapshotTest, FreezesSink)
 {
     hdham::metrics::QueryMetrics sink;
     MemorySnapshot::Options opts;
-    opts.policy.prune = PruneMode::On;
-    opts.policy.cascadePrefix = 128;
     opts.sink = &sink;
     const auto snap =
         MemorySnapshot::fromMemory(randomMemory(5, 3), opts);
-    EXPECT_EQ(snap->memory().scanPolicy().prune, PruneMode::On);
-    EXPECT_EQ(snap->memory().scanPolicy().cascadePrefix, 128u);
     EXPECT_EQ(snap->memory().metricsSink(), &sink);
 
     Rng rng(11);

@@ -18,9 +18,7 @@ namespace
 
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
-using hdham::PruneMode;
 using hdham::Rng;
-using hdham::ScanPolicy;
 using hdham::metrics::QueryMetrics;
 using hdham::ham::DhamCycleModel;
 using hdham::lang::Evaluation;
@@ -82,7 +80,6 @@ TEST(TopKTest, CountsInTheMetricsSinkLikeSearch)
     Rng rng(3);
     for (int c = 0; c < 12; ++c)
         am.store(Hypervector::random(1024, rng));
-    am.setScanPolicy(ScanPolicy{PruneMode::On, 128});
     Hypervector query = am.vectorOf(5);
     query.injectErrors(50, rng);
 
@@ -96,13 +93,9 @@ TEST(TopKTest, CountsInTheMetricsSinkLikeSearch)
 
     EXPECT_EQ(viaTopK.queries.value(), 1u);
     EXPECT_EQ(viaTopK.rowsScanned.value(), 12u);
-    EXPECT_GT(viaTopK.rowsPruned.value(), 0u);
-    EXPECT_GT(viaTopK.cascadeSurvivors.value(), 0u);
-    EXPECT_EQ(viaTopK.rowsPruned.value(), viaSearch.rowsPruned.value());
-    EXPECT_EQ(viaTopK.wordsSkipped.value(),
-              viaSearch.wordsSkipped.value());
-    EXPECT_EQ(viaTopK.cascadeSurvivors.value(),
-              viaSearch.cascadeSurvivors.value());
+    EXPECT_EQ(viaTopK.queries.value(), viaSearch.queries.value());
+    EXPECT_EQ(viaTopK.rowsScanned.value(),
+              viaSearch.rowsScanned.value());
 }
 
 TEST(MarginTest, ComputesRunnerUpGap)

@@ -383,13 +383,11 @@ TEST(TraceTest, SummaryQuantilesArePinned)
 TEST(TraceTest, TracedDHamSearchMatchesUntraced)
 {
     // Tracing must change neither the answers nor the scan's work:
-    // under forced pruning both runs reject exactly the same rows.
+    // both runs count the same queries, rows and sampled bits.
     ham::DHamConfig cfg;
     cfg.dim = 512;
     ham::DHam untracedHam(cfg);
     ham::DHam tracedHam(cfg);
-    untracedHam.setScanPolicy(ScanPolicy{PruneMode::On, 0});
-    tracedHam.setScanPolicy(ScanPolicy{PruneMode::On, 0});
     metrics::QueryMetrics untracedMetrics;
     metrics::QueryMetrics tracedMetrics;
     untracedHam.attachMetrics(&untracedMetrics);
@@ -419,11 +417,13 @@ TEST(TraceTest, TracedDHamSearchMatchesUntraced)
                   expected[q].reportedDistance)
             << q;
     }
-    EXPECT_GT(untracedMetrics.rowsPruned.value(), 0u);
-    EXPECT_EQ(tracedMetrics.rowsPruned.value(),
-              untracedMetrics.rowsPruned.value());
-    EXPECT_EQ(tracedMetrics.wordsSkipped.value(),
-              untracedMetrics.wordsSkipped.value());
+    EXPECT_EQ(untracedMetrics.rowsScanned.value(), 32u * 16u);
+    EXPECT_EQ(tracedMetrics.queries.value(),
+              untracedMetrics.queries.value());
+    EXPECT_EQ(tracedMetrics.rowsScanned.value(),
+              untracedMetrics.rowsScanned.value());
+    EXPECT_EQ(tracedMetrics.bitsSampled.value(),
+              untracedMetrics.bitsSampled.value());
     // The traced run recorded its chunk spans.
     bool sawChunk = false;
     for (const auto &[track, event] : tracer.events())

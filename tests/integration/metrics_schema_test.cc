@@ -60,8 +60,7 @@ queryCounterSuffixes()
         ".blocks_sensed",    ".sa_fires",
         ".overscale_errors", ".stages_run",
         ".lta_comparisons",  ".saturation_events",
-        ".rows_pruned",      ".words_skipped",
-        ".cascade_survivors",
+        ".rows_pruned",
     };
     return suffixes;
 }

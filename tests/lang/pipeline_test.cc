@@ -61,11 +61,14 @@ TEST_F(PipelineTest, LearnedVectorsAreRoughlyBalanced)
 
 TEST_F(PipelineTest, CachesAllQueries)
 {
-    EXPECT_EQ(pipeline().queries().size(), 21u * 20u);
-    for (const auto &q : pipeline().queries()) {
-        EXPECT_EQ(q.vector.dim(), 2048u);
-        EXPECT_LT(q.trueLang, 21u);
-    }
+    EXPECT_EQ(pipeline().queryVectors().size(), 21u * 20u);
+    for (const Hypervector &q : pipeline().queryVectors())
+        EXPECT_EQ(q.dim(), 2048u);
+    // The held-out set comes language by language, 20 sentences
+    // each, and queryClasses() says which.
+    ASSERT_EQ(pipeline().queryClasses().size(), 21u * 20u);
+    for (std::size_t q = 0; q < 21u * 20u; ++q)
+        EXPECT_EQ(pipeline().queryClasses()[q], q / 20) << q;
 }
 
 TEST_F(PipelineTest, ExactAccuracyIsWellAboveChance)
@@ -110,8 +113,7 @@ TEST_F(PipelineTest, DeterministicAcrossConstructions)
     cfg.dim = 1024;
     RecognitionPipeline a(corpus(), cfg), b(corpus(), cfg);
     EXPECT_EQ(a.memory().vectorOf(0), b.memory().vectorOf(0));
-    EXPECT_EQ(a.queries().front().vector,
-              b.queries().front().vector);
+    EXPECT_EQ(a.queryVectors().front(), b.queryVectors().front());
     EXPECT_EQ(a.evaluateExact().correct, b.evaluateExact().correct);
 }
 

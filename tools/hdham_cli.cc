@@ -9,14 +9,10 @@
  *            corpus and persist the learned hypervectors as
  *            hdham.model.v1 (mmap-able; embeds the item memory)
  *   classify --model PATH [--design am|dham|rham|aham] [--threads N]
- *            [--batch N] [--prune auto|on|off]
- *            [--cascade-prefix BITS] [--stats-json PATH]
- *            [--trace PATH] TEXT...
+ *            [--batch N] [--stats-json PATH] [--trace PATH] TEXT...
  *            classify text samples with the chosen HAM design,
- *            batching queries through searchBatch(); --prune /
- *            --cascade-prefix select the bound-pruned scan (exact;
- *            reported in the metrics "info" map next to "kernel");
- *            a TEXT may not start with "--"
+ *            batching queries through searchBatch(); a TEXT may not
+ *            start with "--"
  *
  * --stats-json dumps a query-path observability snapshot (the
  * hdham.metrics.v1 schema of core/metrics.hh): per-design counters
@@ -114,8 +110,7 @@ usage()
         "[--perf] [--stats-json PATH] [--trace PATH]\n"
         "  hdham classify --model PATH "
         "[--design am|dham|rham|aham] "
-        "[--threads N] [--batch N] [--kernel K] "
-        "[--prune auto|on|off] [--cascade-prefix BITS] [--perf] "
+        "[--threads N] [--batch N] [--kernel K] [--perf] "
         "[--slow-query-us US] [--events-out PATH] "
         "[--stats-json PATH] [--trace PATH] TEXT...\n"
         "  hdham save --model PATH --out PATH\n"
@@ -123,9 +118,8 @@ usage()
         "  hdham info --model PATH\n"
         "  hdham cost [--dim N] [--classes N]\n"
         "  hdham serve --model PATH (--socket PATH | --port N) "
-        "[--threads N] [--prune M]\n"
-        "              [--cascade-prefix BITS] [--kernel K] "
-        "[--no-verify] [--trace]\n"
+        "[--threads N] [--kernel K]\n"
+        "              [--no-verify] [--trace]\n"
         "  hdham query (--socket PATH | --port N) "
         "ping|classify TEXT...|update [--assimilate]\n"
         "              [--threshold BITS] LABEL=TEXT..."
@@ -135,14 +129,6 @@ usage()
         "associative memory itself; a v1 model is then\n"
         "                    queried zero-copy straight from the "
         "mmap'ed file\n"
-        "  --prune M         bound-pruned scan mode for prunable "
-        "designs (dham): auto (default; prune when the\n"
-        "                    bound is tight), on, off -- results are "
-        "bit-identical in every mode\n"
-        "  --cascade-prefix BITS\n"
-        "                    score rows on the first BITS components "
-        "first, then refine survivors (0 = off);\n"
-        "                    exact for any value\n"
         "  --threads N       scan workers for batched search (0 = "
         "all hardware threads; default 1)\n"
         "  --batch N         queries per searchBatch() call (0 = "
@@ -362,20 +348,8 @@ cmdClassify(std::vector<std::string> args)
     const double slowQueryUs =
         slowArg.empty() ? 1000.0
                         : parseNumber<double>("--slow-query-us", slowArg);
-    const std::string pruneName = option(args, "--prune", "auto");
-    const std::size_t cascadePrefix =
-        numericOption(args, "--cascade-prefix", 0);
     if (!kernelOption(args, "classify"))
         return 2;
-    ScanPolicy scanPolicy;
-    if (!parsePruneMode(pruneName, &scanPolicy.prune)) {
-        std::fprintf(stderr,
-                     "classify: unknown prune mode '%s' (expected "
-                     "auto, on or off)\n",
-                     pruneName.c_str());
-        return 2;
-    }
-    scanPolicy.cascadePrefix = cascadePrefix;
     rejectUnknownFlags(args);
     if (path.empty() || args.empty()) {
         std::fprintf(stderr, "classify: need --model and at least "
@@ -390,6 +364,8 @@ cmdClassify(std::vector<std::string> args)
         throw std::runtime_error(path + " embeds no item memory, which "
                                         "classify needs to encode text");
 
+    // --design am serves from the associative memory itself: the
+    // model is queried zero-copy straight from the mapping.
     std::unique_ptr<ham::Ham> hardware;
     if (design != "am") {
         hardware = makeDesign(design, memory.dim());
@@ -399,11 +375,6 @@ cmdClassify(std::vector<std::string> args)
             return 2;
         }
         hardware->loadFrom(memory);
-        hardware->setScanPolicy(scanPolicy);
-    } else {
-        // Serve from the associative memory itself: the model is
-        // queried zero-copy straight from the mapping.
-        memory.setScanPolicy(scanPolicy);
     }
 
     metrics::QueryMetrics designMetrics;
@@ -508,9 +479,6 @@ cmdClassify(std::vector<std::string> args)
         metrics::Registry registry;
         registry.attachQuery(design, designMetrics);
         registry.setGauge("run.batch", static_cast<double>(chunk));
-        registry.setInfo("prune", pruneModeName(scanPolicy.prune));
-        registry.setInfo("cascade_prefix",
-                         std::to_string(scanPolicy.cascadePrefix));
         if (perfOn) {
             perf::exportTo(registry, workload->delta(),
                            designMetrics.rowsScanned.value());

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cli_args.hh"
-#include "core/packed_rows.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 
@@ -72,17 +71,6 @@ runServeCommand(std::vector<std::string> args)
     cfg.threads = numericOption(args, "--threads", 1);
     cfg.verifyChecksums = !boolOption(args, "--no-verify");
     cfg.trace = boolOption(args, "--trace");
-
-    const std::string pruneName = option(args, "--prune", "auto");
-    if (!parsePruneMode(pruneName, &cfg.policy.prune)) {
-        std::fprintf(stderr,
-                     "serve: unknown prune mode '%s' (expected "
-                     "auto, on or off)\n",
-                     pruneName.c_str());
-        return 2;
-    }
-    cfg.policy.cascadePrefix =
-        numericOption(args, "--cascade-prefix", 0);
 
     if (!kernelOption(args, "serve"))
         return 2;
