@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/assoc_memory.hh"
+#include "core/metrics.hh"
 #include "core/random.hh"
 #include "ham/a_ham.hh"
 
@@ -229,6 +233,89 @@ TEST(AHamTest, StoreRejectsWrongDimension)
     Rng rng(8);
     EXPECT_THROW(ham.store(Hypervector::random(256, rng)),
                  std::invalid_argument);
+}
+
+/** One FNV-1a step over a 64-bit value. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    return (h ^ v) * 0x100000001b3ULL;
+}
+
+TEST(AHamTest, GoldenAnswersArePinned)
+{
+    // Exact answers and counters over stages x LTA bits x variation
+    // corners x dims. Every mirror, stabilizer and comparator draw
+    // comes from the query's substream, so a change to a draw, to its
+    // order or to the arithmetic on it moves a digest here even when
+    // the statistical suites above still pass. Dims 200 and 4099
+    // leave a ragged last stage at most stage counts; one stage at
+    // D = 10,000 is wide enough for the stabilizer blur.
+    struct Pin
+    {
+        std::size_t stages;
+        std::size_t configs;
+        std::uint64_t digest;
+        std::uint64_t stagesRun;
+        std::uint64_t ltaComparisons;
+        std::uint64_t saturationEvents;
+    };
+    const Pin pins[] = {
+        {1, 45, 0xdd651479969f10d0ULL, 1350, 10800, 4590},
+        {2, 45, 0xc4453b0c6d599296ULL, 2700, 10800, 4536},
+        {3, 45, 0x1fb50ac05e1c7ed5ULL, 4050, 10800, 6642},
+        {7, 45, 0x1239195341a5f395ULL, 9450, 10800, 0},
+        {14, 45, 0x0d2ad3b95f797cceULL, 18900, 10800, 0},
+    };
+    const VariationParams corners[] = {
+        VariationParams::designPoint(),
+        VariationParams{0.35, 0.10},
+        VariationParams{1e-3, 0.0},
+    };
+    constexpr std::size_t kRows = 9;
+    constexpr std::size_t kQueries = 30;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(::testing::Message() << "stages " << pin.stages);
+        hdham::metrics::QueryMetrics sink;
+        std::uint64_t digest = 0xcbf29ce484222325ULL;
+        std::size_t configs = 0;
+        for (const std::size_t dim : {64, 200, 1000, 4099, 10000}) {
+            for (const std::size_t bits : {0, 6, 14}) {
+                for (std::size_t corner = 0; corner < 3; ++corner) {
+                    AHamConfig cfg;
+                    cfg.dim = dim;
+                    cfg.stages = pin.stages;
+                    cfg.ltaBits = bits;
+                    cfg.variation = corners[corner];
+                    ++configs;
+
+                    Rng rng(dim * 64 + pin.stages * 8 + bits + corner);
+                    AHam ham(cfg);
+                    ham.attachMetrics(&sink);
+                    std::vector<Hypervector> rows;
+                    for (std::size_t r = 0; r < kRows; ++r) {
+                        rows.push_back(Hypervector::random(dim, rng));
+                        ham.store(rows.back());
+                    }
+                    std::vector<Hypervector> queries;
+                    for (std::size_t q = 0; q < kQueries; ++q) {
+                        queries.push_back(rows[q % kRows]);
+                        queries.back().injectErrors(dim * (q % 5) / 10,
+                                                    rng);
+                    }
+                    for (const auto &result : ham.searchBatch(queries)) {
+                        digest = fnvMix(digest, result.classId);
+                        digest = fnvMix(digest, result.reportedDistance);
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(configs, pin.configs);
+        EXPECT_EQ(digest, pin.digest) << std::hex << digest;
+        EXPECT_EQ(sink.stagesRun.value(), pin.stagesRun);
+        EXPECT_EQ(sink.ltaComparisons.value(), pin.ltaComparisons);
+        EXPECT_EQ(sink.saturationEvents.value(), pin.saturationEvents);
+    }
 }
 
 } // namespace
