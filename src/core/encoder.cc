@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/distance.hh"
+#include "core/trace.hh"
 
 namespace hdham
 {
@@ -39,6 +40,7 @@ Encoder::Encoder(const ItemMemory &items, std::size_t n)
       rowWords((words + kLineWords - 1) / kLineWords * kLineWords),
       distinctNgrams(1)
 {
+    TRACE_SPAN("encoder.build");
     if (n == 0)
         throw std::invalid_argument("Encoder: n must be positive");
     constexpr std::size_t limit =

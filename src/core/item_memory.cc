@@ -40,13 +40,6 @@ ItemMemory::operator[](std::size_t id) const
     return items[id];
 }
 
-char
-TextAlphabet::charOf(std::size_t id)
-{
-    assert(id < size);
-    return id == spaceId ? ' ' : static_cast<char>('a' + id);
-}
-
 std::string
 TextAlphabet::normalize(const std::string &text)
 {

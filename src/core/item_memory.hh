@@ -13,6 +13,7 @@
 #define HDHAM_CORE_ITEM_MEMORY_HH
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -90,7 +91,12 @@ class TextAlphabet
     }
 
     /** Map a symbol id back to its canonical character. */
-    static char charOf(std::size_t id);
+    static char
+    charOf(std::size_t id)
+    {
+        assert(id < size);
+        return id == spaceId ? ' ' : static_cast<char>('a' + id);
+    }
 
     /** Normalize a string to the 27-symbol alphabet. */
     static std::string normalize(const std::string &text);

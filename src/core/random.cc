@@ -26,13 +26,6 @@ Rng::nextBelow(std::uint64_t bound)
     }
 }
 
-double
-Rng::nextDouble()
-{
-    // 53 high bits -> [0, 1) with full double precision.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 bool
 Rng::nextBool(double p)
 {

@@ -90,8 +90,16 @@ class Rng
     /** Uniform integer in [0, bound). @pre bound > 0. */
     std::uint64_t nextBelow(std::uint64_t bound);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /**
+     * Uniform double in [0, 1). Inline: the corpus generator draws
+     * one per character, and A-HAM one per mirror and comparator.
+     */
+    double
+    nextDouble()
+    {
+        // 53 high bits -> [0, 1) with full double precision.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability p of returning true. */
     bool nextBool(double p = 0.5);

@@ -39,44 +39,53 @@ SyntheticCorpus::SyntheticCorpus(const CorpusConfig &config)
     Rng modelRng = master.fork();
     Rng textRng = master.fork();
 
-    const LanguageModel base =
-        LanguageModel::random(modelRng, cfg.spaceBias, cfg.concentration);
+    {
+        TRACE_SPAN("corpus.models");
+        const LanguageModel base = LanguageModel::random(
+            modelRng, cfg.spaceBias, cfg.concentration);
 
-    names.reserve(cfg.numLanguages);
-    models.reserve(cfg.numLanguages);
-    LanguageModel family = base;
-    for (std::size_t lang = 0; lang < cfg.numLanguages; ++lang) {
-        if (lang % cfg.familySize == 0) {
-            // Start a new family: base blended with a fresh model.
-            family = LanguageModel::mix(
-                base, LanguageModel::random(modelRng, cfg.spaceBias, cfg.concentration),
-                cfg.familyNovelty);
-        }
-        models.push_back(LanguageModel::mix(
-            family, LanguageModel::random(modelRng, cfg.spaceBias, cfg.concentration),
-            cfg.languageNovelty));
-        if (lang < cfg.labels.size()) {
-            names.push_back(cfg.labels[lang]);
-        } else if (cfg.labels.empty() &&
-                   lang < europarlNames.size()) {
-            names.emplace_back(europarlNames[lang]);
-        } else {
-            names.push_back("class" + std::to_string(lang));
+        names.reserve(cfg.numLanguages);
+        models.reserve(cfg.numLanguages);
+        LanguageModel family = base;
+        for (std::size_t lang = 0; lang < cfg.numLanguages; ++lang) {
+            if (lang % cfg.familySize == 0) {
+                // Start a new family: base blended with a fresh model.
+                family = LanguageModel::mix(
+                    base,
+                    LanguageModel::random(modelRng, cfg.spaceBias,
+                                          cfg.concentration),
+                    cfg.familyNovelty);
+            }
+            models.push_back(LanguageModel::mix(
+                family,
+                LanguageModel::random(modelRng, cfg.spaceBias,
+                                      cfg.concentration),
+                cfg.languageNovelty));
+            if (lang < cfg.labels.size()) {
+                names.push_back(cfg.labels[lang]);
+            } else if (cfg.labels.empty() &&
+                       lang < europarlNames.size()) {
+                names.emplace_back(europarlNames[lang]);
+            } else {
+                names.push_back("class" + std::to_string(lang));
+            }
         }
     }
 
+    TRACE_SPAN("corpus.sample");
     trainTexts.reserve(cfg.numLanguages);
     tests.resize(cfg.numLanguages);
     const std::size_t lenRange =
         cfg.sentenceMaxChars - cfg.sentenceMinChars + 1;
     for (std::size_t lang = 0; lang < cfg.numLanguages; ++lang) {
-        trainTexts.push_back(
-            models[lang].generate(cfg.trainChars, textRng));
+        // One sampler per language, dropped once its texts are drawn.
+        const LanguageModel::Sampler sampler(models[lang]);
+        trainTexts.push_back(sampler.generate(cfg.trainChars, textRng));
         tests[lang].reserve(cfg.testSentences);
         for (std::size_t i = 0; i < cfg.testSentences; ++i) {
             const std::size_t len =
                 cfg.sentenceMinChars + textRng.nextBelow(lenRange);
-            tests[lang].push_back(models[lang].generate(len, textRng));
+            tests[lang].push_back(sampler.generate(len, textRng));
         }
     }
 }

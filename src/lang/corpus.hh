@@ -9,6 +9,13 @@
  * is; the defaults are tuned so the HD classifier's accuracy-vs-D curve
  * tracks Table III of the paper (~97-98% at D = 10,000, degrading to
  * ~70% at D = 256).
+ *
+ * The constructor generates everything, traced as corpus.generate
+ * with two children: corpus.models builds the models (one Rng), and
+ * corpus.sample draws every language's training text and then its
+ * test sentences (another Rng, language by language) from one
+ * LanguageModel::Sampler per language, dropped once its texts are
+ * done. Only the models and the texts stay.
  */
 
 #ifndef HDHAM_LANG_CORPUS_HH

@@ -1,5 +1,7 @@
 #include "lang/language_model.hh"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -11,6 +13,14 @@ LanguageModel
 LanguageModel::random(Rng &rng, double spaceBias,
                       double concentration)
 {
+    // Negated comparisons, so NaN fails them too.
+    if (!(spaceBias >= 0.0 && spaceBias <= 1.0))
+        throw std::invalid_argument("LanguageModel::random: spaceBias "
+                                    "not in [0, 1]");
+    if (!(concentration >= 0.0 && std::isfinite(concentration)))
+        throw std::invalid_argument("LanguageModel::random: "
+                                    "concentration not finite and "
+                                    "non-negative");
     LanguageModel model;
     model.probs.resize(contexts * alphabet);
     for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
@@ -34,7 +44,7 @@ LanguageModel
 LanguageModel::mix(const LanguageModel &a, const LanguageModel &b,
                    double w)
 {
-    if (w < 0.0 || w > 1.0)
+    if (!(w >= 0.0 && w <= 1.0))
         throw std::invalid_argument("LanguageModel::mix: w not in "
                                     "[0, 1]");
     LanguageModel model;
@@ -55,25 +65,7 @@ LanguageModel::probability(std::size_t c1, std::size_t c2,
 std::string
 LanguageModel::generate(std::size_t length, Rng &rng) const
 {
-    std::string out;
-    out.reserve(length);
-    const Tables &t = sampling();
-    std::size_t c1 = TextAlphabet::spaceId;
-    std::size_t c2 = TextAlphabet::spaceId;
-    for (std::size_t i = 0; i < length; ++i) {
-        const std::size_t ctx = contextOf(c1, c2);
-        const double *cum = &t.cumulative[ctx * alphabet];
-        const double u = rng.nextDouble();
-        // u < 1, so u * guideSlots < guideSlots exactly.
-        std::size_t sym = t.guide[ctx * guideSlots +
-                                  static_cast<std::size_t>(u * guideSlots)];
-        while (sym < alphabet - 1 && cum[sym] < u)
-            ++sym;
-        out.push_back(TextAlphabet::charOf(sym));
-        c1 = c2;
-        c2 = sym;
-    }
-    return out;
+    return Sampler(*this).generate(length, rng);
 }
 
 double
@@ -91,42 +83,78 @@ LanguageModel::divergence(const LanguageModel &other) const
     return total / contexts;
 }
 
-const LanguageModel::Tables &
-LanguageModel::sampling() const
+LanguageModel::Sampler::Sampler(const LanguageModel &model)
+    : cumulative(model.probs.size()), guide(contexts * guideSlots)
 {
-    std::call_once(tables->built, [this] { buildTables(*tables); });
-    return *tables;
-}
-
-void
-LanguageModel::buildTables(Tables &out) const
-{
-    out.cumulative.resize(probs.size());
-    out.guide.resize(contexts * guideSlots);
     for (std::size_t ctx = 0; ctx < contexts; ++ctx) {
-        double *cum = &out.cumulative[ctx * alphabet];
+        const double *row = &model.probs[ctx * alphabet];
+        double *cum = &cumulative[ctx * alphabet];
         double running = 0.0;
         for (std::size_t s = 0; s < alphabet; ++s) {
-            running += probs[ctx * alphabet + s];
+            running += row[s];
             cum[s] = running;
         }
         // Guard against floating-point drift so sampling never walks
         // off the end of the row.
         cum[alphabet - 1] = 1.0;
-        // One merged walk over the row: the masses b / guideSlots
-        // rise, so each slot's lower_bound index starts from the last
-        // one's. Every mass is below cum[alphabet - 1] = 1, so the row
-        // is partitioned at each and the walk stops where
-        // std::lower_bound would.
-        std::size_t sym = 0;
+        // Slot b goes to g, the first symbol whose cumulative
+        // probability reaches b / guideSlots, as std::lower_bound
+        // finds it: every mass is below cum[alphabet - 1] = 1, and
+        // the sums before it never fall. cum[s] < b / guideSlots
+        // exactly when reach = floor(cum[s] * guideSlots) < b, so g
+        // is the number of symbols before the last whose reach is
+        // below b. The slot is exact, cum[g] >= (b + 1) / guideSlots,
+        // unless the reach of g is b, which holds when any symbol's
+        // reach is b. Every product here is exact, and so is
+        // u * guideSlots in generate(): a draw in slot b lies in
+        // [b, b + 1) / guideSlots.
+        std::array<std::uint8_t, guideSlots + 1> reached{};
+        for (std::size_t s = 0; s < alphabet - 1; ++s) {
+            const auto reach =
+                static_cast<std::size_t>(cum[s] * guideSlots);
+            ++reached[std::min(reach, guideSlots)];
+        }
+        std::uint8_t *slots = &guide[ctx * guideSlots];
+        std::uint8_t below = 0;
         for (std::size_t b = 0; b < guideSlots; ++b) {
-            const double mass = static_cast<double>(b) / guideSlots;
-            while (cum[sym] < mass)
-                ++sym;
-            out.guide[ctx * guideSlots + b] =
-                static_cast<std::uint8_t>(sym);
+            slots[b] = below | (reached[b] ? 0 : exact);
+            below += reached[b];
         }
     }
+}
+
+std::string
+LanguageModel::Sampler::generate(std::size_t length, Rng &rng) const
+{
+    std::string out(length, ' ');
+    // The character stores may alias anything reached through a
+    // pointer, so the loop draws from a local copy of the generator
+    // and reads the tables through locals, which stay in registers.
+    Rng draws = rng;
+    const std::uint8_t *guides = guide.data();
+    const double *rows = cumulative.data();
+    std::size_t c1 = TextAlphabet::spaceId;
+    std::size_t c2 = TextAlphabet::spaceId;
+    for (char &c : out) {
+        const std::size_t ctx = contextOf(c1, c2);
+        const double u = draws.nextDouble();
+        // u < 1, so u * guideSlots < guideSlots exactly; a 32-bit
+        // conversion is one instruction.
+        const std::uint8_t slot =
+            guides[ctx * guideSlots +
+                   static_cast<std::uint32_t>(u * guideSlots)];
+        std::size_t sym = slot & ~exact;
+        if (!(slot & exact)) {
+            const double *cum = &rows[ctx * alphabet];
+            while (sym < alphabet - 1 && cum[sym] < u)
+                ++sym;
+        }
+        c = TextAlphabet::charOf(sym);
+        c1 = c2;
+        c2 = sym;
+    }
+    rng = draws;
+    return out;
 }
 
 } // namespace hdham::lang

@@ -10,11 +10,12 @@
  * chain controls, so the substitution exercises the identical code
  * path with a tunable task difficulty.
  *
- * Sampling reads two tables per model: each context's cumulative
- * distribution and a 32-slot guide into it. Only a model that samples
- * builds them, once, on its first generate(). The corpus (lang/
- * corpus.hh) mixes 57 models to make its 21 languages, and only those
- * 21 generate text.
+ * A model holds only its probabilities. Sampling goes through a
+ * LanguageModel::Sampler, which builds each context's cumulative
+ * distribution and a 128-slot guide into it; the caller keeps it for
+ * as long as it draws from that model and then drops it. The corpus
+ * (lang/corpus.hh) mixes 57 models to make its 21 languages, and
+ * builds one sampler per language for that language's texts.
  */
 
 #ifndef HDHAM_LANG_LANGUAGE_MODEL_HH
@@ -22,8 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,6 +44,8 @@ class LanguageModel
     /** Number of order-2 contexts. */
     static constexpr std::size_t contexts = alphabet * alphabet;
 
+    class Sampler;
+
     /**
      * Build a random model. Each context's distribution over next
      * symbols is an independent draw whose mass is concentrated on a
@@ -53,6 +54,9 @@ class LanguageModel
      * has word structure. @p concentration is the skew exponent:
      * higher values concentrate each context on fewer next-symbols,
      * making languages more distinctive.
+     * @throws std::invalid_argument, before any draw from @p rng, when
+     * @p spaceBias is outside [0, 1] or @p concentration is negative
+     * or not finite (NaN included).
      */
     static LanguageModel random(Rng &rng, double spaceBias = 0.15,
                                 double concentration = 8.0);
@@ -61,7 +65,8 @@ class LanguageModel
      * Convex mixture: (1 - w) * @p a + w * @p b, per context.
      * Mixing a base model with language-specific random models yields
      * controllably similar languages (and language families).
-     * @pre 0 <= w <= 1.
+     * @throws std::invalid_argument when @p w is outside [0, 1] (NaN
+     * included).
      */
     static LanguageModel mix(const LanguageModel &a,
                              const LanguageModel &b, double w);
@@ -72,8 +77,8 @@ class LanguageModel
 
     /**
      * Generate @p length characters starting from the "space space"
-     * context. The first call builds the sampling tables; concurrent
-     * calls on one model are safe.
+     * context: Sampler(*this).generate(length, rng). A caller that
+     * generates several texts from one model keeps one Sampler.
      */
     std::string generate(std::size_t length, Rng &rng) const;
 
@@ -85,31 +90,7 @@ class LanguageModel
     double divergence(const LanguageModel &other) const;
 
   private:
-    /** Guide slots per context: a power of two, so b / slots is exact. */
-    static constexpr std::size_t guideSlots = 32;
-
-    /** The sampling tables, built from probs on first use. */
-    struct Tables
-    {
-        std::once_flag built;
-        /** Cumulative per-context distribution, sampled by inversion. */
-        std::vector<double> cumulative;
-        /**
-         * guide[context * guideSlots + b]: the first next-symbol whose
-         * cumulative probability reaches b / guideSlots. A draw u
-         * starts its scan at slot floor(u * guideSlots) and lands on
-         * the index std::lower_bound would find.
-         */
-        std::vector<std::uint8_t> guide;
-    };
-
     LanguageModel() = default;
-
-    /** The sampling tables, built on the first call. */
-    const Tables &sampling() const;
-
-    /** Fill @p out's tables from probs. */
-    void buildTables(Tables &out) const;
 
     static std::size_t
     contextOf(std::size_t c1, std::size_t c2)
@@ -119,11 +100,48 @@ class LanguageModel
 
     /** probs[context * alphabet + next]. */
     std::vector<double> probs;
+};
+
+/**
+ * Draws text from one LanguageModel by inversion: each character
+ * takes the first next-symbol whose cumulative probability reaches a
+ * uniform draw u, the index std::lower_bound finds on the context's
+ * cumulative row. A 128-slot guide per context starts the search at
+ * slot floor(u * 128), and a slot that lies wholly inside one
+ * symbol's cumulative interval answers without reading the row.
+ *
+ * The sampler copies what it needs, so it may outlive its model. It
+ * holds 250 KB of tables; build one per model and drop it when that
+ * model's texts are done. generate() is const and may run
+ * concurrently on one sampler with separate Rngs.
+ */
+class LanguageModel::Sampler
+{
+  public:
+    explicit Sampler(const LanguageModel &model);
+
     /**
-     * Built by the first sampling() call. A copy of the model shares
-     * them, as it shares the probabilities they come from.
+     * Generate @p length characters starting from the "space space"
+     * context, one rng.nextDouble() per character.
      */
-    std::shared_ptr<Tables> tables = std::make_shared<Tables>();
+    std::string generate(std::size_t length, Rng &rng) const;
+
+  private:
+    /** Guide slots per context: a power of two, so b / slots is exact. */
+    static constexpr std::size_t guideSlots = 128;
+    /** Set on a guide entry whose whole slot lands on its symbol. */
+    static constexpr std::uint8_t exact = 0x80;
+
+    /** Cumulative per-context distribution, last entry forced to 1. */
+    std::vector<double> cumulative;
+    /**
+     * guide[context * guideSlots + b]: g, the first next-symbol whose
+     * cumulative probability reaches b / guideSlots, or-ed with exact
+     * when cum[g] also reaches (b + 1) / guideSlots. A draw u in slot
+     * b lands on g then, since cum[g] > u; otherwise its scan starts
+     * at g.
+     */
+    std::vector<std::uint8_t> guide;
 };
 
 } // namespace hdham::lang

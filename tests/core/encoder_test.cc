@@ -15,6 +15,7 @@
 #include "core/item_memory.hh"
 #include "core/ops.hh"
 #include "core/random.hh"
+#include "core/trace.hh"
 
 namespace
 {
@@ -279,6 +280,18 @@ TEST_F(EncoderTest, CaseAndPunctuationInsensitive)
     Rng a(5), b(5);
     EXPECT_EQ(encoder.encode("Hello World", a),
               encoder.encode("hello world", b));
+}
+
+TEST(EncoderConfigTest, BuildIsTracedAsEncoderBuild)
+{
+    const ItemMemory items(TextAlphabet::size, 256, 5);
+    hdham::trace::Tracer tracer;
+    hdham::trace::setActive(&tracer);
+    const Encoder encoder(items, 3);
+    hdham::trace::setActive(nullptr);
+    const auto events = tracer.events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].second.name, "encoder.build");
 }
 
 TEST(EncoderConfigTest, RejectsZeroN)

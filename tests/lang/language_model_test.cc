@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/item_memory.hh"
@@ -82,17 +84,50 @@ TEST(LanguageModelTest, GeneratesOnlyAlphabetCharacters)
         EXPECT_TRUE(c == ' ' || (c >= 'a' && c <= 'z'));
 }
 
+/** Contexts whose probabilities, summed in order, pass 1. */
+std::size_t
+rowsPastOne(const LanguageModel &model)
+{
+    constexpr std::size_t n = LanguageModel::alphabet;
+    std::size_t rows = 0;
+    for (std::size_t c1 = 0; c1 < n; ++c1) {
+        for (std::size_t c2 = 0; c2 < n; ++c2) {
+            double running = 0.0;
+            for (std::size_t s = 0; s < n; ++s)
+                running += model.probability(c1, c2, s);
+            rows += running > 1.0;
+        }
+    }
+    return rows;
+}
+
 TEST(LanguageModelTest, GenerateLandsOnLowerBound)
 {
-    // generate() starts each draw at a guide slot and scans forward;
-    // it must land where std::lower_bound on the cumulative row lands,
-    // draw for draw: 10^6 characters each from a random(), a mix()
-    // and every model of a small corpus, with the Rng left in the same
-    // state.
+    // generate() takes a draw's symbol from its guide slot when the
+    // slot lies inside one symbol's interval, and scans forward from
+    // the slot's symbol otherwise; it must land where
+    // std::lower_bound on the cumulative row lands, draw for draw:
+    // 10^6 characters each, with the Rng left in the same state. The
+    // models: a random(), a mix() and every model of a small corpus,
+    // then the slot rule's edges. spaceBias 0, and spaceBias 1, where
+    // all mass is on space and 26 empty symbols reach slot 0. Flat
+    // rows (concentration 0): a boundary every 128/27 slots, and
+    // every row's running sum passes 1 before the forced last entry.
+    // A concentration so high that the tiny masses of most symbols
+    // crowd one slot, whose scans run long.
     Rng modelRng(21);
     const LanguageModel a = LanguageModel::random(modelRng);
     const LanguageModel b = LanguageModel::random(modelRng, 0.05, 24.0);
-    std::vector<LanguageModel> models = {a, LanguageModel::mix(a, b, 0.35)};
+    std::vector<LanguageModel> models = {
+        a,
+        LanguageModel::mix(a, b, 0.35),
+        LanguageModel::random(modelRng, 0.0, 8.0),
+        LanguageModel::random(modelRng, 1.0, 8.0),
+        LanguageModel::random(modelRng, 0.15, 0.0),
+        LanguageModel::random(modelRng, 0.0, 0.0),
+        LanguageModel::random(modelRng, 0.0, 1000.0),
+    };
+    EXPECT_EQ(rowsPastOne(models[5]), LanguageModel::contexts);
     hdham::lang::CorpusConfig cfg;
     cfg.numLanguages = 3;
     cfg.trainChars = 100;
@@ -114,6 +149,30 @@ TEST(LanguageModelTest, GenerateLandsOnLowerBound)
             << (diff.first - got.begin());
         EXPECT_EQ(viaGenerate.next(), viaReference.next()) << "model " << i;
     }
+}
+
+TEST(LanguageModelTest, ReusedSamplerMatchesSeparateGenerateCalls)
+{
+    // The corpus draws a language's training text and then its
+    // sentences from one Sampler. That must give what a fresh
+    // generate() per text gives, text for text, with the Rng left in
+    // the same state. The sampler is built from a temporary model, so
+    // it must keep nothing of it.
+    Rng modelRng(12), sameModelRng(12);
+    const LanguageModel::Sampler sampler(
+        LanguageModel::random(modelRng, 0.15, 24.0));
+    const LanguageModel model =
+        LanguageModel::random(sameModelRng, 0.15, 24.0);
+    Rng viaSampler(13), viaGenerate(13), lengths(14);
+    for (std::size_t text = 0; text < 500; ++text) {
+        const std::size_t len = text == 0   ? 0
+                                : text == 1 ? 120000
+                                            : lengths.nextBelow(300);
+        ASSERT_EQ(sampler.generate(len, viaSampler),
+                  model.generate(len, viaGenerate))
+            << "text " << text;
+    }
+    EXPECT_EQ(viaSampler.next(), viaGenerate.next());
 }
 
 TEST(LanguageModelTest, GenerationIsDeterministic)
@@ -161,6 +220,54 @@ TEST(LanguageModelTest, MixRejectsBadWeight)
                  std::invalid_argument);
     EXPECT_THROW(LanguageModel::mix(a, b, 1.1),
                  std::invalid_argument);
+    // A NaN weight fails every comparison and would mix NaN rows.
+    EXPECT_THROW(LanguageModel::mix(
+                     a, b, std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_THROW(LanguageModel::mix(
+                     a, b, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+}
+
+TEST(LanguageModelTest, RandomRejectsParametersThatBreakARow)
+{
+    // A spaceBias outside [0, 1] gives negative probabilities; a NaN
+    // one, or a NaN, negative or infinite concentration, gives rows
+    // that are not distributions. Each throws before the first draw.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<double, double> bad[] = {
+        {-0.1, 8.0}, {1.5, 8.0},   {nan, 8.0},   {inf, 8.0},
+        {0.15, -1.0}, {0.15, nan}, {0.15, inf}, {0.15, -inf},
+    };
+    for (const auto &[spaceBias, concentration] : bad) {
+        Rng rng(14), untouched(14);
+        EXPECT_THROW(LanguageModel::random(rng, spaceBias, concentration),
+                     std::invalid_argument)
+            << spaceBias << ", " << concentration;
+        EXPECT_EQ(rng.next(), untouched.next())
+            << spaceBias << ", " << concentration;
+    }
+    // The edges still make distributions.
+    const std::pair<double, double> edges[] = {
+        {0.0, 0.0}, {1.0, 8.0}, {0.0, 1000.0}};
+    for (const auto &[spaceBias, concentration] : edges) {
+        Rng rng(15);
+        const LanguageModel model =
+            LanguageModel::random(rng, spaceBias, concentration);
+        for (std::size_t c1 = 0; c1 < LanguageModel::alphabet; ++c1) {
+            for (std::size_t c2 = 0; c2 < LanguageModel::alphabet; ++c2) {
+                double sum = 0.0;
+                for (std::size_t s = 0; s < LanguageModel::alphabet; ++s) {
+                    const double p = model.probability(c1, c2, s);
+                    EXPECT_GE(p, 0.0);
+                    sum += p;
+                }
+                EXPECT_NEAR(sum, 1.0, 1e-9)
+                    << spaceBias << ", " << concentration;
+            }
+        }
+    }
 }
 
 TEST(LanguageModelTest, DivergenceAxioms)

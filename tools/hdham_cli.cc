@@ -255,7 +255,8 @@ cmdTrain(std::vector<std::string> args)
     std::printf("training %zu languages at D = %zu...\n",
                 corpusCfg.numLanguages, pipeCfg.dim);
     // Activate tracing before the corpus is generated, so the
-    // corpus.generate, lang.train, lang.encode and save spans are all
+    // corpus.generate (with corpus.models and corpus.sample),
+    // encoder.build, lang.train, lang.encode and save spans are all
     // captured.
     trace::Tracer tracer;
     tracer.setCapturePerf(perfOn);
