@@ -35,7 +35,7 @@
  *
  * --swap-every N makes BM_SnapshotServe publish a rebuilt snapshot
  * every N query batches (default 64; 0 disables swapping), so the
- * serving-path numbers include live epoch swaps. The benchmark
+ * serving-path numbers include live snapshot swaps. The benchmark
  * reports the writer-side swap latency and the worst reader-side
  * acquire stall as counters; bench_gate records them in the
  * baseline as informational fields.
@@ -175,14 +175,15 @@ BENCHMARK(BM_MappedBatchSearch)->Arg(1)->Arg(4)->UseRealTime();
  * --swap-every N (default 64) the same loop also plays writer: every
  * N batches it folds one more training sample into a rotating class
  * through the SnapshotBuilder and publishes the rebuilt snapshot, so
- * the measured q/s includes live epoch swaps instead of a frozen
+ * the measured q/s includes live snapshot swaps instead of a frozen
  * store.
  *
  * Counters tell the two sides apart: swaps plus build/swap latency
  * are the writer's bill (the rebuild runs out-of-line, the swap is
- * the atomic hand-off inside publish), acquire_us_max is the worst
- * reader-visible stall -- the pin is one atomic acquire, so it must
- * stay microseconds flat no matter how expensive the rebuilds are.
+ * the pointer exchange inside publish), acquire_us_max is the worst
+ * reader-visible stall -- the pin copies a shared_ptr under a mutex
+ * the writer holds only for that exchange, so it must stay
+ * microseconds flat no matter how expensive the rebuilds are.
  */
 void
 BM_SnapshotServe(benchmark::State &state)

@@ -39,10 +39,9 @@ recordResidency(metrics::Registry &registry,
 }
 
 std::unique_ptr<snapshot::MemorySnapshot>
-LoadedModel::intoSnapshot(
-    const snapshot::MemorySnapshot::Options &opts) &&
+LoadedModel::intoSnapshot(metrics::QueryMetrics *sink) &&
 {
-    return snapshot::MemorySnapshot::fromView(std::move(view), opts);
+    return snapshot::MemorySnapshot::fromView(std::move(view), sink);
 }
 
 } // namespace hdham::modelload

@@ -66,10 +66,11 @@ class LoadedModel
      * Freeze the opened model into an immutable MemorySnapshot,
      * consuming this object: the view moves in and the store stays
      * zero-copy. This is how the server turns the shared open path
-     * into its first published snapshot.
+     * into its first published snapshot. @p sink is the metrics sink
+     * the snapshot's searches feed (nullptr = detached).
      */
     std::unique_ptr<snapshot::MemorySnapshot>
-    intoSnapshot(const snapshot::MemorySnapshot::Options &opts = {}) &&;
+    intoSnapshot(metrics::QueryMetrics *sink = nullptr) &&;
 
   private:
     explicit LoadedModel(modelfile::ModelView &&mapped)

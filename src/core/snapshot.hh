@@ -1,37 +1,35 @@
 /**
  * @file
- * Immutable, epoch-swapped memory snapshots: the ownership model
- * that lets one process answer heavy concurrent query traffic while
- * the memory keeps learning.
+ * Immutable memory snapshots and the source that publishes them: the
+ * ownership model that lets one process answer concurrent query
+ * traffic while the memory keeps learning.
  *
  * The paper's associative memory is train-once/query-forever, but a
  * resident service needs online updates -- bundler retrains, new
- * classes arriving -- without ever blocking a reader mid-scan. The
- * classic fix is RCU: queries never touch a mutable store; they pin
- * an immutable MemorySnapshot (a frozen AssociativeMemory plus the
- * side memories the encoder needs), and a single writer prepares the
- * next snapshot out-of-line and publishes it with one atomic swap.
+ * classes arriving -- without a reader ever seeing a half-updated
+ * store. Queries never touch a mutable store; they pin an immutable
+ * MemorySnapshot (a frozen AssociativeMemory plus the side memories
+ * the encoder needs), and a writer prepares the next snapshot
+ * out-of-line and publishes it with one pointer exchange.
  *
  * Three guarantees, each load-bearing for the serving story:
  *
- *  - Readers never block. SnapshotSource::acquire() is one epoch
- *    announcement plus two atomic operations -- no mutex, no CAS
- *    retry loop on the hot path. A reader that acquired snapshot k
- *    keeps scanning snapshot k even while the writer publishes
- *    k+1, k+2, ...
+ *  - A pin is one short critical section. SnapshotSource::acquire()
+ *    copies a shared_ptr under the source's mutex, and publish()
+ *    holds that mutex only to stamp a sequence number and exchange
+ *    the pointer. A reader that acquired snapshot k keeps scanning
+ *    snapshot k while the writer publishes k+1, k+2, ...
  *  - Every query observes exactly one coherent snapshot. A pinned
  *    snapshot is immutable by construction: the class store, labels,
  *    metrics sink and side memories were frozen before publication,
- *    so there is no torn state to observe. The swap is a single
- *    pointer exchange; a batch either sees the old store or the new
- *    one, never a mix.
- *  - Old snapshots retire exactly when the last in-flight reference
- *    drops. Publication holds one reference; each SnapshotRef holds
- *    one more. The writer waits one epoch grace period after the
- *    swap (so no reader is mid-acquire on the old pointer), then
- *    releases the publication reference; whichever side drops the
- *    count to zero frees the snapshot. Readers pay no cost for
- *    retirement beyond their own reference decrement.
+ *    so there is no torn state to observe. A batch either sees the
+ *    old store or the new one, never a mix.
+ *  - Old snapshots retire exactly when the last reference drops.
+ *    The source holds one reference and each SnapshotRef one more;
+ *    whichever drops last frees the snapshot, on its own thread.
+ *    publish() releases the snapshot it replaced only after dropping
+ *    the mutex, so a large store's free or a model's munmap never
+ *    delays a pin.
  *
  * The writer side is SnapshotBuilder: per-class majority counters
  * (core/trainable_memory.hh) plus the metrics sink every published
@@ -45,7 +43,6 @@
 #ifndef HDHAM_CORE_SNAPSHOT_HH
 #define HDHAM_CORE_SNAPSHOT_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,52 +60,6 @@
 namespace hdham::snapshot
 {
 
-class MemorySnapshot;
-class SnapshotSource;
-
-/**
- * Serving configuration frozen into a snapshot (namespace-scope so
- * the factory declarations can default-construct it; also usable as
- * MemorySnapshot::Options).
- */
-struct SnapshotOptions
-{
-    /**
-     * Metrics sink the snapshot's searches feed (nullptr =
-     * detached). Must outlive every reference to the snapshot.
-     */
-    metrics::QueryMetrics *sink = nullptr;
-};
-
-namespace detail
-{
-
-/**
- * Refcounted holder of one published snapshot. The count starts at
- * 1 (the publication reference held by the SnapshotSource); every
- * pinned SnapshotRef adds one. unref() frees the node -- and with it
- * the snapshot -- when the last reference drops, on whichever thread
- * that happens to be. Self-contained on purpose: a node never points
- * back at its source, so pinned references safely outlive both the
- * source and the writer.
- */
-struct Node
-{
-    explicit Node(std::unique_ptr<const MemorySnapshot> s);
-    ~Node();
-
-    std::unique_ptr<const MemorySnapshot> snap;
-    std::atomic<std::uint64_t> refs{1};
-};
-
-/** Add one reference. */
-void ref(Node *node);
-
-/** Drop one reference; frees the node when it was the last. */
-void unref(Node *node);
-
-} // namespace detail
-
 /**
  * Immutable snapshot of a servable memory: the frozen class store
  * (owned in RAM or mapped from an hdham.model.v1 file), its labels,
@@ -124,16 +75,16 @@ void unref(Node *node);
 class MemorySnapshot
 {
   public:
-    /** Serving configuration frozen into a snapshot. */
-    using Options = SnapshotOptions;
-
     /**
      * Freeze an in-RAM memory (typically a SnapshotBuilder product)
-     * into a snapshot. The memory is moved in; @p items / @p levels
+     * into a snapshot. The memory is moved in; @p sink is the
+     * metrics sink its searches feed (nullptr = detached; it must
+     * outlive every reference to the snapshot); @p items / @p levels
      * are optional side memories carried along for encoder rebuilds.
      */
     static std::unique_ptr<MemorySnapshot>
-    fromMemory(AssociativeMemory &&am, const Options &opts = {},
+    fromMemory(AssociativeMemory &&am,
+               metrics::QueryMetrics *sink = nullptr,
                std::optional<ItemMemory> items = std::nullopt,
                std::optional<LevelItemMemory> levels = std::nullopt);
 
@@ -142,10 +93,12 @@ class MemorySnapshot
      * the path the shared model-open helper (core/model_loader.hh)
      * uses so the server never reopens or copies the class store.
      * Row words are served straight from the mapping; side memories
-     * are materialized so the encoder survives swaps.
+     * are materialized so the encoder survives swaps. @p sink as in
+     * fromMemory().
      */
     static std::unique_ptr<MemorySnapshot>
-    fromView(modelfile::ModelView &&view, const Options &opts = {});
+    fromView(modelfile::ModelView &&view,
+             metrics::QueryMetrics *sink = nullptr);
 
     MemorySnapshot(const MemorySnapshot &) = delete;
     MemorySnapshot &operator=(const MemorySnapshot &) = delete;
@@ -192,11 +145,12 @@ class MemorySnapshot
   private:
     friend class SnapshotSource;
 
-    MemorySnapshot(AssociativeMemory &&owned, const Options &opts,
+    MemorySnapshot(AssociativeMemory &&owned,
+                   metrics::QueryMetrics *sink,
                    std::optional<ItemMemory> items,
                    std::optional<LevelItemMemory> levels);
     MemorySnapshot(modelfile::ModelView &&mapped,
-                   const Options &opts);
+                   metrics::QueryMetrics *sink);
 
     /** Stamped by SnapshotSource::publish before the swap. */
     std::uint64_t seq = 0;
@@ -212,86 +166,23 @@ class MemorySnapshot
 };
 
 /**
- * Move-only pin on one published snapshot. Holding a ref keeps the
- * snapshot (and, for mapped snapshots, the file mapping) alive; the
- * snapshot retires when the last ref drops, wherever that happens.
- * Acquire one per batch, not per query -- the pin is cheap, but the
- * point of the design is that a whole batch observes one snapshot.
+ * A pin on one published snapshot. Holding a ref keeps the snapshot
+ * (and, for mapped snapshots, the file mapping) alive; the snapshot
+ * retires when the last ref drops, wherever that happens. A copy is
+ * one more pin. Acquire one per batch, not per query: the point of
+ * the design is that a whole batch observes one snapshot.
  */
-class SnapshotRef
-{
-  public:
-    SnapshotRef() = default;
-    ~SnapshotRef() { reset(); }
-
-    SnapshotRef(SnapshotRef &&other) noexcept : node(other.node)
-    {
-        other.node = nullptr;
-    }
-    SnapshotRef &operator=(SnapshotRef &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            node = other.node;
-            other.node = nullptr;
-        }
-        return *this;
-    }
-    SnapshotRef(const SnapshotRef &) = delete;
-    SnapshotRef &operator=(const SnapshotRef &) = delete;
-
-    /** True when a snapshot is pinned. */
-    explicit operator bool() const { return node != nullptr; }
-
-    /** The pinned snapshot. @pre bool(*this). */
-    const MemorySnapshot &operator*() const { return *get(); }
-    const MemorySnapshot *operator->() const { return get(); }
-    const MemorySnapshot *get() const
-    {
-        return node == nullptr ? nullptr : node->snap.get();
-    }
-
-    /** An additional pin on the same snapshot. */
-    SnapshotRef clone() const
-    {
-        if (node != nullptr)
-            detail::ref(node);
-        return SnapshotRef(node);
-    }
-
-    /** Drop the pin (idempotent). */
-    void reset()
-    {
-        if (node != nullptr) {
-            detail::unref(node);
-            node = nullptr;
-        }
-    }
-
-  private:
-    friend class SnapshotSource;
-    explicit SnapshotRef(detail::Node *n) : node(n) {}
-
-    detail::Node *node = nullptr;
-};
+using SnapshotRef = std::shared_ptr<const MemorySnapshot>;
 
 /**
  * The single place readers load the current snapshot from.
  *
- * acquire() is lock-free: announce the global epoch in this thread's
- * reader slot, load the head pointer, take a reference, clear the
- * slot. publish() (single writer at a time; serialized internally)
- * swaps the head, bumps the epoch and waits until every reader slot
- * is quiescent or has moved past the swap -- the grace period that
- * makes the subsequent release of the old snapshot's publication
- * reference safe. Readers never wait for the writer; the writer
- * waits (briefly -- an acquire is a handful of instructions) for
- * readers only inside publish().
- *
- * Threads beyond the fixed reader-slot pool (kReaderSlots) fall back
- * to a short mutex critical section shared with the swap itself --
- * correct, merely not lock-free. Server thread pools never get near
- * the limit.
+ * One mutex guards one shared_ptr: acquire() copies it, and
+ * publish() stamps the next sequence number and exchanges it.
+ * Concurrent publishers serialize on the same mutex, so the stamps
+ * stay 1-based and gapless and the current snapshot is always the
+ * last one stamped. A SnapshotRef never points back at its source,
+ * so pins safely outlive both the source and the writer.
  *
  * Destruction requires quiescence (no concurrent acquire/publish),
  * like any other C++ object; outstanding SnapshotRefs remain valid
@@ -300,56 +191,39 @@ class SnapshotRef
 class SnapshotSource
 {
   public:
-    /** Reader slots available for lock-free acquires, process-wide. */
-    static constexpr std::size_t kReaderSlots = 256;
-
     SnapshotSource() = default;
-    ~SnapshotSource();
 
     SnapshotSource(const SnapshotSource &) = delete;
     SnapshotSource &operator=(const SnapshotSource &) = delete;
 
     /** True once a snapshot has been published. */
-    bool hasSnapshot() const
-    {
-        return head.load(std::memory_order_acquire) != nullptr;
-    }
+    bool hasSnapshot() const;
 
-    /**
-     * Pin the current snapshot (empty ref before the first
-     * publish). Lock-free; never blocks on a concurrent publish.
-     */
+    /** Pin the current snapshot (empty ref before the first publish). */
     SnapshotRef acquire() const;
 
     /**
      * Publish @p snap as the new current snapshot: stamp its
-     * sequence number, swap it in atomically, wait one epoch grace
-     * period, then release the previous snapshot's publication
-     * reference (it retires when its last in-flight reader drops).
-     * Safe to call concurrently (publishers serialize on an internal
-     * mutex); readers are never blocked. Returns the stamped
-     * sequence number (1-based).
+     * sequence number and swap it in under the mutex, then drop the
+     * source's reference to the previous snapshot (it retires when
+     * its last in-flight reader drops). Safe to call concurrently.
+     * Returns the stamped sequence number (1-based).
      */
     std::uint64_t publish(std::unique_ptr<MemorySnapshot> snap);
 
     /** Snapshots published so far (== current sequence number). */
-    std::uint64_t swaps() const
-    {
-        return swapCount.load(std::memory_order_relaxed);
-    }
+    std::uint64_t swaps() const;
 
     /**
      * Published snapshots not yet freed, process-wide across all
-     * sources -- current heads plus any pinned retirees. The
+     * sources -- current snapshots plus any pinned retirees. The
      * retirement observable the soak tests assert on.
      */
     static std::size_t liveSnapshots();
 
   private:
-    mutable std::mutex fallbackMu;
-    std::mutex writerMu;
-    std::atomic<detail::Node *> head{nullptr};
-    std::atomic<std::uint64_t> swapCount{0};
+    mutable std::mutex mu;
+    SnapshotRef current;
 };
 
 /**
@@ -379,7 +253,8 @@ class SnapshotBuilder
          *  (threshold + freeze) -- work readers never see. */
         double buildUs = 0.0;
         /** Microseconds spent in SnapshotSource::publish itself
-         *  (the swap plus the epoch grace period). */
+         *  (the swap, plus freeing the replaced snapshot when no
+         *  reader still pins it). */
         double swapUs = 0.0;
     };
 

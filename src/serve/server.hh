@@ -4,18 +4,18 @@
  *
  * A Server owns the serving triangle the snapshot refactor exists
  * for: one SnapshotSource readers pin published models from, one
- * SnapshotBuilder the update path mutates out-of-line, and a pool of
- * connection threads speaking the hdham.serve.v1 protocol
+ * SnapshotBuilder the update path mutates out-of-line, and one thread
+ * per accepted connection speaking the hdham.serve.v1 protocol
  * (serve/protocol.hh) over a unix-domain or loopback TCP socket.
  *
  * Per request, a connection pins the current snapshot once, serves
  * every query in the request from that pin through the existing
  * engine paths (AssociativeMemory::searchBatch over the batch
- * executor -- kernel dispatch, pruning, metrics, tracing all compose
+ * executor -- kernel dispatch, metrics, tracing all compose
  * unchanged), and leads its response with the pinned
  * sequence number. Update requests feed the builder; a Swap request
- * publishes -- readers mid-request keep their pinned snapshot and
- * never block.
+ * publishes -- readers mid-request keep their pinned snapshot to
+ * the end of the request.
  *
  * The server is embeddable: tests construct one in-process, start()
  * it on a temp socket, drive it with serve::Client, and stop() it --
