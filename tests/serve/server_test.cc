@@ -572,6 +572,41 @@ TEST(ServerTest, HugeWordCountIsRejectedBeforeAllocating)
     ::close(fd);
 }
 
+TEST(ServerTest, RejectedUpdateAppliesNoSample)
+{
+    ServerFixture fx({}, "partial");
+    Client client = fx.connect();
+    const auto pendingClasses = [&client] {
+        return client.update(hdham::serve::kLabeled, {}).pendingClasses;
+    };
+    ASSERT_EQ(pendingClasses(), kClasses);
+
+    // The third sample is too short: the first two must not land.
+    EXPECT_THROW(client.update(hdham::serve::kLabeled,
+                               {{"new1", "aaaa bbbb cccc"},
+                                {"new2", "dddd eeee ffff"},
+                                {"new3", "x"}}),
+                 std::runtime_error);
+    EXPECT_EQ(pendingClasses(), kClasses);
+
+    // A frame that ends inside its second sample: the first must not
+    // land either.
+    std::vector<std::uint8_t> payload = updatePayload(
+        hdham::serve::kLabeled, 0,
+        {{"new4", "aaaa bbbb cccc"}, {"new5", "dddd eeee ffff"}});
+    payload.resize(payload.size() - 4);
+    const int fd = rawConnect(fx.socketPath);
+    hdham::serve::writeRequest(fd, MsgType::Update, payload);
+    Response resp;
+    ASSERT_TRUE(hdham::serve::readResponse(fd, resp));
+    ::close(fd);
+    EXPECT_EQ(resp.status, hdham::serve::kError);
+    EXPECT_NE(std::string(resp.payload.begin(), resp.payload.end())
+                  .find("truncated payload"),
+              std::string::npos);
+    EXPECT_EQ(pendingClasses(), kClasses);
+}
+
 /** This process's virtual size (VmSize) in KiB, or -1. */
 long
 vmSizeKib()
