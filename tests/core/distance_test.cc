@@ -115,8 +115,9 @@ TEST(DistanceEnvTest, EnvResolutionRespected)
         distance::resolveKernelChoice(env, nullptr);
     EXPECT_STREQ(distance::activeKernelName(), want.name);
     const KernelEntry *named = distance::findKernel(env);
-    if (named && named->usable())
+    if (named && named->usable()) {
         EXPECT_STREQ(distance::activeKernelName(), env);
+    }
 }
 
 TEST(DistanceKernelTest, ScalarMatchesNaiveOracle)
@@ -383,8 +384,9 @@ TEST(DistanceDispatchTest, CompiledAndAvailableListsAreConsistent)
             available.find(entry.name) != std::string::npos;
         EXPECT_EQ(inCompiled, entry.compiled) << entry.name;
         EXPECT_EQ(inAvailable, entry.usable()) << entry.name;
-        if (inAvailable)
+        if (inAvailable) {
             EXPECT_TRUE(inCompiled) << entry.name;
+        }
     }
 }
 
@@ -435,8 +437,9 @@ TEST(DistanceResolutionTest, EnvChoicesResolveWithWarnings)
     // No registered usable backend is wider than the auto choice.
     bool past = false;
     for (const KernelEntry &entry : distance::kernels()) {
-        if (past)
+        if (past) {
             EXPECT_FALSE(entry.usable()) << entry.name;
+        }
         if (&entry == &widest)
             past = true;
     }
