@@ -26,6 +26,7 @@
 #include "core/assoc_memory.hh"
 #include "core/crc32c.hh"
 #include "core/item_memory.hh"
+#include "core/level_memory.hh"
 #include "core/model_file.hh"
 #include "core/random.hh"
 #include "fixtures/model_fixture.hh"
@@ -40,6 +41,7 @@ namespace
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::ItemMemory;
+using hdham::LevelItemMemory;
 using hdham::Rng;
 namespace crc32c = hdham::crc32c;
 namespace modelfile = hdham::modelfile;
@@ -605,6 +607,31 @@ TEST(ModelFileTest, MoveTransfersTheMapping)
 TEST(ModelFileTest, MissingFileNamed)
 {
     expectLoadError("/nonexistent/nope.hdc", "cannot open");
+}
+
+TEST(ModelFileTest, MismatchedSideMemoryWritesNothing)
+{
+    // The writer checks both side memories' dimensions before it
+    // emits the header, so a rejected save leaves no partial file.
+    const AssociativeMemory am = makeModel(250, 9);
+    const ItemMemory items(27, 128, 99);
+    const LevelItemMemory levels(4, 128, 99);
+    {
+        modelfile::SaveOptions opts;
+        opts.items = &items;
+        std::ostringstream out;
+        modelfile::ModelWriter writer(out);
+        EXPECT_THROW(writer.write(am, opts), std::invalid_argument);
+        EXPECT_TRUE(out.str().empty());
+    }
+    {
+        modelfile::SaveOptions opts;
+        opts.levels = &levels;
+        std::ostringstream out;
+        modelfile::ModelWriter writer(out);
+        EXPECT_THROW(writer.write(am, opts), std::invalid_argument);
+        EXPECT_TRUE(out.str().empty());
+    }
 }
 
 TEST(ModelFileTest, EmptyModelRoundTrips)
