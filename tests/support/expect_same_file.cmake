@@ -1,7 +1,10 @@
 # Run the command given after `--` and pass only when it exits 0 and
 # the file OUTPUT it wrote is byte-identical to EXPECTED:
 #
-#   cmake -DOUTPUT=PATH -DEXPECTED=PATH -P expect_same_file.cmake -- COMMAND [ARG...]
+#   cmake -DOUTPUT=PATH -DEXPECTED=PATH [-DSEED=PATH] -P expect_same_file.cmake -- COMMAND [ARG...]
+#
+# OUTPUT is removed before the command runs, or, when SEED is given,
+# replaced by a copy of SEED (for a command that rewrites its input).
 set(cmd)
 set(seenSeparator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -13,7 +16,15 @@ foreach(i RANGE ${last})
     endif()
 endforeach()
 
-file(REMOVE "${OUTPUT}")
+if(DEFINED SEED)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E copy "${SEED}" "${OUTPUT}"
+        RESULT_VARIABLE copied)
+    if(NOT copied EQUAL 0)
+        message(FATAL_ERROR "cannot copy ${SEED} to ${OUTPUT}")
+    endif()
+else()
+    file(REMOVE "${OUTPUT}")
+endif()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
     OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(NOT rc EQUAL 0)
