@@ -106,13 +106,15 @@ struct SaveOptions
 /**
  * Streaming hdham.model.v1 writer.
  *
- * Two passes over the live model, no intermediate full-model buffer:
- * the first pass walks the exact bytes to be emitted and computes
- * every section size and CRC32C; the second streams the header and
- * sections to the output, row words copied straight from the
- * PackedRows array. The stream never needs to seek, so the writer
- * works on pipes as well as files. The rows are always written
- * row-major in one shard.
+ * One pass over the live model. The small sections (shard table,
+ * labels, item and level memory) are built in memory and padded;
+ * each section's size and CRC32C come from the bytes about to be
+ * written, the row words' straight from the PackedRows array and
+ * their padding. The header, the small sections and the rows then
+ * stream to the output, the rows from the store itself, so the
+ * class store is never copied. The stream never needs to seek, so
+ * the writer works on pipes as well as files. The rows are always
+ * written row-major in one shard.
  */
 class ModelWriter
 {
