@@ -65,19 +65,20 @@ readQueries(Reader &req, std::size_t dim)
     return queries;
 }
 
-/** The Classify/Search reply: @p queries' nearest classes on @p snap. */
+/**
+ * The Classify/Search reply: @p queries' nearest classes on @p snap,
+ * scanned on the connection's own thread.
+ */
 std::vector<std::uint8_t>
 nearestReply(const snapshot::MemorySnapshot &snap,
-             const std::vector<Hypervector> &queries,
-             std::size_t threads)
+             const std::vector<Hypervector> &queries)
 {
     const AssociativeMemory &memory = snap.memory();
     Writer out;
     out.u64(snap.sequence());
     out.u32(static_cast<std::uint32_t>(queries.size()));
     if (!queries.empty()) {
-        for (const SearchResult &r :
-             memory.searchBatch(queries, threads)) {
+        for (const SearchResult &r : memory.searchBatch(queries)) {
             out.u64(r.classId);
             out.u64(r.bestDistance);
             out.str(memory.labelOf(r.classId));
@@ -348,15 +349,14 @@ Server::doClassify(Reader &req)
                 std::to_string(encoder.ngramSize()) + ")");
         queries.push_back(encoder.encode(text, rng));
     }
-    return nearestReply(*pin, queries, cfg.threads);
+    return nearestReply(*pin, queries);
 }
 
 std::vector<std::uint8_t>
 Server::doSearch(Reader &req)
 {
     const snapshot::SnapshotRef pin = pinOrThrow();
-    return nearestReply(*pin, readQueries(req, pin->dim()),
-                        cfg.threads);
+    return nearestReply(*pin, readQueries(req, pin->dim()));
 }
 
 std::vector<std::uint8_t>
@@ -469,8 +469,6 @@ Server::statsJson()
         "snapshot.live",
         static_cast<double>(
             snapshot::SnapshotSource::liveSnapshots()));
-    registry.setGauge("run.threads",
-                      static_cast<double>(cfg.threads));
     registry.setInfo("kernel", distance::activeKernelName());
     registry.setInfo("kernels_available",
                      distance::availableKernelList());
@@ -487,8 +485,8 @@ Server::doTrace()
             "--trace)");
     std::lock_guard<std::mutex> lock(traceMu);
     // Deactivate while exporting so no new span writes into the
-    // buffers being read; spans already in flight on a scan thread
-    // finish against the old pointer, so export when traffic is
+    // buffers being read; spans already in flight on a connection
+    // thread finish against the old pointer, so export when traffic is
     // quiet for an exact picture.
     trace::setActive(nullptr);
     std::ostringstream out;

@@ -9,9 +9,9 @@
  * (serve/protocol.hh) over a unix-domain or loopback TCP socket.
  *
  * Per request, a connection pins the current snapshot once, serves
- * every query in the request from that pin through the existing
- * engine paths (AssociativeMemory::searchBatch over the batch
- * executor -- kernel dispatch, metrics, tracing all compose
+ * every query in the request from that pin on its own thread
+ * through the existing engine paths (AssociativeMemory::searchBatch
+ * -- kernel dispatch, metrics, tracing all compose
  * unchanged), and leads its response with the pinned
  * sequence number. Update requests feed the builder; a Swap request
  * publishes -- readers mid-request keep their pinned snapshot to
@@ -53,8 +53,6 @@ struct ServerConfig
      * free port; read it back with Server::port()).
      */
     std::uint16_t tcpPort = 0;
-    /** Scan workers per batched search (0 = all hardware threads). */
-    std::size_t threads = 1;
     /** Verify model checksums on load. */
     bool verifyChecksums = true;
     /** Collect trace spans and answer Trace requests. */

@@ -118,8 +118,8 @@ usage()
         "  hdham info --model PATH\n"
         "  hdham cost [--dim N] [--classes N]\n"
         "  hdham serve --model PATH (--socket PATH | --port N) "
-        "[--threads N] [--kernel K]\n"
-        "              [--no-verify] [--trace]\n"
+        "[--kernel K] [--no-verify]\n"
+        "              [--trace]\n"
         "  hdham query (--socket PATH | --port N) "
         "ping|classify TEXT...|update [--assimilate]\n"
         "              [--threshold BITS] LABEL=TEXT..."

@@ -68,7 +68,6 @@ runServeCommand(std::vector<std::string> args)
     if (!endpointOptions(args, "serve", false, &cfg.unixPath,
                          &cfg.tcpPort))
         return 2;
-    cfg.threads = numericOption(args, "--threads", 1);
     cfg.verifyChecksums = !boolOption(args, "--no-verify");
     cfg.trace = boolOption(args, "--trace");
 

@@ -20,8 +20,8 @@ namespace hdham::serve
 /**
  * Run a resident server until a Shutdown request:
  *
- *   serve --model PATH (--socket PATH | --port N) [--threads N]
- *         [--kernel K] [--no-verify] [--trace]
+ *   serve --model PATH (--socket PATH | --port N) [--kernel K]
+ *         [--no-verify] [--trace]
  *
  * A model in a legacy sliced or sharded layout is served from the
  * row-major copy the loader makes (`hdham save` migrates the file).
