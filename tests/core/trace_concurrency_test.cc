@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,19 @@ namespace
 {
 
 using namespace hdham;
+
+/** This process's resident set (VmRSS) in KiB, or -1. */
+long
+vmRssKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    return -1;
+}
 
 TEST(TraceConcurrencyTest, BatchSearchSpansAcrossWorkers)
 {
@@ -109,6 +123,40 @@ TEST(TraceConcurrencyTest, RepeatedBatchesReuseThreadCaches)
     EXPECT_EQ(batches, 4u);
     // Each batch ran under its own scope.
     EXPECT_EQ(scopes.size(), 4u);
+}
+
+TEST(TraceConcurrencyTest, ForkedWorkerBatchesStayBounded)
+{
+    // Two queries at four threads split into two chunks: the caller
+    // runs one and a forked worker the other, so every batch brings
+    // the tracer a thread it has never seen. What tracing keeps must
+    // follow the spans stored, not the threads seen.
+    constexpr std::size_t kDim = 256;
+    constexpr std::size_t kBatches = 50;
+    Rng rng(33);
+    AssociativeMemory am(kDim);
+    for (std::size_t c = 0; c < 8; ++c)
+        am.store(Hypervector::random(kDim, rng));
+    const std::vector<Hypervector> queries{
+        Hypervector::random(kDim, rng), Hypervector::random(kDim, rng)};
+    // An untraced warm-up leaves a worker's stack and malloc arena
+    // cached for the traced batches to reuse.
+    am.searchBatch(queries, 4);
+
+    trace::Tracer tracer;
+    const long before = vmRssKib();
+    ASSERT_GT(before, 0);
+    trace::setActive(&tracer);
+    for (std::size_t b = 0; b < kBatches; ++b)
+        am.searchBatch(queries, 4);
+    trace::setActive(nullptr);
+    EXPECT_LT(vmRssKib() - before, 32 * 1024);
+
+    // One am.batch and two am.chunk spans per batch, on the caller
+    // and one worker per batch.
+    EXPECT_EQ(tracer.eventCount(), 3 * kBatches);
+    EXPECT_EQ(tracer.droppedEvents(), 0u);
+    EXPECT_EQ(tracer.threadsSeen(), kBatches + 1);
 }
 
 } // namespace

@@ -657,6 +657,52 @@ TEST(ServerTest, ConnectionChurnReleasesThreadStacks)
     EXPECT_EQ(reply.sequence, 1u);
 }
 
+/** This process's resident set (VmRSS) in KiB, or -1. */
+long
+vmRssKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    return -1;
+}
+
+TEST(ServerTest, TracedConnectionChurnStaysBounded)
+{
+    // A traced server keeps the spans its requests record, and no more:
+    // a connection that closes must not leave per-thread trace storage
+    // behind. One Classify per connection; like the churn test above,
+    // waiting for the server to close its end keeps one serving thread
+    // alive at a time.
+    ServerConfig cfg;
+    cfg.trace = true;
+    ServerFixture fx(cfg, "tchurn");
+    const std::vector<std::uint8_t> payload =
+        textsPayload({"the quick brown fox jumps over the lazy dog"});
+    const auto classifyOnce = [&fx, &payload] {
+        const int fd = rawConnect(fx.socketPath);
+        hdham::serve::writeRequest(fd, MsgType::Classify, payload);
+        Response resp;
+        EXPECT_TRUE(hdham::serve::readResponse(fd, resp));
+        EXPECT_EQ(resp.status, hdham::serve::kOk);
+        ::shutdown(fd, SHUT_WR);
+        char byte;
+        while (::read(fd, &byte, 1) > 0) {
+        }
+        ::close(fd);
+    };
+    for (int i = 0; i < 8; ++i)
+        classifyOnce();
+    const long before = vmRssKib();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 64; ++i)
+        classifyOnce();
+    EXPECT_LT(vmRssKib() - before, 32 * 1024);
+}
+
 /**
  * Write the fixture classes in the retired stream layout: "HDHAM"
  * plus three NULs, u64 version 1, u64 dim, u64 count, then per class
