@@ -16,15 +16,15 @@ namespace hdham::trace
 namespace
 {
 
-/** Unique tracer ids; 0 is reserved for "no tracer cached". */
-std::atomic<std::uint64_t> g_tracerIds{0};
-
-/** Thread-local (tracer uid -> buffer) cache, one entry deep. */
-struct BufferCache
+/** The calling thread's track: numbered, process-wide, on first use. */
+std::uint32_t
+threadTrack()
 {
-    std::uint64_t tracerUid = 0;
-    ThreadBuffer *buffer = nullptr;
-};
+    static std::atomic<std::uint32_t> next{0};
+    thread_local const std::uint32_t track =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return track;
+}
 
 double
 microsBetween(Clock::time_point from, Clock::time_point to)
@@ -35,30 +35,8 @@ microsBetween(Clock::time_point from, Clock::time_point to)
 
 } // namespace
 
-ThreadBuffer::ThreadBuffer(std::size_t capacity, std::uint32_t track)
-    : ring(capacity), trackId(track)
-{
-}
-
-bool
-ThreadBuffer::push(const Event &e)
-{
-    const std::size_t n = used.load(std::memory_order_relaxed);
-    if (n >= ring.size()) {
-        drops.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    ring[n] = e;
-    // Release pairs with size()'s acquire so an exporter that
-    // observes the count also observes the event it covers.
-    used.store(n + 1, std::memory_order_release);
-    return true;
-}
-
-Tracer::Tracer(std::size_t capacityPerThread)
-    : capacity(capacityPerThread == 0 ? 1 : capacityPerThread),
-      uid(g_tracerIds.fetch_add(1, std::memory_order_relaxed) + 1),
-      start(Clock::now())
+Tracer::Tracer(std::size_t capacity)
+    : maxEvents(capacity == 0 ? 1 : capacity), start(Clock::now())
 {
 }
 
@@ -68,33 +46,24 @@ Tracer::~Tracer()
         setActive(nullptr);
 }
 
-ThreadBuffer &
-Tracer::threadBuffer()
-{
-    thread_local BufferCache cache;
-    if (cache.tracerUid == uid)
-        return *cache.buffer;
-    const std::lock_guard<std::mutex> lock(mu);
-    buffers.push_back(std::make_unique<ThreadBuffer>(
-        capacity, static_cast<std::uint32_t>(buffers.size())));
-    cache.tracerUid = uid;
-    cache.buffer = buffers.back().get();
-    return *cache.buffer;
-}
-
 void
 Tracer::record(const Event &e)
 {
-    threadBuffer().push(e);
+    const std::uint32_t track = threadTrack();
+    const std::lock_guard<std::mutex> lock(mu);
+    if (stored.size() < maxEvents)
+        stored.emplace_back(track, e);
+    else
+        ++dropped;
 }
 
 std::uint64_t
 Tracer::newScope(const char *name)
 {
-    const std::uint64_t id =
-        scopeCounter.fetch_add(1, std::memory_order_relaxed) + 1;
     const std::lock_guard<std::mutex> lock(mu);
-    scopeNames.emplace_back(id, std::string(name));
+    const std::uint64_t id = ++scopeCount;
+    if (stored.size() < maxEvents)
+        scopeNames.emplace_back(id, name);
     return id;
 }
 
@@ -102,44 +71,31 @@ std::size_t
 Tracer::eventCount() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::size_t total = 0;
-    for (const auto &buf : buffers)
-        total += buf->size();
-    return total;
+    return stored.size();
 }
 
 std::uint64_t
 Tracer::droppedEvents() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::uint64_t total = 0;
-    for (const auto &buf : buffers)
-        total += buf->dropped();
-    return total;
+    return dropped;
 }
 
 std::size_t
 Tracer::threadsSeen() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::size_t seen = 0;
-    for (const auto &buf : buffers)
-        if (buf->size() > 0 || buf->dropped() > 0)
-            ++seen;
-    return seen;
+    std::set<std::uint32_t> threads;
+    for (const auto &entry : stored)
+        threads.insert(entry.first);
+    return threads.size();
 }
 
 std::vector<std::pair<std::uint32_t, Event>>
 Tracer::events() const
 {
     const std::lock_guard<std::mutex> lock(mu);
-    std::vector<std::pair<std::uint32_t, Event>> out;
-    for (const auto &buf : buffers) {
-        const std::size_t n = buf->size();
-        for (std::size_t i = 0; i < n; ++i)
-            out.emplace_back(buf->track(), buf->at(i));
-    }
-    return out;
+    return {stored.begin(), stored.end()};
 }
 
 std::vector<SpanStats>
@@ -154,11 +110,13 @@ Tracer::summary() const
         metrics::LatencyHistogram durations;
     };
     std::map<std::string, Acc> byName;
-    for (const auto &[track, e] : events()) {
-        (void)track;
-        Acc &acc = byName[e.name];
-        acc.selfUs += e.selfUs;
-        acc.durations.record(e.durUs);
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        for (const auto &entry : stored) {
+            Acc &acc = byName[entry.second.name];
+            acc.selfUs += entry.second.selfUs;
+            acc.durations.record(entry.second.durUs);
+        }
     }
     std::vector<SpanStats> out;
     out.reserve(byName.size());
@@ -206,34 +164,31 @@ Tracer::writeSummary(std::ostream &out) const
 void
 Tracer::writeChromeJson(std::ostream &out) const
 {
-    const std::vector<std::pair<std::uint32_t, Event>> all =
-        events();
-    std::vector<std::pair<std::uint64_t, std::string>> scopes;
-    {
-        const std::lock_guard<std::mutex> lock(mu);
-        scopes = scopeNames;
-    }
+    const std::lock_guard<std::mutex> lock(mu);
 
     // Scope names for process_name metadata; scope 0 is the
     // untracked remainder (single-shot searches, setup work).
     std::map<std::uint64_t, std::string> scopeLabel;
     scopeLabel[0] = "untracked";
     std::map<std::string, std::uint64_t> perName;
-    for (const auto &[id, name] : scopes)
+    for (const auto &[id, name] : scopeNames)
         scopeLabel[id] = name + "#" +
                          std::to_string(++perName[name]);
 
     // Emit thread_name metadata only for (pid, tid) pairs that
     // actually carry events, so the trace has no empty tracks.
     std::set<std::pair<std::uint64_t, std::uint32_t>> tracks;
-    for (const auto &[track, e] : all)
+    std::set<std::uint32_t> threads;
+    for (const auto &[track, e] : stored) {
         tracks.emplace(e.scope, track);
+        threads.insert(track);
+    }
 
     out << "{\n  \"schema\": \"hdham.trace.v1\",\n";
     out << "  \"displayTimeUnit\": \"ms\",\n";
     out << "  \"otherData\": {\n";
-    out << "    \"dropped_events\": " << droppedEvents() << ",\n";
-    out << "    \"thread_buffers\": " << threadsSeen() << "\n";
+    out << "    \"dropped_events\": " << dropped << ",\n";
+    out << "    \"thread_buffers\": " << threads.size() << "\n";
     out << "  },\n";
     out << "  \"traceEvents\": [";
 
@@ -258,13 +213,11 @@ Tracer::writeChromeJson(std::ostream &out) const
                "\"pid\": "
             << pid << ", \"tid\": " << tid << ", \"args\": {"
             << "\"name\": ";
-        json::writeEscaped(out, tid == 0
-                                    ? "track 0 (caller)"
-                                    : "track " + std::to_string(tid));
+        json::writeEscaped(out, "track " + std::to_string(tid));
         out << "}}";
     }
 
-    for (const auto &[track, e] : all) {
+    for (const auto &[track, e] : stored) {
         comma();
         out << "{\"name\": ";
         json::writeEscaped(out, e.name);

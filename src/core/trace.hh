@@ -14,13 +14,14 @@
  *  - Disabled tracing costs a single branch per span site: the Span
  *    constructor loads one relaxed atomic pointer and returns when no
  *    tracer is active. No clock read, no allocation, no lock.
- *  - The hot path never blocks: spans are recorded into per-thread
- *    bounded buffers owned by the Tracer. A full buffer drops the
- *    event and counts the drop exactly; recording never waits.
- *  - Buffers are single-writer: only the owning thread appends.
- *    Export happens after the traced work is joined (parallelFor
- *    joins its workers before returning), so reads are ordered by
- *    the joins plus an acquire on the buffer size.
+ *  - Traced memory is bounded by the spans kept, not by the threads
+ *    that ran: the Tracer owns one event store, and a closing span
+ *    appends to it under the tracer's mutex, tagged with its thread's
+ *    track number. The store grows block by block as events arrive,
+ *    never moves a stored event, and holds at most the tracer's
+ *    capacity; later events are dropped and counted exactly.
+ *  - Every read (counts, events, summary, export) takes the same
+ *    mutex, so a tracer can be read while traced work goes on.
  *
  * Spans nest per thread: a thread_local stack pointer links each span
  * to its parent, which yields depth and exact self time (duration
@@ -43,7 +44,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -99,7 +100,7 @@ enabled()
 /**
  * Install @p tracer as the process-wide active tracer (nullptr
  * disables tracing). The tracer must outlive every span started
- * while it is active; deactivate before exporting.
+ * while it is active.
  */
 inline void
 setActive(Tracer *tracer)
@@ -107,7 +108,7 @@ setActive(Tracer *tracer)
     detail::g_active.store(tracer, std::memory_order_relaxed);
 }
 
-/** One completed span, as stored in a thread buffer. */
+/** One completed span, as a tracer stores it. */
 struct Event
 {
     /** Span name; must point at storage outliving the tracer
@@ -145,56 +146,16 @@ struct SpanStats
 };
 
 /**
- * Fixed-capacity single-writer event buffer. Only the owning thread
- * pushes; overflowing events are dropped and counted exactly.
- */
-class ThreadBuffer
-{
-  public:
-    ThreadBuffer(std::size_t capacity, std::uint32_t track);
-
-    /** Stable per-thread track id (registration order). */
-    std::uint32_t track() const { return trackId; }
-
-    /** Events stored (acquire; pairs with push's release). */
-    std::size_t size() const
-    {
-        return used.load(std::memory_order_acquire);
-    }
-
-    /** Event @p i. @pre i < size(). */
-    const Event &at(std::size_t i) const { return ring[i]; }
-
-    /** Events dropped because the buffer was full. */
-    std::uint64_t dropped() const
-    {
-        return drops.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Append @p e; returns false (and counts the drop) when full.
-     * Must only be called by the owning thread.
-     */
-    bool push(const Event &e);
-
-  private:
-    std::vector<Event> ring;
-    std::atomic<std::size_t> used{0};
-    std::atomic<std::uint64_t> drops{0};
-    std::uint32_t trackId;
-};
-
-/**
- * Owns the per-thread span buffers and exports them. Create one,
- * setActive(&tracer), run the workload, setActive(nullptr), then
- * export. Thread registration takes a mutex once per thread; span
- * recording is lock-free thereafter.
+ * Stores the spans of every thread in one bounded store and exports
+ * them. Create one, setActive(&tracer), run the workload, then read
+ * or export; a read taken while spans still close sees those that
+ * closed before it.
  */
 class Tracer
 {
   public:
-    /** @param capacityPerThread events retained per thread buffer. */
-    explicit Tracer(std::size_t capacityPerThread = 1 << 16);
+    /** @param capacity events retained, across all threads. */
+    explicit Tracer(std::size_t capacity = 1 << 16);
 
     /** Deactivates itself if still the active tracer. */
     ~Tracer();
@@ -217,32 +178,32 @@ class Tracer
     bool capturesPerf() const { return capturePerf; }
 
     /**
-     * Record one completed span into the calling thread's buffer.
-     * Called by Span, which registered the buffer when the thread
-     * opened its first span; wait-free after that.
+     * Store one completed span, paired with the calling thread's
+     * track, or count it dropped when the store is full. Called by
+     * Span when a span closes.
      */
     void record(const Event &e);
 
     /**
      * Open a new batch scope named @p name; returns its id (>= 1).
      * Used by BatchScope; ids order the "process" tracks in the
-     * Chrome export.
+     * Chrome export. Once the store is full no event of the scope
+     * can be stored, so its name is not kept either.
      */
     std::uint64_t newScope(const char *name);
 
-    /** Total events stored across all thread buffers. */
+    /** Events stored (at most the capacity). */
     std::size_t eventCount() const;
 
-    /** Total events dropped to full buffers (exact). */
+    /** Events dropped because the store was full (exact). */
     std::uint64_t droppedEvents() const;
 
-    /** Number of distinct threads that recorded at least one span. */
+    /** Number of distinct threads with at least one stored span. */
     std::size_t threadsSeen() const;
 
     /**
-     * Copy of every stored event, buffers in registration order,
-     * events in completion order within a buffer. Each event is
-     * paired with its thread track id.
+     * Copy of every stored event in completion order, each paired
+     * with its thread's track id.
      */
     std::vector<std::pair<std::uint32_t, Event>> events() const;
 
@@ -260,7 +221,8 @@ class Tracer
      * Chrome trace-event JSON (schema hdham.trace.v1): "X" events
      * with pid = batch scope, tid = thread track, args carrying
      * self_us and depth, plus process_name/thread_name metadata.
-     * Call only after the traced work is complete and joined.
+     * Holds the store's mutex throughout, so the document is one
+     * consistent picture; spans closing meanwhile wait for it.
      */
     void writeChromeJson(std::ostream &out) const;
 
@@ -271,26 +233,21 @@ class Tracer
     void saveChromeJson(const std::string &path) const;
 
   private:
-    friend class Span;
-    friend class BatchScope;
-
-    /**
-     * This thread's buffer, registering (and allocating) it on first
-     * use. Span calls it on open, before reading its start time.
-     */
-    ThreadBuffer &threadBuffer();
-
-    std::size_t capacity;
-    /** Unique per-tracer id keying the thread-local buffer cache. */
-    std::uint64_t uid;
+    std::size_t maxEvents;
     Clock::time_point start;
     bool capturePerf = false;
 
+    /** Guards every member below. */
     mutable std::mutex mu;
-    std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+    /**
+     * (thread track, event) in completion order. A deque grows in
+     * blocks as events arrive and never moves the ones stored.
+     */
+    std::deque<std::pair<std::uint32_t, Event>> stored;
+    std::uint64_t dropped = 0;
     /** (scope id, name) in creation order. */
     std::vector<std::pair<std::uint64_t, std::string>> scopeNames;
-    std::atomic<std::uint64_t> scopeCounter{0};
+    std::uint64_t scopeCount = 0;
 };
 
 /**
@@ -372,11 +329,6 @@ class Span
     {
         if (!tracer && !collector)
             return;
-        // Build this thread's buffer before the clock starts, so its
-        // setup lands in no span's time instead of in the enclosing
-        // span's self time when the first span closes.
-        if (tracer)
-            tracer->threadBuffer();
         name = spanName;
         parent = detail::tlCurrent;
         depth = parent ? parent->depth + 1 : 0;

@@ -483,15 +483,10 @@ Server::doTrace()
         throw std::runtime_error(
             "serve: tracing disabled (start the server with "
             "--trace)");
-    std::lock_guard<std::mutex> lock(traceMu);
-    // Deactivate while exporting so no new span writes into the
-    // buffers being read; spans already in flight on a connection
-    // thread finish against the old pointer, so export when traffic is
-    // quiet for an exact picture.
-    trace::setActive(nullptr);
+    // The export holds the tracer's mutex: spans that close on other
+    // connections meanwhile wait for it and are kept.
     std::ostringstream out;
     tracer.writeChromeJson(out);
-    trace::setActive(&tracer);
     return bytesOf(out.str());
 }
 

@@ -146,7 +146,6 @@ class Server
 
     /** Span collector for Trace requests (active when cfg.trace). */
     trace::Tracer tracer;
-    std::mutex traceMu;
 
     int listenFd = -1;
     std::uint16_t resolvedPort = 0;

@@ -3,8 +3,8 @@
  * Unit tests for the span tracing subsystem (core/trace.hh):
  * disabled-path inertness, nesting and self-time accounting, batch
  * scope propagation and restoration, exact overflow drop counting,
- * per-thread buffer registration (on a thread's first span open,
- * outside every span's time), summary aggregation and its pinned
+ * one track per thread, a thread's first span costing no
+ * capacity-sized setup, summary aggregation and its pinned
  * quantiles, and that a traced D-HAM search returns the same answers
  * and does the same scan work as an untraced one.
  */
@@ -216,11 +216,11 @@ TEST(TraceTest, EachThreadGetsItsOwnBuffer)
 
 TEST(TraceTest, FirstSpanOnAThreadDoesNotBillBufferSetup)
 {
-    // A thread's first span builds its event buffer. That setup must
-    // happen before the span's clock starts, not when the first span
-    // closes -- otherwise it lands in the enclosing span's self time.
-    // The capacity makes the build take milliseconds; the test times
-    // an equal-sized build itself.
+    // The tracer's store grows as events arrive: a thread's first
+    // span must not build storage sized by the capacity, which would
+    // land in the enclosing span's self time when the first span
+    // closes. The capacity makes such a build take milliseconds; the
+    // test times an equal-sized build itself.
     constexpr std::size_t kCapacity = std::size_t(1) << 18;
     const auto buildStart = std::chrono::steady_clock::now();
     {
@@ -254,9 +254,8 @@ TEST(TraceTest, FirstSpanOnAThreadDoesNotBillBufferSetup)
 
 TEST(TraceTest, SequentialTracersDoNotShareBuffers)
 {
-    // The thread-local buffer cache is keyed by tracer uid: a second
-    // tracer on the same thread must not inherit the first one's
-    // buffer (or worse, a dangling pointer to it).
+    // Each tracer has its own store: a second tracer on the same
+    // thread must see none of the first one's events.
     trace::Tracer first;
     {
         ActiveTracer active(first);
