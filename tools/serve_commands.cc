@@ -104,6 +104,7 @@ runQueryCommand(std::vector<std::string> args)
     const bool assimilate = boolOption(args, "--assimilate");
     const std::uint32_t threshold =
         numericOption<std::uint32_t>(args, "--threshold", 0);
+    rejectUnknownFlags(args);
     if (args.empty()) {
         std::fprintf(stderr,
                      "query: need a verb (ping, classify, update, "
