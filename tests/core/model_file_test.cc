@@ -634,6 +634,35 @@ TEST(ModelFileTest, MismatchedSideMemoryWritesNothing)
     }
 }
 
+TEST(ModelFileTest, SaveOverAMappedModelLeavesTheViewIntact)
+{
+    // save() replaces the file at the path instead of rewriting it in
+    // place, so a view still mapping the old file keeps reading the
+    // old rows -- a shorter file written in place would fault on them
+    // (SIGBUS) and a same-size one would change them -- while a fresh
+    // open sees the new model.
+    const std::string path = tempFile("mf_replace.hdc", "");
+    modelfile::save(path, makeModel(4096, 16));
+    const modelfile::ModelView view(path);
+    std::vector<Hypervector> rows;
+    for (std::size_t c = 0; c < view.classes(); ++c)
+        rows.push_back(view.memory().vectorOf(c));
+    ASSERT_EQ(rows.size(), 16u);
+
+    const AssociativeMemory replacement = makeModel(64, 2);
+    modelfile::save(path, replacement);
+    for (std::size_t c = 0; c < rows.size(); ++c)
+        EXPECT_EQ(view.memory().vectorOf(c), rows[c]) << c;
+
+    const modelfile::ModelView reopened(path);
+    EXPECT_EQ(reopened.dim(), 64u);
+    ASSERT_EQ(reopened.classes(), 2u);
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(reopened.memory().vectorOf(c),
+                  replacement.vectorOf(c))
+            << c;
+}
+
 TEST(ModelFileTest, EmptyModelRoundTrips)
 {
     AssociativeMemory am(128);

@@ -62,12 +62,8 @@
  * file itself; it refuses a model that embeds none.
  */
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -524,29 +520,9 @@ cmdSave(std::vector<std::string> args)
     if (snap->hasLevelMemory())
         saveOpts.levels = &snap->levelMemory();
 
-    // Stream to a sibling temp file and rename it into place once
-    // the writer is done. Writing --out directly would, when it
-    // names the same file as --model, truncate the mapping the
-    // streaming writer is still reading from (SIGBUS: MAP_PRIVATE
-    // does not survive truncation of the backing file); the rename
-    // also keeps a failed save from leaving a half-written model at
-    // the destination.
-    const std::string tmp =
-        out + ".tmp." + std::to_string(::getpid());
-    try {
-        modelfile::save(tmp, snap->memory(), saveOpts);
-        if (std::rename(tmp.c_str(), out.c_str()) != 0) {
-            const int err = errno;
-            std::remove(tmp.c_str());
-            std::fprintf(stderr,
-                         "save: cannot move %s into place: %s\n",
-                         out.c_str(), std::strerror(err));
-            return 1;
-        }
-    } catch (...) {
-        std::remove(tmp.c_str());
-        throw;
-    }
+    // save() renames a finished sibling file over --out, so --out may
+    // name --model: the mapping the rows stream from stays intact.
+    modelfile::save(out, snap->memory(), saveOpts);
 
     const modelfile::ModelView written(out);
     std::printf("model written to %s (hdham.model.v1, %zu classes, "
