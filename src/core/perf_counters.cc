@@ -8,7 +8,7 @@
 
 #include "core/metrics.hh"
 
-#if defined(__linux__) && !defined(HDHAM_PERF_STUB)
+#if defined(__linux__)
 #define HDHAM_PERF_LINUX 1
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>

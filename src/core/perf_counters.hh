@@ -35,9 +35,10 @@
  *    *after* construction (parallelFor workers) are aggregated into
  *    one total (right for whole-run --perf accounting).
  *
- * Non-Linux builds (or -DHDHAM_PERF=OFF) compile a stub backend in
- * perf_counters.cc with the same API where status() is Unavailable
- * and memory facts fall back to getrusage where possible.
+ * Non-Linux builds compile a stub backend in perf_counters.cc with
+ * the same API where status() is Unavailable and memory facts fall
+ * back to getrusage where possible. On Linux, HDHAM_PERF=off turns
+ * the counters off at run time.
  */
 
 #ifndef HDHAM_CORE_PERF_COUNTERS_HH
