@@ -134,7 +134,11 @@ class ModelWriter
 };
 
 /**
- * Convenience: save @p am to @p path via a ModelWriter.
+ * Save @p am to @p path via a ModelWriter. The model is written to a
+ * sibling file that is then renamed over @p path, so a reader that
+ * maps the old file keeps its pages intact -- a shorter file written
+ * in place would fault them (SIGBUS), a same-size one would change
+ * them -- and a failed save leaves @p path as it was.
  * @throws std::runtime_error on any I/O failure.
  */
 void save(const std::string &path, const AssociativeMemory &am,
