@@ -85,7 +85,8 @@ AssociativeMemory::searchSampled(const Hypervector &query,
 {
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
-    assert(query.dim() == rows.dim());
+    batch::requireDim(query, rows.dim(),
+                      "AssociativeMemory::searchSampled");
     assert(prefix <= rows.dim());
 
     TRACE_SPAN("am.search");
@@ -100,6 +101,8 @@ AssociativeMemory::searchDetailed(const Hypervector &query) const
 {
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
+    batch::requireDim(query, rows.dim(),
+                      "AssociativeMemory::searchDetailed");
     SearchResult result;
     rows.distances(query, rows.dim(), result.distances);
     std::size_t best = std::numeric_limits<std::size_t>::max();
@@ -122,6 +125,8 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
                                std::size_t threads) const
 {
     batch::requireStored(rows.rows(), "AssociativeMemory");
+    batch::requireDims(queries, rows.dim(),
+                       "AssociativeMemory::searchBatch");
     const std::size_t prefix = rows.dim();
     const auto kernel = [&](std::size_t q, batch::NoTally &) {
         SearchResult result;
@@ -143,6 +148,7 @@ AssociativeMemory::searchTopK(const Hypervector &query,
 {
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
+    batch::requireDim(query, rows.dim(), "AssociativeMemory::searchTopK");
     std::vector<RowMatch> matches;
     rows.topK(query, rows.dim(), k, matches);
     recordScans(1);

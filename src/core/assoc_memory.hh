@@ -135,7 +135,10 @@ class AssociativeMemory
 
     /**
      * Exact nearest-distance search (winner + distance only; no
-     * allocation). @pre size() > 0 and query.dim() == dim().
+     * allocation). @pre size() > 0.
+     * @throws std::invalid_argument naming the search and both
+     * dimensions when query.dim() != dim(), before any row is read;
+     * so do searchSampled, searchDetailed and searchTopK.
      */
     SearchResult search(const Hypervector &query) const;
 
@@ -160,7 +163,9 @@ class AssociativeMemory
      * the batch with @p threads workers (0 = all hardware threads).
      * Bit-identical to calling search() per query in order, for
      * every thread count and batch split.
-     * @pre size() > 0 and every query.dim() == dim().
+     * @pre size() > 0.
+     * @throws std::invalid_argument as search() when any query's
+     * dimension differs, before any query is searched.
      */
     std::vector<SearchResult>
     searchBatch(const std::vector<Hypervector> &queries,

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/event_log.hh"
+#include "core/hypervector.hh"
 #include "core/metrics.hh"
 #include "core/parallel_for.hh"
 #include "core/trace.hh"
@@ -56,6 +57,33 @@ requireStored(std::size_t stored, const char *engine)
         throw std::logic_error(std::string(engine) +
                                "::searchBatch: no stored classes");
     }
+}
+
+/**
+ * Shared precondition of every search: a query of the engine's
+ * dimension @p dim, checked before any row is read (a shorter query's
+ * words would run out first). @throws std::invalid_argument naming
+ * @p what and both dimensions.
+ */
+inline void
+requireDim(const Hypervector &query, std::size_t dim, const char *what)
+{
+    if (query.dim() != dim) {
+        throw std::invalid_argument(
+            std::string(what) + ": query dimension " +
+            std::to_string(query.dim()) +
+            " does not match the stored dimension " +
+            std::to_string(dim));
+    }
+}
+
+/** requireDim for every query of a batch, before any is searched. */
+inline void
+requireDims(const std::vector<Hypervector> &queries, std::size_t dim,
+            const char *what)
+{
+    for (const Hypervector &query : queries)
+        requireDim(query, dim, what);
 }
 
 /** Trace span names of one engine's batch scaffold. */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Kernel registry with runtime CPU dispatch: the Hamming distance,
- * the bundling count and the short-text majority.
+ * the bundling count, the short-text majority and R-HAM's 4-bit block
+ * histogram.
  *
  * Every search engine in the library -- the software oracle, D-HAM's
  * sampled scan, A-HAM's staged prefix sums -- reduces to the same
@@ -11,7 +12,10 @@
  * (CountBlockFn). Encoding a short text reduces to a third: the
  * majority of at most 255 bound vectors (MajorityFn). Both bundling
  * kernels count their vectors in the same kRegisterPlanes = 8
- * register planes and differ only in the last step. This layer owns these primitives as a
+ * register planes and differ only in the last step. R-HAM's
+ * behavioral search reduces to a fourth: how many 4-bit blocks of
+ * row XOR query sit at each distance 0..4 (NibbleHistogramFn). This
+ * layer owns these primitives as a
  * *registry* of hardware tiers, each compiled in its own translation
  * unit under src/core/kernels/ with per-function target attributes.
  * The Hamming kernels:
@@ -32,24 +36,25 @@
  * The count and majority kernels share one accumulation loop, a
  * carry-save tree over 16 vectors at a time (kernels/bundle_kernel.hh),
  * at the tier's vector width: 1 word per step for scalar, 2 for sse2
- * and neon, 4 for avx2, 8 for avx512.
+ * and neon, 4 for avx2, 8 for avx512. The block histogram
+ * (kernels/nibble_kernel.hh) steps at the same widths.
  *
  * Each tier is a self-describing KernelEntry (name, availability
- * predicate, exact fn, block count, majority); the dispatcher only
- * iterates kernels(), so adding a tier never touches the dispatcher
- * -- only its own translation unit and the registry table. One
- * choice picks all three kernels of a tier.
+ * predicate, exact fn, block count, majority, block histogram); the
+ * dispatcher only iterates kernels(), so adding a tier never touches
+ * the dispatcher -- only its own translation unit and the registry
+ * table. One choice picks all four kernels of a tier.
  *
  * All kernels are exact integer bit counts, so switching kernels can
- * never change a search result, a bundled count, a majority mask or
- * a model byte -- the determinism contract (bit-identical output
- * across threads, batch splits and kernels) is pinned by
- * tests/core/distance_test.cc iterating every registered entry
- * (the count and majority kernels against a per-component count), by
- * the
- * batch-equivalence suite end to end, and by the bundler's and
- * encoder's oracle suites and the golden model bytes under every
- * tier.
+ * never change a search result, a bundled count, a majority mask, an
+ * R-HAM noise draw or a model byte -- the determinism contract
+ * (bit-identical output across threads, batch splits and kernels) is
+ * pinned by tests/core/distance_test.cc iterating every registered
+ * entry (the count and majority kernels against a per-component
+ * count, the block histogram against a per-block count), by the
+ * batch-equivalence suite end to end, and by the bundler's,
+ * encoder's and R-HAM's oracle suites, R-HAM's pinned answers and the
+ * golden model bytes under every tier.
  *
  * Dispatch: the active kernel is resolved once, on first use, in
  * this order: (1) the HDHAM_KERNEL environment variable when it
@@ -130,6 +135,22 @@ using MajorityFn = void (*)(const std::uint64_t *const *factors,
                             std::uint64_t *ties);
 
 /**
+ * Signature shared by every block histogram kernel: add to hist[d],
+ * d = 0..4, the number of 4-bit blocks k in [@p firstBlock,
+ * @p lastBlock) whose bits [4k, 4k + 4) of a XOR b hold d ones. Reads
+ * only the words that hold those blocks; the other blocks of the
+ * first and last word never count. A block past a vector's last
+ * component counts its padding bits, so callers keep the padding
+ * clean, as Hypervector and PackedRows do. RHam (ham/r_ham.hh) is the
+ * caller: the noise it draws for a row depends on nothing else.
+ */
+using NibbleHistogramFn = void (*)(const std::uint64_t *a,
+                                   const std::uint64_t *b,
+                                   std::size_t firstBlock,
+                                   std::size_t lastBlock,
+                                   std::uint32_t *hist);
+
+/**
  * One registered hardware tier. Entries live in their tier's
  * translation unit (src/core/kernels/hamming_<name>.cc) and are
  * collected by the registry table (kernel_registry.cc); everything
@@ -155,8 +176,8 @@ struct KernelEntry
     /**
      * Runtime host probe (cpuid/hwcap). Only entries with
      * compiled && available() may be installed; on other entries
-     * fn/countBlock/majority still point at safe scalar fallbacks,
-     * never null.
+     * fn/countBlock/majority/nibbleHistogram still point at safe
+     * scalar fallbacks, never null.
      */
     bool (*available)();
     /** Exact kernel. */
@@ -165,6 +186,8 @@ struct KernelEntry
     CountBlockFn countBlock;
     /** Short-text majority kernel, at this tier's vector width. */
     MajorityFn majority;
+    /** R-HAM's 4-bit block histogram, at this tier's vector width. */
+    NibbleHistogramFn nibbleHistogram;
 
     /** True when this backend can serve queries on this host. */
     bool usable() const { return compiled && available(); }

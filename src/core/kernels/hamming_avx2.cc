@@ -3,7 +3,8 @@
  * AVX2 tier. Hamming kernel: 256-bit VPSHUFB nibble-lookup popcount
  * (Mula's method) with VPSADBW lane accumulation, four words per
  * vector step. Bundling count and majority kernels:
- * bundle_kernel.hh at four words per step. All are compiled with a
+ * bundle_kernel.hh at four words per step; block histogram:
+ * nibble_kernel.hh at four. All are compiled with a
  * per-function target attribute so the rest of the binary stays
  * baseline; the registry's availability predicate (cpuid) decides
  * whether they may be installed.
@@ -11,6 +12,7 @@
 
 #include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
+#include "core/kernels/nibble_kernel.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HDHAM_AVX2_KERNEL 1
@@ -84,6 +86,14 @@ avx2Majority(const std::uint64_t *const *factors, std::size_t arity,
     detail::majorityMasks<4>(factors, arity, m, words, greater, ties);
 }
 
+__attribute__((target("avx2"))) void
+avx2NibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                    std::size_t firstBlock, std::size_t lastBlock,
+                    std::uint32_t *hist)
+{
+    detail::nibbleHistogram<4>(a, b, firstBlock, lastBlock, hist);
+}
+
 bool
 avx2Available()
 {
@@ -110,6 +120,7 @@ avx2Kernel()
         &avx2Hamming,
         &avx2CountBlock,
         &avx2Majority,
+        &avx2NibbleHistogram,
     };
 #else
     static const KernelEntry entry{
@@ -121,6 +132,7 @@ avx2Kernel()
         &scalarHamming,
         &scalarCountBlock,
         &scalarMajority,
+        &scalarNibbleHistogram,
     };
 #endif
     return entry;

@@ -5,7 +5,8 @@
  * popcnt + add per cache line. Roughly 2x the AVX2 nibble-lookup
  * kernel on hosts that have it (Ice Lake and newer, Zen 4 and
  * newer). Bundling count and majority kernels: bundle_kernel.hh at
- * eight words per step, one 512-bit vector.
+ * eight words per step, one 512-bit vector; block histogram:
+ * nibble_kernel.hh at eight.
  *
  * Availability needs two cpuid bits: avx512f (the 512-bit register
  * file itself) and avx512vpopcntdq (the popcount instruction);
@@ -16,6 +17,7 @@
 
 #include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
+#include "core/kernels/nibble_kernel.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HDHAM_AVX512_KERNEL 1
@@ -72,6 +74,14 @@ avx512Majority(const std::uint64_t *const *factors, std::size_t arity,
     detail::majorityMasks<8>(factors, arity, m, words, greater, ties);
 }
 
+__attribute__((target("avx512f,avx512vpopcntdq"))) void
+avx512NibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                      std::size_t firstBlock, std::size_t lastBlock,
+                      std::uint32_t *hist)
+{
+    detail::nibbleHistogram<8>(a, b, firstBlock, lastBlock, hist);
+}
+
 bool
 avx512Available()
 {
@@ -99,6 +109,7 @@ avx512Kernel()
         &avx512Hamming,
         &avx512CountBlock,
         &avx512Majority,
+        &avx512NibbleHistogram,
     };
 #else
     static const KernelEntry entry{
@@ -110,6 +121,7 @@ avx512Kernel()
         &scalarHamming,
         &scalarCountBlock,
         &scalarMajority,
+        &scalarNibbleHistogram,
     };
 #endif
     return entry;

@@ -3,9 +3,10 @@
  * Internal glue between the tiers' kernels and the registry.
  *
  * Each tier's translation unit (hamming_<name>.cc) implements its
- * exact Hamming kernel and its bundling count and
- * majority kernels (bundle_kernel.hh at the tier's width), wraps them
- * in a self-describing KernelEntry, and exposes that entry through
+ * exact Hamming kernel, its bundling count and majority kernels
+ * (bundle_kernel.hh at the tier's width) and its block histogram
+ * (nibble_kernel.hh at the same width), wraps them in a
+ * self-describing KernelEntry, and exposes that entry through
  * the accessor declared here; kernel_registry.cc collects the
  * accessors into the ordered table behind distance::kernels().
  * Nothing outside src/core/kernels/ includes this header -- callers
@@ -59,6 +60,14 @@ void scalarCountBlock(const std::uint64_t *const *factors,
 void scalarMajority(const std::uint64_t *const *factors,
                     std::size_t arity, std::size_t m, std::size_t words,
                     std::uint64_t *greater, std::uint64_t *ties);
+
+/**
+ * The scalar tier's block histogram, one word per step: also the
+ * fallback cross-architecture registry entries point at.
+ */
+void scalarNibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                           std::size_t firstBlock, std::size_t lastBlock,
+                           std::uint32_t *hist);
 
 /** One entry per backend translation unit, in kernel_registry.cc
  *  order (narrowest first). */

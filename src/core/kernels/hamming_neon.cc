@@ -5,7 +5,8 @@
  * (counts stay <= 16, no overflow), then one widening pairwise-add
  * chain folds the sixteen byte counts into the qword accumulator --
  * four words per iteration. Bundling count and majority kernels:
- * bundle_kernel.hh at two words per step.
+ * bundle_kernel.hh at two words per step; block histogram:
+ * nibble_kernel.hh at two.
  *
  * AdvSIMD is architectural on AArch64, so availability is simply
  * "compiled for aarch64"; there is no hwcap probe to run. On other
@@ -15,6 +16,7 @@
 
 #include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
+#include "core/kernels/nibble_kernel.hh"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
 #define HDHAM_NEON_KERNEL 1
@@ -82,6 +84,14 @@ neonMajority(const std::uint64_t *const *factors, std::size_t arity,
     detail::majorityMasks<2>(factors, arity, m, words, greater, ties);
 }
 
+void
+neonNibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                    std::size_t firstBlock, std::size_t lastBlock,
+                    std::uint32_t *hist)
+{
+    detail::nibbleHistogram<2>(a, b, firstBlock, lastBlock, hist);
+}
+
 bool
 neonAvailable()
 {
@@ -108,6 +118,7 @@ neonKernel()
         &neonHamming,
         &neonCountBlock,
         &neonMajority,
+        &neonNibbleHistogram,
     };
 #else
     static const KernelEntry entry{
@@ -119,6 +130,7 @@ neonKernel()
         &scalarHamming,
         &scalarCountBlock,
         &scalarMajority,
+        &scalarNibbleHistogram,
     };
 #endif
     return entry;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Reference scalar tier: one std::popcount per 64-bit word, and the
- * bundling count and majority one word per step. Every other tier
- * must match it bit for bit; its count and majority kernels are also
- * the fallbacks cross-architecture registry entries point at.
+ * bundling count, majority and block histogram one word per step.
+ * Every other tier must match it bit for bit; its count, majority and
+ * histogram kernels are also the fallbacks cross-architecture
+ * registry entries point at.
  */
 
 #include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
+#include "core/kernels/nibble_kernel.hh"
 
 namespace hdham::distance
 {
@@ -42,6 +44,14 @@ scalarMajority(const std::uint64_t *const *factors, std::size_t arity,
     majorityMasks<1>(factors, arity, m, words, greater, ties);
 }
 
+void
+scalarNibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                      std::size_t firstBlock, std::size_t lastBlock,
+                      std::uint32_t *hist)
+{
+    nibbleHistogram<1>(a, b, firstBlock, lastBlock, hist);
+}
+
 namespace
 {
 
@@ -65,6 +75,7 @@ scalarKernel()
         &scalarHamming,
         &scalarCountBlock,
         &scalarMajority,
+        &scalarNibbleHistogram,
     };
     return entry;
 }

@@ -4,7 +4,7 @@
  * Hacker's-Delight halving sequence on sixteen bytes at once)
  * folded into per-qword sums by PSADBW, two words per vector step.
  * Bundling count and majority kernels: bundle_kernel.hh at two
- * words per step.
+ * words per step; block histogram: nibble_kernel.hh at two.
  *
  * SSE2 is part of the x86-64 baseline, so this backend is available
  * on *every* x86-64 host -- it is the SIMD floor for machines that
@@ -19,6 +19,7 @@
 
 #include "core/kernels/bundle_kernel.hh"
 #include "core/kernels/hamming_kernels.hh"
+#include "core/kernels/nibble_kernel.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HDHAM_SSE2_KERNEL 1
@@ -106,6 +107,14 @@ sse2Majority(const std::uint64_t *const *factors, std::size_t arity,
     detail::majorityMasks<2>(factors, arity, m, words, greater, ties);
 }
 
+__attribute__((target("sse2"))) void
+sse2NibbleHistogram(const std::uint64_t *a, const std::uint64_t *b,
+                    std::size_t firstBlock, std::size_t lastBlock,
+                    std::uint32_t *hist)
+{
+    detail::nibbleHistogram<2>(a, b, firstBlock, lastBlock, hist);
+}
+
 bool
 sse2Available()
 {
@@ -134,6 +143,7 @@ sse2Kernel()
         &sse2Hamming,
         &sse2CountBlock,
         &sse2Majority,
+        &sse2NibbleHistogram,
     };
 #else
     static const KernelEntry entry{
@@ -145,6 +155,7 @@ sse2Kernel()
         &scalarHamming,
         &scalarCountBlock,
         &scalarMajority,
+        &scalarNibbleHistogram,
     };
 #endif
     return entry;

@@ -1,7 +1,6 @@
 #include "ham/a_ham.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "core/batch_executor.hh"
@@ -44,8 +43,6 @@ HamResult
 AHam::searchIndexed(const Hypervector &query,
                     std::uint64_t index, Tally *tally) const
 {
-    assert(query.dim() == cfg.dim);
-
     TRACE_SPAN("a_ham.query");
     Rng rng(substreamSeed(cfg.seed, index));
     const std::size_t stages = cfg.effectiveStages();
@@ -96,6 +93,7 @@ AHam::search(const Hypervector &query)
 {
     if (rows.rows() == 0)
         throw std::logic_error("AHam::search: no stored classes");
+    batch::requireDim(query, cfg.dim, "AHam::search");
     if (!sink)
         return searchIndexed(query, nextQueryIndex++);
     Tally tally;
@@ -114,6 +112,7 @@ AHam::searchBatch(const std::vector<Hypervector> &queries,
                   std::size_t threads)
 {
     batch::requireStored(rows.rows(), "AHam");
+    batch::requireDims(queries, cfg.dim, "AHam::searchBatch");
     const std::uint64_t first = nextQueryIndex;
     nextQueryIndex += queries.size();
     return batch::run<HamResult>(

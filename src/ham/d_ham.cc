@@ -1,6 +1,5 @@
 #include "ham/d_ham.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "core/batch_executor.hh"
@@ -32,7 +31,7 @@ DHam::search(const Hypervector &query)
 {
     if (rows.rows() == 0)
         throw std::logic_error("DHam::search: no stored classes");
-    assert(query.dim() == cfg.dim);
+    batch::requireDim(query, cfg.dim, "DHam::search");
 
     // The comparator tree resolves ties toward the lower row index,
     // which is exactly PackedRows::nearest's tie rule.
@@ -49,9 +48,9 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
                   std::size_t threads)
 {
     batch::requireStored(rows.rows(), "DHam");
+    batch::requireDims(queries, cfg.dim, "DHam::searchBatch");
     const std::size_t prefix = cfg.effectiveDim();
     const auto kernel = [&](std::size_t q, batch::NoTally &) {
-        assert(queries[q].dim() == cfg.dim);
         HamResult result;
         result.classId =
             rows.nearest(queries[q], prefix, &result.reportedDistance);

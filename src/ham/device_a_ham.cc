@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuit/technology.hh"
+#include "core/batch_executor.hh"
 
 namespace hdham::ham
 {
@@ -76,7 +77,7 @@ DeviceAHam::search(const Hypervector &query)
     if (storedRows == 0)
         throw std::logic_error("DeviceAHam::search: no stored "
                                "classes");
-    assert(query.dim() == cfg.dim);
+    batch::requireDim(query, cfg.dim, "DeviceAHam::search");
 
     std::vector<double> currents(storedRows);
     for (std::size_t row = 0; row < storedRows; ++row)

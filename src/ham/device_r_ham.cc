@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "circuit/technology.hh"
+#include "core/batch_executor.hh"
 
 namespace hdham::ham
 {
@@ -91,7 +92,7 @@ DeviceRHam::search(const Hypervector &query)
     if (storedRows == 0)
         throw std::logic_error("DeviceRHam::search: no stored "
                                "classes");
-    assert(query.dim() == cfg.dim);
+    batch::requireDim(query, cfg.dim, "DeviceRHam::search");
     HamResult result;
     std::size_t best = std::numeric_limits<std::size_t>::max();
     for (std::size_t row = 0; row < storedRows; ++row) {

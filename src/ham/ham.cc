@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/batch_executor.hh"
 #include "core/trace.hh"
 
 namespace hdham::ham
@@ -15,6 +16,8 @@ Ham::searchBatch(const std::vector<Hypervector> &queries,
     // stream override this with a parallel scan that matches it
     // bit for bit. The search() calls count the per-query metrics;
     // only the batch envelope is recorded here.
+    const std::string what = name() + "::searchBatch";
+    batch::requireDims(queries, dim(), what.c_str());
     TRACE_BATCH("ham.batch");
     const metrics::Clock::time_point start =
         sink ? metrics::Clock::now() : metrics::Clock::time_point{};

@@ -73,7 +73,9 @@ class Ham
 
     /**
      * Nearest-Hamming-distance search.
-     * @pre size() > 0 and query.dim() == dim().
+     * @pre size() > 0.
+     * @throws std::invalid_argument naming the design and both
+     * dimensions when query.dim() != dim(), before any row is read.
      */
     virtual HamResult search(const Hypervector &query) = 0;
 
@@ -83,7 +85,9 @@ class Ham
      * override it with a scan parallelized over queries (@p threads
      * workers, 0 = all hardware threads) that is guaranteed
      * bit-identical to that loop.
-     * @pre size() > 0 and every query.dim() == dim().
+     * @pre size() > 0.
+     * @throws std::invalid_argument as search() when any query's
+     * dimension differs, before any query is searched.
      */
     virtual std::vector<HamResult>
     searchBatch(const std::vector<Hypervector> &queries,

@@ -27,11 +27,12 @@
  *
  * Those draws need only each row's histogram of block distances
  * (blockHistogram). The paper's 4-bit blocks are counted the way the
- * crossbar senses them, all at once: sixteen blocks to a word of
- * row xor query, with in-register nibble popcounts summed per level
- * across words; other widths count block by block. Both give the
- * same exact histogram, and the noise draws read nothing else, so
- * every sensed distance is the same whichever way it was counted.
+ * crossbar senses them, all at once: by the active kernel tier's
+ * block histogram (distance::NibbleHistogramFn), sixteen blocks to a
+ * word of row xor query and one to eight words to a step; other
+ * widths count block by block. Every way gives the same exact
+ * histogram, and the noise draws read nothing else, so every sensed
+ * distance is the same whichever way it was counted.
  */
 
 #ifndef HDHAM_HAM_R_HAM_HH
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "circuit/ml_discharge.hh"
+#include "core/packed_rows.hh"
 #include "core/random.hh"
 #include "ham/ham.hh"
 
@@ -100,8 +102,9 @@ class RHam : public Ham
 
     std::string name() const override { return "R-HAM"; }
     std::size_t dim() const override { return cfg.dim; }
-    std::size_t size() const override { return rows.size(); }
+    std::size_t size() const override { return rows.rows(); }
     std::size_t store(const Hypervector &hv) override;
+    void reserve(std::size_t n) override { rows.reserve(n); }
     HamResult search(const Hypervector &query) override;
 
     /**
@@ -146,11 +149,13 @@ class RHam : public Ham
     /**
      * Add to @p hist the distance of every block of row xor query in
      * [firstBlock, lastBlock), @p blockBits bits to a block. 4-bit
-     * blocks are counted sixteen to a word, from in-register nibble
-     * popcounts whose bit-planes are summed across words; other
+     * blocks go to the active kernel tier's block histogram
+     * (distance::NibbleHistogramFn), which sums in-register nibble
+     * popcounts' bit-planes over one to eight words a step; other
      * widths count one block at a time. The counts are exact either
-     * way, so the noise drawn from them is the same. Exposed for
-     * validation against a per-block count.
+     * way, so the noise drawn from them is the same under every
+     * tier. search() uses the same count, with the tier read once
+     * per query. Exposed for validation against a per-block count.
      * @pre blockBits divides 64, row and query have the same dim, and
      * lastBlock <= ceil(dim / blockBits).
      */
@@ -184,6 +189,7 @@ class RHam : public Ham
     /**
      * One search with noise drawn from the substream of query
      * @p index; fills @p tally when non-null.
+     * @pre query.dim() == dim().
      */
     HamResult searchIndexed(const Hypervector &query,
                             std::uint64_t index,
@@ -199,7 +205,8 @@ class RHam : public Ham
     std::vector<std::vector<double>> senseOverscaled;
     /** Same at the deep overscaled supply. */
     std::vector<std::vector<double>> senseDeep;
-    std::vector<Hypervector> rows;
+    /** The stored classes, one row-major store. */
+    PackedRows rows;
     /** Lifetime query counter selecting the per-query substream. */
     std::uint64_t nextQueryIndex = 0;
 };

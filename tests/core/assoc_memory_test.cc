@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/assoc_memory.hh"
 #include "core/hypervector.hh"
 #include "core/random.hh"
@@ -33,6 +35,39 @@ TEST(AssocMemoryTest, StoreRejectsWrongDimension)
     Rng rng(2);
     EXPECT_THROW(am.store(Hypervector::random(65, rng)),
                  std::invalid_argument);
+}
+
+TEST(AssocMemoryTest, SearchRejectsWrongDimension)
+{
+    // Every search path checks the query before reading a row: a
+    // 64-bit query against 10,000-bit rows would otherwise be read
+    // ~156 words past its end.
+    AssociativeMemory am(10000);
+    Rng rng(4);
+    am.store(Hypervector::random(10000, rng));
+    const Hypervector query = Hypervector::random(64, rng);
+    const auto expectRejected = [](const auto &search,
+                                   const char *what) {
+        try {
+            search();
+            ADD_FAILURE() << what << " took a 64-bit query";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string(what) +
+                          ": query dimension 64 does not match the "
+                          "stored dimension 10000");
+        }
+    };
+    expectRejected([&] { am.search(query); },
+                   "AssociativeMemory::searchSampled");
+    expectRejected([&] { am.searchSampled(query, 64); },
+                   "AssociativeMemory::searchSampled");
+    expectRejected([&] { am.searchDetailed(query); },
+                   "AssociativeMemory::searchDetailed");
+    expectRejected([&] { am.searchBatch({am.vectorOf(0), query}); },
+                   "AssociativeMemory::searchBatch");
+    expectRejected([&] { am.searchTopK(query, 1); },
+                   "AssociativeMemory::searchTopK");
 }
 
 TEST(AssocMemoryTest, EmptySearchThrows)

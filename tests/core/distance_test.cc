@@ -8,7 +8,8 @@
  * final word carries garbage padding beyond `bits`. Every backend's
  * count kernel must add a per-component ones-count to the counts it
  * is given, and its majority kernel must give the greater and tie
- * masks of one.
+ * masks of one. Every backend's block histogram must match the scalar
+ * entry's, and that one a per-block count.
  *
  * Also pins the dispatch rules: resolution order (env override ->
  * widest-supported probe), the one-time warning for an invalid
@@ -31,6 +32,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/distance.hh"
@@ -297,6 +299,93 @@ TEST(DistanceKernelTest, EveryMajorityKernelMatchesCountOracle)
     }
 }
 
+/**
+ * Per-block oracle for NibbleHistogramFn: hist[d] counts the 4-bit
+ * blocks in [first, last) of a XOR b with d ones, bit by bit.
+ */
+std::vector<std::uint32_t>
+naiveNibbleHistogram(const std::vector<std::uint64_t> &a,
+                     const std::vector<std::uint64_t> &b,
+                     std::size_t first, std::size_t last)
+{
+    std::vector<std::uint32_t> hist(5, 0);
+    for (std::size_t block = first; block < last; ++block) {
+        std::size_t d = 0;
+        for (std::size_t i = 4 * block; i < 4 * block + 4; ++i)
+            d += ((a[i / 64] ^ b[i / 64]) >> (i % 64)) & 1;
+        ++hist[d];
+    }
+    return hist;
+}
+
+TEST(DistanceKernelTest, EveryNibbleHistogramMatchesScalar)
+{
+    // Every usable tier's block histogram must add the counts of the
+    // scalar entry's, and that one the per-block oracle's. The rows
+    // carry garbage past the range and past D, so a kernel that reads
+    // or counts a block outside its range miscounts. Ranges: empty,
+    // one block, a head and tail inside one word, a start and end
+    // mid-word, the whole row (157 words at D = 10,000: more than one
+    // 15-step fold at eight words a step) and random ones. Each is
+    // added to a histogram that already holds counts.
+    Rng rng(79);
+    const KernelEntry *scalar = distance::findKernel("scalar");
+    ASSERT_NE(scalar, nullptr);
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 4099u, 10000u}) {
+        const std::size_t blocks = (bits + 3) / 4;
+        for (int rep = 0; rep < 20; ++rep) {
+            const auto a = randomWords(bits, rng);
+            // Sparse differences too, so the counts spread over 0..4.
+            auto b = a;
+            for (auto &w : b)
+                w ^= rep % 2 == 0 ? rng.next() : rng.next() & rng.next();
+            const std::size_t at = rng.nextBelow(blocks);
+            // Two cuts inside the word holding block `at`.
+            const std::size_t word = 16 * (at / 16);
+            const std::size_t inWord =
+                std::min<std::size_t>(16, blocks - word);
+            const std::size_t p = rng.nextBelow(inWord + 1);
+            const std::size_t q = rng.nextBelow(inWord + 1);
+            // A start in the first word and an end in the last.
+            const std::size_t head = std::min(blocks, 1 + rng.nextBelow(15));
+            const std::size_t tail = std::max(
+                head, blocks - rng.nextBelow(std::min<std::size_t>(
+                                   blocks, 15)));
+            const std::size_t x = rng.nextBelow(blocks + 1);
+            const std::size_t y = rng.nextBelow(blocks + 1);
+            const std::pair<std::size_t, std::size_t> ranges[] = {
+                {at, at},
+                {blocks, blocks},
+                {at, at + 1},
+                {word + std::min(p, q), word + std::max(p, q)},
+                {head, tail},
+                {0, blocks},
+                {std::min(x, y), std::max(x, y)},
+            };
+            for (const auto &[first, last] : ranges) {
+                std::vector<std::uint32_t> want =
+                    naiveNibbleHistogram(a, b, first, last);
+                for (std::uint32_t &count : want)
+                    count += 7;
+                std::vector<std::uint32_t> fromScalar(5, 7);
+                scalar->nibbleHistogram(a.data(), b.data(), first, last,
+                                        fromScalar.data());
+                ASSERT_EQ(fromScalar, want)
+                    << "bits " << bits << " blocks [" << first << ", "
+                    << last << ")";
+                for (const KernelEntry *entry : usableEntries()) {
+                    std::vector<std::uint32_t> hist(5, 7);
+                    entry->nibbleHistogram(a.data(), b.data(), first,
+                                           last, hist.data());
+                    ASSERT_EQ(hist, fromScalar)
+                        << entry->name << " bits " << bits
+                        << " blocks [" << first << ", " << last << ")";
+                }
+            }
+        }
+    }
+}
+
 TEST(DistanceKernelTest, IdenticalVectorsAndComplements)
 {
     Rng rng(55);
@@ -348,6 +437,7 @@ TEST(DistanceDispatchTest, RegistryNamesAreUniqueAndLookUp)
         EXPECT_NE(entry.fn, nullptr) << entry.name;
         EXPECT_NE(entry.countBlock, nullptr) << entry.name;
         EXPECT_NE(entry.majority, nullptr) << entry.name;
+        EXPECT_NE(entry.nibbleHistogram, nullptr) << entry.name;
         EXPECT_NE(distance::kernelNameList().find(entry.name),
                   std::string::npos)
             << entry.name;

@@ -235,6 +235,25 @@ TEST(AHamTest, StoreRejectsWrongDimension)
                  std::invalid_argument);
 }
 
+TEST(AHamTest, SearchRejectsWrongDimension)
+{
+    AHamConfig cfg;
+    cfg.dim = 10000;
+    AHam ham(cfg);
+    Rng rng(9);
+    ham.store(Hypervector::random(10000, rng));
+    const Hypervector query = Hypervector::random(64, rng);
+    try {
+        ham.search(query);
+        FAIL() << "search took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "AHam::search: query dimension 64 does "
+                               "not match the stored dimension 10000");
+    }
+    EXPECT_THROW(ham.searchBatch({Hypervector::random(10000, rng), query}),
+                 std::invalid_argument);
+}
+
 /** One FNV-1a step over a 64-bit value. */
 std::uint64_t
 fnvMix(std::uint64_t h, std::uint64_t v)

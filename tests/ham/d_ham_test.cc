@@ -39,6 +39,25 @@ TEST(DHamTest, StoreRejectsWrongDimension)
                  std::invalid_argument);
 }
 
+TEST(DHamTest, SearchRejectsWrongDimension)
+{
+    DHamConfig cfg;
+    cfg.dim = 10000;
+    DHam ham(cfg);
+    Rng rng(2);
+    ham.store(Hypervector::random(10000, rng));
+    const Hypervector query = Hypervector::random(64, rng);
+    try {
+        ham.search(query);
+        FAIL() << "search took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "DHam::search: query dimension 64 does "
+                               "not match the stored dimension 10000");
+    }
+    EXPECT_THROW(ham.searchBatch({Hypervector::random(10000, rng), query}),
+                 std::invalid_argument);
+}
+
 TEST(DHamTest, SearchWithoutContentsThrows)
 {
     DHamConfig cfg;

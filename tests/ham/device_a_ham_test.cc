@@ -44,6 +44,26 @@ TEST(DeviceAHamTest, CapacityEnforced)
                  std::logic_error);
 }
 
+TEST(DeviceAHamTest, SearchRejectsWrongDimension)
+{
+    DeviceAHamConfig cfg;
+    cfg.dim = 128;
+    cfg.capacity = 1;
+    DeviceAHam ham(cfg);
+    Rng rng(2);
+    ham.store(Hypervector::random(128, rng));
+    const Hypervector query = Hypervector::random(64, rng);
+    try {
+        ham.search(query);
+        FAIL() << "search took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "DeviceAHam::search: query dimension 64 "
+                               "does not match the stored dimension 128");
+    }
+    EXPECT_THROW(ham.searchBatch({Hypervector::random(128, rng), query}),
+                 std::invalid_argument);
+}
+
 TEST(DeviceAHamTest, RowCurrentScalesWithDistance)
 {
     DeviceAHamConfig cfg;

@@ -45,6 +45,32 @@ TEST(DeviceRHamTest, CapacityIsEnforced)
                  std::logic_error);
 }
 
+TEST(DeviceRHamTest, SearchRejectsWrongDimension)
+{
+    DeviceRHamConfig cfg;
+    cfg.dim = 256;
+    cfg.capacity = 2;
+    DeviceRHam ham(cfg);
+    Rng rng(2);
+    ham.store(Hypervector::random(256, rng));
+    const Hypervector query = Hypervector::random(64, rng);
+    try {
+        ham.search(query);
+        FAIL() << "search took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "DeviceRHam::search: query dimension 64 "
+                               "does not match the stored dimension 256");
+    }
+    try {
+        ham.searchBatch({Hypervector::random(256, rng), query});
+        FAIL() << "searchBatch took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "R-HAM(device)::searchBatch: query dimension 64 "
+                     "does not match the stored dimension 256");
+    }
+}
+
 TEST(DeviceRHamTest, OneProgrammingPassPerTrainingSession)
 {
     DeviceRHamConfig cfg;

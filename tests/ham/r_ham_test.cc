@@ -47,6 +47,34 @@ TEST(RHamTest, ValidatesConfig)
     EXPECT_THROW(RHam{bad}, std::invalid_argument);
 }
 
+TEST(RHamTest, SearchRejectsWrongDimension)
+{
+    RHamConfig cfg;
+    cfg.dim = 10000;
+    cfg.overscaledBlocks = cfg.totalBlocks();
+    RHam ham(cfg);
+    Rng rng(3);
+    const Hypervector row = Hypervector::random(10000, rng);
+    ham.store(row);
+    const Hypervector query = Hypervector::random(64, rng);
+    try {
+        ham.search(query);
+        FAIL() << "search took a 64-bit query";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "RHam::search: query dimension 64 does "
+                               "not match the stored dimension 10000");
+    }
+    // A rejected batch searches none of its queries, so it takes no
+    // query's noise substream: the next search is a fresh design's
+    // first.
+    const Hypervector good = Hypervector::random(10000, rng);
+    EXPECT_THROW(ham.searchBatch({good, query}), std::invalid_argument);
+    RHam fresh(cfg);
+    fresh.store(row);
+    EXPECT_EQ(ham.search(good).reportedDistance,
+              fresh.search(good).reportedDistance);
+}
+
 TEST(RHamTest, BlockBookkeeping)
 {
     RHamConfig cfg;

@@ -129,10 +129,10 @@ usage()
         "all hardware threads; default 1)\n"
         "  --batch N         queries per searchBatch() call (0 = "
         "all at once; default 0)\n"
-        "  --kernel K        kernel tier for both the Hamming "
-        "distance and bundling: scalar, sse2, neon,\n"
-        "                    avx2, avx512 or auto (default: "
-        "HDHAM_KERNEL env, else the widest tier this\n"
+        "  --kernel K        kernel tier for the Hamming distance, "
+        "bundling and R-HAM's block histogram:\n"
+        "                    scalar, sse2, neon, avx2, avx512 or "
+        "auto (default: HDHAM_KERNEL env, else the widest tier this\n"
         "                    CPU supports; results and model "
         "bytes are bit-identical for every kernel)\n"
         "  --perf            measure the workload with hardware "
