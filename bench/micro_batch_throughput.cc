@@ -19,8 +19,8 @@
  * registered tier name -- scalar, sse2, neon, avx2, avx512 -- or
  * auto) before any benchmark runs; the kernel actually used plus the
  * full compiled/available backend lists are reported in the stats
- * snapshot's "info" object either way, so a baseline records which
- * kernel matrix produced it.
+ * snapshot's "info" object either way, so a saved snapshot records
+ * which kernel matrix produced it.
  *
  * --perf measures the whole benchmark run with hardware counters
  * (core/perf_counters.hh): a summary line on stdout (cycles,
@@ -37,8 +37,7 @@
  * every N query batches (default 64; 0 disables swapping), so the
  * serving-path numbers include live snapshot swaps. The benchmark
  * reports the writer-side swap latency and the worst reader-side
- * acquire stall as counters; bench_gate records them in the
- * baseline as informational fields.
+ * acquire stall as counters.
  */
 
 #include <benchmark/benchmark.h>

@@ -217,7 +217,7 @@ std::string compiledKernelList();
 
 /**
  * Comma-joined names of the backends this host can execute right
- * now -- the CPU-capability fingerprint bench baselines record.
+ * now -- the CPU-capability fingerprint stats snapshots record.
  */
 std::string availableKernelList();
 

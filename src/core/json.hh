@@ -3,8 +3,7 @@
  * Minimal JSON support: the writers the observability exporters
  * share (escaping, deterministic number rendering) and a small
  * recursive-descent parser for reading the documents back --
- * baseline comparison in tools/bench_gate, schema tests, and
- * google-benchmark output parsing.
+ * perfbench's stats checks and the schema tests.
  *
  * The parser covers RFC 8259 JSON (objects, arrays, strings with
  * escapes incl. \uXXXX and surrogate pairs, numbers, booleans,

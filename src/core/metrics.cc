@@ -89,7 +89,7 @@ bucketQuantile(const HistogramSummary &s, double q)
 }
 
 // String escaping and deterministic number rendering live in
-// core/json.hh, shared with the trace exporter and bench_gate.
+// core/json.hh, shared with the trace and event-log exporters.
 using json::writeEscaped;
 using json::writeNumber;
 

@@ -460,8 +460,8 @@ TEST(DistanceDispatchTest, ScalarKernelsAlwaysRegisteredAndUsable)
 TEST(DistanceDispatchTest, CompiledAndAvailableListsAreConsistent)
 {
     // The available list is a subset of the compiled list, and both
-    // contain every backend the probe passes. These lists are the
-    // bench baseline's host fingerprint, so they must be stable,
+    // contain every backend the probe passes. Stats snapshots record
+    // them as the host's fingerprint, so they must be stable,
     // comma-joined and in registry order.
     const std::string compiled = distance::compiledKernelList();
     const std::string available = distance::availableKernelList();

@@ -2,7 +2,7 @@
  * @file
  * Tests for the shared JSON helpers (core/json.hh): deterministic
  * number/string writers and the recursive-descent parser that
- * bench_gate and the schema tests rely on.
+ * perfbench and the schema tests rely on.
  */
 
 #include <gtest/gtest.h>
