@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -212,9 +213,25 @@ Server::acceptLoop()
     for (;;) {
         const int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0) {
-            if (errno == EINTR)
+            const int err = errno;
+            std::unique_lock<std::mutex> lock(stateMu);
+            // stop() shut the listener down.
+            if (stopping)
+                break;
+            // A signal, or a connection that failed before it was
+            // accepted: accept the next one.
+            if (err == ECONNABORTED || err == EINTR || err == EPROTO)
                 continue;
-            // Listener shut down (stop()) or broken: exit.
+            // Out of descriptors or kernel memory: the connection
+            // stays queued. Wait for closing connections to give some
+            // back instead of spinning.
+            if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
+                err == ENOMEM) {
+                stateCv.wait_for(lock, std::chrono::milliseconds(10),
+                                 [this] { return stopping; });
+                continue;
+            }
+            // Listener broken: exit.
             break;
         }
         std::lock_guard<std::mutex> lock(connMu);

@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -701,6 +703,46 @@ TEST(ServerTest, TracedConnectionChurnStaysBounded)
     for (int i = 0; i < 64; ++i)
         classifyOnce();
     EXPECT_LT(vmRssKib() - before, 32 * 1024);
+}
+
+TEST(ServerTest, AcceptorOutlivesDescriptorExhaustion)
+{
+    // Out of descriptors, accept() fails with EMFILE and leaves the
+    // connection queued. The acceptor must wait for descriptors and go
+    // on accepting: had it ended, the process would stay up and never
+    // answer again.
+    ServerFixture fx({}, "emfile");
+    std::vector<int> clients(8);
+    for (int &fd : clients)
+        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, fx.socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    // No descriptor left: the server can accept none of the clients.
+    rlimit none = saved;
+    none.rlim_cur = 0;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+    for (const int fd : clients) {
+        const auto *to = reinterpret_cast<const sockaddr *>(&addr);
+        EXPECT_EQ(::connect(fd, to, sizeof(addr)), 0);
+    }
+    // Give the acceptor time to meet EMFILE.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    for (const int fd : clients)
+        ::close(fd);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    const int fd = rawConnect(fx.socketPath);
+    hdham::serve::writeRequest(fd, MsgType::Ping, {});
+    pollfd reply{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&reply, 1, 3000), 1) << "no Ping reply within 3 s";
+    Response resp;
+    EXPECT_TRUE(hdham::serve::readResponse(fd, resp));
+    EXPECT_EQ(resp.status, hdham::serve::kOk);
+    ::close(fd);
 }
 
 /**
