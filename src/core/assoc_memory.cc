@@ -87,7 +87,11 @@ AssociativeMemory::searchSampled(const Hypervector &query,
         throw std::logic_error("AssociativeMemory: empty search");
     batch::requireDim(query, rows.dim(),
                       "AssociativeMemory::searchSampled");
-    assert(prefix <= rows.dim());
+    if (prefix > rows.dim())
+        throw std::invalid_argument(
+            "AssociativeMemory::searchSampled: prefix " +
+            std::to_string(prefix) + " exceeds the stored dimension " +
+            std::to_string(rows.dim()));
 
     TRACE_SPAN("am.search");
     SearchResult result;

@@ -146,7 +146,8 @@ class AssociativeMemory
      * Search using only the first @p prefix components (structured
      * sampling; the hypervector components are i.i.d. so any fixed
      * subset is an unbiased scaled estimate of the full distance).
-     * @pre prefix <= dim().
+     * @throws std::invalid_argument naming the search, @p prefix and
+     * dim() when prefix > dim(), before any row is read.
      */
     SearchResult searchSampled(const Hypervector &query,
                                std::size_t prefix) const;

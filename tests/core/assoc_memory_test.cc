@@ -68,6 +68,15 @@ TEST(AssocMemoryTest, SearchRejectsWrongDimension)
                    "AssociativeMemory::searchBatch");
     expectRejected([&] { am.searchTopK(query, 1); },
                    "AssociativeMemory::searchTopK");
+    // Nor may a sampled search's prefix run past the rows.
+    try {
+        am.searchSampled(am.vectorOf(0), 10001);
+        ADD_FAILURE() << "searchSampled took a 10001-bit prefix";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "AssociativeMemory::searchSampled: prefix 10001 "
+                  "exceeds the stored dimension 10000");
+    }
 }
 
 TEST(AssocMemoryTest, EmptySearchThrows)
