@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/distance.hh"
 #include "core/trace.hh"
@@ -43,6 +44,12 @@ Encoder::Encoder(const ItemMemory &items, std::size_t n)
     TRACE_SPAN("encoder.build");
     if (n == 0)
         throw std::invalid_argument("Encoder: n must be positive");
+    // encode() indexes the row table by TextAlphabet::symbolOf.
+    if (symbols < TextAlphabet::size)
+        throw std::invalid_argument(
+            "Encoder: the item memory holds " + std::to_string(symbols) +
+            " seeds, fewer than the " +
+            std::to_string(TextAlphabet::size) + " text symbols");
     constexpr std::size_t limit =
         std::numeric_limits<std::size_t>::max();
     for (std::size_t k = 0; k < n; ++k) {

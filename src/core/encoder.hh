@@ -73,6 +73,9 @@ class Encoder
     /**
      * @param items item memory holding one seed per symbol id
      * @param n     n-gram size (the paper uses trigrams, n = 3)
+     * @throws std::invalid_argument when n is 0, or when @p items
+     * holds fewer than TextAlphabet::size seeds (a text symbol would
+     * index past its row table).
      */
     Encoder(const ItemMemory &items, std::size_t n = 3);
 

@@ -66,9 +66,19 @@ Rng::nextBinomial(std::uint64_t n, double p)
     if (mean <= 30.0) {
         // BINV: sequential inversion of the binomial CDF.
         const double q = 1.0 - p;
-        const double s = p / q;
-        double f = std::pow(q, static_cast<double>(n));
+        const double trials = static_cast<double>(n);
         double u = nextDouble();
+        // The loop below returns 0 exactly when u <= f = pow(q, n),
+        // so a u at most a lower bound of f needs no pow. q lies in
+        // [0.5, 1], so 1 - q is exact, and Bernoulli's inequality
+        // (trials >= 1) gives q^n >= 1 - n (1 - q). glibc's pow is
+        // within 1 ULP of q^n and the bound's own rounding is a few
+        // ULPs of 1; the 2^-40 margin is over 1,000 times their sum,
+        // so every u taken here also has u <= f: the same draw of 0.
+        if (u <= 1.0 - trials * (1.0 - q) - 0x1p-40)
+            return 0;
+        const double s = p / q;
+        double f = std::pow(q, trials);
         std::uint64_t k = 0;
         while (u > f && k < n) {
             u -= f;

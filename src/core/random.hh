@@ -113,6 +113,11 @@ class Rng
     /**
      * Binomial(n, p) variate. Exact inversion for small means,
      * Gaussian approximation (clamped to [0, n]) for large ones.
+     * The inversion (mean at most 30) takes one nextDouble() u and
+     * returns 0 without calling std::pow when u <= 1 - n (1 - q) -
+     * 2^-40 (q = 1 - p): by Bernoulli's inequality that bound lies
+     * below q^n, and the 2^-40 margin covers a pow within 1 ULP
+     * (glibc's is), so the draw is the one the full inversion gives.
      */
     std::uint64_t nextBinomial(std::uint64_t n, double p);
 

@@ -153,30 +153,40 @@ RHam::searchIndexed(const Hypervector &query,
     HamResult result;
     std::uint64_t misSensed = 0;
     std::uint64_t *errors = tally ? &misSensed : nullptr;
+
+    // The voltage regions, in the order their draws are taken. An
+    // empty region would add nothing to its histogram and draw
+    // nothing, so it is neither counted nor sensed. Only the
+    // overscaled regions feed the error counter: the nominal-supply
+    // blocks sense exactly by construction.
+    struct Region
+    {
+        std::size_t first;
+        std::size_t last;
+        const std::vector<std::vector<double>> *sense;
+        std::uint64_t *errors;
+    };
+    const Region regions[] = {
+        {0, overscaledCount, &senseOverscaled, errors},
+        {overscaledCount, deepEnd, &senseDeep, errors},
+        {deepEnd, active, &senseNominal, nullptr},
+    };
+
     std::size_t best = std::numeric_limits<std::size_t>::max();
     for (std::size_t id = 0; id < rows.rows(); ++id) {
         const std::uint64_t *row = rows.data() + id * rows.wordsPerRow();
-        Histogram histOvs{};
-        Histogram histDeep{};
-        Histogram histNom{};
-        {
-            TRACE_SPAN("r_ham.block_sense");
-            countBlocks(nibbles, row, query.data(), cfg.blockBits, 0,
-                        overscaledCount, histOvs);
-            countBlocks(nibbles, row, query.data(), cfg.blockBits,
-                        overscaledCount, deepEnd, histDeep);
-            countBlocks(nibbles, row, query.data(), cfg.blockBits,
-                        deepEnd, active, histNom);
-        }
-        // Only the overscaled regions feed the error counter: the
-        // nominal-supply blocks sense exactly by construction.
-        std::size_t sensed;
-        {
+        std::size_t sensed = 0;
+        for (const Region &region : regions) {
+            if (region.first == region.last)
+                continue;
+            Histogram hist{};
+            {
+                TRACE_SPAN("r_ham.block_sense");
+                countBlocks(nibbles, row, query.data(), cfg.blockBits,
+                            region.first, region.last, hist);
+            }
             TRACE_SPAN("r_ham.sense_amp");
-            sensed =
-                senseTotal(histOvs, senseOverscaled, rng, errors) +
-                senseTotal(histDeep, senseDeep, rng, errors) +
-                senseTotal(histNom, senseNominal, rng);
+            sensed += senseTotal(hist, *region.sense, rng, region.errors);
         }
         if (tally)
             tally->saFires += sensed;

@@ -25,6 +25,16 @@
  * 2,500 blocks individually, which is exact in distribution and
  * orders of magnitude faster.
  *
+ * A row's draws come from the query's own substream. For each
+ * voltage region that holds blocks (overscaled, deep overscaled,
+ * then nominal; an empty region is neither counted nor sensed) and
+ * each true distance d some of its blocks sit at, the blocks are
+ * split over the sensed levels 0..blockBits by chained binomials:
+ * level k gets Rng::nextBinomial(blocks left, P(k | d) / mass left).
+ * Most of these draws are 0, and nextBinomial returns those from a
+ * Bernoulli bound without calling std::pow, the same draw the full
+ * inversion gives.
+ *
  * Those draws need only each row's histogram of block distances
  * (blockHistogram). The paper's 4-bit blocks are counted the way the
  * crossbar senses them, all at once: by the active kernel tier's

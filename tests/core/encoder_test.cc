@@ -300,6 +300,26 @@ TEST(EncoderConfigTest, RejectsZeroN)
     EXPECT_THROW(Encoder(items, 0), std::invalid_argument);
 }
 
+TEST(EncoderConfigTest, RejectsItemMemoryShorterThanTheAlphabet)
+{
+    // encode() indexes the row table by TextAlphabet::symbolOf, 0-26:
+    // an item memory of fewer seeds would be read past its end, so
+    // the encoder refuses it, naming both counts, before any row.
+    const ItemMemory five(5, 256, 1);
+    try {
+        const Encoder encoder(five, 3);
+        FAIL() << "a 5-seed item memory must be rejected";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(" 5 "), std::string::npos) << what;
+        EXPECT_NE(what.find(" 27 "), std::string::npos) << what;
+    }
+    const ItemMemory almost(TextAlphabet::size - 1, 256, 1);
+    EXPECT_THROW(Encoder(almost, 3), std::invalid_argument);
+    const ItemMemory full(TextAlphabet::size, 256, 1);
+    EXPECT_NO_THROW(Encoder(full, 3));
+}
+
 class EncoderNgramSizeTest
     : public ::testing::TestWithParam<std::size_t>
 {

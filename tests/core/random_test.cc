@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "circuit/ml_discharge.hh"
 #include "core/random.hh"
+#include "ham/r_ham.hh"
 
 namespace
 {
@@ -191,6 +196,130 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, double>{2500, 0.004},
                       std::pair<std::uint64_t, double>{2500, 0.3},
                       std::pair<std::uint64_t, double>{2500, 0.97}));
+
+/**
+ * Rng::nextBinomial as it was before it returned 0 without std::pow:
+ * inversion computes pow(q, n) for every draw with a mean of at most
+ * 30. The reference the bound must agree with, draw for draw.
+ */
+std::uint64_t
+inversionReference(Rng &rng, std::uint64_t n, double p)
+{
+    if (n == 0 || p <= 0.0)
+        return 0;
+    if (p >= 1.0)
+        return n;
+    if (p > 0.5)
+        return n - inversionReference(rng, n, 1.0 - p);
+
+    const double mean = static_cast<double>(n) * p;
+    if (mean <= 30.0) {
+        const double q = 1.0 - p;
+        const double s = p / q;
+        double f = std::pow(q, static_cast<double>(n));
+        double u = rng.nextDouble();
+        std::uint64_t k = 0;
+        while (u > f && k < n) {
+            u -= f;
+            ++k;
+            f *= s * static_cast<double>(n - k + 1) /
+                 static_cast<double>(k);
+        }
+        return k;
+    }
+    const double sd = std::sqrt(mean * (1.0 - p));
+    const double draw = mean + sd * rng.nextGaussian();
+    if (draw <= 0.0)
+        return 0;
+    const auto k = static_cast<std::uint64_t>(draw + 0.5);
+    return k > n ? n : k;
+}
+
+/**
+ * Every conditional probability p / massLeft that RHam::senseTotal
+ * hands nextBinomial for a block at true distance d, over the sensed
+ * levels of @p block.
+ */
+void
+appendSensingDraws(const hdham::circuit::MatchLineModel &block,
+                   std::size_t blockBits, std::vector<double> &out)
+{
+    for (std::size_t d = 0; d <= blockBits; ++d) {
+        const std::vector<double> dist = block.senseDistribution(d);
+        double massLeft = 1.0;
+        for (std::size_t k = 0; k <= blockBits; ++k) {
+            const double p = dist[k];
+            if (p <= 0.0)
+                continue;
+            if (massLeft - p > 1e-12)
+                out.push_back(p / massLeft);
+            massLeft -= p;
+        }
+    }
+}
+
+TEST(RngTest, BinomialMatchesInversionReference)
+{
+    // Twin streams: each case draws once from the reference and once
+    // from nextBinomial, then both next raw words must agree, so a
+    // draw that took a different number of doubles shows at once.
+    Rng ref(21), rng(21);
+    const auto expectSame = [&](std::uint64_t n, double p,
+                                std::uint64_t times) {
+        for (std::uint64_t t = 0; t < times; ++t) {
+            const std::uint64_t want = inversionReference(ref, n, p);
+            ASSERT_EQ(rng.nextBinomial(n, p), want)
+                << "n=" << n << " p=" << p << " draw " << t;
+            ASSERT_EQ(rng.next(), ref.next())
+                << "n=" << n << " p=" << p << " draw " << t;
+        }
+    };
+
+    // R-HAM's own draws: every conditional probability at the three
+    // supplies, block widths 1, 2, 4 and 8, and every count of
+    // blocks up to 2,600 (D = 10,000 has 2,500 4-bit blocks).
+    std::vector<double> sensing;
+    for (const std::size_t width : {1, 2, 4, 8}) {
+        hdham::ham::RHamConfig cfg;
+        cfg.blockBits = width;
+        const hdham::ham::RHam ham(cfg);
+        appendSensingDraws(ham.nominalBlock(), width, sensing);
+        appendSensingDraws(ham.overscaledBlock(), width, sensing);
+        appendSensingDraws(ham.deepOverscaledBlock(), width, sensing);
+    }
+    ASSERT_FALSE(sensing.empty());
+    for (const double p : sensing) {
+        for (std::uint64_t n = 1; n <= 2600; ++n) {
+            expectSame(n, p, 1);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+
+    const std::vector<std::pair<std::uint64_t, double>> edges = {
+        // q = 1 - p rounds to 1: the bound is 1 - 2^-40.
+        {1, 1e-20}, {2500, 1e-20}, {1ULL << 40, 1e-20},
+        // n (1 - q) crosses 1, so the bound goes non-positive.
+        {9, 0.1}, {10, 0.1}, {11, 0.1}, {99, 0.01}, {100, 0.01},
+        {101, 0.01}, {3, 0.3}, {4, 0.3}, {1, 0.5}, {2, 0.5},
+        // Means just under, at and just over 30.
+        {100, 0.2999999}, {100, 0.3000001}, {60, 0.5}, {61, 0.5},
+        {3000, 0.01}, {3001, 0.01},
+        // p > 0.5 draws through the symmetric branch.
+        {1, 0.9}, {20, 0.9}, {100, 0.7}, {2500, 0.999},
+        {2500, 0.5000001}};
+    for (const auto &[n, p] : edges) {
+        expectSame(n, p, 2000);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // Small n p: there pow(q, n) sits so close to 1 - n (1 - q) that
+    // a looser bound (n - 1 for n) would return 0 for some u above
+    // pow(q, n): about one draw in 10^4 at n = 20, p = 1e-4.
+    expectSame(20, 1e-4, 100000);
+    expectSame(5, 1e-3, 20000);
+}
 
 TEST(RngTest, ForkedStreamsAreDecorrelated)
 {

@@ -85,17 +85,18 @@ tempPath(const std::string &name)
 }
 
 /**
- * Write the fixture model to a temp file, with the item memory text
- * requests encode with unless @p withItems is false.
+ * Write the fixture model to a temp file, with an item memory of
+ * @p itemSeeds seeds for text requests to encode with (none when 0).
  */
 std::string
-writeFixtureModel(const std::string &name, bool withItems = true)
+writeFixtureModel(const std::string &name,
+                  std::size_t itemSeeds = TextAlphabet::size)
 {
     const std::string path = tempPath(name);
     const AssociativeMemory am = fixtureMemory();
-    const ItemMemory items(TextAlphabet::size, kDim, kItemSeed);
+    const ItemMemory items(itemSeeds, kDim, kItemSeed);
     hdham::modelfile::SaveOptions opts;
-    if (withItems)
+    if (itemSeeds > 0)
         opts.items = &items;
     hdham::modelfile::save(path, am, opts);
     return path;
@@ -116,9 +117,9 @@ struct ServerFixture
 {
     explicit ServerFixture(ServerConfig cfg = {},
                            const std::string &tag = "s",
-                           bool withItems = true)
+                           std::size_t itemSeeds = TextAlphabet::size)
         : modelPath(writeFixtureModel("server_test_" + tag + ".hdc",
-                                      withItems))
+                                      itemSeeds))
     {
         // Keep the path short: sockaddr_un caps sun_path around 108
         // characters and TempDir can be long in some environments.
@@ -806,7 +807,7 @@ TEST(ServerTest, StreamLayoutModelIsRejectedAsBadMagic)
 
 TEST(ServerTest, ItemlessModelServesVectorsAndRefusesText)
 {
-    ServerFixture fx({}, "noitems", false);
+    ServerFixture fx({}, "noitems", 0);
     Client client = fx.connect();
     const AssociativeMemory local = fixtureMemory();
     const std::vector<Hypervector> queries = fixtureQueries(3);
@@ -831,6 +832,24 @@ TEST(ServerTest, ItemlessModelServesVectorsAndRefusesText)
     expectErrorNaming(
         [&] { client.update(hdham::serve::kLabeled, {{"x", text}}); },
         "item memory");
+    const PingReply ping = client.ping();
+    EXPECT_EQ(ping.classes, kClasses);
+    EXPECT_EQ(ping.sequence, 1u);
+}
+
+TEST(ServerTest, ShortItemMemoryIsRefusedNotOverrun)
+{
+    // An item memory of 5 seeds cannot index the 27 text symbols:
+    // text verbs get an error reply naming both counts instead of
+    // encoding past the seed table, and the connection stays usable.
+    ServerFixture fx({}, "shortitems", 5);
+    Client client = fx.connect();
+    const std::string text =
+        "the quick brown fox jumps over the lazy dog";
+    expectErrorNaming([&] { client.classify({text}); }, "5 seeds");
+    expectErrorNaming(
+        [&] { client.update(hdham::serve::kLabeled, {{"x", text}}); },
+        "27 text symbols");
     const PingReply ping = client.ping();
     EXPECT_EQ(ping.classes, kClasses);
     EXPECT_EQ(ping.sequence, 1u);
