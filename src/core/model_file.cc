@@ -138,13 +138,12 @@ appendBytes(std::vector<unsigned char> &bytes, const void *data,
  * wordsPer} then the packed words of every hypervector. An absent
  * memory writes an all-zero header (count = 0).
  */
-template <typename Memory>
 std::vector<unsigned char>
-sideMemorySection(const Memory *memory, std::size_t count,
-                  std::size_t wordsPerRow)
+sideMemorySection(const ItemMemory *memory, std::size_t wordsPerRow)
 {
-    if (memory == nullptr || count == 0)
+    if (memory == nullptr || memory->size() == 0)
         return std::vector<unsigned char>(kMemoryHeaderBytes);
+    const std::size_t count = memory->size();
     std::vector<unsigned char> bytes;
     appendU64(bytes, count);
     appendU64(bytes, memory->dim());
@@ -157,12 +156,10 @@ sideMemorySection(const Memory *memory, std::size_t count,
 }
 
 /**
- * Copy the @p count side-memory vectors mapped at @p words into a
- * Memory (ItemMemory or LevelItemMemory); a file without that
- * section throws, naming it.
+ * Copy the @p count side-memory vectors mapped at @p words into an
+ * ItemMemory; a file without that section throws, naming it.
  */
-template <typename Memory>
-Memory
+ItemMemory
 copySideMemory(const std::string &path, std::size_t section,
                const unsigned char *words, std::size_t count,
                const AssociativeMemory &am)
@@ -179,7 +176,7 @@ copySideMemory(const std::string &path, std::size_t section,
             am.dim(), reinterpret_cast<const std::uint64_t *>(words) +
                           i * wordsPer));
     }
-    return Memory::fromVectors(std::move(vectors));
+    return ItemMemory::fromVectors(std::move(vectors));
 }
 
 } // namespace
@@ -217,6 +214,11 @@ ModelWriter::write(const AssociativeMemory &am,
             "model_file: level memory dimension differs from the "
             "model dimension");
     }
+    // The reader refuses a single level, so the writer never emits one.
+    if (opts.levels != nullptr && opts.levels->size() == 1) {
+        throw std::invalid_argument(
+            "model_file: level memory with a single level");
+    }
 
     // Every section but the row words is built whole, then padded;
     // the rows stream from the store, so a save never holds a second
@@ -241,12 +243,8 @@ ModelWriter::write(const AssociativeMemory &am,
         appendBytes(bytes[kLabels], label.data(), label.size());
     }
 
-    bytes[kItemMemory] = sideMemorySection(
-        opts.items, opts.items != nullptr ? opts.items->size() : 0,
-        wordsPerRow);
-    bytes[kLevelMemory] = sideMemorySection(
-        opts.levels, opts.levels != nullptr ? opts.levels->levels() : 0,
-        wordsPerRow);
+    bytes[kItemMemory] = sideMemorySection(opts.items, wordsPerRow);
+    bytes[kLevelMemory] = sideMemorySection(opts.levels, wordsPerRow);
 
     // Lay the sections out back to back after the header, each
     // checksummed over exactly the bytes written for it.
@@ -782,17 +780,15 @@ ModelView::openAndValidate(const Options &opts)
 ItemMemory
 ModelView::itemMemory() const
 {
-    return copySideMemory<ItemMemory>(filePath, kItemMemory,
-                                      base + itemWordsOffset,
-                                      itemCount, *am);
+    return copySideMemory(filePath, kItemMemory, base + itemWordsOffset,
+                          itemCount, *am);
 }
 
-LevelItemMemory
+ItemMemory
 ModelView::levelMemory() const
 {
-    return copySideMemory<LevelItemMemory>(filePath, kLevelMemory,
-                                           base + levelWordsOffset,
-                                           levelCount, *am);
+    return copySideMemory(filePath, kLevelMemory, base + levelWordsOffset,
+                          levelCount, *am);
 }
 
 } // namespace hdham::modelfile

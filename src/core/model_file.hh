@@ -6,8 +6,9 @@
  * answer queries moments after exec, from models too large to
  * deserialize row by row. This module persists a trained
  * AssociativeMemory -- the PackedRows class store as its row-major
- * words, the class labels, and optionally the item/level memories
- * the encoder was trained with -- in a 64-byte-aligned little-endian
+ * words, the class labels, and optionally the item memory the
+ * encoder was trained with and a level memory, both as ItemMemory
+ * tables -- in a 64-byte-aligned little-endian
  * file that a ModelView maps read-only and queries *in place*:
  * nearest/topK/searchBatch, pruning and every distance kernel run on
  * the mapped words directly, bit-identical to the in-RAM store, with
@@ -62,7 +63,6 @@
 
 #include "core/assoc_memory.hh"
 #include "core/item_memory.hh"
-#include "core/level_memory.hh"
 
 namespace hdham::modelfile
 {
@@ -99,8 +99,9 @@ struct SaveOptions
 {
     /** Item memory the encoder was trained with (null = omit). */
     const ItemMemory *items = nullptr;
-    /** Level memory for signal workloads (null = omit). */
-    const LevelItemMemory *levels = nullptr;
+    /** Level memory section, carried over from an input model
+     *  (null = omit). */
+    const ItemMemory *levels = nullptr;
 };
 
 /**
@@ -256,7 +257,7 @@ class ModelView
     bool hasLevelMemory() const { return levelCount > 0; }
 
     /** Materialize the persisted level memory. @pre hasLevelMemory(). */
-    LevelItemMemory levelMemory() const;
+    ItemMemory levelMemory() const;
 
   private:
     void openAndValidate(const Options &opts);

@@ -30,7 +30,7 @@ microsBetween(std::chrono::steady_clock::time_point a,
 MemorySnapshot::MemorySnapshot(AssociativeMemory &&ownedMem,
                                metrics::QueryMetrics *sink,
                                std::optional<ItemMemory> im,
-                               std::optional<LevelItemMemory> lm)
+                               std::optional<ItemMemory> lm)
     : owned(std::move(ownedMem)), items(std::move(im)),
       levels(std::move(lm))
 {
@@ -56,7 +56,7 @@ std::unique_ptr<MemorySnapshot>
 MemorySnapshot::fromMemory(AssociativeMemory &&am,
                            metrics::QueryMetrics *sink,
                            std::optional<ItemMemory> items,
-                           std::optional<LevelItemMemory> levels)
+                           std::optional<ItemMemory> levels)
 {
     return std::unique_ptr<MemorySnapshot>(
         new MemorySnapshot(std::move(am), sink, std::move(items),

@@ -52,7 +52,6 @@
 
 #include "core/assoc_memory.hh"
 #include "core/item_memory.hh"
-#include "core/level_memory.hh"
 #include "core/metrics.hh"
 #include "core/model_file.hh"
 #include "core/trainable_memory.hh"
@@ -86,7 +85,7 @@ class MemorySnapshot
     fromMemory(AssociativeMemory &&am,
                metrics::QueryMetrics *sink = nullptr,
                std::optional<ItemMemory> items = std::nullopt,
-               std::optional<LevelItemMemory> levels = std::nullopt);
+               std::optional<ItemMemory> levels = std::nullopt);
 
     /**
      * Freeze an already-opened hdham.model.v1 view as a snapshot --
@@ -134,7 +133,7 @@ class MemorySnapshot
     bool hasLevelMemory() const { return levels.has_value(); }
 
     /** The frozen level memory. @pre hasLevelMemory(). */
-    const LevelItemMemory &levelMemory() const { return *levels; }
+    const ItemMemory &levelMemory() const { return *levels; }
 
     /** The mapped view (engaged only when mapped()). */
     const modelfile::ModelView *modelView() const
@@ -148,7 +147,7 @@ class MemorySnapshot
     MemorySnapshot(AssociativeMemory &&owned,
                    metrics::QueryMetrics *sink,
                    std::optional<ItemMemory> items,
-                   std::optional<LevelItemMemory> levels);
+                   std::optional<ItemMemory> levels);
     MemorySnapshot(modelfile::ModelView &&mapped,
                    metrics::QueryMetrics *sink);
 
@@ -162,7 +161,7 @@ class MemorySnapshot
     /** The served memory: &view->memory() or &*owned. */
     const AssociativeMemory *mem = nullptr;
     std::optional<ItemMemory> items;
-    std::optional<LevelItemMemory> levels;
+    std::optional<ItemMemory> levels;
 };
 
 /**
@@ -351,7 +350,7 @@ class SnapshotBuilder
     TrainableMemory trainable;
     metrics::QueryMetrics *sink = nullptr;
     std::optional<ItemMemory> items;
-    std::optional<LevelItemMemory> levels;
+    std::optional<ItemMemory> levels;
     PublishStats stats;
 };
 

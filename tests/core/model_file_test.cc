@@ -7,16 +7,21 @@
  * tier-1 set the ASan/UBSan targets run). Also pins the read-only
  * contract and the basic save/load round trip. The shard-table and
  * tail-region checks run on the committed legacy fixture, a sliced
- * 3-shard file today's writer no longer produces.
+ * 3-shard file today's writer no longer produces. A seeded mutation
+ * harness ends the suite: thousands of mutants of each input must be
+ * rejected with an exception or serve every class, a search, a top-3,
+ * their side memories and an encoded sentence.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -25,9 +30,10 @@
 
 #include "core/assoc_memory.hh"
 #include "core/crc32c.hh"
+#include "core/encoder.hh"
 #include "core/item_memory.hh"
-#include "core/level_memory.hh"
 #include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/random.hh"
 #include "fixtures/model_fixture.hh"
 
@@ -41,7 +47,6 @@ namespace
 using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::ItemMemory;
-using hdham::LevelItemMemory;
 using hdham::Rng;
 namespace crc32c = hdham::crc32c;
 namespace modelfile = hdham::modelfile;
@@ -100,25 +105,35 @@ sectionAt(const std::string &bytes, std::size_t index)
     return {readU64At(bytes, entry), readU64At(bytes, entry + 8)};
 }
 
+/** Recompute the header CRC over the (tampered) header. */
+void
+refreshHeaderChecksum(std::string &bytes)
+{
+    patchU32At(bytes, kOffHeaderCrc, 0);
+    patchU32At(bytes, kOffHeaderCrc,
+               crc32c::compute(bytes.data(), modelfile::headerBytes));
+}
+
 /**
  * Recompute every section CRC and the header CRC after a deliberate
  * tamper, so the loader's *semantic* validation is what rejects the
- * file (not the checksum pass).
+ * file (not the checksum pass). A section the table places outside
+ * the file keeps its stale CRC.
  */
 void
 refreshChecksums(std::string &bytes)
 {
     for (std::size_t i = 0; i < modelfile::kSectionCount; ++i) {
         const SectionInfo s = sectionAt(bytes, i);
+        if (s.offset > bytes.size() || s.size > bytes.size() - s.offset)
+            continue;
         const std::uint32_t crc = crc32c::compute(
             bytes.data() + s.offset,
             static_cast<std::size_t>(s.size));
         patchU32At(bytes,
                    kOffSections + i * kSectionEntryBytes + 16, crc);
     }
-    patchU32At(bytes, kOffHeaderCrc, 0);
-    patchU32At(bytes, kOffHeaderCrc,
-               crc32c::compute(bytes.data(), modelfile::headerBytes));
+    refreshHeaderChecksum(bytes);
 }
 
 AssociativeMemory
@@ -203,17 +218,23 @@ legacySpec()
     return spec;
 }
 
-/** The committed legacy fixture's bytes. */
+/** The bytes of the committed fixture @p file. */
 std::string
-legacyFixtureBytes()
+fixtureBytes(const std::string &file)
 {
-    const std::string path =
-        std::string(HDHAM_TEST_DATA_DIR) + "/" + legacySpec().file;
+    const std::string path = std::string(HDHAM_TEST_DATA_DIR) + "/" + file;
     std::ifstream in(path, std::ios::binary);
     EXPECT_TRUE(static_cast<bool>(in)) << path;
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** The committed legacy fixture's bytes. */
+std::string
+legacyFixtureBytes()
+{
+    return fixtureBytes(legacySpec().file);
 }
 
 TEST(ModelFileTest, RoundTripServesIdentically)
@@ -493,9 +514,7 @@ TEST(ModelFileTest, SectionSizeWraparoundRejected)
     // refreshed: recomputing per-section CRCs would itself walk the
     // crafted ~2^64-byte section. The loader rejects during section
     // table parsing, before its checksum pass.
-    patchU32At(bytes, kOffHeaderCrc, 0);
-    patchU32At(bytes, kOffHeaderCrc,
-               crc32c::compute(bytes.data(), modelfile::headerBytes));
+    refreshHeaderChecksum(bytes);
     expectLoadError(tempFile("mf_sectionwrap.hdc", bytes),
                     "section table corrupt");
 }
@@ -615,7 +634,7 @@ TEST(ModelFileTest, MismatchedSideMemoryWritesNothing)
     // emits the header, so a rejected save leaves no partial file.
     const AssociativeMemory am = makeModel(250, 9);
     const ItemMemory items(27, 128, 99);
-    const LevelItemMemory levels(4, 128, 99);
+    const ItemMemory levels(4, 128, 99);
     {
         modelfile::SaveOptions opts;
         opts.items = &items;
@@ -632,6 +651,20 @@ TEST(ModelFileTest, MismatchedSideMemoryWritesNothing)
         EXPECT_THROW(writer.write(am, opts), std::invalid_argument);
         EXPECT_TRUE(out.str().empty());
     }
+}
+
+TEST(ModelFileTest, SingleLevelMemoryWritesNothing)
+{
+    // The reader refuses a level section of one level, so the writer
+    // will not emit one.
+    const AssociativeMemory am = makeModel(250, 9);
+    const ItemMemory levels(1, 250, 99);
+    modelfile::SaveOptions opts;
+    opts.levels = &levels;
+    std::ostringstream out;
+    modelfile::ModelWriter writer(out);
+    EXPECT_THROW(writer.write(am, opts), std::invalid_argument);
+    EXPECT_TRUE(out.str().empty());
 }
 
 TEST(ModelFileTest, SaveOverAMappedModelLeavesTheViewIntact)
@@ -677,6 +710,188 @@ TEST(ModelFileTest, EmptyModelRoundTrips)
     EXPECT_FALSE(view.hasItemMemory());
     EXPECT_FALSE(view.hasLevelMemory());
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation harness
+// ---------------------------------------------------------------------------
+
+/** Mutants of each input; each is opened twice. */
+constexpr std::size_t kMutants = 5000;
+
+/** 64-bit values at the edges of the fields' ranges. */
+constexpr std::uint64_t kBoundary64[] = {
+    0, 1, 2, 26, 27, 0x7f, 0x80, 0xff, 0x7fffffff, 0x80000000,
+    0xffffffff, 0x100000000, 1ULL << 24, (1ULL << 28) + 1,
+    0x7fffffffffffffff, 0x8000000000000000, 0xffffffffffffffff};
+
+/** 32-bit values at the edges of the fields' ranges. */
+constexpr std::uint32_t kBoundary32[] = {
+    0, 1, 2, 5, 0x7f, 0x80, 0xff, 0x7fffffff, 0x80000000, 0xffffffff};
+
+/**
+ * Apply one to three seeded edits to @p bytes: a bit flip, a random
+ * byte, a 32- or 64-bit boundary value at an aligned offset, or a
+ * boundary or off-by-one value in one of the first three words of a
+ * section of the unmutated file (@p sections) -- a side memory's
+ * count, dim and wordsPer, the labels' count, a shard entry. Half the
+ * offsets fall in the header and its section table, a quarter in the
+ * first KiB, the rest anywhere. Every input's size is a multiple of
+ * 64, so an aligned word never runs past the end.
+ */
+void
+mutate(std::string &bytes,
+       const std::array<SectionInfo, modelfile::kSectionCount> &sections,
+       Rng &rng)
+{
+    const std::size_t edits = 1 + rng.nextBelow(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+        const std::uint64_t where = rng.nextBelow(4);
+        const std::size_t span =
+            where < 2    ? modelfile::headerBytes
+            : where == 2 ? std::min<std::size_t>(1024, bytes.size())
+                         : bytes.size();
+        const std::size_t at = rng.nextBelow(span);
+        switch (rng.nextBelow(5)) {
+        case 0:
+            bytes[at] = static_cast<char>(bytes[at] ^
+                                          (1 << rng.nextBelow(8)));
+            break;
+        case 1:
+            bytes[at] = static_cast<char>(rng.nextBelow(256));
+            break;
+        case 2:
+            patchU64At(bytes, at & ~std::size_t{7},
+                       kBoundary64[rng.nextBelow(std::size(kBoundary64))]);
+            break;
+        case 3:
+            patchU32At(bytes, at & ~std::size_t{3},
+                       kBoundary32[rng.nextBelow(std::size(kBoundary32))]);
+            break;
+        default: {
+            const SectionInfo &section =
+                sections[rng.nextBelow(sections.size())];
+            const std::size_t field =
+                static_cast<std::size_t>(section.offset) +
+                8 * rng.nextBelow(3);
+            const std::uint64_t was = readU64At(bytes, field);
+            patchU64At(bytes, field,
+                       rng.nextBool()
+                           ? kBoundary64[rng.nextBelow(
+                                 std::size(kBoundary64))]
+                           : (rng.nextBool() ? was + 1 : was - 1));
+            break;
+        }
+        }
+    }
+}
+
+/**
+ * Open @p path as `hdham classify` and the server do and use all of
+ * it: label every class, read both side memories, encode a sentence
+ * with the item memory, search and take a top-3. False when any step
+ * throws, the model's way of refusing the file.
+ */
+bool
+serveMutant(const std::string &path, bool verify, std::uint64_t seed)
+{
+    Rng rng(seed);
+    modelfile::ModelView::Options opts;
+    opts.verifyChecksums = verify;
+    try {
+        const hdham::modelload::LoadedModel model =
+            hdham::modelload::LoadedModel::open(path, opts);
+        const AssociativeMemory &am = model.memory();
+        const modelfile::ModelView &view = *model.modelView();
+        std::size_t labelBytes = 0;
+        for (std::size_t id = 0; id < am.size(); ++id)
+            labelBytes += am.labelOf(id).size();
+        EXPECT_LE(labelBytes, view.fileSize());
+        if (view.hasLevelMemory()) {
+            EXPECT_EQ(view.levelMemory().dim(), am.dim());
+        }
+        if (view.hasItemMemory()) {
+            const hdham::Encoder encoder(view.itemMemory());
+            EXPECT_EQ(encoder.encode("the quick brown fox", rng).dim(),
+                      am.dim());
+        }
+        const Hypervector query = Hypervector::random(am.dim(), rng);
+        EXPECT_LT(am.search(query).classId, am.size());
+        EXPECT_LE(am.searchTopK(query, 3).size(), 3u);
+        return true;
+    } catch (const std::exception &) {
+        return false;
+    }
+}
+
+/** A small model with both side memories: 27 item seeds, 4 levels. */
+std::string
+modelWithSideMemories()
+{
+    const AssociativeMemory am = makeModel(130, 5);
+    const ItemMemory items(hdham::TextAlphabet::size, 130, 7);
+    const ItemMemory levels(4, 130, 8);
+    modelfile::SaveOptions opts;
+    opts.items = &items;
+    opts.levels = &levels;
+    std::ostringstream out;
+    modelfile::ModelWriter writer(out);
+    writer.write(am, opts);
+    return out.str();
+}
+
+/**
+ * Mutate @p original kMutants times; open every mutant with checksum
+ * verification off and, resealed, on. Each open must end in a served
+ * model or an exception (serveMutant).
+ */
+void
+expectMutantsRefusedOrServed(const std::string &name,
+                             const std::string &original)
+{
+    std::array<SectionInfo, modelfile::kSectionCount> sections;
+    for (std::size_t i = 0; i < sections.size(); ++i)
+        sections[i] = sectionAt(original, i);
+    Rng rng(0x4D55'7A6EULL + original.size());
+    const std::string file = "mf_mutant_" + name + ".hdc";
+    std::size_t served[2] = {0, 0};
+    for (std::size_t m = 0; m < kMutants; ++m) {
+        std::string mutant = original;
+        mutate(mutant, sections, rng);
+        // A stale header CRC would reject almost every mutant before
+        // the fields it covers are read; with checksums verified the
+        // section CRCs are resealed too.
+        refreshHeaderChecksum(mutant);
+        served[0] += serveMutant(tempFile(file, mutant), false, m);
+        refreshChecksums(mutant);
+        served[1] += serveMutant(tempFile(file, mutant), true, m);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << name << ": mutant " << m;
+            return;
+        }
+    }
+    // Neither every mutant refused nor every one served: the edits
+    // reach past the first check and the loader still rejects some.
+    for (const std::size_t count : served) {
+        EXPECT_GT(count, 0u) << name;
+        EXPECT_LT(count, kMutants) << name;
+    }
+}
+
+TEST(ModelMutationTest, RowMajorFixtureMutantsAreRefusedOrServed)
+{
+    expectMutantsRefusedOrServed(
+        "rowmajor", fixtureBytes(testfix::fixtureSpecs().front().file));
+}
+
+TEST(ModelMutationTest, SlicedFixtureMutantsAreRefusedOrServed)
+{
+    expectMutantsRefusedOrServed("sliced", legacyFixtureBytes());
+}
+
+TEST(ModelMutationTest, SideMemoryModelMutantsAreRefusedOrServed)
+{
+    expectMutantsRefusedOrServed("sides", modelWithSideMemories());
 }
 
 } // namespace

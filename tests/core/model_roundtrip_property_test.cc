@@ -18,14 +18,16 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/assoc_memory.hh"
 #include "core/item_memory.hh"
-#include "core/level_memory.hh"
 #include "core/metrics.hh"
 #include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/random.hh"
 
 namespace
@@ -163,7 +165,7 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
     const std::size_t dim = 250;
     const AssociativeMemory am = buildModel(dim, 6, rng);
     const hdham::ItemMemory items(27, dim, 0xABCDULL);
-    const hdham::LevelItemMemory levels(21, dim, 0xBEEFULL);
+    const hdham::ItemMemory levels(21, dim, 0xBEEFULL);
     modelfile::SaveOptions opts;
     opts.items = &items;
     opts.levels = &levels;
@@ -178,11 +180,49 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
     for (std::size_t i = 0; i < items.size(); ++i)
         EXPECT_EQ(reloaded[i], items[i]) << "symbol " << i;
     ASSERT_TRUE(view.hasLevelMemory());
-    const hdham::LevelItemMemory relevels = view.levelMemory();
-    ASSERT_EQ(relevels.levels(), levels.levels());
-    for (std::size_t i = 0; i < levels.levels(); ++i)
+    const hdham::ItemMemory relevels = view.levelMemory();
+    ASSERT_EQ(relevels.size(), levels.size());
+    for (std::size_t i = 0; i < levels.size(); ++i)
         EXPECT_EQ(relevels[i], levels[i]) << "level " << i;
     std::remove(path.c_str());
+}
+
+TEST(ModelRoundTripPropertyTest, SideMemoriesResaveByteForByte)
+{
+    // `hdham save`'s path: open, freeze into a snapshot, and save the
+    // snapshot's store with the side memories it carried over.
+    Rng rng(0x5A7EULL);
+    const std::size_t dim = 250;
+    const AssociativeMemory am = buildModel(dim, 6, rng);
+    const hdham::ItemMemory items(27, dim, 0xABCDULL);
+    const hdham::ItemMemory levels(21, dim, 0xBEEFULL);
+    modelfile::SaveOptions opts;
+    opts.items = &items;
+    opts.levels = &levels;
+    const std::string prefix =
+        ::testing::TempDir() + std::to_string(::getpid());
+    const std::string first = prefix + "_resave_in.hdc";
+    const std::string second = prefix + "_resave_out.hdc";
+    modelfile::save(first, am, opts);
+
+    const auto snap =
+        hdham::modelload::LoadedModel::open(first).intoSnapshot();
+    ASSERT_TRUE(snap->hasItemMemory());
+    ASSERT_TRUE(snap->hasLevelMemory());
+    modelfile::SaveOptions carried;
+    carried.items = &snap->itemMemory();
+    carried.levels = &snap->levelMemory();
+    modelfile::save(second, snap->memory(), carried);
+
+    const auto bytesOf = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string written = bytesOf(first);
+    EXPECT_FALSE(written.empty());
+    EXPECT_TRUE(written == bytesOf(second));
+    std::remove(first.c_str());
+    std::remove(second.c_str());
 }
 
 } // namespace
