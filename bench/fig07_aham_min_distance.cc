@@ -25,6 +25,19 @@ using namespace hdham;
 using namespace hdham::circuit;
 
 /**
+ * @p total bits split over @p stages, the remainder one bit each on
+ * the first stages, so the stage sums add up to @p total.
+ */
+std::vector<std::size_t>
+spread(std::size_t total, std::size_t stages)
+{
+    std::vector<std::size_t> parts(stages, total / stages);
+    for (std::size_t s = 0; s < total % stages; ++s)
+        ++parts[s];
+    return parts;
+}
+
+/**
  * Empirical minimum detectable distance: smallest gap at which the
  * LTA resolves two rows (operating near half full scale, the worst
  * region) at >= 95% confidence.
@@ -41,13 +54,12 @@ empiricalMinDet(std::size_t dim, std::size_t stages,
                     model.fullScale(dim / stages);
     const LtaTree tree(cfg);
     const std::size_t base = dim * 2 / 5;
+    const std::vector<std::size_t> a = spread(base, stages);
     for (std::size_t gap = 1; gap <= dim; gap = gap * 5 / 4 + 1) {
+        const std::vector<std::size_t> b = spread(base + gap, stages);
         int wins = 0;
         const int trials = 200;
         for (int i = 0; i < trials; ++i) {
-            std::vector<std::size_t> a(stages, base / stages);
-            std::vector<std::size_t> b(stages,
-                                       (base + gap) / stages);
             const std::vector<double> currents = {
                 summer.total(a, rng), summer.total(b, rng)};
             wins += tree.winner(currents, rng) == 0;
@@ -82,8 +94,10 @@ main()
     }
 
     std::printf("\nsingle-stage comparison at D = 10,000:\n");
-    std::printf("  1 stage, 10-bit LTA : minDet = %zu (paper: 43)\n",
-                minDetectableDistance(10000, 1, 10));
+    std::printf("  1 stage, 10-bit LTA : minDet = %zu (paper: 43), "
+                "empirical %zu\n",
+                minDetectableDistance(10000, 1, 10),
+                empiricalMinDet(10000, 1, 10, rng));
     std::printf("  14 stages, 14-bit   : minDet = %zu (paper: 14)\n",
                 minDetectableDistance(10000, 14, 14));
 

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -54,7 +53,6 @@ static_assert(kOffSections + kSectionCount * kSectionEntryBytes ==
               "header layout must fill exactly headerBytes");
 
 constexpr std::uint32_t kLayoutTagRowMajor = 0;
-constexpr std::uint32_t kLayoutTagSliced = 1;
 
 /** Round @p n up to the section alignment. */
 inline std::uint64_t
@@ -390,8 +388,7 @@ ModelView::ModelView(ModelView &&other) noexcept
       headerCrc(other.headerCrc), itemCount(other.itemCount),
       itemWordsOffset(other.itemWordsOffset),
       levelCount(other.levelCount),
-      levelWordsOffset(other.levelWordsOffset), layout(other.layout),
-      am(std::move(other.am))
+      levelWordsOffset(other.levelWordsOffset), am(std::move(other.am))
 {
     other.base = nullptr;
     other.mapBytes = 0;
@@ -491,9 +488,9 @@ ModelView::openAndValidate(const Options &opts)
         fail("zero dimension");
     if (dim > (1ULL << 28))
         fail("implausible dimensionality " + std::to_string(dim));
-    // Bound the row count before any shard-table arithmetic uses
-    // it: every class needs at least an 8-byte label length in the
-    // labels section, so more than fileSize/8 rows cannot fit.
+    // Bound the row count before anything is sized by it: every
+    // class needs at least an 8-byte label length in the labels
+    // section, so more than fileSize/8 rows cannot fit.
     if (rowCount > size / 8) {
         fail("implausible row count " + std::to_string(rowCount) +
              " for a " + std::to_string(size) + "-byte file");
@@ -505,15 +502,19 @@ ModelView::openAndValidate(const Options &opts)
         fail("words-per-row field " + std::to_string(wordsPerRow) +
              " does not match dimension " + std::to_string(dim));
     }
-    if (layoutTag != kLayoutTagRowMajor &&
-        layoutTag != kLayoutTagSliced)
-        fail("unknown layout tag " + std::to_string(layoutTag));
-    if (layoutTag == kLayoutTagSliced && slicePrefix == 0)
-        fail("sliced layout with zero slice prefix");
-    if (layoutTag == kLayoutTagRowMajor && slicePrefix != 0)
-        fail("row-major layout with nonzero slice prefix");
-    if (shardCount == 0)
-        fail("zero shard count");
+    // Every writer emits row-major rows in one shard. A file whose
+    // header records any other layout -- the sliced or multi-shard
+    // files of earlier writers -- is refused before any row is bound.
+    if (layoutTag != kLayoutTagRowMajor || shardCount != 1 ||
+        slicePrefix != 0) {
+        fail("unsupported layout: header records layout tag " +
+             std::to_string(layoutTag) + ", " +
+             std::to_string(shardCount) +
+             (shardCount == 1 ? " shard" : " shards") +
+             ", slice prefix " + std::to_string(slicePrefix) +
+             " (this reader maps only row-major rows in one shard: "
+             "layout tag 0, 1 shard, slice prefix 0)");
+    }
 
     // --- Section table --------------------------------------------
     SectionPlan sections[kSectionCount];
@@ -561,105 +562,41 @@ ModelView::openAndValidate(const Options &opts)
     }
 
     // --- Shard table ----------------------------------------------
-    // Derive the head/tail strides the legacy writer used, including
-    // its degenerate whole-row slice (stored as whole rows).
-    const std::uint64_t rawSlice =
-        layoutTag == kLayoutTagSliced
-            ? std::min<std::uint64_t>(
-                  wordsPerRow,
-                  (slicePrefix + Hypervector::bitsPerWord - 1) /
-                      Hypervector::bitsPerWord)
-            : 0;
-    const std::uint64_t sliceWords =
-        rawSlice >= wordsPerRow ? 0 : rawSlice;
-    const std::uint64_t headStride =
-        sliceWords == 0 ? wordsPerRow : sliceWords;
-    const std::uint64_t tailStride =
-        sliceWords == 0 ? 0 : wordsPerRow - sliceWords;
-
-    if (std::uint64_t{shardCount} * kShardEntryBytes >
-        sections[kShardTable].size) {
-        fail("shard table overflows its section (" +
-             std::to_string(shardCount) + " shards)");
+    // The one entry: {firstRow 0, rows, head offset, tail offset 0},
+    // its head an aligned offset in the row words section with room
+    // for every row.
+    if (kShardEntryBytes > sections[kShardTable].size)
+        fail("shard table section too small for its entry");
+    const unsigned char *shard = base + sections[kShardTable].offset;
+    const std::uint64_t firstRow = getU64(shard);
+    const std::uint64_t shardRows = getU64(shard + 8);
+    const std::uint64_t headOffset = getU64(shard + 16);
+    const std::uint64_t tailOffset = getU64(shard + 24);
+    if (firstRow != 0) {
+        fail("shard table corrupt: shard 0 starts at row " +
+             std::to_string(firstRow) + ", expected 0");
     }
-    const std::uint64_t rowsBegin = sections[kRowWords].offset;
-    const std::uint64_t rowsEnd =
-        rowsBegin + sections[kRowWords].size;
-    /** One validated shard: its rows and where their words live. */
-    struct ShardWords
-    {
-        std::uint64_t rows = 0;
-        const std::uint64_t *head = nullptr;
-        const std::uint64_t *tail = nullptr;
-    };
-    std::vector<ShardWords> shardWords(shardCount);
-    std::uint64_t covered = 0;
-    for (std::size_t s = 0; s < shardCount; ++s) {
-        const unsigned char *e = base +
-                                 sections[kShardTable].offset +
-                                 s * kShardEntryBytes;
-        const std::uint64_t firstRow = getU64(e);
-        const std::uint64_t shardRows = getU64(e + 8);
-        const std::uint64_t headOffset = getU64(e + 16);
-        const std::uint64_t tailOffset = getU64(e + 24);
-        if (firstRow != covered) {
-            fail("shard table corrupt: shard " + std::to_string(s) +
-                 " starts at row " + std::to_string(firstRow) +
-                 ", expected " + std::to_string(covered));
-        }
-        // Reject before accumulating: keeps covered <= rowCount, so
-        // a huge shardRows can neither wrap `covered` back into
-        // range via a compensating later shard nor wrap the byte
-        // counts below (the bounds are checked in division form for
-        // the same reason -- no products of untrusted values).
-        if (shardRows > rowCount - covered) {
-            fail("shard table corrupt: shard " + std::to_string(s) +
-                 " covers " + std::to_string(shardRows) +
-                 " rows but only " +
-                 std::to_string(rowCount - covered) + " remain");
-        }
-        covered += shardRows;
-        // Strides are at least 1 word and at most wordsPerRow
-        // (<= 2^22 given dim <= 2^28), so the byte strides cannot
-        // overflow and never divide by zero.
-        const std::uint64_t headStrideBytes =
-            headStride * sizeof(std::uint64_t);
-        if (headOffset % alignment != 0 || headOffset < rowsBegin ||
-            headOffset > rowsEnd ||
-            shardRows > (rowsEnd - headOffset) / headStrideBytes) {
-            fail("shard " + std::to_string(s) +
-                 " head region at byte " +
-                 std::to_string(headOffset) +
-                 " falls outside the row words section");
-        }
-        shardWords[s].rows = shardRows;
-        shardWords[s].head = reinterpret_cast<const std::uint64_t *>(
-            base + headOffset);
-        if (tailStride != 0) {
-            const std::uint64_t tailStrideBytes =
-                tailStride * sizeof(std::uint64_t);
-            if (tailOffset % alignment != 0 ||
-                tailOffset < rowsBegin || tailOffset > rowsEnd ||
-                shardRows >
-                    (rowsEnd - tailOffset) / tailStrideBytes) {
-                fail("shard " + std::to_string(s) +
-                     " tail region at byte " +
-                     std::to_string(tailOffset) +
-                     " falls outside the row words section");
-            }
-            shardWords[s].tail =
-                reinterpret_cast<const std::uint64_t *>(base +
-                                                        tailOffset);
-        } else if (tailOffset != 0) {
-            fail("shard " + std::to_string(s) +
-                 " records a tail region in a row-major layout");
-        }
-    }
-    if (covered != rowCount) {
-        fail("shard table corrupt: shards cover " +
-             std::to_string(covered) + " rows, header records " +
+    if (shardRows != rowCount) {
+        fail("shard table corrupt: shard 0 covers " +
+             std::to_string(shardRows) + " rows, header records " +
              std::to_string(rowCount));
     }
+    // A row is at least 1 word and at most wordsPerRow <= 2^22 words
+    // (dim <= 2^28), so its byte size cannot overflow or be zero; the
+    // bound is checked in division form, with no product of
+    // untrusted values.
+    const std::uint64_t rowsBegin = sections[kRowWords].offset;
+    const std::uint64_t rowsEnd = rowsBegin + sections[kRowWords].size;
+    if (headOffset % alignment != 0 || headOffset < rowsBegin ||
+        headOffset > rowsEnd ||
+        rowCount > (rowsEnd - headOffset) /
+                       (wordsPerRow * sizeof(std::uint64_t))) {
+        fail("shard 0 head region at byte " +
+             std::to_string(headOffset) +
+             " falls outside the row words section");
+    }
+    if (tailOffset != 0)
+        fail("shard 0 records a tail region in a row-major layout");
 
     // --- Labels ---------------------------------------------------
     std::vector<std::string> labels;
@@ -739,42 +676,11 @@ ModelView::openAndValidate(const Options &opts)
         fail("level memory with a single level");
 
     // --- Bind -----------------------------------------------------
-    layout.sliced = layoutTag == kLayoutTagSliced;
-    layout.shards = shardCount;
-    layout.slicePrefix = static_cast<std::size_t>(slicePrefix);
+    // The rows in place, zero-copy.
     am.emplace(static_cast<std::size_t>(dim));
-    if (!layout.sliced && shardCount == 1) {
-        // What every writer emits: the rows in place, zero-copy.
-        am->bindExternal(shardWords[0].head,
-                         static_cast<std::size_t>(rowCount),
-                         std::move(labels));
-        return;
-    }
-    // A legacy sliced or multi-shard file: gather each row, shard by
-    // shard, from its head words and then its tail words into an
-    // owned row-major store. Its shards are disjoint, so the copy is
-    // no larger than the row words section; a table whose shards
-    // alias each other's words must not multiply the allocation.
-    if (rowCount > sections[kRowWords].size /
-                       (wordsPerRow * sizeof(std::uint64_t))) {
-        fail("shard table corrupt: " + std::to_string(rowCount) +
-             " rows do not fit the row words section");
-    }
-    am->reserve(static_cast<std::size_t>(rowCount));
-    std::vector<std::uint64_t> row(wordsPerRow);
-    std::size_t id = 0;
-    for (const ShardWords &shard : shardWords) {
-        for (std::uint64_t r = 0; r < shard.rows; ++r, ++id) {
-            std::copy_n(shard.head + r * headStride, headStride,
-                        row.begin());
-            if (tailStride != 0)
-                std::copy_n(shard.tail + r * tailStride, tailStride,
-                            row.begin() + headStride);
-            am->store(Hypervector::fromWords(
-                          static_cast<std::size_t>(dim), row.data()),
-                      std::move(labels[id]));
-        }
-    }
+    am->bindExternal(
+        reinterpret_cast<const std::uint64_t *>(base + headOffset),
+        static_cast<std::size_t>(rowCount), std::move(labels));
 }
 
 ItemMemory

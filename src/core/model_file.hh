@@ -23,9 +23,9 @@
  *   [0, 192)          header (fixed size, CRC32C-protected)
  *   sections[0..4]    64-byte-aligned, mutually contiguous, each
  *                     covered by a CRC32C recorded in the header:
- *     0 shard table   {firstRow, rows, headOffset, tailOffset} x N
- *     1 row words     per shard: head region, then tail region
- *                     (sliced layouts), each 64-byte aligned
+ *     0 shard table   one entry {firstRow 0, rows, headOffset,
+ *                     tailOffset 0}
+ *     1 row words     every row's words, row-major, from headOffset
  *     2 labels        count, then {len, bytes} per class
  *     3 item memory   count, dim, wordsPer, packed words (count may
  *                     be 0: section carries only its empty header)
@@ -36,11 +36,11 @@
  * section: any flipped bit or truncation is rejected at load with a
  * precise error, never a crash or a silently wrong model.
  *
- * Writers emit row-major rows in one shard (N = 1, no tail region).
- * Earlier writers could also split the rows into several shards and
- * bit-slice them (each row's leading words in a shard's head region,
- * the rest in its tail region); readers still accept those files and
- * copy their rows into a row-major store on open.
+ * There is one row layout: row-major rows in one shard (header
+ * layout tag 0, shard count 1, slice prefix 0), which is what the
+ * writer emits and all the reader maps. Earlier writers could also
+ * split the rows into several shards and bit-slice them; the reader
+ * refuses such a file, naming the layout its header records.
  *
  * Compatibility rules: the magic and version gate the whole file; a
  * reader must reject any version it does not know. Fields marked
@@ -146,21 +146,6 @@ void save(const std::string &path, const AssociativeMemory &am,
           const SaveOptions &opts = {});
 
 /**
- * The row layout an hdham.model.v1 header records. What writers
- * emit today is row-major in one shard; the other values only occur
- * in files from earlier writers.
- */
-struct FileLayout
-{
-    /** Each row's leading words stored apart from the rest. */
-    bool sliced = false;
-    /** Contiguous row ranges, each with its own word regions. */
-    std::size_t shards = 1;
-    /** Sliced files: components in a row's leading words. */
-    std::size_t slicePrefix = 0;
-};
-
-/**
  * Read-only zero-copy view of an hdham.model.v1 file.
  *
  * The constructor maps the file (PROT_READ), validates the header
@@ -175,11 +160,9 @@ struct FileLayout
  * memory() serves queries directly from the mapping and is
  * bit-identical to the store the model was saved from, for every
  * kernel and thread count. The mapped memory is read-only: store()
- * throws; attachMetrics works normally. A file in
- * a legacy sliced or multi-shard layout passes the same validation
- * and then has its rows copied into an owned row-major store, which
- * answers bit-identically. The view must outlive every reference
- * obtained from it.
+ * throws; attachMetrics works normally. A file whose header records
+ * any layout but row-major rows in one shard is refused. The view
+ * must outlive every reference obtained from it.
  */
 class ModelView
 {
@@ -233,9 +216,6 @@ class ModelView
     /** Number of stored classes. */
     std::size_t classes() const { return memory().size(); }
 
-    /** The row layout the file's header records. */
-    const FileLayout &fileLayout() const { return layout; }
-
     /**
      * The mapped associative memory, queried zero-copy in place.
      * Non-const access allows attachMetrics; the stored rows
@@ -273,7 +253,6 @@ class ModelView
     std::size_t itemWordsOffset = 0;
     std::size_t levelCount = 0;
     std::size_t levelWordsOffset = 0;
-    FileLayout layout;
     std::optional<AssociativeMemory> am;
 };
 

@@ -2,7 +2,7 @@
  * @file
  * The one model-open path every consumer shares.
  *
- * `hdham classify/info/load/save` and the resident hdham_server all
+ * `hdham classify/info/load` and the resident `hdham serve` all
  * need the same sequence: mmap + validate an hdham.model.v1 file and
  * report provenance and mapping residency into a metrics registry.
  * This module owns that sequence so the CLI and the server cannot
@@ -32,10 +32,9 @@ namespace hdham::modelload
 
 /**
  * An hdham.model.v1 file, mmap'ed and validated, whose class store
- * is served zero-copy in place (a file in a legacy sliced or sharded
- * layout: from the row-major copy the open made). memory() is
- * mutable so callers can attach metrics; the mapped store still
- * rejects mutation of the rows.
+ * is served zero-copy in place. memory() is mutable so callers can
+ * attach metrics; the mapped store still rejects mutation of the
+ * rows.
  */
 class LoadedModel
 {

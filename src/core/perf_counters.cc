@@ -1,7 +1,6 @@
 #include "core/perf_counters.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -42,17 +41,6 @@ constexpr const char *kCounterNames[kCounterCount] = {
 
 /** Live test switch: behave as if every open failed. */
 std::atomic<bool> g_forceUnavailable{false};
-
-/** True when HDHAM_PERF asks for counters to stay off. */
-bool
-disabledByEnv()
-{
-    const char *v = std::getenv("HDHAM_PERF");
-    if (!v)
-        return false;
-    return std::strcmp(v, "off") == 0 || std::strcmp(v, "OFF") == 0 ||
-           std::strcmp(v, "0") == 0;
-}
 
 #if HDHAM_PERF_LINUX
 
@@ -209,8 +197,6 @@ statusName(Status s)
     switch (s) {
     case Status::On:
         return "on";
-    case Status::Off:
-        return "off";
     case Status::Unavailable:
     default:
         return "unavailable";
@@ -222,8 +208,6 @@ status()
 {
     if (g_forceUnavailable.load(std::memory_order_relaxed))
         return Status::Unavailable;
-    if (disabledByEnv())
-        return Status::Off;
 #if HDHAM_PERF_LINUX
     return openableMask() != 0 ? Status::On : Status::Unavailable;
 #else

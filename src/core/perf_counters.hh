@@ -18,16 +18,18 @@
  *    non-Linux hosts. Every reader returns a tagged kUnavailable
  *    (-1) value in that case and *nothing else changes* -- query
  *    results, metrics counters and trace structure are bit-identical
- *    with counters on, off, or broken (pinned by the forced-fallback
- *    test under `ctest -L check-perf`).
+ *    with counters on or broken (pinned by the forced-fallback test
+ *    under `ctest -L check-perf`).
  *  - Counters degrade individually. A VM often exposes software
  *    events (page faults) while refusing hardware ones (cycles), so
  *    each counter opens its own descriptor and fails alone; a Sample
  *    carries per-counter availability rather than one global bit.
- *  - The disabled path is one branch: availability is resolved once
- *    per process (HDHAM_PERF=off|0 env, forced test failure, or a
- *    probe open) and cached; when not On, threadSample() returns a
- *    fully-unavailable Sample without any syscall.
+ *  - The unavailable path is one branch: availability is resolved
+ *    once per process (forced test failure, or a probe open) and
+ *    cached; when not On, threadSample() returns a fully-unavailable
+ *    Sample without any syscall. Counters are read only where a
+ *    caller asks for them (`--perf`); leaving that off is how a run
+ *    keeps them off.
  *  - Thread scope vs. workload scope are different questions.
  *    threadSample() reads counters bound to the calling thread
  *    (right for span deltas: the span's work runs on that thread).
@@ -37,8 +39,7 @@
  *
  * Non-Linux builds compile a stub backend in perf_counters.cc with
  * the same API where status() is Unavailable and memory facts fall
- * back to getrusage where possible. On Linux, HDHAM_PERF=off turns
- * the counters off at run time.
+ * back to getrusage where possible.
  */
 
 #ifndef HDHAM_CORE_PERF_COUNTERS_HH
@@ -116,20 +117,21 @@ enum class Status
 {
     /** Counters open; at least one event source works. */
     On,
-    /** Disabled by request (HDHAM_PERF=off|0). */
-    Off,
     /** perf_event_open refused every event (or stub build). */
     Unavailable
 };
 
 /**
- * Resolved availability. The environment switch and the forced test
- * failure are consulted on every call (so tests can toggle them);
- * the probe itself runs once per process and is cached.
+ * Resolved availability. The forced test failure is consulted on
+ * every call (so tests can toggle it); the probe itself runs once
+ * per process and is cached.
  */
 Status status();
 
-/** "on" / "off" / "unavailable" -- the metrics info tag. */
+/**
+ * "on" / "unavailable" -- the metrics info tag. A run that asks for
+ * no counters tags itself "off" instead.
+ */
 const char *statusName(Status s);
 
 /** status() == Status::On. */

@@ -42,6 +42,17 @@ struct PipelineConfig
     std::uint64_t seed = 0x6864632d73656564ULL; // "hdc-seed"
 };
 
+/**
+ * Seeds of the tie-break draws that encode a text after training.
+ * `hdham classify` and a served Classify both draw from
+ * classifySeed, so they pick the same class bit for bit; a served
+ * Update draws from updateSeed.
+ */
+inline constexpr std::uint64_t classifySeed =
+    PipelineConfig{}.seed ^ 0x636c6966ULL; // "clif"
+inline constexpr std::uint64_t updateSeed =
+    PipelineConfig{}.seed ^ 0x75706474ULL; // "updt"
+
 /** An encoded query with its ground-truth class id. */
 struct LabeledQuery
 {

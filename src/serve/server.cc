@@ -24,21 +24,6 @@ namespace hdham::serve
 namespace
 {
 
-/** Encode-tie-break seed of the classify path (same as the CLI, so
- *  a served classification matches `hdham classify` bit for bit). */
-std::uint64_t
-classifySeed()
-{
-    return lang::PipelineConfig{}.seed ^ 0x636c6966ULL;
-}
-
-/** Encode-tie-break seed of the update path. */
-std::uint64_t
-updateSeed()
-{
-    return lang::PipelineConfig{}.seed ^ 0x75706474ULL;
-}
-
 std::vector<std::uint8_t>
 bytesOf(const std::string &s)
 {
@@ -355,7 +340,7 @@ Server::doClassify(Reader &req)
     const snapshot::SnapshotRef pin = pinOrThrow();
     const lang::PipelineConfig defaults;
     const Encoder encoder(itemsOf(*pin), defaults.ngram);
-    Rng rng(classifySeed());
+    Rng rng(lang::classifySeed);
 
     std::vector<Hypervector> queries;
     queries.reserve(texts.size());
@@ -428,7 +413,7 @@ Server::doUpdate(Reader &req)
                 "size");
     }
 
-    Rng rng(updateSeed());
+    Rng rng(lang::updateSeed);
     for (std::uint32_t i = 0; i < count; ++i) {
         const std::string label = req.str();
         const Hypervector hv = encoder.encode(req.str(), rng);

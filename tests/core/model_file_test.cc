@@ -2,15 +2,14 @@
  * @file
  * hdham.model.v1 loader hardening: every malformed input -- any
  * truncated prefix, any flipped bit, tampered header fields,
- * corrupted section and shard tables -- must raise a precise
- * std::runtime_error and never crash (the suite is part of the
- * tier-1 set the ASan/UBSan targets run). Also pins the read-only
- * contract and the basic save/load round trip. The shard-table and
- * tail-region checks run on the committed legacy fixture, a sliced
- * 3-shard file today's writer no longer produces. A seeded mutation
- * harness ends the suite: thousands of mutants of each input must be
- * rejected with an exception or serve every class, a search, a top-3,
- * their side memories and an encoded sentence.
+ * corrupted section and shard tables, a layout no writer emits --
+ * must raise a precise std::runtime_error and never crash (the suite
+ * is part of the tier-1 set the ASan/UBSan targets run). Also pins
+ * the read-only contract and the basic save/load round trip. A
+ * seeded mutation harness ends the suite: thousands of mutants of
+ * each input must be rejected with an exception or serve every
+ * class, a search, a top-3, their side memories and an encoded
+ * sentence.
  */
 
 #include <gtest/gtest.h>
@@ -209,15 +208,6 @@ expectLoadError(const std::string &path, const std::string &needle,
     }
 }
 
-/** The legacy fixture: its 12 classes bit-sliced in 3 shards. */
-const testfix::FixtureSpec &
-legacySpec()
-{
-    static const testfix::FixtureSpec spec =
-        testfix::legacyFixtureSpecs().front();
-    return spec;
-}
-
 /** The bytes of the committed fixture @p file. */
 std::string
 fixtureBytes(const std::string &file)
@@ -230,50 +220,41 @@ fixtureBytes(const std::string &file)
     return buf.str();
 }
 
-/** The committed legacy fixture's bytes. */
+/** The committed row-major fixture's bytes. */
 std::string
-legacyFixtureBytes()
+rowMajorFixtureBytes()
 {
-    return fixtureBytes(legacySpec().file);
+    return fixtureBytes(testfix::fixtureSpecs().front().file);
 }
 
 TEST(ModelFileTest, RoundTripServesIdentically)
 {
-    // Today's writer's bytes, then a legacy sliced 3-shard file whose
-    // rows the reader copies into a row-major store.
-    for (const bool sliced : {false, true}) {
-        const AssociativeMemory am =
-            sliced ? testfix::buildFixtureMemory(legacySpec())
-                   : makeModel(250, 9);
-        const std::string path = tempFile(
-            "mf_roundtrip.hdc",
-            sliced ? legacyFixtureBytes() : serializedModel());
-        modelfile::ModelView view(path);
-        ASSERT_EQ(view.classes(), am.size());
-        ASSERT_EQ(view.dim(), am.dim());
-        EXPECT_EQ(view.version(), modelfile::formatVersion);
-        Rng rng(7);
-        for (int q = 0; q < 32; ++q) {
-            const Hypervector query =
-                Hypervector::random(am.dim(), rng);
-            const auto expect = am.search(query);
-            const auto got = view.memory().search(query);
-            EXPECT_EQ(got.classId, expect.classId);
-            EXPECT_EQ(got.bestDistance, expect.bestDistance);
-        }
-        for (std::size_t id = 0; id < am.size(); ++id) {
-            EXPECT_EQ(view.memory().labelOf(id), am.labelOf(id));
-            EXPECT_EQ(view.memory().vectorOf(id), am.vectorOf(id));
-        }
-        std::remove(path.c_str());
+    const AssociativeMemory am = makeModel(250, 9);
+    const std::string path =
+        tempFile("mf_roundtrip.hdc", serializedModel());
+    modelfile::ModelView view(path);
+    ASSERT_EQ(view.classes(), am.size());
+    ASSERT_EQ(view.dim(), am.dim());
+    EXPECT_EQ(view.version(), modelfile::formatVersion);
+    Rng rng(7);
+    for (int q = 0; q < 32; ++q) {
+        const Hypervector query = Hypervector::random(am.dim(), rng);
+        const auto expect = am.search(query);
+        const auto got = view.memory().search(query);
+        EXPECT_EQ(got.classId, expect.classId);
+        EXPECT_EQ(got.bestDistance, expect.bestDistance);
     }
+    for (std::size_t id = 0; id < am.size(); ++id) {
+        EXPECT_EQ(view.memory().labelOf(id), am.labelOf(id));
+        EXPECT_EQ(view.memory().vectorOf(id), am.vectorOf(id));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ModelFileTest, EveryTruncatedPrefixThrows)
 {
-    for (const bool sliced : {false, true}) {
-        const std::string full =
-            sliced ? legacyFixtureBytes() : serializedModel();
+    for (const std::string &full :
+         {serializedModel(), rowMajorFixtureBytes()}) {
         for (std::size_t cut = 0; cut < full.size(); ++cut) {
             const std::string path = tempFile(
                 "mf_truncated.hdc", full.substr(0, cut));
@@ -297,7 +278,7 @@ TEST(ModelFileTest, EveryTruncatedPrefixThrows)
 
 TEST(ModelFileTest, FlippedBitInEverySectionThrows)
 {
-    const std::string full = legacyFixtureBytes();
+    const std::string full = rowMajorFixtureBytes();
     for (std::size_t i = 0; i < modelfile::kSectionCount; ++i) {
         const SectionInfo s = sectionAt(full, i);
         ASSERT_GT(s.size, 0u) << modelfile::sectionName(i);
@@ -395,11 +376,11 @@ TEST(ModelFileTest, TamperedSectionOffsetNamesSection)
 
 TEST(ModelFileTest, TamperedShardTableCaught)
 {
-    std::string bytes = legacyFixtureBytes();
+    std::string bytes = rowMajorFixtureBytes();
     const SectionInfo table = sectionAt(bytes, 0);
-    // Shard 1's firstRow (second 32-byte entry) off by one.
+    // The shard's firstRow off by one.
     const std::size_t firstRowAt =
-        static_cast<std::size_t>(table.offset) + 32;
+        static_cast<std::size_t>(table.offset);
     patchU64At(bytes, firstRowAt,
                readU64At(bytes, firstRowAt) + 1);
     refreshChecksums(bytes);
@@ -409,9 +390,9 @@ TEST(ModelFileTest, TamperedShardTableCaught)
 
 TEST(ModelFileTest, TamperedShardPointerCaught)
 {
-    std::string bytes = legacyFixtureBytes();
+    std::string bytes = rowMajorFixtureBytes();
     const SectionInfo table = sectionAt(bytes, 0);
-    // Shard 0's head offset pushed past the row words section.
+    // The shard's head offset pushed past the row words section.
     const std::size_t headAt =
         static_cast<std::size_t>(table.offset) + 16;
     patchU64At(bytes, headAt, readU64At(bytes, headAt) + (1 << 20));
@@ -429,62 +410,25 @@ TEST(ModelFileTest, ImplausibleRowCountRejected)
                     "implausible row count");
 }
 
-TEST(ModelFileTest, ShardRowWraparoundRejected)
+TEST(ModelFileTest, EarlierLayoutsAreRefusedNamingTheLayout)
 {
-    // Crafted shard table whose row counts wrap uint64 arithmetic:
-    // shard 0 claims 2^60 rows (head/tail byte counts wrap to 0),
-    // shard 1 claims 2^64 - 2^60 + 4 rows so `covered` wraps back
-    // to 4, and shard 2 tops it up to the header's 12. Every older
-    // check (contiguity, byte bounds, final sum) is satisfied; only
-    // the overflow-safe rows-remaining check rejects it.
-    std::string bytes = legacyFixtureBytes();
-    const SectionInfo table = sectionAt(bytes, 0);
-    const auto entry = [&](std::size_t s, std::size_t field) {
-        return static_cast<std::size_t>(table.offset) + s * 32 +
-               field * 8;
-    };
-    patchU64At(bytes, entry(0, 1), 1ULL << 60);
-    patchU64At(bytes, entry(1, 0), 1ULL << 60);
-    patchU64At(bytes, entry(1, 1), 0 - (1ULL << 60) + 4);
-    patchU64At(bytes, entry(2, 0), 4);
-    patchU64At(bytes, entry(2, 1), 8);
-    refreshChecksums(bytes);
-    expectLoadError(tempFile("mf_shardwrap.hdc", bytes),
-                    "shard table corrupt");
-}
+    // An earlier writer's sliced, 3-shard file, and today's row-major
+    // fixture with a header (resealed) that records 2 shards: the
+    // loader maps neither, and names the file and the layout its
+    // header records.
+    const std::string sliced =
+        std::string(HDHAM_TEST_DATA_DIR) + "/" + testfix::slicedFixtureFile;
+    expectLoadError(sliced,
+                    sliced + ": unsupported layout: header records "
+                             "layout tag 1, 3 shards, slice prefix 128");
 
-TEST(ModelFileTest, AliasedShardsCannotInflateTheCopy)
-{
-    // Two row-major shards that both point at the same 10 rows of
-    // words: each passes its own bounds check, but together they
-    // claim 20 rows in a section that holds 10. Copying them into a
-    // row-major store would allocate more than the file holds, so
-    // the loader refuses.
-    const AssociativeMemory am = makeModel(250, 20);
-    std::ostringstream out;
-    modelfile::ModelWriter writer(out);
-    writer.write(am);
-    std::string bytes = out.str();
-    const SectionInfo rows = sectionAt(bytes, 1);
-    const std::uint64_t half = rows.size / 2; // 10 rows of 32 bytes
-    bytes.erase(static_cast<std::size_t>(rows.offset + half),
-                static_cast<std::size_t>(half));
+    std::string bytes = rowMajorFixtureBytes();
     patchU32At(bytes, kOffShardCount, 2);
-    patchU64At(bytes, kOffFileSize, bytes.size());
-    patchU64At(bytes, kOffSections + kSectionEntryBytes + 8, half);
-    for (std::size_t i = 2; i < modelfile::kSectionCount; ++i) {
-        const std::size_t e = kOffSections + i * kSectionEntryBytes;
-        patchU64At(bytes, e, readU64At(bytes, e) - half);
-    }
-    const auto table = static_cast<std::size_t>(sectionAt(bytes, 0).offset);
-    patchU64At(bytes, table + 8, 10);           // shard 0: rows
-    patchU64At(bytes, table + 32, 10);          // shard 1: firstRow
-    patchU64At(bytes, table + 40, 10);          // rows
-    patchU64At(bytes, table + 48, rows.offset); // head: shard 0's
-    patchU64At(bytes, table + 56, 0);           // tail
     refreshChecksums(bytes);
-    expectLoadError(tempFile("mf_aliased.hdc", bytes),
-                    "rows do not fit the row words section");
+    const std::string twoShards = tempFile("mf_two_shards.hdc", bytes);
+    expectLoadError(twoShards,
+                    twoShards + ": unsupported layout: header records "
+                                "layout tag 0, 2 shards, slice prefix 0");
 }
 
 TEST(ModelFileTest, SectionSizeWraparoundRejected)
@@ -560,7 +504,7 @@ TEST(ModelFileTest, SkippedVerificationStillValidatesStructure)
 {
     // verifyChecksums=false skips only the CRC pass; structural
     // validation (truncation, shard/label bounds) still rejects.
-    const std::string full = legacyFixtureBytes();
+    const std::string full = rowMajorFixtureBytes();
 
     // A payload bit flip now loads -- that is the documented trade.
     {
@@ -843,18 +787,18 @@ modelWithSideMemories()
 /**
  * Mutate @p original kMutants times; open every mutant with checksum
  * verification off and, resealed, on. Each open must end in a served
- * model or an exception (serveMutant).
+ * model or an exception (serveMutant). Returns how many mutants were
+ * served with verification off and on.
  */
-void
-expectMutantsRefusedOrServed(const std::string &name,
-                             const std::string &original)
+std::array<std::size_t, 2>
+mutantsServed(const std::string &name, const std::string &original)
 {
     std::array<SectionInfo, modelfile::kSectionCount> sections;
     for (std::size_t i = 0; i < sections.size(); ++i)
         sections[i] = sectionAt(original, i);
     Rng rng(0x4D55'7A6EULL + original.size());
     const std::string file = "mf_mutant_" + name + ".hdc";
-    std::size_t served[2] = {0, 0};
+    std::array<std::size_t, 2> served = {0, 0};
     for (std::size_t m = 0; m < kMutants; ++m) {
         std::string mutant = original;
         mutate(mutant, sections, rng);
@@ -867,12 +811,22 @@ expectMutantsRefusedOrServed(const std::string &name,
         served[1] += serveMutant(tempFile(file, mutant), true, m);
         if (::testing::Test::HasFailure()) {
             ADD_FAILURE() << name << ": mutant " << m;
-            return;
+            break;
         }
     }
-    // Neither every mutant refused nor every one served: the edits
-    // reach past the first check and the loader still rejects some.
-    for (const std::size_t count : served) {
+    return served;
+}
+
+/**
+ * Neither every mutant of @p original refused nor every one served:
+ * the edits reach past the first check and the loader still rejects
+ * some.
+ */
+void
+expectSomeMutantsServed(const std::string &name,
+                        const std::string &original)
+{
+    for (const std::size_t count : mutantsServed(name, original)) {
         EXPECT_GT(count, 0u) << name;
         EXPECT_LT(count, kMutants) << name;
     }
@@ -880,18 +834,23 @@ expectMutantsRefusedOrServed(const std::string &name,
 
 TEST(ModelMutationTest, RowMajorFixtureMutantsAreRefusedOrServed)
 {
-    expectMutantsRefusedOrServed(
-        "rowmajor", fixtureBytes(testfix::fixtureSpecs().front().file));
+    expectSomeMutantsServed("rowmajor", rowMajorFixtureBytes());
 }
 
 TEST(ModelMutationTest, SlicedFixtureMutantsAreRefusedOrServed)
 {
-    expectMutantsRefusedOrServed("sliced", legacyFixtureBytes());
+    // Turning the sliced fixture into a row-major one-shard file
+    // takes at least four edits (the layout tag and shard count, the
+    // slice prefix, the shard entry's rows and its tail), and a
+    // mutant gets at most three, so every mutant is refused.
+    for (const std::size_t count : mutantsServed(
+             "sliced", fixtureBytes(testfix::slicedFixtureFile)))
+        EXPECT_EQ(count, 0u);
 }
 
 TEST(ModelMutationTest, SideMemoryModelMutantsAreRefusedOrServed)
 {
-    expectMutantsRefusedOrServed("sides", modelWithSideMemories());
+    expectSomeMutantsServed("sides", modelWithSideMemories());
 }
 
 } // namespace

@@ -8,9 +8,8 @@
  * regenerate the old ones in place.
  *
  * The committed files double as cross-version readers' ground truth:
- * the view over each golden file -- and over each legacy fixture an
- * earlier writer laid out differently -- must answer queries
- * bit-identically to the model rebuilt from the recipe.
+ * the view over each golden file must answer queries bit-identically
+ * to the model rebuilt from the recipe.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/assoc_memory.hh"
 #include "core/item_memory.hh"
@@ -44,16 +42,6 @@ std::string
 goldenPath(const testfix::FixtureSpec &spec)
 {
     return std::string(HDHAM_TEST_DATA_DIR) + "/" + spec.file;
-}
-
-/** Every committed file: today's fixtures, then the legacy ones. */
-std::vector<testfix::FixtureSpec>
-allFixtureSpecs()
-{
-    std::vector<testfix::FixtureSpec> specs = testfix::fixtureSpecs();
-    for (const auto &spec : testfix::legacyFixtureSpecs())
-        specs.push_back(spec);
-    return specs;
 }
 
 std::string
@@ -96,19 +84,13 @@ TEST(ModelFormatGoldenTest, ReserializationIsByteExact)
 
 TEST(ModelFormatGoldenTest, GoldenFilesServeBitIdentically)
 {
-    const std::size_t current = testfix::fixtureSpecs().size();
-    const std::vector<testfix::FixtureSpec> specs = allFixtureSpecs();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const testfix::FixtureSpec &spec = specs[i];
+    for (const auto &spec : testfix::fixtureSpecs()) {
         modelfile::ModelView view(goldenPath(spec));
         const AssociativeMemory reference =
             testfix::buildFixtureMemory(spec);
         ASSERT_EQ(view.dim(), spec.dim) << spec.file;
         ASSERT_EQ(view.classes(), spec.classes) << spec.file;
-        // Today's layout maps in place; a legacy one is copied.
-        const bool legacy = i >= current;
-        EXPECT_EQ(view.fileLayout().sliced, legacy) << spec.file;
-        EXPECT_EQ(view.memory().mapped(), !legacy) << spec.file;
+        EXPECT_TRUE(view.memory().mapped()) << spec.file;
         Rng rng(0x601DULL);
         for (int q = 0; q < 48; ++q) {
             const Hypervector query =
@@ -133,7 +115,7 @@ TEST(ModelFormatGoldenTest, GoldenFilesServeBitIdentically)
 
 TEST(ModelFormatGoldenTest, EmbeddedItemMemoryMatchesRecipe)
 {
-    for (const auto &spec : allFixtureSpecs()) {
+    for (const auto &spec : testfix::fixtureSpecs()) {
         if (!spec.withItems)
             continue;
         modelfile::ModelView view(goldenPath(spec));

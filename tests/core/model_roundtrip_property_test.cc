@@ -189,8 +189,8 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
 
 TEST(ModelRoundTripPropertyTest, SideMemoriesResaveByteForByte)
 {
-    // `hdham save`'s path: open, freeze into a snapshot, and save the
-    // snapshot's store with the side memories it carried over.
+    // Open, freeze into a snapshot, and save the snapshot's store
+    // with the side memories it carried over.
     Rng rng(0x5A7EULL);
     const std::size_t dim = 250;
     const AssociativeMemory am = buildModel(dim, 6, rng);

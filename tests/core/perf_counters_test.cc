@@ -1,20 +1,18 @@
 /**
  * @file
  * Unit tests for the hardware-counter layer (core/perf_counters):
- * tagged-unavailable propagation, the forced-failure and environment
- * switches, the metrics export contract, and the process memory /
- * residency probes.
+ * tagged-unavailable propagation, the forced-failure switch, the
+ * metrics export contract, and the process memory / residency
+ * probes.
  *
  * The suite must pass on every host class -- full perf support,
  * partial (software events only, the common container case), or none
- * (stub build, HDHAM_PERF=off rerun) -- so assertions about real
- * counter values are gated on availability, never assumed.
+ * (stub build) -- so assertions about real counter values are gated
+ * on availability, never assumed.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -31,28 +29,6 @@ struct ForcedUnavailable
 {
     ForcedUnavailable() { perf::testing::forceUnavailable(true); }
     ~ForcedUnavailable() { perf::testing::forceUnavailable(false); }
-};
-
-/** Sets HDHAM_PERF for one scope, restoring the prior value. */
-struct ScopedEnv
-{
-    explicit ScopedEnv(const char *value)
-    {
-        const char *old = std::getenv("HDHAM_PERF");
-        hadOld = old != nullptr;
-        if (hadOld)
-            oldValue = old;
-        ::setenv("HDHAM_PERF", value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (hadOld)
-            ::setenv("HDHAM_PERF", oldValue.c_str(), 1);
-        else
-            ::unsetenv("HDHAM_PERF");
-    }
-    bool hadOld = false;
-    std::string oldValue;
 };
 
 TEST(PerfSampleTest, DefaultIsFullyUnavailable)
@@ -100,7 +76,6 @@ TEST(PerfSampleTest, DeltaPropagatesUnavailability)
 TEST(PerfStatusTest, StatusNamesAreStable)
 {
     EXPECT_STREQ(perf::statusName(perf::Status::On), "on");
-    EXPECT_STREQ(perf::statusName(perf::Status::Off), "off");
     EXPECT_STREQ(perf::statusName(perf::Status::Unavailable),
                  "unavailable");
 }
@@ -112,20 +87,6 @@ TEST(PerfStatusTest, ForcedFailureWinsOverEverything)
     EXPECT_FALSE(perf::available());
     const perf::Sample s = perf::threadSample();
     EXPECT_FALSE(s.anyAvailable());
-}
-
-TEST(PerfStatusTest, EnvironmentSwitchTurnsCountersOff)
-{
-    // The env is consulted on every status() call, so a scoped
-    // setenv is enough -- no process restart needed.
-    for (const char *value : {"off", "OFF", "0"}) {
-        const ScopedEnv env(value);
-        EXPECT_EQ(perf::status(), perf::Status::Off) << value;
-        EXPECT_FALSE(perf::threadSample().anyAvailable()) << value;
-    }
-    // Any other value leaves the probe in charge.
-    const ScopedEnv env("on");
-    EXPECT_NE(perf::status(), perf::Status::Off);
 }
 
 TEST(PerfCountersTest, ThreadSampleMatchesStatus)

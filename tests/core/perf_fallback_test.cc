@@ -1,13 +1,12 @@
 /**
  * @file
  * The graceful-degradation contract of the perf layer, pinned: with
- * perf_event_open forced to fail (and under the HDHAM_PERF=off
- * environment rerun registered in tests/CMakeLists.txt), a fully
- * instrumented query run -- tracer with perf capture, slow-query
- * capture with perf deltas, process counters -- produces
- * bit-identical search results, identical metrics counters and an
- * identical trace span structure to a plain run. Broken counters may
- * cost a branch; they may never change an answer.
+ * perf_event_open forced to fail, a fully instrumented query run --
+ * tracer with perf capture, slow-query capture with perf deltas,
+ * process counters -- produces bit-identical search results,
+ * identical metrics counters and an identical trace span structure
+ * to a plain run. Broken counters may cost a branch; they may never
+ * change an answer.
  */
 
 #include <gtest/gtest.h>

@@ -11,11 +11,6 @@
  * modelfile::formatVersion (and add new fixtures) instead of
  * silently rewriting the old ones.
  *
- * The legacy fixtures were written by an earlier writer, in a
- * layout today's writer no longer emits; they are never regenerated.
- * They hold the same recipe's classes, so readers are checked
- * against the same model.
- *
  * Everything here derives from fixed seeds through hdham::Rng, which
  * is a portable fixed-width generator, so the recipe reproduces the
  * same bytes on every platform.
@@ -59,17 +54,13 @@ fixtureSpecs()
 }
 
 /**
- * The committed legacy fixtures: read-only, never regenerated.
- * model_sliced_d250_c12_s3.hdc holds the row-major fixture's classes
- * bit-sliced at a 128-bit prefix in 3 shards of 4 rows each.
+ * A committed file in a layout the reader refuses: an earlier
+ * writer's copy of the row-major fixture's classes, bit-sliced at a
+ * 128-bit prefix in 3 shards of 4 rows each. Read-only, never
+ * regenerated.
  */
-inline std::vector<FixtureSpec>
-legacyFixtureSpecs()
-{
-    return {
-        {"model_sliced_d250_c12_s3.hdc", 250, 12, true},
-    };
-}
+inline constexpr const char *slicedFixtureFile =
+    "model_sliced_d250_c12_s3.hdc";
 
 /** Deterministic class labels: varied lengths, one empty. */
 inline std::string

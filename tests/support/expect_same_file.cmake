@@ -1,12 +1,11 @@
 # Run the command given after `--` and pass only when it exits 0 and
 # the file OUTPUT it wrote is byte-identical to EXPECTED:
 #
-#   cmake -DOUTPUT=PATH -DEXPECTED=PATH [-DSEED=PATH] [-DCAPTURE=ON] -P expect_same_file.cmake -- COMMAND [ARG...]
+#   cmake -DOUTPUT=PATH -DEXPECTED=PATH [-DCAPTURE=ON] -P expect_same_file.cmake -- COMMAND [ARG...]
 #
-# OUTPUT is removed before the command runs, or, when SEED is given,
-# replaced by a copy of SEED (for a command that rewrites its input).
-# With CAPTURE on, the command's stdout is written to OUTPUT (for a
-# command that prints its result).
+# OUTPUT is removed before the command runs. With CAPTURE on, the
+# command's stdout is written to OUTPUT (for a command that prints its
+# result).
 set(cmd)
 set(seenSeparator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -18,15 +17,7 @@ foreach(i RANGE ${last})
     endif()
 endforeach()
 
-if(DEFINED SEED)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E copy "${SEED}" "${OUTPUT}"
-        RESULT_VARIABLE copied)
-    if(NOT copied EQUAL 0)
-        message(FATAL_ERROR "cannot copy ${SEED} to ${OUTPUT}")
-    endif()
-else()
-    file(REMOVE "${OUTPUT}")
-endif()
+file(REMOVE "${OUTPUT}")
 if(CAPTURE)
     execute_process(COMMAND ${cmd} RESULT_VARIABLE rc
         OUTPUT_FILE "${OUTPUT}" ERROR_VARIABLE out)

@@ -35,10 +35,6 @@
  * threshold -- span tree plus perf delta -- into a bounded
  * hdham.events.v1 JSONL log (core/event_log.hh) with exact drop
  * counts.
- *   save     --model PATH --out PATH
- *            rewrite a model as the current writer lays it out
- *            (row-major, one shard): the migration path for files
- *            in a legacy sliced or sharded layout
  *   load     --model PATH [--no-verify]
  *            mmap an hdham.model.v1 file, validate it and describe
  *            what it serves (the same loader classify uses)
@@ -47,7 +43,7 @@
  *   cost     [--dim N] [--classes N]
  *            print the design-space cost table
  *
- * classify/info/load/save open every model through the shared
+ * classify/info/load open every model through the shared
  * loader (core/model_loader.hh): the hdham.model.v1 file is mmap'ed
  * and -- with --design am -- queried zero-copy in place.
  *
@@ -109,7 +105,6 @@ usage()
         "[--threads N] [--batch N] [--kernel K] [--perf] "
         "[--slow-query-us US] [--events-out PATH] "
         "[--stats-json PATH] [--trace PATH] TEXT...\n"
-        "  hdham save --model PATH --out PATH\n"
         "  hdham load --model PATH [--no-verify]\n"
         "  hdham info --model PATH\n"
         "  hdham cost [--dim N] [--classes N]\n"
@@ -160,9 +155,7 @@ usage()
         "  An argument that starts with -- must be a flag the verb "
         "takes: anything else (a misspelt\n"
         "  flag, or a classify TEXT starting with --) exits 2 before "
-        "any work starts.\n"
-        "  `hdham save` rewrites a model in a legacy sliced or "
-        "sharded layout as row-major.\n");
+        "any work starts.\n");
     return 2;
 }
 
@@ -398,7 +391,7 @@ cmdClassify(std::vector<std::string> args)
     const lang::PipelineConfig defaults;
     const ItemMemory items = view.itemMemory();
     const Encoder encoder(items, defaults.ngram);
-    Rng rng(defaults.seed ^ 0x636c6966ULL);
+    Rng rng(lang::classifySeed);
 
     // Encode every usable sample up front, then classify through the
     // batch path in --batch sized chunks (0 = one shot).
@@ -493,46 +486,6 @@ cmdClassify(std::vector<std::string> args)
 }
 
 /**
- * `hdham save`: rewrite a model as the writer lays it out (row-major,
- * one shard), which migrates a file in a legacy sliced or sharded
- * layout. Side memories embedded in the input are carried over.
- */
-int
-cmdSave(std::vector<std::string> args)
-{
-    const std::string in = option(args, "--model", "");
-    const std::string out = option(args, "--out", "");
-    rejectUnknownFlags(args);
-    if (in.empty() || out.empty()) {
-        std::fprintf(stderr,
-                     "save: --model and --out are required\n");
-        return 2;
-    }
-
-    // The snapshot carries the input's side memories across; the
-    // writer streams the rows straight from the mapping (or, for a
-    // legacy layout, from the row-major copy the open made).
-    const std::unique_ptr<snapshot::MemorySnapshot> snap =
-        modelload::LoadedModel::open(in).intoSnapshot();
-    modelfile::SaveOptions saveOpts;
-    if (snap->hasItemMemory())
-        saveOpts.items = &snap->itemMemory();
-    if (snap->hasLevelMemory())
-        saveOpts.levels = &snap->levelMemory();
-
-    // save() renames a finished sibling file over --out, so --out may
-    // name --model: the mapping the rows stream from stays intact.
-    modelfile::save(out, snap->memory(), saveOpts);
-
-    const modelfile::ModelView written(out);
-    std::printf("model written to %s (hdham.model.v1, %zu classes, "
-                "D = %zu, checksum %08x)\n",
-                out.c_str(), written.classes(), written.dim(),
-                written.checksum());
-    return 0;
-}
-
-/**
  * `hdham load`: mmap and validate an hdham.model.v1 file with the
  * same loader classify uses, then describe what it serves.
  */
@@ -548,7 +501,7 @@ cmdLoad(std::vector<std::string> args)
     opts.verifyChecksums = !boolOption(args, "--no-verify");
     rejectUnknownFlags(args);
     // The shared open path (core/model_loader.hh): the exact loader
-    // classify and hdham_server use.
+    // classify and serve use.
     const modelload::LoadedModel model =
         modelload::LoadedModel::open(path, opts);
     const modelfile::ModelView &view = *model.modelView();
@@ -561,13 +514,6 @@ cmdLoad(std::vector<std::string> args)
                                      : " (not verified)");
     std::printf("dimensionality : %zu\n", memory.dim());
     std::printf("classes        : %zu\n", memory.size());
-    const modelfile::FileLayout &layout = view.fileLayout();
-    std::printf("layout         : %s, %zu shard%s",
-                layout.sliced ? "sliced" : "row", layout.shards,
-                layout.shards == 1 ? "" : "s");
-    if (layout.sliced)
-        std::printf(", slice prefix %zu bits", layout.slicePrefix);
-    std::printf("\n");
     std::printf("item memory    : %s\n",
                 view.hasItemMemory() ? "embedded" : "absent");
     std::printf("level memory   : %s\n",
@@ -646,8 +592,6 @@ main(int argc, char **argv)
             return cmdTrain(std::move(args));
         if (command == "classify")
             return cmdClassify(std::move(args));
-        if (command == "save")
-            return cmdSave(std::move(args));
         if (command == "load")
             return cmdLoad(std::move(args));
         if (command == "info")

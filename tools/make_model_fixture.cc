@@ -2,9 +2,9 @@
  * @file
  * Regenerate the committed hdham.model.v1 golden fixtures in
  * tests/data/ from the deterministic recipes in
- * tests/fixtures/model_fixture.hh. The legacy fixtures
- * (testfix::legacyFixtureSpecs) are never regenerated: today's
- * writer no longer emits their layout.
+ * tests/fixtures/model_fixture.hh. The sliced fixture
+ * (testfix::slicedFixtureFile) is never regenerated: no writer emits
+ * its layout, and the reader refuses it.
  *
  *   make_model_fixture OUTPUT_DIR
  *

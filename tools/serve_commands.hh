@@ -1,11 +1,9 @@
 /**
  * @file
- * The serve and query verbs of the command-line tools.
+ * The serve and query verbs of the hdham command-line tool.
  *
- * `hdham serve` / `hdham query` (tools/hdham_cli.cc) and the
- * standalone hdham_server binary (tools/hdham_server.cc) are thin
- * argv adapters over these two functions, so both front ends parse
- * the same flags and run the same code.
+ * `hdham serve` and `hdham query` (tools/hdham_cli.cc) hand their
+ * arguments to these two functions.
  */
 
 #ifndef HDHAM_TOOLS_SERVE_COMMANDS_HH
@@ -22,9 +20,6 @@ namespace hdham::serve
  *
  *   serve --model PATH (--socket PATH | --port N) [--kernel K]
  *         [--no-verify] [--trace]
- *
- * A model in a legacy sliced or sharded layout is served from the
- * row-major copy the loader makes (`hdham save` migrates the file).
  *
  * Returns a process exit code (0 ok, 2 usage, also for any argument
  * left over). Throws on runtime errors, and cli::UsageError on a
