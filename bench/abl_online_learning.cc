@@ -13,7 +13,7 @@
 #include "common.hh"
 
 #include "core/bundler.hh"
-#include "core/trainable_memory.hh"
+#include "core/snapshot.hh"
 
 int
 main()
@@ -27,9 +27,9 @@ main()
     const SyntheticCorpus &corpus = bench::corpus();
     const auto pipeline = bench::makePipeline(10000);
 
-    TrainableMemory memory(10000);
+    snapshot::SnapshotBuilder builder(10000);
     for (std::size_t lang = 0; lang < corpus.numLanguages(); ++lang)
-        memory.addClass(corpus.labelOf(lang));
+        builder.addClass(corpus.labelOf(lang));
 
     Rng rng(1);
     bench::CsvWriter csv("abl_online_learning");
@@ -53,17 +53,17 @@ main()
             Bundler chunk(10000);
             if (pipeline->textEncoder().encodeInto(
                     text.substr(a, b - a), chunk) > 0) {
-                memory.addSample(lang, chunk.majority(rng));
+                builder.addSample(lang, chunk.majority(rng));
             }
         }
         seen = upto;
         ++sessions;
 
         // Reprogram ("one write per session") and evaluate.
-        const AssociativeMemory snapshot = memory.snapshot();
+        const auto snapshot = builder.build();
         const auto eval =
             pipeline->evaluate([&](const Hypervector &query) {
-                return snapshot.search(query).classId;
+                return snapshot->memory().search(query).classId;
             });
         std::printf("%15.0f%% %9.1f%% %18zu\n", 100.0 * upto,
                     100.0 * eval.accuracy(), sessions);

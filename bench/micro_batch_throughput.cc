@@ -15,9 +15,9 @@
  * benchmarks finish. Without the flag no sink is attached, so the
  * numbers measure the metrics-disabled path.
  *
- * --kernel NAME pins the kernel tier, Hamming and bundling (any
+ * HDHAM_KERNEL pins the kernel tier, Hamming and bundling (any
  * registered tier name -- scalar, sse2, neon, avx2, avx512 -- or
- * auto) before any benchmark runs; the kernel actually used plus the
+ * auto), as for every hdham binary; the kernel actually used plus the
  * full compiled/available backend lists are reported in the stats
  * snapshot's "info" object either way, so a saved snapshot records
  * which kernel matrix produced it.
@@ -406,10 +406,6 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--stats-json") == 0 &&
             i + 1 < argc) {
             statsPath = argv[++i];
-            continue;
-        }
-        if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-            distance::setKernelByName(argv[++i]);
             continue;
         }
         if (std::strcmp(argv[i], "--perf") == 0) {

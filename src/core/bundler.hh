@@ -29,8 +29,8 @@
  * bit of its count (core/encoder.hh).
  *
  * The counting kernel is the active kernel tier's (core/distance.hh),
- * at that tier's vector width: 1, 2, 4 or 8 words per step. --kernel
- * and HDHAM_KERNEL pick it together with the Hamming kernel. Every
+ * at that tier's vector width: 1, 2, 4 or 8 words per step.
+ * HDHAM_KERNEL picks it together with the Hamming kernel. Every
  * tier computes the same counts, so the choice never changes a count,
  * a majority or the Rng draws.
  *

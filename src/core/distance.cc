@@ -18,7 +18,7 @@
  *      availability predicate passes (registry order is
  *      narrowest-first).
  *
- * setKernelByName() (the CLI's --kernel flag) overrides the choice
+ * setKernelByName() (how the tests pin a tier) overrides the choice
  * at any time. The choice is one atomic pointer to a registry entry,
  * so a reader always gets one tier's kernels together, never a mix
  * across a concurrent switch. Concurrent first

@@ -62,9 +62,10 @@
  * one-time stderr warning naming the valid kernels), (2) the
  * widest-supported backend by cpuid/hwcap probe -- the last
  * registered entry whose available() predicate passes.
- * setKernelByName() overrides the choice at any time (the CLI's
- * --kernel flag); pinning "scalar" gives bit-exactness tests a
- * fixed reference path.
+ * setKernelByName() overrides the choice at any time; pinning
+ * "scalar" gives bit-exactness tests a fixed reference path. The
+ * binaries take no kernel flag: HDHAM_KERNEL pins a tier for any of
+ * them.
  *
  * Contract of every kernel: reads exactly ceil(bits / 64) words from
  * both arrays; any bits of the final word beyond @p bits are masked
@@ -159,7 +160,7 @@ using NibbleHistogramFn = void (*)(const std::uint64_t *a,
  */
 struct KernelEntry
 {
-    /** Selection name: HDHAM_KERNEL / --kernel / setKernelByName. */
+    /** Selection name: HDHAM_KERNEL / setKernelByName. */
     const char *name;
     /** One-line implementation summary for docs and --help. */
     const char *description;

@@ -1,8 +1,10 @@
 #include "core/snapshot.hh"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace hdham::snapshot
@@ -19,6 +21,18 @@ microsBetween(std::chrono::steady_clock::time_point a,
               std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double, std::micro>(b - a).count();
+}
+
+/** Throw unless @p hv has the store's dimension @p dim, naming both. */
+void
+requireSampleDim(const Hypervector &hv, std::size_t dim, const char *what)
+{
+    if (hv.dim() != dim)
+        throw std::invalid_argument(
+            std::string(what) + ": sample dimension " +
+            std::to_string(hv.dim()) +
+            " does not match the store's dimension " +
+            std::to_string(dim));
 }
 
 } // namespace
@@ -133,19 +147,19 @@ SnapshotSource::liveSnapshots()
 // ---------------------------------------------------------------------------
 
 SnapshotBuilder::SnapshotBuilder(std::size_t dim, std::uint64_t seed)
-    : trainable(dim, seed)
+    : dimension(dim), rng(seed)
 {
+    if (dim == 0)
+        throw std::invalid_argument("SnapshotBuilder: zero dimension");
 }
 
 SnapshotBuilder::SnapshotBuilder(const MemorySnapshot &seedSnapshot,
                                  std::uint64_t seed)
-    : trainable(seedSnapshot.dim(), seed)
+    : SnapshotBuilder(seedSnapshot.dim(), seed)
 {
     const AssociativeMemory &am = seedSnapshot.memory();
-    for (std::size_t id = 0; id < am.size(); ++id) {
-        const std::size_t cls = trainable.addClass(am.labelOf(id));
-        trainable.addSample(cls, am.vectorOf(id));
-    }
+    for (std::size_t id = 0; id < am.size(); ++id)
+        bundlers[addClassLocked(am.labelOf(id))].add(am.vectorOf(id));
     sink = am.metricsSink();
     if (seedSnapshot.hasItemMemory())
         items = seedSnapshot.itemMemory();
@@ -157,35 +171,40 @@ std::size_t
 SnapshotBuilder::dim() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.dim();
+    return dimension;
 }
 
 std::size_t
 SnapshotBuilder::classes() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.classes();
+    return bundlers.size();
 }
 
 std::size_t
 SnapshotBuilder::addClass(std::string label)
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.addClass(std::move(label));
+    return addClassLocked(std::move(label));
 }
 
 std::string
 SnapshotBuilder::labelOf(std::size_t id) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.labelOf(id);
+    assert(id < labels.size());
+    return labels[id];
 }
 
 void
 SnapshotBuilder::addSample(std::size_t id, const Hypervector &hv)
 {
     std::lock_guard<std::mutex> lock(mu);
-    trainable.addSample(id, hv);
+    if (id >= bundlers.size())
+        throw std::invalid_argument("SnapshotBuilder::addSample: "
+                                    "unknown class");
+    requireSampleDim(hv, dimension, "SnapshotBuilder::addSample");
+    bundlers[id].add(hv);
 }
 
 std::size_t
@@ -193,12 +212,13 @@ SnapshotBuilder::addLabeledSample(const std::string &label,
                                   const Hypervector &hv)
 {
     std::lock_guard<std::mutex> lock(mu);
+    requireSampleDim(hv, dimension, "SnapshotBuilder::addLabeledSample");
     std::size_t id = 0;
-    while (id < trainable.classes() && trainable.labelOf(id) != label)
+    while (id < labels.size() && labels[id] != label)
         ++id;
-    if (id == trainable.classes())
-        id = trainable.addClass(label);
-    trainable.addSample(id, hv);
+    if (id == labels.size())
+        id = addClassLocked(label);
+    bundlers[id].add(hv);
     return id;
 }
 
@@ -206,7 +226,8 @@ std::uint64_t
 SnapshotBuilder::sampleCount(std::size_t id) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.sampleCount(id);
+    assert(id < bundlers.size());
+    return bundlers[id].count();
 }
 
 std::size_t
@@ -215,7 +236,22 @@ SnapshotBuilder::assimilate(const Hypervector &hv,
                             std::size_t mergeThreshold)
 {
     std::lock_guard<std::mutex> lock(mu);
-    return trainable.assimilate(hv, label, mergeThreshold);
+    requireSampleDim(hv, dimension, "SnapshotBuilder::assimilate");
+    std::size_t best = bundlers.size();
+    std::size_t bestDist = 0;
+    for (std::size_t id = 0; id < bundlers.size(); ++id) {
+        if (bundlers[id].count() == 0)
+            continue;
+        const std::size_t d = prototypeLocked(id).hamming(hv);
+        if (best == bundlers.size() || d < bestDist) {
+            best = id;
+            bestDist = d;
+        }
+    }
+    if (best == bundlers.size() || bestDist > mergeThreshold)
+        best = addClassLocked(label);
+    bundlers[best].add(hv);
+    return best;
 }
 
 void
@@ -254,11 +290,31 @@ SnapshotBuilder::lastPublish() const
     return stats;
 }
 
+std::size_t
+SnapshotBuilder::addClassLocked(std::string label)
+{
+    bundlers.emplace_back(dimension);
+    labels.push_back(std::move(label));
+    return bundlers.size() - 1;
+}
+
+Hypervector
+SnapshotBuilder::prototypeLocked(std::size_t id) const
+{
+    if (bundlers[id].count() == 0)
+        throw std::logic_error("SnapshotBuilder: class " +
+                               std::to_string(id) + " has no samples");
+    return bundlers[id].majority(rng);
+}
+
 std::unique_ptr<MemorySnapshot>
 SnapshotBuilder::buildLocked() const
 {
-    return MemorySnapshot::fromMemory(trainable.snapshot(), sink, items,
-                                      levels);
+    AssociativeMemory am(dimension);
+    am.reserve(bundlers.size());
+    for (std::size_t id = 0; id < bundlers.size(); ++id)
+        am.store(prototypeLocked(id), labels[id]);
+    return MemorySnapshot::fromMemory(std::move(am), sink, items, levels);
 }
 
 } // namespace hdham::snapshot

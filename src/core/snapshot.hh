@@ -31,13 +31,16 @@
  *    the mutex, so a large store's free or a model's munmap never
  *    delays a pin.
  *
- * The writer side is SnapshotBuilder: per-class majority counters
- * (core/trainable_memory.hh) plus the metrics sink every published
- * snapshot is frozen with. Updates (addSample,
- * assimilate) mutate only the builder's private counters; publish()
- * thresholds them into a fresh AssociativeMemory, wraps it in a
- * MemorySnapshot and swaps it in. No query path ever sees the
- * intermediate states.
+ * The writer side is SnapshotBuilder, the one online-learning store.
+ * HD training is a running majority, so it keeps one Bundler of
+ * ones-counters per class, not just the thresholded prototypes, and
+ * can keep learning after deployment. Updates (addSample,
+ * addLabeledSample, assimilate) mutate only the builder's private
+ * counters; publish() thresholds them into a fresh AssociativeMemory,
+ * wraps it in a MemorySnapshot and swaps it in -- one crossbar
+ * programming pass per retraining session, the paper's
+ * write-endurance argument. No query path ever sees the intermediate
+ * states.
  */
 
 #ifndef HDHAM_CORE_SNAPSHOT_HH
@@ -49,12 +52,15 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/assoc_memory.hh"
+#include "core/bundler.hh"
+#include "core/hypervector.hh"
 #include "core/item_memory.hh"
 #include "core/metrics.hh"
 #include "core/model_file.hh"
-#include "core/trainable_memory.hh"
+#include "core/random.hh"
 
 namespace hdham::snapshot
 {
@@ -229,16 +235,22 @@ class SnapshotSource
  * Single-writer snapshot builder: the only mutable object in the
  * serving path, and it is never visible to a reader.
  *
- * Owns the per-class majority counters (a TrainableMemory) plus the
- * serving configuration (metrics sink, and the side memories of the
- * seed snapshot) every published snapshot is frozen with. All
- * mutations -- new classes, training samples, reconsolidation-style
- * assimilation -- accumulate out-of-line; nothing is observable
- * until publish() thresholds the counters into a fresh
- * AssociativeMemory and swaps it into a SnapshotSource. Methods are
- * internally serialized, so concurrent update requests (e.g. from
- * several server connections) are safe; the design intent is still
- * a single logical writer.
+ * Owns the per-class majority counters (one Bundler per class), the
+ * class labels and the tie-break Rng, plus the serving configuration
+ * (metrics sink, and the side memories of the seed snapshot) every
+ * published snapshot is frozen with. All mutations -- new classes,
+ * training samples, reconsolidation-style assimilation -- accumulate
+ * out-of-line; nothing is observable until publish() thresholds the
+ * counters into a fresh AssociativeMemory and swaps it into a
+ * SnapshotSource. A sample of another dimension is refused before
+ * anything changes. Methods are internally serialized, so concurrent
+ * update requests (e.g. from several server connections) are safe;
+ * the design intent is still a single logical writer.
+ *
+ * The tie-break Rng is one stream: publish() and build() threshold
+ * the classes in id order, and assimilate() thresholds every trained
+ * class to compare, each drawing its ties from that stream. The same
+ * seed and the same calls therefore give the same rows bit for bit.
  */
 class SnapshotBuilder
 {
@@ -260,6 +272,7 @@ class SnapshotBuilder
     /**
      * @param dim  hypervector dimensionality
      * @param seed tie-break randomness for snapshot majorities
+     * @throws std::invalid_argument when @p dim is zero.
      */
     explicit SnapshotBuilder(std::size_t dim,
                              std::uint64_t seed = 0x747261696eULL);
@@ -293,6 +306,8 @@ class SnapshotBuilder
     /**
      * Accumulate one encoded training sample into class @p id.
      * Not observable by readers until publish().
+     * @throws std::invalid_argument, changing nothing, when @p id is
+     * not a class or hv.dim() != dim() (naming both dimensions).
      */
     void addSample(std::size_t id, const Hypervector &hv);
 
@@ -302,6 +317,8 @@ class SnapshotBuilder
      * and the add happen under one lock, so concurrent callers that
      * add the same new label create exactly one class. Returns the
      * class updated or created.
+     * @throws std::invalid_argument, creating no class, when
+     * hv.dim() != dim() (naming both dimensions).
      */
     std::size_t addLabeledSample(const std::string &label,
                                  const Hypervector &hv);
@@ -310,10 +327,15 @@ class SnapshotBuilder
     std::uint64_t sampleCount(std::size_t id) const;
 
     /**
-     * Reconsolidation-style update (TrainableMemory::assimilate):
-     * merge @p hv into the nearest existing class when its prototype
-     * is within @p mergeThreshold bits, else create a new class
-     * labeled @p label. Returns the class updated or created.
+     * Reconsolidation-style update: find the trained class whose
+     * current prototype (its majority, ties drawn from the builder's
+     * Rng stream, the one publish() draws from) is nearest to @p hv,
+     * ties to the lowest id. Merge @p hv into it when that distance
+     * is within @p mergeThreshold bits (update the similar key instead
+     * of inserting), else create a new class labeled @p label.
+     * Returns the class updated or created.
+     * @throws std::invalid_argument, changing nothing, when
+     * hv.dim() != dim() (naming both dimensions).
      */
     std::size_t assimilate(const Hypervector &hv,
                            const std::string &label,
@@ -337,6 +359,8 @@ class SnapshotBuilder
     /**
      * The snapshot publish() would produce, without publishing --
      * what the equivalence tests pin against the direct engine path.
+     * Draws its ties from the same stream publish() does.
+     * @throws std::logic_error when a class has no samples.
      */
     std::unique_ptr<MemorySnapshot> build() const;
 
@@ -344,10 +368,17 @@ class SnapshotBuilder
     PublishStats lastPublish() const;
 
   private:
+    std::size_t addClassLocked(std::string label);
+    Hypervector prototypeLocked(std::size_t id) const;
     std::unique_ptr<MemorySnapshot> buildLocked() const;
 
     mutable std::mutex mu;
-    TrainableMemory trainable;
+    std::size_t dimension;
+    /** Tie-break stream of every majority the builder takes. */
+    mutable Rng rng;
+    /** Per-class ones-counters, by class id. */
+    std::vector<Bundler> bundlers;
+    std::vector<std::string> labels;
     metrics::QueryMetrics *sink = nullptr;
     std::optional<ItemMemory> items;
     std::optional<ItemMemory> levels;

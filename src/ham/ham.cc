@@ -1,7 +1,5 @@
 #include "ham/ham.hh"
 
-#include <stdexcept>
-
 #include "core/batch_executor.hh"
 #include "core/trace.hh"
 
@@ -38,21 +36,6 @@ Ham::loadFrom(const AssociativeMemory &memory)
     reserve(memory.size());
     for (std::size_t id = 0; id < memory.size(); ++id)
         store(memory.vectorOf(id));
-}
-
-void
-Ham::bindSnapshot(snapshot::SnapshotRef ref)
-{
-    if (!ref)
-        throw std::logic_error("Ham::bindSnapshot: empty snapshot "
-                               "reference");
-    if (size() != 0)
-        throw std::logic_error("Ham::bindSnapshot: design already "
-                               "holds classes; bind a fresh design "
-                               "per snapshot");
-    bound = std::move(ref);
-    loadFrom(bound->memory());
-    attachMetrics(bound->memory().metricsSink());
 }
 
 } // namespace hdham::ham

@@ -21,7 +21,6 @@
 #include "core/assoc_memory.hh"
 #include "core/hypervector.hh"
 #include "core/metrics.hh"
-#include "core/snapshot.hh"
 
 namespace hdham::ham
 {
@@ -97,29 +96,6 @@ class Ham
     void loadFrom(const AssociativeMemory &memory);
 
     /**
-     * Bind the design's read path to one published snapshot: pin it
-     * (keeping a mapped model's file mapping alive for the design's
-     * lifetime), load its classes, and adopt its metrics sink. The
-     * design then serves exactly that snapshot -- later publishes
-     * never bleed into a bound engine; rebind a fresh design to pick
-     * up a new snapshot. This is the engines' end of the refactor: a
-     * design is handed an immutable pinned store, never a raw
-     * mutable one.
-     * @pre ref pins a snapshot and the design is still empty
-     *      (size() == 0); violations throw std::logic_error.
-     */
-    void bindSnapshot(snapshot::SnapshotRef ref);
-
-    /**
-     * Sequence number of the bound snapshot (0 when the design was
-     * loaded some other way).
-     */
-    std::uint64_t boundSequence() const
-    {
-        return bound ? bound->sequence() : 0;
-    }
-
-    /**
      * Attach a metrics sink (nullptr detaches; must outlive the
      * design). The behavioral designs then count queries, rows
      * scanned and their design-specific events (bits sampled, blocks
@@ -147,10 +123,6 @@ class Ham
   protected:
     /** Optional observability sink; never owned. */
     metrics::QueryMetrics *sink = nullptr;
-
-  private:
-    /** Pin on the snapshot the design was bound to, if any. */
-    snapshot::SnapshotRef bound;
 };
 
 } // namespace hdham::ham

@@ -38,7 +38,7 @@
  * Update mode 0 accumulates each sample into the class whose label
  * matches (creating it if new); mode 1 assimilates: merge into the
  * nearest class within `threshold` bits, else create a new class
- * (reconsolidation semantics; see TrainableMemory::assimilate).
+ * (reconsolidation semantics; see SnapshotBuilder::assimilate).
  * Neither is visible to queries until a Swap publishes a snapshot.
  *
  * The query responses lead with the snapshot sequence number that

@@ -26,7 +26,6 @@
 #include "core/model_loader.hh"
 #include "core/random.hh"
 #include "core/snapshot.hh"
-#include "ham/d_ham.hh"
 
 namespace
 {
@@ -184,40 +183,6 @@ TEST(SnapshotEquivalenceTest, MappedModelMatchesDirectEngine)
         EXPECT_EQ(got.bestDistance, want.bestDistance);
     }
     std::remove(path.c_str());
-}
-
-TEST(SnapshotEquivalenceTest, BoundDesignMatchesDirectLoad)
-{
-    // The HAM read path takes a snapshot handle: a design bound via
-    // bindSnapshot must serve exactly like one loaded from the same
-    // memory directly.
-    SnapshotSource source;
-    source.publish(MemorySnapshot::fromMemory(testMemory()));
-
-    hdham::ham::DHamConfig cfg;
-    cfg.dim = kDim;
-    hdham::ham::DHam bound(cfg);
-    bound.bindSnapshot(source.acquire());
-    EXPECT_EQ(bound.boundSequence(), 1u);
-
-    hdham::ham::DHam direct(cfg);
-    const AssociativeMemory reference = testMemory();
-    direct.loadFrom(reference);
-    EXPECT_EQ(direct.boundSequence(), 0u);
-
-    for (const Hypervector &query : testQueries()) {
-        const auto want = direct.search(query);
-        const auto got = bound.search(query);
-        EXPECT_EQ(got.classId, want.classId);
-        EXPECT_EQ(got.reportedDistance, want.reportedDistance);
-    }
-
-    // Binding twice, or binding an empty ref, is a usage error.
-    EXPECT_THROW(bound.bindSnapshot(source.acquire()),
-                 std::logic_error);
-    hdham::ham::DHam fresh(cfg);
-    EXPECT_THROW(fresh.bindSnapshot(SnapshotRef()),
-                 std::logic_error);
 }
 
 } // namespace

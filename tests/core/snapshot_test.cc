@@ -6,9 +6,12 @@
  * Pins the ownership contract of core/snapshot.hh: publication holds
  * one reference and each SnapshotRef one more; a retired snapshot is
  * freed exactly when its last in-flight reference drops; the builder
- * reproduces its seed store bit for bit; concurrent labeled adds
- * create each new class once; and a model opened through the shared
- * loader serves identically to the in-RAM store it was saved from.
+ * keeps each class's running majority, draws every tie from one
+ * stream, refuses a sample of another dimension before changing
+ * anything, and reproduces its seed store bit for bit; concurrent
+ * labeled adds create each new class once; and a model opened
+ * through the shared loader serves identically to the in-RAM store
+ * it was saved from.
  */
 
 #include <gtest/gtest.h>
@@ -25,20 +28,20 @@
 #include <utility>
 #include <vector>
 
+#include "core/bundler.hh"
 #include "core/model_file.hh"
 #include "core/model_loader.hh"
 #include "core/random.hh"
 #include "core/snapshot.hh"
-#include "core/trainable_memory.hh"
 
 namespace
 {
 
 using hdham::AssociativeMemory;
+using hdham::Bundler;
 using hdham::Hypervector;
 using hdham::ItemMemory;
 using hdham::Rng;
-using hdham::TrainableMemory;
 using hdham::modelload::LoadedModel;
 using hdham::snapshot::MemorySnapshot;
 using hdham::snapshot::SnapshotBuilder;
@@ -228,30 +231,176 @@ TEST(SnapshotTest, CarriesSideMemories)
     EXPECT_EQ(snap->modelPath(), "");
 }
 
+TEST(SnapshotBuilderTest, RejectsZeroDimension)
+{
+    EXPECT_THROW(SnapshotBuilder{0}, std::invalid_argument);
+}
+
+TEST(SnapshotBuilderTest, ClassBookkeeping)
+{
+    SnapshotBuilder builder(256);
+    EXPECT_EQ(builder.classes(), 0u);
+    EXPECT_EQ(builder.addClass("alpha"), 0u);
+    EXPECT_EQ(builder.addClass("beta"), 1u);
+    EXPECT_EQ(builder.classes(), 2u);
+    EXPECT_EQ(builder.labelOf(1), "beta");
+    EXPECT_EQ(builder.sampleCount(0), 0u);
+}
+
+TEST(SnapshotBuilderTest, ValidatesSamples)
+{
+    SnapshotBuilder builder(256);
+    builder.addClass();
+    Rng rng(1);
+    EXPECT_THROW(builder.addSample(3, Hypervector::random(256, rng)),
+                 std::invalid_argument);
+    EXPECT_THROW(builder.build(), std::logic_error);
+}
+
+TEST(SnapshotBuilderTest, RejectsWrongDimensionChangingNothing)
+{
+    // A shorter sample would be read past its end by the counters, a
+    // longer one silently truncated: both are refused, naming both
+    // dimensions, before a class, label or counter changes.
+    SnapshotBuilder builder(kDim);
+    Rng rng(111);
+    builder.addClass("a");
+    builder.addSample(0, Hypervector::random(kDim, rng));
+    for (const std::size_t dim : {kDim / 2 - 1, kDim * 2}) {
+        const Hypervector wrong = Hypervector::random(dim, rng);
+        const std::string message =
+            ": sample dimension " + std::to_string(dim) +
+            " does not match the store's dimension " +
+            std::to_string(kDim);
+        const auto expectRejected = [&](const auto &add,
+                                        const std::string &what) {
+            try {
+                add();
+                ADD_FAILURE() << what << " took a " << dim
+                              << "-bit sample";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_EQ(std::string(e.what()), what + message);
+            }
+            EXPECT_EQ(builder.classes(), 1u) << what;
+            EXPECT_EQ(builder.sampleCount(0), 1u) << what;
+        };
+        expectRejected([&] { builder.addSample(0, wrong); },
+                       "SnapshotBuilder::addSample");
+        expectRejected([&] { builder.addLabeledSample("a", wrong); },
+                       "SnapshotBuilder::addLabeledSample");
+        expectRejected([&] { builder.addLabeledSample("b", wrong); },
+                       "SnapshotBuilder::addLabeledSample");
+        expectRejected([&] { builder.assimilate(wrong, "b", kDim); },
+                       "SnapshotBuilder::assimilate");
+    }
+}
+
+TEST(SnapshotBuilderTest, SingleSamplePrototypeIsTheSample)
+{
+    SnapshotBuilder builder(512);
+    const std::size_t id = builder.addClass("x");
+    Rng rng(2);
+    const Hypervector hv = Hypervector::random(512, rng);
+    builder.addSample(id, hv);
+    EXPECT_EQ(builder.build()->memory().vectorOf(id), hv);
+    EXPECT_EQ(builder.sampleCount(id), 1u);
+}
+
+TEST(SnapshotBuilderTest, PrototypeIsTheRunningMajority)
+{
+    SnapshotBuilder builder(1024);
+    const std::size_t id = builder.addClass();
+    Rng rng(3);
+    const Hypervector base = Hypervector::random(1024, rng);
+    for (int i = 0; i < 5; ++i) {
+        Hypervector noisy = base;
+        noisy.injectErrors(100, rng);
+        builder.addSample(id, noisy);
+    }
+    // Majority of five noisy copies is closer to the base than any
+    // single copy's expected 100 bits.
+    EXPECT_LT(builder.build()->memory().vectorOf(id).hamming(base), 60u);
+}
+
+TEST(SnapshotBuilderTest, SnapshotMatchesPrototypes)
+{
+    SnapshotBuilder builder(512);
+    Rng rng(4);
+    for (int c = 0; c < 4; ++c) {
+        const std::size_t id =
+            builder.addClass("c" + std::to_string(c));
+        builder.addSample(id, Hypervector::random(512, rng));
+    }
+    const auto snap = builder.build();
+    const AssociativeMemory &am = snap->memory();
+    ASSERT_EQ(am.size(), 4u);
+    for (std::size_t id = 0; id < 4; ++id) {
+        EXPECT_EQ(am.vectorOf(id), builder.build()->memory().vectorOf(id));
+        EXPECT_EQ(am.labelOf(id), "c" + std::to_string(id));
+    }
+}
+
 TEST(SnapshotBuilderTest, ReproducesTrainableMemoryExactly)
 {
+    // Every row is its class's running majority, with the ties of
+    // all classes drawn in class order from one Rng seeded as the
+    // builder is. An even sample count leaves ties to draw.
     Rng rng(21);
-    TrainableMemory trainable(kDim, 99);
+    std::vector<Bundler> counters;
     SnapshotBuilder builder(kDim, 99);
     for (std::size_t c = 0; c < 4; ++c) {
-        trainable.addClass("c" + std::to_string(c));
+        counters.emplace_back(kDim);
         builder.addClass("c" + std::to_string(c));
-        for (int s = 0; s < 3; ++s) {
+        for (int s = 0; s < 4; ++s) {
             const Hypervector hv = Hypervector::random(kDim, rng);
-            trainable.addSample(c, hv);
+            counters[c].add(hv);
             builder.addSample(c, hv);
         }
     }
-    const AssociativeMemory expected = trainable.snapshot();
+    Rng ties(99);
     const auto snap = builder.build();
-    ASSERT_EQ(snap->classes(), expected.size());
-    for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(snap->classes(), counters.size());
+    for (std::size_t c = 0; c < counters.size(); ++c) {
         EXPECT_EQ(snap->memory().vectorOf(c).hamming(
-                      expected.vectorOf(c)),
+                      counters[c].majority(ties)),
                   0u)
             << "class " << c;
-        EXPECT_EQ(snap->memory().labelOf(c), expected.labelOf(c));
+        EXPECT_EQ(snap->memory().labelOf(c), "c" + std::to_string(c));
     }
+}
+
+TEST(SnapshotBuilderTest, AssimilateDrawsFromThePublishStream)
+{
+    // assimilate() thresholds every trained class to compare, and
+    // those ties come from the stream build() and publish() draw
+    // from: the rows built afterwards take the draws that follow.
+    Rng rng(23);
+    std::vector<Bundler> counters;
+    SnapshotBuilder builder(kDim, 77);
+    for (std::size_t c = 0; c < 3; ++c) {
+        counters.emplace_back(kDim);
+        builder.addClass("c" + std::to_string(c));
+        for (int s = 0; s < 2; ++s) {
+            const Hypervector hv = Hypervector::random(kDim, rng);
+            counters[c].add(hv);
+            builder.addSample(c, hv);
+        }
+    }
+    const Hypervector far = Hypervector::random(kDim, rng);
+    ASSERT_EQ(builder.assimilate(far, "novel", 0), 3u);
+
+    Rng ties(77);
+    for (const Bundler &counter : counters)
+        counter.majority(ties);
+    counters.emplace_back(kDim);
+    counters.back().add(far);
+    const auto snap = builder.build();
+    ASSERT_EQ(snap->classes(), counters.size());
+    for (std::size_t c = 0; c < counters.size(); ++c)
+        EXPECT_EQ(snap->memory().vectorOf(c).hamming(
+                      counters[c].majority(ties)),
+                  0u)
+            << "class " << c;
 }
 
 TEST(SnapshotBuilderTest, SeededFromSnapshotIsBitIdentical)
@@ -341,10 +490,10 @@ TEST(SnapshotBuilderTest, ConcurrentLabeledAddsCreateEachClassOnce)
 TEST(TrainableAssimilateTest, MergesWithinThresholdElseCreates)
 {
     Rng rng(51);
-    TrainableMemory trainable(kDim, 7);
+    SnapshotBuilder builder(kDim, 7);
     const Hypervector proto = Hypervector::random(kDim, rng);
-    trainable.addClass("seed");
-    trainable.addSample(0, proto);
+    builder.addClass("seed");
+    builder.addSample(0, proto);
 
     // A near-duplicate (flip a handful of bits) merges into class 0.
     Hypervector near = proto;
@@ -354,20 +503,20 @@ TEST(TrainableAssimilateTest, MergesWithinThresholdElseCreates)
                                      proto.data() + proto.words());
     words[0] ^= 0x7ULL; // 3 bits away
     near = Hypervector::fromWords(kDim, words.data());
-    EXPECT_EQ(trainable.assimilate(near, "ignored", 10), 0u);
-    EXPECT_EQ(trainable.classes(), 1u);
-    EXPECT_EQ(trainable.sampleCount(0), 2u);
+    EXPECT_EQ(builder.assimilate(near, "ignored", 10), 0u);
+    EXPECT_EQ(builder.classes(), 1u);
+    EXPECT_EQ(builder.sampleCount(0), 2u);
 
     // A far vector (expected distance ~kDim/2) exceeds the threshold
     // and creates a new labeled class.
     const Hypervector far = Hypervector::random(kDim, rng);
-    const std::size_t id = trainable.assimilate(far, "novel", 10);
+    const std::size_t id = builder.assimilate(far, "novel", 10);
     EXPECT_EQ(id, 1u);
-    EXPECT_EQ(trainable.labelOf(1), "novel");
-    EXPECT_EQ(trainable.sampleCount(1), 1u);
+    EXPECT_EQ(builder.labelOf(1), "novel");
+    EXPECT_EQ(builder.sampleCount(1), 1u);
 
     Rng other(5);
-    EXPECT_THROW(trainable.assimilate(
+    EXPECT_THROW(builder.assimilate(
                      Hypervector::random(kDim / 2, other), "x", 1),
                  std::invalid_argument);
 }
@@ -375,14 +524,14 @@ TEST(TrainableAssimilateTest, MergesWithinThresholdElseCreates)
 TEST(TrainableAssimilateTest, TiesResolveToLowestClassId)
 {
     Rng rng(61);
-    TrainableMemory trainable(kDim, 7);
+    SnapshotBuilder builder(kDim, 7);
     const Hypervector proto = Hypervector::random(kDim, rng);
     // Two identical prototypes: the merge must pick class 0.
-    trainable.addClass("first");
-    trainable.addSample(0, proto);
-    trainable.addClass("second");
-    trainable.addSample(1, proto);
-    EXPECT_EQ(trainable.assimilate(proto, "x", 0), 0u);
+    builder.addClass("first");
+    builder.addSample(0, proto);
+    builder.addClass("second");
+    builder.addSample(1, proto);
+    EXPECT_EQ(builder.assimilate(proto, "x", 0), 0u);
 }
 
 TEST(SnapshotFileTest, FromFileServesBothFormatsIdentically)

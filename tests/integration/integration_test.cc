@@ -2,11 +2,14 @@
  * @file
  * End-to-end integration tests: synthetic corpus -> HD encoder ->
  * each HAM design, checking the paper's qualitative claims on a
- * reduced workload (D = 4,096, 20 sentences per language).
+ * reduced workload (D = 4,096, 20 sentences per language), and the
+ * online-learning store trained session by session on the same task.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/bundler.hh"
+#include "core/snapshot.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
 #include "ham/r_ham.hh"
@@ -185,6 +188,59 @@ TEST_F(IntegrationTest, AllDesignsAgreeOnEasyQueries)
         EXPECT_EQ(rham.search(query).classId, lang);
         EXPECT_EQ(aham.search(query).classId, lang);
     }
+}
+
+TEST(SnapshotBuilderTest, ContinualLearningImprovesAccuracy)
+{
+    // Train incrementally on growing slices of the language corpus:
+    // accuracy after more data must not be worse. This is the
+    // "retrain by reprogramming the crossbar once per session"
+    // workflow.
+    CorpusConfig corpusCfg;
+    corpusCfg.trainChars = 24000;
+    corpusCfg.testSentences = 20;
+    const SyntheticCorpus corpus(corpusCfg);
+    PipelineConfig pipeCfg;
+    pipeCfg.dim = 2048;
+    const RecognitionPipeline pipeline(corpus, pipeCfg);
+
+    hdham::snapshot::SnapshotBuilder builder(pipeCfg.dim);
+    for (std::size_t lang = 0; lang < 21; ++lang)
+        builder.addClass(corpus.labelOf(lang));
+
+    const auto accuracyOf = [&](const hdham::AssociativeMemory &am) {
+        return pipeline
+            .evaluate([&](const Hypervector &query) {
+                return am.search(query).classId;
+            })
+            .accuracy();
+    };
+
+    // Session 1: the first 5% of each training text.
+    Rng rng(5);
+    const auto feed = [&](double from, double to) {
+        for (std::size_t lang = 0; lang < 21; ++lang) {
+            const std::string &text = corpus.trainingText(lang);
+            const auto a = static_cast<std::size_t>(
+                from * static_cast<double>(text.size()));
+            const auto b = static_cast<std::size_t>(
+                to * static_cast<double>(text.size()));
+            hdham::Bundler chunk(pipeCfg.dim);
+            pipeline.textEncoder().encodeInto(
+                text.substr(a, b - a), chunk);
+            // Stream the chunk's trigram majority as one sample
+            // batch; finer-grained streaming also works.
+            builder.addSample(lang, chunk.majority(rng));
+        }
+    };
+    feed(0.0, 0.05);
+    const double early = accuracyOf(builder.build()->memory());
+    feed(0.05, 0.5);
+    feed(0.5, 1.0);
+    const double late = accuracyOf(builder.build()->memory());
+    EXPECT_GT(early, 0.5);       // already useful after 5% of data
+    EXPECT_GE(late + 0.02, early); // more data never hurts much
+    EXPECT_GT(late, 0.85);
 }
 
 } // namespace

@@ -15,14 +15,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <type_traits>
 #include <vector>
-
-#include "core/distance.hh"
 
 namespace hdham::cli
 {
@@ -108,26 +105,6 @@ rejectUnknownFlags(const std::vector<std::string> &args)
             throw UsageError(arg + ": unknown flag, or a flag "
                                    "without its value");
     }
-}
-
-/**
- * Apply `--kernel NAME` if present. Returns false (after printing a
- * diagnostic) when the name is unknown or the kernel is not supported
- * on this CPU; without the flag the env/cpuid default stands.
- */
-inline bool
-kernelOption(std::vector<std::string> &args, const char *command)
-{
-    const std::string name = option(args, "--kernel", "");
-    if (name.empty())
-        return true;
-    try {
-        distance::setKernelByName(name);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "%s: %s\n", command, e.what());
-        return false;
-    }
-    return true;
 }
 
 } // namespace hdham::cli

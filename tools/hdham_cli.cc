@@ -9,10 +9,10 @@
  *            corpus and persist the learned hypervectors as
  *            hdham.model.v1 (mmap-able; embeds the item memory)
  *   classify --model PATH [--design am|dham|rham|aham] [--threads N]
- *            [--batch N] [--stats-json PATH] [--trace PATH] TEXT...
- *            classify text samples with the chosen HAM design,
- *            batching queries through searchBatch(); a TEXT may not
- *            start with "--"
+ *            [--stats-json PATH] [--trace PATH] TEXT...
+ *            classify text samples with the chosen HAM design, all
+ *            queries in one searchBatch() call; a TEXT may not start
+ *            with "--"
  *
  * --stats-json dumps a query-path observability snapshot (the
  * hdham.metrics.v1 schema of core/metrics.hh): per-design counters
@@ -58,7 +58,6 @@
  * file itself; it refuses a model that embeds none.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -98,19 +97,18 @@ usage()
         stderr,
         "usage:\n"
         "  hdham train --out PATH [--dim N] [--train-chars N] "
-        "[--sentences N] [--threads N] [--kernel K] "
+        "[--sentences N] [--threads N] "
         "[--perf] [--stats-json PATH] [--trace PATH]\n"
         "  hdham classify --model PATH "
         "[--design am|dham|rham|aham] "
-        "[--threads N] [--batch N] [--kernel K] [--perf] "
+        "[--threads N] [--perf] "
         "[--slow-query-us US] [--events-out PATH] "
         "[--stats-json PATH] [--trace PATH] TEXT...\n"
         "  hdham load --model PATH [--no-verify]\n"
         "  hdham info --model PATH\n"
         "  hdham cost [--dim N] [--classes N]\n"
         "  hdham serve --model PATH (--socket PATH | --port N) "
-        "[--kernel K] [--no-verify]\n"
-        "              [--trace]\n"
+        "[--no-verify] [--trace]\n"
         "  hdham query (--socket PATH | --port N) "
         "ping|classify TEXT...|update [--assimilate]\n"
         "              [--threshold BITS] LABEL=TEXT..."
@@ -122,14 +120,6 @@ usage()
         "mmap'ed file\n"
         "  --threads N       scan workers for batched search (0 = "
         "all hardware threads; default 1)\n"
-        "  --batch N         queries per searchBatch() call (0 = "
-        "all at once; default 0)\n"
-        "  --kernel K        kernel tier for the Hamming distance, "
-        "bundling and R-HAM's block histogram:\n"
-        "                    scalar, sse2, neon, avx2, avx512 or "
-        "auto (default: HDHAM_KERNEL env, else the widest tier this\n"
-        "                    CPU supports; results and model "
-        "bytes are bit-identical for every kernel)\n"
         "  --perf            measure the workload with hardware "
         "counters (perf_event_open): the metrics snapshot\n"
         "                    gains a \"perf\" object (cycles, "
@@ -155,7 +145,10 @@ usage()
         "  An argument that starts with -- must be a flag the verb "
         "takes: anything else (a misspelt\n"
         "  flag, or a classify TEXT starting with --) exits 2 before "
-        "any work starts.\n");
+        "any work starts.\n"
+        "  HDHAM_KERNEL=scalar|sse2|neon|avx2|avx512|auto in the "
+        "environment pins the kernel tier; every tier\n"
+        "  gives the same results and model bytes.\n");
     return 2;
 }
 
@@ -237,8 +230,6 @@ cmdTrain(std::vector<std::string> args)
     const std::string statsPath = option(args, "--stats-json", "");
     const std::string tracePath = option(args, "--trace", "");
     const bool perfOn = boolOption(args, "--perf");
-    if (!kernelOption(args, "train"))
-        return 2;
     rejectUnknownFlags(args);
 
     std::printf("training %zu languages at D = %zu...\n",
@@ -321,7 +312,6 @@ cmdClassify(std::vector<std::string> args)
     const std::string path = option(args, "--model", "");
     const std::string design = option(args, "--design", "dham");
     const std::size_t threads = numericOption(args, "--threads", 1);
-    const std::size_t batch = numericOption(args, "--batch", 0);
     const std::string statsPath = option(args, "--stats-json", "");
     const std::string tracePath = option(args, "--trace", "");
     const bool perfOn = boolOption(args, "--perf");
@@ -338,8 +328,6 @@ cmdClassify(std::vector<std::string> args)
     const double slowQueryUs =
         slowArg.empty() ? 1000.0
                         : parseNumber<double>("--slow-query-us", slowArg);
-    if (!kernelOption(args, "classify"))
-        return 2;
     rejectUnknownFlags(args);
     if (path.empty() || args.empty()) {
         std::fprintf(stderr, "classify: need --model and at least "
@@ -393,8 +381,8 @@ cmdClassify(std::vector<std::string> args)
     const Encoder encoder(items, defaults.ngram);
     Rng rng(lang::classifySeed);
 
-    // Encode every usable sample up front, then classify through the
-    // batch path in --batch sized chunks (0 = one shot).
+    // Encode every usable sample up front, then classify them in one
+    // batch.
     std::vector<Hypervector> queries;
     std::vector<std::size_t> queryOf(args.size(),
                                      args.size()); // skip marker
@@ -408,31 +396,21 @@ cmdClassify(std::vector<std::string> args)
         }
     }
 
-    // Arm slow-query capture for the duration of the batch loop; the
-    // batch executor consults it per chunk and serves each query
-    // under a span collector.
+    // Arm slow-query capture for the duration of the batch; the batch
+    // executor consults it per chunk and serves each query under a
+    // span collector.
     events::EventLog eventLog(65536);
     if (!eventsPath.empty())
         events::setSlowQueryCapture({&eventLog, slowQueryUs, perfOn});
 
     std::vector<std::size_t> winners;
     winners.reserve(queries.size());
-    const std::size_t chunk = batch == 0 ? queries.size() : batch;
-    for (std::size_t start = 0; start < queries.size();
-         start += chunk) {
-        const std::size_t end =
-            std::min(start + chunk, queries.size());
-        const std::vector<Hypervector> slice(
-            queries.begin() + static_cast<long>(start),
-            queries.begin() + static_cast<long>(end));
-        if (hardware) {
-            for (const auto &hit :
-                 hardware->searchBatch(slice, threads))
-                winners.push_back(hit.classId);
-        } else {
-            for (const auto &hit : memory.searchBatch(slice, threads))
-                winners.push_back(hit.classId);
-        }
+    if (hardware) {
+        for (const auto &hit : hardware->searchBatch(queries, threads))
+            winners.push_back(hit.classId);
+    } else {
+        for (const auto &hit : memory.searchBatch(queries, threads))
+            winners.push_back(hit.classId);
     }
 
     if (!eventsPath.empty()) {
@@ -468,7 +446,6 @@ cmdClassify(std::vector<std::string> args)
     if (!statsPath.empty()) {
         metrics::Registry registry;
         registry.attachQuery(design, designMetrics);
-        registry.setGauge("run.batch", static_cast<double>(chunk));
         if (perfOn) {
             perf::exportTo(registry, workload->delta(),
                            designMetrics.rowsScanned.value());

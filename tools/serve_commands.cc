@@ -71,9 +71,6 @@ runServeCommand(std::vector<std::string> args)
     cfg.verifyChecksums = !boolOption(args, "--no-verify");
     cfg.trace = boolOption(args, "--trace");
 
-    if (!kernelOption(args, "serve"))
-        return 2;
-
     if (!args.empty()) {
         std::fprintf(stderr, "serve: unexpected argument '%s'\n",
                      args.front().c_str());

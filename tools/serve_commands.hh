@@ -18,8 +18,8 @@ namespace hdham::serve
 /**
  * Run a resident server until a Shutdown request:
  *
- *   serve --model PATH (--socket PATH | --port N) [--kernel K]
- *         [--no-verify] [--trace]
+ *   serve --model PATH (--socket PATH | --port N) [--no-verify]
+ *         [--trace]
  *
  * Returns a process exit code (0 ok, 2 usage, also for any argument
  * left over). Throws on runtime errors, and cli::UsageError on a
